@@ -230,10 +230,11 @@ impl Deployment {
     /// strategy) is reused across every environment, seed and worker.
     ///
     /// `plan` must have been compiled from a deployment with this
-    /// deployment's board spec, strategy and model architecture (e.g. by
-    /// [`compile_plan`](Self::compile_plan) on any seed-variant of it);
-    /// the plan's cost arrays are board- and program-derived, never
-    /// data-derived, so seed-variants share bit-identical plans.
+    /// deployment's board spec and model architecture (e.g. by
+    /// [`compile_plan_for`](Self::compile_plan_for) on any seed-variant
+    /// of it); the plan's cost arrays are board- and program-derived,
+    /// never data-derived, so seed-variants share bit-identical plans.
+    /// The session runs whichever strategy the plan was lowered for.
     pub fn session_with_plan(&self, plan: Arc<ExecutionPlan>) -> DeviceSession<'_> {
         let mut board = self.board_spec.board();
         if let Some(monitor) = self.monitor {
@@ -253,8 +254,18 @@ impl Deployment {
     /// word count (checksum or SECDED check bits), and sessions opened
     /// on the plan walk the recovery ladder on every faulted restore.
     pub fn compile_plan_with_integrity(&self, integrity: Integrity) -> ExecutionPlan {
+        self.compile_plan_for(self.strategy, integrity)
+    }
+
+    /// Lowers `strategy`'s program from this deployment's model and
+    /// prices it against the deployment's board, with checkpoint
+    /// payloads guarded by `integrity`. Calibration, quantization and
+    /// ACE compilation never read the strategy, so one built deployment
+    /// serves every strategy: the plan equals the one a deployment
+    /// built with `strategy` would compile.
+    pub fn compile_plan_for(&self, strategy: Strategy, integrity: Integrity) -> ExecutionPlan {
         let board = self.board_spec.board();
-        let lowered = self.strategy.lower(&self.quantized, &self.program);
+        let lowered = strategy.lower(&self.quantized, &self.program);
         ExecutionPlan::compile_with_integrity(lowered, &board, integrity)
     }
 
@@ -494,6 +505,21 @@ mod tests {
         assert_eq!(got.commit_points(), want.commit_points());
         let bare = Strategy::Bare.lower(d.quantized(), d.program());
         assert_eq!(bare.commit_points(), 0);
+    }
+
+    #[test]
+    fn one_deployment_compiles_every_strategys_plan() {
+        let (flex, _) = har_deployment(Strategy::Flex);
+        for strategy in Strategy::ALL {
+            let (own, _) = har_deployment(strategy);
+            for integrity in [Integrity::None, Integrity::Secded] {
+                assert_eq!(
+                    flex.compile_plan_for(strategy, integrity),
+                    own.compile_plan_with_integrity(integrity),
+                    "{strategy} under {integrity:?}"
+                );
+            }
+        }
     }
 
     #[test]

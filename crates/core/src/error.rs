@@ -23,6 +23,19 @@ pub enum Error {
     /// A sharded sweep failed in the coordinator/worker machinery
     /// (spawning workers, the wire protocol, or the checkpoint store).
     Shard(ShardError),
+    /// A scenario's worker-side work (its deployment build, its runs, or
+    /// a metric sink's per-scenario fold) panicked during an in-process
+    /// fleet sweep. The sweep stops with this error, the way a sharded
+    /// sweep reports a failed shard, instead of unwinding through the
+    /// caller.
+    ScenarioPanicked {
+        /// The scenario's matrix index.
+        index: usize,
+        /// The scenario's name.
+        name: String,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -33,6 +46,11 @@ impl fmt::Display for Error {
             Error::Config(e) => write!(f, "configuration error: {e}"),
             Error::Telemetry(e) => write!(f, "telemetry sink error: {e}"),
             Error::Shard(e) => write!(f, "shard sweep error: {e}"),
+            Error::ScenarioPanicked {
+                index,
+                name,
+                message,
+            } => write!(f, "scenario {index} ({name}) panicked: {message}"),
         }
     }
 }
@@ -45,6 +63,7 @@ impl std::error::Error for Error {
             Error::Config(e) => Some(e),
             Error::Telemetry(e) => Some(e),
             Error::Shard(e) => Some(e),
+            Error::ScenarioPanicked { .. } => None,
         }
     }
 }

@@ -10,7 +10,7 @@
 //! replays run the plan's flat cost arrays with no per-op pricing, and
 //! continuous-power pricing is a compile-time fold over the same plan.
 
-use crate::deployment::{quantize_input, Deployment, Strategy};
+use crate::deployment::{quantize_input, Deployment};
 use crate::error::Error;
 use ehdl_ace::reference;
 use ehdl_datasets::Dataset;
@@ -88,11 +88,6 @@ impl<'d> DeviceSession<'d> {
     /// The deployment this session runs.
     pub fn deployment(&self) -> &'d Deployment {
         self.deployment
-    }
-
-    /// The strategy the session's program was lowered for.
-    pub fn strategy(&self) -> Strategy {
-        self.deployment.strategy()
     }
 
     /// The session's board (memory budgets, monitor). Its meter
@@ -385,7 +380,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::CalibrationConfig;
+    use crate::deployment::{CalibrationConfig, Strategy};
     use ehdl_ehsim::{Capacitor, Harvester};
 
     fn har_session_parts() -> (Deployment, Dataset) {

@@ -59,6 +59,16 @@ impl CacheCounters {
         }
     }
 
+    /// Counts one lookup: a miss if it had to build the entry, a hit
+    /// otherwise.
+    pub(crate) fn lookup(&mut self, built: bool) {
+        if built {
+            self.misses += 1;
+        } else {
+            self.hits += 1;
+        }
+    }
+
     /// Adds `other`'s counters.
     pub fn merge(&mut self, other: &CacheCounters) {
         self.hits += other.hits;
@@ -71,20 +81,21 @@ impl CacheCounters {
 /// The fleet runner's three caches.
 ///
 /// Lookup granularity differs per cache and is part of the contract:
-/// the **deployment** cache is consulted once per scenario, the
-/// **plan** cache once per distinct deployment (plans are shared across
-/// seeds), and the **trace** cache once per run of a
+/// the **deployment** and **plan** caches are consulted once per
+/// scenario, and the **trace** cache once per run of a
 /// deterministic-environment scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Compiled [`ExecutionPlan`](ehdl::ehsim::ExecutionPlan)s, keyed
-    /// by (workload, board, strategy).
+    /// by (workload, board, strategy, integrity scheme) and shared
+    /// across seeds.
     pub plan: CacheCounters,
     /// Recorded [`RunTrace`](ehdl::ehsim::RunTrace)s, keyed by
-    /// (plan, environment, budget).
+    /// (plan, environment, budget, fault schedule).
     pub trace: CacheCounters,
     /// Built [`Deployment`](ehdl::Deployment)s, keyed by
-    /// (workload, board, strategy, seed).
+    /// (workload, board, seed) and shared by every strategy and
+    /// integrity scheme.
     pub deployment: CacheCounters,
 }
 

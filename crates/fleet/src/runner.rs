@@ -10,11 +10,14 @@ use ehdl::ehsim::{
     ExecPhase, ExecutionPlan, FaultPlan, Integrity, IntermittentExecutor, RunTrace,
     TimelineRecorder,
 };
-use ehdl::{BoardSpec, Deployment, Error, Strategy};
+use ehdl::{BoardSpec, CalibrationConfig, Deployment, DeviceSession, Error, Strategy};
 use ehdl_netsim::{DeviceTimeline, SharedField, WorldSim};
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// The default [`cache_entries`](FleetBuilder::cache_entries) bound for
@@ -54,13 +57,20 @@ impl<V: Clone> Lru<V> {
     }
 
     /// Inserts `value` unless a racing worker already filled the slot
-    /// (first insert wins, like the trace-recording race), evicting the
-    /// least-recently-used entry when over capacity. Returns the
+    /// (first insert wins, like the trace-recording race). Returns the
     /// resident value.
     fn insert(&mut self, key: usize, value: V) -> V {
+        self.get_or_insert_with(key, || value)
+    }
+
+    /// The value under `key`, refreshed to most-recently-used, or
+    /// `make()` inserted there, evicting the least-recently-used entry
+    /// when over capacity. Returns the resident value.
+    fn get_or_insert_with(&mut self, key: usize, make: impl FnOnce() -> V) -> V {
         if let Some(existing) = self.get(key) {
             return existing;
         }
+        let value = make();
         self.entries.push((key, value.clone()));
         if self.entries.len() > self.cap {
             self.entries.remove(0);
@@ -78,16 +88,65 @@ impl<V: Clone> Lru<V> {
     }
 }
 
-/// Everything a worker needs for one deployment key, built lazily on
-/// first demand and cached (bounded) across scenarios: the deployment,
-/// its priced accuracy, and its shared execution plan with the plan's
-/// stable slot index (the trace-cache key component).
-struct DeployState {
+/// A per-key once-cell: the first worker to find the slot empty builds
+/// its value holding only this slot's lock. Workers needing other keys
+/// never wait on the build; workers needing this key wait for it
+/// instead of building it again.
+struct Slot<V>(Mutex<Option<Arc<V>>>);
+
+impl<V> Default for Slot<V> {
+    fn default() -> Self {
+        Slot(Mutex::new(None))
+    }
+}
+
+impl<V> Slot<V> {
+    /// The slot's value, built by `init` if the slot is still empty,
+    /// and whether this call built it. A failed build leaves the slot
+    /// empty, so the next scenario needing the key retries the build
+    /// and reports its own error.
+    fn get_or_try_init<E>(
+        &self,
+        init: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Arc<V>, bool), E> {
+        // A build that panicked never filled the slot, so a poisoned
+        // slot is an empty one.
+        let mut value = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(built) = value.as_ref() {
+            return Ok((Arc::clone(built), false));
+        }
+        let built = Arc::new(init()?);
+        *value = Some(Arc::clone(&built));
+        Ok((built, true))
+    }
+}
+
+/// The strategy- and integrity-free half of a scenario's set-up, built
+/// once per (workload, board, seed): the calibrated deployment and its
+/// quantized accuracy on the seed's data slice. Calibration,
+/// quantization, ACE compilation and the accuracy pass read neither the
+/// strategy nor the integrity scheme, so every scenario of the key
+/// shares one artifact.
+struct Calibrated {
     deployment: Deployment,
     accuracy: f64,
+}
+
+/// What one scenario runs on: its shared calibrated artifact and the
+/// plan lowered from it for the scenario's strategy and integrity
+/// scheme, with the plan's stable slot index (the trace-cache key
+/// component).
+struct Lowered {
+    artifact: Arc<Calibrated>,
     plan_slot: usize,
     plan: Arc<ExecutionPlan>,
 }
+
+/// The bounded cache of calibrated artifacts, keyed by the dense
+/// (workload, board, seed) index scenario expansion derives. The lock
+/// guards only the slot table; each artifact builds under its own
+/// [`Slot`].
+type ArtifactCache = Mutex<Lru<Arc<Slot<Calibrated>>>>;
 
 /// The bounded cache of recorded deterministic trajectories, keyed by
 /// the dense (plan, environment, budget, fault) index. A rebuilt entry
@@ -99,11 +158,12 @@ type TraceCache = Mutex<Lru<Arc<RunTrace>>>;
 /// (workload, board, strategy, integrity scheme) — the scheme is part
 /// of the key because it changes the plan's durable-write pricing; the
 /// Vec position doubles as the stable `plan_slot` the trace-cache key
-/// is built from.
+/// is built from. Like artifacts, each plan compiles under its own
+/// [`Slot`] with the store's lock released.
 type PlanStore = Mutex<
     Vec<(
         (Workload, BoardSpec, Strategy, Integrity),
-        Arc<ExecutionPlan>,
+        Arc<Slot<ExecutionPlan>>,
     )>,
 >;
 
@@ -122,18 +182,21 @@ type PlanStore = Mutex<
 /// state (e.g. [`DigestSink`](crate::DigestSink)) keep the whole sweep
 /// in O(1) memory, with nothing retained per run.
 ///
-/// Besides sharing each built [`Deployment`] across environments, the
-/// runner compiles one costed [`ExecutionPlan`] per (workload, board,
-/// strategy, integrity scheme) — op costs are program-, board- and
-/// scheme-derived, never data- or environment-derived — and shares it
-/// (via `Arc`) across every
-/// environment, seed and worker, so a 10k-scenario sweep prices each
-/// distinct program exactly once. Deployments and recorded traces live
-/// in **bounded LRU caches** ([`cache_entries`](FleetBuilder::cache_entries)
-/// deep, default 1024): entries are built lazily by the first worker
-/// that needs them, and an evicted entry is rebuilt deterministically
-/// on its next miss, so the cap trades wall-clock for memory without
-/// changing a single report bit.
+/// The runner builds one calibrated [`Deployment`] per (workload,
+/// board, seed) and shares it across every strategy, integrity scheme
+/// and environment: calibration, quantization and ACE compilation never
+/// read the strategy, which enters only when a plan is lowered. From
+/// it, the runner compiles one costed [`ExecutionPlan`] per (workload,
+/// board, strategy, integrity scheme) — op costs are program-, board-
+/// and scheme-derived, never data- or environment-derived — and shares
+/// it (via `Arc`) across every environment, seed and worker, so a
+/// 10k-scenario sweep prices each distinct program exactly once.
+/// Deployments and recorded traces live in **bounded LRU caches**
+/// ([`cache_entries`](FleetBuilder::cache_entries) deep, default 1024):
+/// entries are built lazily by the first worker that needs them,
+/// outside the cache lock under a per-key once-cell, and an evicted
+/// entry is rebuilt deterministically on its next miss, so the cap
+/// trades wall-clock for memory without changing a single report bit.
 ///
 /// Deterministic environments (every catalog entry except the burst
 /// sources) go one step further: an intermittent run is a pure function
@@ -218,15 +281,19 @@ impl FleetRunner {
     }
 
     /// Sweeps the matrix: fans the scenarios out over the pool (each
-    /// distinct deployment is built once, lazily, by the first worker
-    /// that needs it) and streams every run into `sink` under the
-    /// deterministic fold/merge contract of [`MetricsSink`].
+    /// distinct (workload, board, seed) deployment is built once,
+    /// lazily, by the first worker that needs it) and streams every run
+    /// into `sink` under the deterministic fold/merge contract of
+    /// [`MetricsSink`].
     ///
     /// # Errors
     ///
     /// Returns the error of the lowest-indexed failing scenario (or a
     /// deployment-build error, or the sink's first write error), so
-    /// failures are deterministic too.
+    /// failures are deterministic too. A scenario whose worker-side work
+    /// panics — its deployment build, its runs, or the sink's `open` or
+    /// `fold` — fails with [`Error::ScenarioPanicked`] naming it,
+    /// instead of unwinding through the caller.
     pub fn run_with_sink<S: MetricsSink + Send>(
         &self,
         matrix: &ScenarioMatrix,
@@ -263,12 +330,13 @@ impl FleetRunner {
     ///
     /// The profile is a side channel: the sink report stays
     /// **bit-identical** to the unprofiled sweep at any worker count.
-    /// Span and cache-lookup *counts* are deterministic at one worker;
-    /// at higher worker counts `hits + misses` totals stay fixed but
-    /// racing workers can shift the trace cache's hit/miss split (both
-    /// recordings of a deterministic pair are bit-identical, so either
-    /// outcome is equally valid). Timings are wall-clock and therefore
-    /// never deterministic.
+    /// Span and cache-lookup *counts* are deterministic at one worker.
+    /// At higher worker counts the deployment and plan counters stay
+    /// fixed (each key is built exactly once) and the trace cache keeps
+    /// its `hits + misses` total, but racing workers can shift its
+    /// hit/miss split (both recordings of a deterministic pair are
+    /// bit-identical, so either outcome is equally valid). Timings are
+    /// wall-clock and therefore never deterministic.
     ///
     /// # Errors
     ///
@@ -285,8 +353,11 @@ impl FleetRunner {
     /// profiling (see
     /// [`run_profiled_with_sink`](Self::run_profiled_with_sink)).
     /// Per-range profiles combine with [`PhaseProfile::merge`] in
-    /// range order, reassembling every span count and cache counter of
-    /// the whole-matrix sweep exactly.
+    /// range order, reassembling every span count and cache lookup
+    /// total of the whole-matrix sweep exactly. Hit/miss splits
+    /// reassemble only when no cache key straddles a range boundary:
+    /// every strategy of a (workload, board, seed) shares one
+    /// deployment, so each range that touches the key builds it once.
     ///
     /// # Errors
     ///
@@ -339,26 +410,27 @@ impl FleetRunner {
             return sink.finish().map(|report| (report, profile));
         }
 
-        // One deployment per (workload, board, strategy, seed,
-        // integrity scheme), built
-        // lazily by the first worker that needs it and kept in a
-        // bounded LRU (`cache_entries` deep). Accuracy only depends on
-        // the deployment and its data slice, so it is priced at build
-        // time, once per resident entry. Builds happen under the cache
-        // lock: at most one build per key is ever in flight, so lookup
-        // totals stay deterministic at any worker count — and because a
-        // rebuild after eviction is a pure function of the scenario,
-        // eviction never changes any report.
-        let deployments: Mutex<Lru<Arc<DeployState>>> = Mutex::new(Lru::new(self.cache_entries));
+        // One calibrated artifact per (workload, board, seed) — the
+        // built deployment and its priced accuracy — shared by every
+        // strategy and integrity scheme, since neither is read until a
+        // plan is lowered. The bounded LRU (`cache_entries` deep) holds
+        // per-key once-cells: its lock covers only finding or inserting
+        // a key's slot, and the build runs under that slot alone, so a
+        // worker hitting a built key never waits on another key's
+        // build. Each key still misses exactly once (until evicted) at
+        // any worker count, and a rebuild after eviction is a pure
+        // function of the scenario, so eviction never changes any
+        // report.
+        let artifacts: ArtifactCache = Mutex::new(Lru::new(self.cache_entries));
 
         // One execution plan per (workload, board, strategy,
-        // integrity scheme), shared across seeds too: the lowered op
-        // stream and its costs depend on the model architecture, the
-        // cost table and the scheme's checkpoint padding, not on the
-        // calibration data, so seed-variant deployments compile
-        // bit-identical plans. Plans are tiny relative to deployments
-        // and their slot index keys the trace cache, so this store is
-        // append-only, not LRU.
+        // integrity scheme), lowered from the scenario's artifact and
+        // shared across seeds too: the lowered op stream and its costs
+        // depend on the model architecture, the cost table and the
+        // scheme's checkpoint padding, not on the calibration data, so
+        // seed-variant artifacts compile bit-identical plans. Plans are
+        // tiny relative to artifacts and their slot index keys the
+        // trace cache, so this store is append-only, not LRU.
         let plans: PlanStore = Mutex::new(Vec::new());
 
         // One trace slot per (plan, environment, budget, fault) tuple;
@@ -376,6 +448,55 @@ impl FleetRunner {
         // whole sweep O(1)), and the coordinator locks it to `merge`
         // completed accumulators in matrix order.
         let sink = Mutex::new(sink);
+
+        // One scenario's worker-side work: find or build what it runs
+        // on, open its accumulator and fold its runs.
+        let sweep_one = |scenario: &Scenario,
+                         mut profile: Option<&mut PhaseProfile>|
+         -> Result<S::Partial, Error> {
+            let lowered = lower(
+                scenario,
+                matrix.calibration,
+                &artifacts,
+                &plans,
+                profile.as_deref_mut(),
+            )?;
+            let trace_key = (!self.reference && !scenario.environment.is_stochastic()).then(|| {
+                ((lowered.plan_slot * environments + scenario.environment_key) * budgets
+                    + scenario.budget_key)
+                    * faults
+                    + scenario.fault_key
+            });
+            let mut partial = lock_sink(&sink).open(scenario, lowered.artifact.accuracy);
+            let executor = &executors[scenario.budget_key];
+            let fault = &fault_plans[scenario.fault_key];
+            if scenario.topology.is_solo() {
+                run_scenario::<S>(
+                    scenario,
+                    &lowered,
+                    trace_key,
+                    &traces,
+                    executor,
+                    fault,
+                    matrix.runs,
+                    self.reference,
+                    &mut partial,
+                    profile,
+                )?;
+            } else {
+                run_world_scenario::<S>(
+                    scenario,
+                    &lowered,
+                    executor,
+                    fault,
+                    matrix.runs,
+                    self.reference,
+                    &mut partial,
+                    profile,
+                )?;
+            }
+            Ok(partial)
+        };
 
         // Per-worker profiles (trace-cache counters plus every span a
         // worker times), merged into the coordinator's profile in
@@ -401,14 +522,9 @@ impl FleetRunner {
 
         std::thread::scope(|scope| {
             let scenarios = &scenarios;
-            let deployments = &deployments;
-            let plans = &plans;
-            let traces = &traces;
-            let executors = &executors;
-            let fault_plans = &fault_plans;
+            let sweep_one = &sweep_one;
             let cursor = &cursor;
             let merged = &merged;
-            let sink = &sink;
             let worker_profiles = &worker_profiles;
             for w in 0..self.workers.min(total) {
                 let tx = tx.clone();
@@ -429,80 +545,21 @@ impl FleetRunner {
                         while i >= merged.load(Ordering::Relaxed).saturating_add(window) {
                             std::thread::sleep(std::time::Duration::from_micros(200));
                         }
-                        let deploy = {
-                            let mut cache = deployments.lock().expect("deployment cache lock");
-                            match cache.get(scenario.deployment_key) {
-                                Some(entry) => {
-                                    if let Some(p) = local.as_mut() {
-                                        p.caches.deployment.hits += 1;
-                                    }
-                                    entry
-                                }
-                                None => {
-                                    // Built while the cache lock is held:
-                                    // at most one build per key is ever in
-                                    // flight, so every key misses exactly
-                                    // once (until evicted) at any worker
-                                    // count.
-                                    if let Some(p) = local.as_mut() {
-                                        p.caches.deployment.misses += 1;
-                                    }
-                                    match build_deploy_state(
-                                        scenario,
-                                        matrix,
-                                        plans,
-                                        local.as_mut(),
-                                    ) {
-                                        Ok(entry) => cache.insert(scenario.deployment_key, entry),
-                                        Err(e) => {
-                                            if tx.send((i, Err(e))).is_err() {
-                                                break;
-                                            }
-                                            continue;
-                                        }
-                                    }
-                                }
-                            }
-                        };
-                        let trace_key = (!self.reference && !scenario.environment.is_stochastic())
-                            .then(|| {
-                                ((deploy.plan_slot * environments + scenario.environment_key)
-                                    * budgets
-                                    + scenario.budget_key)
-                                    * faults
-                                    + scenario.fault_key
-                            });
-                        let mut partial = sink
-                            .lock()
-                            .expect("sink lock")
-                            .open(scenario, deploy.accuracy);
-                        let result = if scenario.topology.is_solo() {
-                            run_scenario::<S>(
-                                scenario,
-                                &deploy,
-                                trace_key,
-                                traces,
-                                &executors[scenario.budget_key],
-                                &fault_plans[scenario.fault_key],
-                                matrix.runs,
-                                self.reference,
-                                &mut partial,
-                                local.as_mut(),
-                            )
-                        } else {
-                            run_world_scenario::<S>(
-                                scenario,
-                                &deploy,
-                                &executors[scenario.budget_key],
-                                &fault_plans[scenario.fault_key],
-                                matrix.runs,
-                                self.reference,
-                                &mut partial,
-                                local.as_mut(),
-                            )
-                        };
-                        if tx.send((i, result.map(|()| partial))).is_err() {
-                            break; // coordinator gone (a sibling panicked)
+                        // A panic in the scenario's own work fails that
+                        // scenario with a typed error, the way a failed
+                        // shard is reported, instead of unwinding through
+                        // the whole sweep.
+                        let result =
+                            catch_unwind(AssertUnwindSafe(|| sweep_one(scenario, local.as_mut())))
+                                .unwrap_or_else(|payload| {
+                                    Err(Error::ScenarioPanicked {
+                                        index: scenario.index,
+                                        name: scenario.name(),
+                                        message: panic_message(&*payload),
+                                    })
+                                });
+                        if tx.send((i, result)).is_err() {
+                            break; // coordinator gone
                         }
                     }
                     if let Some(p) = local {
@@ -541,7 +598,7 @@ impl FleetRunner {
                 while let Some(partial) = pending.remove(&next) {
                     if sink_error.is_none() {
                         let t0 = profiled.then(Instant::now);
-                        if let Err(e) = sink.lock().expect("sink lock").merge(partial) {
+                        if let Err(e) = lock_sink(&sink).merge(partial) {
                             sink_error = Some(e);
                         }
                         if let (Some(p), Some(t0)) = (profile.as_mut(), t0) {
@@ -576,19 +633,37 @@ impl FleetRunner {
             }
             // Residency and eviction counts live in the shared caches,
             // not in any worker's local profile.
-            let deployment_cache = deployments.into_inner().expect("deployment cache lock");
-            p.caches.deployment.entries = deployment_cache.len() as u64;
-            p.caches.deployment.evictions = deployment_cache.evictions();
-            p.caches.plan.entries = plans.into_inner().expect("plan cache lock").len() as u64;
+            let artifact_cache = artifacts.into_inner().expect("artifact cache lock");
+            p.caches.deployment.entries = artifact_cache.len() as u64;
+            p.caches.deployment.evictions = artifact_cache.evictions();
+            p.caches.plan.entries = plans.into_inner().expect("plan store lock").len() as u64;
             let trace_cache = traces.into_inner().expect("trace cache lock");
             p.caches.trace.entries = trace_cache.len() as u64;
             p.caches.trace.evictions = trace_cache.evictions();
         }
         sink.into_inner()
-            .expect("sink lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .finish()
             .map(|report| (report, profile))
     }
+}
+
+/// Locks a sweep's shared sink. A sink whose `open` panicked is
+/// poisoned, but that panic already fails the sweep with the
+/// scenario's typed error and the report is discarded, so the guard is
+/// taken as is rather than turning one scenario's panic into another's.
+fn lock_sink<S>(sink: &Mutex<S>) -> MutexGuard<'_, S> {
+    sink.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The message of a caught panic (`panic!` payloads are `&str` or
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Configures a [`FleetRunner`] together with the [`MetricsSink`] a
@@ -688,55 +763,95 @@ impl FleetBuilder<FullReportSink> {
     }
 }
 
-/// Builds everything one deployment key needs: the deployment, its
-/// priced accuracy, and the shared execution plan — compiled on first
-/// demand, reused from the append-only plan store otherwise. A pure
-/// function of the scenario (and the matrix's calibration), which is
-/// what lets the bounded deployment cache rebuild evicted entries
-/// without changing any report.
-fn build_deploy_state(
+/// Finds or builds what one scenario runs on: its (workload, board,
+/// seed) artifact from the bounded artifact cache, then its (workload,
+/// board, strategy, integrity) plan from the plan store — each built at
+/// most once per residency, under its own [`Slot`] with the cache locks
+/// released. Counts one deployment and one plan lookup.
+fn lower(
     scenario: &Scenario,
-    matrix: &ScenarioMatrix,
+    calibration: CalibrationConfig,
+    artifacts: &ArtifactCache,
     plans: &PlanStore,
-    mut profile: Option<&mut PhaseProfile>,
-) -> Result<Arc<DeployState>, Error> {
-    let data = scenario.workload.dataset(scenario.seed);
-    let mut model = scenario.workload.model();
-    let deployment = Deployment::builder(&mut model, &data)
-        .calibration(matrix.calibration)
-        .board(scenario.board.clone())
-        .strategy(scenario.strategy)
-        .build()?;
-    let accuracy = quantized_accuracy(deployment.quantized(), &data)?;
+    profile: Option<&mut PhaseProfile>,
+) -> Result<Lowered, Error> {
+    let slot = artifacts
+        .lock()
+        .expect("artifact cache lock")
+        .get_or_insert_with(scenario.artifact_key, Arc::default);
+    let (artifact, built) = slot.get_or_try_init(|| calibrate(scenario, calibration))?;
     let key = (
         scenario.workload,
         scenario.board.clone(),
         scenario.strategy,
         scenario.integrity,
     );
-    let mut plans = plans.lock().expect("plan cache lock");
-    let (plan_slot, plan) = match plans.iter().position(|(k, _)| *k == key) {
-        Some(slot) => {
-            if let Some(p) = profile.as_deref_mut() {
-                p.caches.plan.hits += 1;
+    let (plan_slot, slot) = {
+        let mut plans = plans.lock().expect("plan store lock");
+        let plan_slot = match plans.iter().position(|(k, _)| *k == key) {
+            Some(plan_slot) => plan_slot,
+            None => {
+                plans.push((key, Arc::default()));
+                plans.len() - 1
             }
-            (slot, Arc::clone(&plans[slot].1))
-        }
-        None => {
-            if let Some(p) = profile {
-                p.caches.plan.misses += 1;
-            }
-            let plan = Arc::new(deployment.compile_plan_with_integrity(scenario.integrity));
-            plans.push((key, Arc::clone(&plan)));
-            (plans.len() - 1, plan)
-        }
+        };
+        (plan_slot, Arc::clone(&plans[plan_slot].1))
     };
-    Ok(Arc::new(DeployState {
-        deployment,
-        accuracy,
+    let Ok((plan, compiled)) = slot.get_or_try_init(|| {
+        Ok::<_, Infallible>(
+            artifact
+                .deployment
+                .compile_plan_for(scenario.strategy, scenario.integrity),
+        )
+    });
+    if let Some(p) = profile {
+        p.caches.deployment.lookup(built);
+        p.caches.plan.lookup(compiled);
+    }
+    Ok(Lowered {
+        artifact,
         plan_slot,
         plan,
-    }))
+    })
+}
+
+/// Builds one calibrated artifact: calibrates, quantizes and
+/// ACE-compiles the scenario's workload on its seed's data slice, then
+/// prices the quantized accuracy. A pure function of (workload, board,
+/// seed) and the matrix's calibration — never of the strategy or the
+/// integrity scheme — which is what lets one artifact serve every
+/// scenario of its key and lets the bounded cache rebuild an evicted
+/// one without changing any report.
+fn calibrate(scenario: &Scenario, calibration: CalibrationConfig) -> Result<Calibrated, Error> {
+    let data = scenario.workload.dataset(scenario.seed);
+    let mut model = scenario.workload.model();
+    let deployment = Deployment::builder(&mut model, &data)
+        .calibration(calibration)
+        .board(scenario.board.clone())
+        .build()?;
+    let accuracy = quantized_accuracy(deployment.quantized(), &data)?;
+    Ok(Calibrated {
+        deployment,
+        accuracy,
+    })
+}
+
+/// Opens a session on the scenario's shared deployment running the
+/// shared plan — or, in `reference` mode, a fresh plan compiled for the
+/// scenario's strategy at its integrity scheme, so the reference
+/// interpreter prices and recovers identically to the planned path.
+fn open_session<'a>(
+    scenario: &Scenario,
+    lowered: &'a Lowered,
+    reference: bool,
+) -> DeviceSession<'a> {
+    let deployment = &lowered.artifact.deployment;
+    let plan = if reference {
+        Arc::new(deployment.compile_plan_for(scenario.strategy, scenario.integrity))
+    } else {
+        Arc::clone(&lowered.plan)
+    };
+    deployment.session_with_plan(plan)
 }
 
 /// Runs one scenario on its shared deployment and shared execution
@@ -751,7 +866,7 @@ fn build_deploy_state(
 #[allow(clippy::too_many_arguments)]
 fn run_scenario<S: MetricsSink>(
     scenario: &Scenario,
-    deploy: &DeployState,
+    lowered: &Lowered,
     trace_key: Option<usize>,
     traces: &TraceCache,
     executor: &IntermittentExecutor,
@@ -761,20 +876,7 @@ fn run_scenario<S: MetricsSink>(
     partial: &mut S::Partial,
     mut profile: Option<&mut PhaseProfile>,
 ) -> Result<(), Error> {
-    let mut session = if reference {
-        // Reference mode compiles its own fresh plan per scenario, at
-        // the scenario's integrity scheme so the reference interpreter
-        // prices and recovers identically to the planned path.
-        deploy.deployment.session_with_plan(Arc::new(
-            deploy
-                .deployment
-                .compile_plan_with_integrity(scenario.integrity),
-        ))
-    } else {
-        deploy
-            .deployment
-            .session_with_plan(Arc::clone(&deploy.plan))
-    };
+    let mut session = open_session(scenario, lowered, reference);
 
     for run in 0..u64::from(runs) {
         let r = if let Some(key) = trace_key {
@@ -854,7 +956,7 @@ fn run_scenario<S: MetricsSink>(
         let record = RunRecord {
             scenario,
             run: run as u32,
-            accuracy: deploy.accuracy,
+            accuracy: lowered.artifact.accuracy,
             report: &r,
         };
         let t0 = profile.is_some().then(Instant::now);
@@ -884,7 +986,7 @@ fn run_scenario<S: MetricsSink>(
 #[allow(clippy::too_many_arguments)]
 fn run_world_scenario<S: MetricsSink>(
     scenario: &Scenario,
-    deploy: &DeployState,
+    lowered: &Lowered,
     executor: &IntermittentExecutor,
     fault: &FaultPlan,
     runs: u32,
@@ -908,17 +1010,7 @@ fn run_world_scenario<S: MetricsSink>(
         let device_seed = scenario
             .seed
             .wrapping_add(u64::from(device).wrapping_mul(0xD1B5_4A32_D192_ED03));
-        let mut session = if reference {
-            deploy.deployment.session_with_plan(Arc::new(
-                deploy
-                    .deployment
-                    .compile_plan_with_integrity(scenario.integrity),
-            ))
-        } else {
-            deploy
-                .deployment
-                .session_with_plan(Arc::clone(&deploy.plan))
-        };
+        let mut session = open_session(scenario, lowered, reference);
         let mut timeline = DeviceTimeline::new();
         for run in 0..u64::from(runs) {
             let reseeded;
@@ -952,7 +1044,7 @@ fn run_world_scenario<S: MetricsSink>(
             let record = RunRecord {
                 scenario,
                 run: device * runs + run as u32,
-                accuracy: deploy.accuracy,
+                accuracy: lowered.artifact.accuracy,
                 report: &r,
             };
             let t0 = profile.is_some().then(Instant::now);
@@ -1208,15 +1300,16 @@ mod tests {
         // The profile is a pure side channel.
         assert_eq!(plain, profiled);
 
-        // Deployments: one per (workload, board, strategy, seed) = 4,
+        // Deployments: one per (workload, board, seed) = 2, shared by
+        // both strategies, looked up once per scenario (8).
+        assert_eq!(profile.caches.deployment.entries, 2);
+        assert_eq!(profile.caches.deployment.misses, 2);
+        assert_eq!(profile.caches.deployment.hits, 6);
+        // Plans: one per strategy, shared across seeds = 2 entries,
         // looked up once per scenario (8).
-        assert_eq!(profile.caches.deployment.entries, 4);
-        assert_eq!(profile.caches.deployment.misses, 4);
-        assert_eq!(profile.caches.deployment.hits, 4);
-        // Plans: shared across seeds = 2 entries over 4 lookups.
         assert_eq!(profile.caches.plan.entries, 2);
         assert_eq!(profile.caches.plan.misses, 2);
-        assert_eq!(profile.caches.plan.hits, 2);
+        assert_eq!(profile.caches.plan.hits, 6);
         // Traces: only the deterministic env records — 2 (plan, env)
         // pairs over 2 seeds × 2 runs = 8 lookups.
         assert_eq!(profile.caches.trace.entries, 2);
@@ -1273,10 +1366,9 @@ mod tests {
                 .unwrap();
             merged.merge(&part);
         }
-        // Counters and span counts reassemble exactly: deployment keys
-        // are contiguous over contiguous ranges, so this split puts one
-        // plan (and its scenarios) wholly in each half.
-        assert_eq!(merged.caches.deployment, whole.caches.deployment);
+        // The split puts one strategy, and so one plan, wholly in each
+        // half: plan counters, trace lookups and span counts reassemble
+        // exactly.
         assert_eq!(merged.caches.plan, whole.caches.plan);
         assert_eq!(merged.caches.trace.lookups(), whole.caches.trace.lookups());
         for phase in ehdl::ehsim::ExecPhase::ALL {
@@ -1287,6 +1379,76 @@ mod tests {
                 phase.name()
             );
         }
+        // Both strategies share the one (workload, board, seed)
+        // deployment, which the split cuts across, so each half builds
+        // it once: lookups reassemble, misses only for ranges that do
+        // not split a deployment key.
+        assert_eq!(whole.caches.deployment.misses, 1);
+        assert_eq!(merged.caches.deployment.misses, 2);
+        assert_eq!(
+            merged.caches.deployment.lookups(),
+            whole.caches.deployment.lookups()
+        );
+    }
+
+    /// A sink whose `fold` panics on the scenario with the given index.
+    struct PanicsOn(usize);
+
+    impl MetricsSink for PanicsOn {
+        type Partial = usize;
+        type Report = ();
+
+        fn open(&self, _scenario: &Scenario, _accuracy: f64) -> usize {
+            self.0
+        }
+
+        fn fold(partial: &mut usize, record: &RunRecord<'_>) {
+            assert_ne!(record.scenario.index, *partial, "injected fold failure");
+        }
+
+        fn merge(&mut self, _partial: usize) -> Result<(), Error> {
+            Ok(())
+        }
+
+        fn finish(self) -> Result<(), Error> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panicking_scenario_is_a_typed_error_naming_it() {
+        let matrix = ScenarioMatrix::new()
+            .environments(vec![catalog::bench_supply(), catalog::piezo_gait()])
+            .workloads(vec![Workload::Har { samples: 4 }])
+            .strategies(vec![Strategy::Sonic, Strategy::Flex])
+            .executor(quick_executor());
+        let scenarios = matrix.scenarios();
+        let victim = &scenarios[2];
+        for workers in [1, 3] {
+            let err = FleetRunner::builder()
+                .workers(workers)
+                .sink(PanicsOn(victim.index))
+                .run(&matrix)
+                .unwrap_err();
+            match err {
+                Error::ScenarioPanicked {
+                    index,
+                    name,
+                    message,
+                } => {
+                    assert_eq!(index, victim.index, "{workers} workers");
+                    assert_eq!(name, victim.name(), "{workers} workers");
+                    assert!(message.contains("injected fold failure"), "{message}");
+                }
+                other => panic!("{workers} workers: want a scenario panic, got {other}"),
+            }
+        }
+        // The same sink sweeps cleanly when no scenario trips it.
+        FleetRunner::builder()
+            .workers(2)
+            .sink(PanicsOn(matrix.len()))
+            .run(&matrix)
+            .unwrap();
     }
 
     #[test]

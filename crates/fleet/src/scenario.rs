@@ -94,10 +94,17 @@ pub struct Scenario {
     /// every device of the world through the shared harvest field and
     /// resolve the gateway's polls into SLO metrics.
     pub topology: NetworkTopology,
-    /// Index of the shared deployment this scenario runs on — scenarios
-    /// that differ only in environment or energy budget share one built
-    /// deployment.
+    /// Index of this scenario's (workload, board, strategy, seed,
+    /// integrity scheme) combination — scenarios that differ only in
+    /// environment, budget, fault or topology share it.
     pub(crate) deployment_key: usize,
+    /// Index of the calibrated deployment the runner builds for this
+    /// scenario: one per (workload, board, seed), shared by every
+    /// strategy and integrity scheme, since neither is read until a
+    /// plan is lowered. Dense over the matrix but, because the strategy
+    /// axis sits between board and seed, not contiguous over index
+    /// ranges.
+    pub(crate) artifact_key: usize,
     /// Index of this scenario's environment in the matrix's environment
     /// axis — the runner keys its deterministic-run trace cache on
     /// (plan, environment, budget).
@@ -117,9 +124,12 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Index of the shared deployment this scenario runs on (dense, in
-    /// first-appearance order) — the key benches and runners use to
-    /// build each deployment exactly once.
+    /// Index of this scenario's (workload, board, strategy, seed,
+    /// integrity scheme) combination (dense, in first-appearance order)
+    /// — the key harnesses use to build one strategy-specific
+    /// deployment exactly once. The fleet runner shares more widely:
+    /// one calibrated deployment per (workload, board, seed), lowered
+    /// to each strategy's plan.
     pub fn deployment_key(&self) -> usize {
         self.deployment_key
     }
@@ -397,12 +407,16 @@ impl ScenarioMatrix {
     /// matrix order: workload, board, strategy, seed, topology,
     /// integrity, fault, budget, environment (innermost). Scenarios
     /// sharing a (workload, board, strategy, seed, integrity) prefix
-    /// share a deployment key — dense over the whole matrix, contiguous
-    /// over any contiguous index range — so runners build each
-    /// deployment (and its integrity-priced plan) once and reuse it
-    /// across every environment, budget, fault schedule and topology. A
-    /// shard worker expands only its own range: memory stays O(shard),
-    /// not O(matrix), however large the sweep.
+    /// share a [`Scenario::deployment_key`] — dense over the whole
+    /// matrix, contiguous over any contiguous index range. The fleet
+    /// runner shares more widely still: every scenario of one
+    /// (workload, board, seed) runs on one calibrated deployment,
+    /// whatever its strategy or integrity scheme, and lowers its
+    /// (strategy, scheme) plan from it. Those keys are dense too but,
+    /// since the strategy axis sits between board and seed, a range
+    /// spanning several strategies revisits them. A shard worker
+    /// expands only its own range: memory stays O(shard), not
+    /// O(matrix), however large the sweep.
     ///
     /// Indices, keys and scenarios are identical to the corresponding
     /// slice of [`scenarios`](Self::scenarios); out-of-bounds ends are
@@ -444,6 +458,7 @@ impl ScenarioMatrix {
                 // write pricing, so each scheme is its own deployment
                 // slot; the composite stays dense and contiguous.
                 deployment_key: (index / (ne * nb * nf * ni * nt)) * ni + integrity_key,
+                artifact_key: (workload_i * self.boards.len() + board_i) * ns + seed_i,
                 environment_key,
                 budget_key,
                 fault_key,
@@ -483,6 +498,11 @@ mod tests {
         // Keys are dense: first occurrence of key k is at scenario 2k.
         let max_key = s.iter().map(|sc| sc.deployment_key).max().unwrap();
         assert_eq!(max_key, 3);
+        // The runner's artifact key drops the strategy: BASE and FLEX
+        // of one seed share it, seeds split it.
+        assert_eq!(s[0].artifact_key, s[4].artifact_key);
+        assert_ne!(s[0].artifact_key, s[2].artifact_key);
+        assert_eq!(s.iter().map(|sc| sc.artifact_key).max(), Some(1));
     }
 
     #[test]
@@ -509,6 +529,7 @@ mod tests {
                 assert_eq!(a.index, b.index);
                 assert_eq!(a.name(), b.name());
                 assert_eq!(a.deployment_key, b.deployment_key);
+                assert_eq!(a.artifact_key, b.artifact_key);
                 assert_eq!(a.environment_key, b.environment_key);
                 assert_eq!(a.budget_key, b.budget_key);
                 assert_eq!(a.energy_budget_nj, b.energy_budget_nj);
@@ -601,6 +622,8 @@ mod tests {
         assert!(s[4..].iter().all(|sc| sc.integrity == Integrity::Secded));
         assert!(s[..4].iter().all(|sc| sc.deployment_key == 0));
         assert!(s[4..].iter().all(|sc| sc.deployment_key == 1));
+        // Both schemes still share one calibrated deployment.
+        assert!(s.iter().all(|sc| sc.artifact_key == 0));
         assert_eq!(s[4].integrity_key, 1);
         // Unguarded names are unchanged; guarded ones append the label.
         // (The strategy name "ACE+FLEX" contains '+', so check for the

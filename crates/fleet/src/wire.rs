@@ -129,11 +129,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first syntax error.
+    /// Returns a description of the first syntax error, or of arrays
+    /// and objects nested deeper than [`MAX_DEPTH`] levels.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -224,9 +226,16 @@ macro_rules! field {
     };
 }
 
+/// How deep arrays and objects may nest in a parsed document. The
+/// fleet's own formats nest a handful of levels; the bound keeps the
+/// recursive-descent parser's stack use fixed on hostile input, which
+/// would otherwise overflow the stack and abort the process.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -250,8 +259,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -259,6 +268,21 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to nest
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
@@ -1327,6 +1351,18 @@ mod tests {
         // Control-character escapes (the only \u the writer emits).
         let v = Json::parse("\"x\\u000ay\\t\"").unwrap();
         assert_eq!(v.as_str(), Some("x\ny\t"));
+    }
+
+    #[test]
+    fn json_parser_bounds_nesting_depth() {
+        // Hostile depth is an error, not a stack overflow.
+        for open in ["[", "{\"k\":"] {
+            let err = Json::parse(&open.repeat(1_000_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! scenarios).
 
 use ehdl::device::CostTable;
-use ehdl::ehsim::{catalog, ExecutorConfig};
+use ehdl::ehsim::{catalog, ExecutorConfig, Integrity};
 use ehdl::prelude::*;
 use ehdl_fleet::{
     CsvSink, DigestSink, FleetRunner, FullReportSink, GroupAxis, GroupBySink, JsonlSink,
@@ -331,9 +331,10 @@ fn profiled_sweeps_leave_every_sink_bit_identical() {
         assert_eq!(plain.to_string(), profiled.to_string(), "{workers} workers");
         assert!(profile.total_seconds() > 0.0, "{workers} workers");
         // The deployment cache is consulted exactly once per scenario;
-        // the 48 scenarios share 6 strategies × 2 boards = 12 builds.
+        // the 48 scenarios share one calibrated deployment per board,
+        // which every strategy lowers its plan from: 2 builds.
         assert_eq!(profile.caches.deployment.lookups(), 48, "{workers} workers");
-        assert_eq!(profile.caches.deployment.entries, 12, "{workers} workers");
+        assert_eq!(profile.caches.deployment.entries, 2, "{workers} workers");
     }
 
     // Row streams: byte-identical with profiling on.
@@ -450,6 +451,56 @@ fn phase_profile_counters_are_deterministic_and_merge_across_shards() {
         first.caches.trace.lookups(),
         "trace lookups lost in the shard merge"
     );
+}
+
+/// The runner keys deployments on what they depend on: one calibrated
+/// deployment per (workload, board, seed), whatever the strategy or
+/// integrity scheme, and one plan per (workload, board, strategy,
+/// scheme) lowered from it. The counts hold at every worker count, and
+/// the digest matches, byte for byte, a reference-executor sweep that
+/// lowers a fresh program for every scenario.
+#[test]
+fn strategy_free_deployments_build_once_per_seed_at_any_worker_count() {
+    let seeds = vec![0, 5];
+    let integrities = vec![Integrity::None, Integrity::Secded];
+    let matrix = ScenarioMatrix::new()
+        .environments(vec![catalog::bench_supply(), catalog::office_rf()])
+        .strategies(Strategy::ALL.to_vec())
+        .workloads(vec![Workload::Har { samples: 4 }])
+        .seeds(seeds.clone())
+        .integrities(integrities.clone())
+        .executor(ExecutorConfig {
+            stall_outages: 6,
+            ..ExecutorConfig::default()
+        });
+    let (workloads, boards) = (1, 1);
+    let reference = FleetRunner::builder()
+        .workers(2)
+        .reference_executor(true)
+        .sink(DigestSink::new())
+        .run(&matrix)
+        .unwrap()
+        .to_json();
+    for workers in [1, 2, 8] {
+        let (digest, profile) = FleetRunner::builder()
+            .workers(workers)
+            .sink(DigestSink::new())
+            .run_profiled(&matrix)
+            .unwrap();
+        assert_eq!(digest.to_json(), reference, "{workers} workers");
+        let deployments = profile.caches.deployment;
+        assert_eq!(
+            deployments.misses,
+            (workloads * boards * seeds.len()) as u64,
+            "{workers} workers"
+        );
+        assert_eq!(deployments.lookups(), matrix.len() as u64);
+        assert_eq!(
+            profile.caches.plan.misses,
+            (workloads * boards * Strategy::ALL.len() * integrities.len()) as u64,
+            "{workers} workers"
+        );
+    }
 }
 
 #[test]
