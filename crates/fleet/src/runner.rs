@@ -105,10 +105,7 @@ impl<V> Slot<V> {
     /// and whether this call built it. A failed build leaves the slot
     /// empty, so the next scenario needing the key retries the build
     /// and reports its own error.
-    fn get_or_try_init<E>(
-        &self,
-        init: impl FnOnce() -> Result<V, E>,
-    ) -> Result<(Arc<V>, bool), E> {
+    fn get_or_try_init<E>(&self, init: impl FnOnce() -> Result<V, E>) -> Result<(Arc<V>, bool), E> {
         // A build that panicked never filled the slot, so a poisoned
         // slot is an empty one.
         let mut value = self.0.lock().unwrap_or_else(PoisonError::into_inner);
