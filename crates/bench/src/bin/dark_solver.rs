@@ -29,7 +29,7 @@
 
 use ehdl::ehsim::{catalog, Environment, ExecutionPlan, ExecutorConfig, IntermittentExecutor};
 use ehdl::prelude::*;
-use ehdl_bench::{quick_mode, section, upsert_bench_json};
+use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{ScenarioMatrix, Workload};
 use std::time::Instant;
 
@@ -241,11 +241,7 @@ fn main() {
         analytic_e2e,
         e2e_speedup,
     );
-    let path = "BENCH_fleet.json";
-    match upsert_bench_json(path, "dark_solver", &entry) {
-        Ok(()) => println!("wrote the dark_solver entry of {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    record_bench_entry("dark_solver", &entry);
 
     assert!(
         dark_speedup >= 5.0,

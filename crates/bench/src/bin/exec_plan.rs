@@ -19,7 +19,7 @@
 
 use ehdl::ehsim::{catalog, ExecutionPlan, ExecutorConfig, IntermittentExecutor};
 use ehdl::prelude::*;
-use ehdl_bench::{quick_mode, section, upsert_bench_json};
+use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{mix, FleetRunner, ScenarioMatrix, Workload};
 use std::time::Instant;
 
@@ -173,11 +173,7 @@ fn main() {
         fleet_s,
         fleet_rate,
     );
-    let path = "BENCH_fleet.json";
-    match upsert_bench_json(path, "exec_plan", &entry) {
-        Ok(()) => println!("\nwrote the exec_plan entry of {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
+    record_bench_entry("exec_plan", &entry);
 
     assert!(
         speedup >= 1.0,

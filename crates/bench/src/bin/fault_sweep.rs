@@ -23,7 +23,7 @@ use ehdl::ehsim::{
     catalog, ExecutionPlan, ExecutorConfig, FaultPlan, FaultSpec, IntermittentExecutor, RunReport,
 };
 use ehdl::prelude::*;
-use ehdl_bench::{quick_mode, section, upsert_bench_json};
+use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{mix, DigestSink, FleetRunner, ScenarioMatrix, Workload};
 use std::time::Instant;
 
@@ -224,11 +224,7 @@ fn main() {
         r.corrupt_restores,
         r.silent_corruptions,
     );
-    let path = "BENCH_fleet.json";
-    match upsert_bench_json(path, "fault_sweep", &entry) {
-        Ok(()) => println!("wrote the fault_sweep entry of {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    record_bench_entry("fault_sweep", &entry);
 
     // The acceptance bar: ≤5% on the full grid, with headroom for
     // scheduler noise on the short quick run CI uses.

@@ -18,7 +18,7 @@
 use ehdl::ehsim::{catalog, ExecutorConfig};
 use ehdl::prelude::*;
 use ehdl::CalibrationConfig;
-use ehdl_bench::{quick_mode, section, upsert_bench_json};
+use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{
     DigestSink, FleetDigest, FleetRunner, ScenarioMatrix, ShardCoordinator, Workload,
 };
@@ -144,7 +144,7 @@ fn kill_and_resume_smoke() {
         resumed_s,
         resumed.resumed_shards,
     );
-    report_entry(&entry);
+    record_bench_entry("shard_sweep", &entry);
 }
 
 /// The scale datapoint: 100k+ scenarios across subprocess shards,
@@ -245,13 +245,5 @@ fn shard_scaling() {
         digest.completed_runs,
         digest.outages,
     );
-    report_entry(&entry);
-}
-
-fn report_entry(entry: &str) {
-    let path = "BENCH_fleet.json";
-    match upsert_bench_json(path, "shard_sweep", entry) {
-        Ok(()) => println!("wrote the shard_sweep entry of {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    record_bench_entry("shard_sweep", &entry);
 }

@@ -14,7 +14,7 @@
 use ehdl::device::CostTable;
 use ehdl::ehsim::{catalog, ExecutorConfig};
 use ehdl::prelude::*;
-use ehdl_bench::{quick_mode, section, upsert_bench_json};
+use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{DigestSink, FleetRunner, ScenarioMatrix, Workload};
 use std::time::Instant;
 
@@ -179,9 +179,5 @@ fn digest_scale() {
         digest.latency_ms.p90().unwrap_or(0.0),
         digest.latency_ms.p99().unwrap_or(0.0),
     );
-    let path = "BENCH_fleet.json";
-    match upsert_bench_json(path, "fleet_digest", &entry) {
-        Ok(()) => println!("wrote the fleet_digest entry of {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    record_bench_entry("fleet_digest", &entry);
 }

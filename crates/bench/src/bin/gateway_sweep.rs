@@ -13,7 +13,7 @@
 
 use ehdl::ehsim::{catalog, ExecutorConfig};
 use ehdl::prelude::*;
-use ehdl_bench::{quick_mode, section, upsert_bench_json};
+use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{DigestSink, FleetRunner, NetworkTopology, ScenarioMatrix, Workload};
 use std::time::Instant;
 
@@ -145,9 +145,5 @@ fn main() {
         p99,
         checksum,
     );
-    let path = "BENCH_fleet.json";
-    match upsert_bench_json(path, "gateway_sweep", &entry) {
-        Ok(()) => println!("wrote the gateway_sweep entry of {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    record_bench_entry("gateway_sweep", &entry);
 }

@@ -22,7 +22,7 @@ use ehdl::ehsim::{
     catalog, EventRing, ExecPhase, ExecutionPlan, ExecutorConfig, IntermittentExecutor, RunReport,
 };
 use ehdl::prelude::*;
-use ehdl_bench::{quick_mode, section, upsert_bench_json};
+use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{mix, Json, PhaseProfile, ScenarioMatrix, Workload};
 use std::time::Instant;
 
@@ -250,11 +250,7 @@ fn main() {
         profile.digest(ExecPhase::ChargeSolve).count(),
         profile.digest(ExecPhase::CheckpointRestore).count(),
     );
-    let path = "BENCH_fleet.json";
-    match upsert_bench_json(path, "obs_overhead", &entry) {
-        Ok(()) => println!("wrote the obs_overhead entry of {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    record_bench_entry("obs_overhead", &entry);
 
     // The acceptance bar: ≤5% on the full grid, with headroom for
     // scheduler noise on the short quick run CI uses.

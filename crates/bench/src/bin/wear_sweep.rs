@@ -24,7 +24,7 @@ use ehdl::ehsim::{
     RunReport, WearCurve,
 };
 use ehdl::prelude::*;
-use ehdl_bench::{quick_mode, section, upsert_bench_json};
+use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{mix, DigestSink, FleetRunner, GroupAxis, GroupBySink, ScenarioMatrix, Workload};
 use std::time::Instant;
 
@@ -280,11 +280,7 @@ fn main() {
         one.integrity.silent_restores,
         one.integrity.wear_max_commits,
     );
-    let path = "BENCH_fleet.json";
-    match upsert_bench_json(path, "wear_sweep", &entry) {
-        Ok(()) => println!("wrote the wear_sweep entry of {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    record_bench_entry("wear_sweep", &entry);
 
     // The acceptance bar: ≤5% on the full grid, with headroom for
     // scheduler noise on the short quick run CI uses.

@@ -26,6 +26,7 @@ pub mod micro;
 
 use ehdl::datasets::Dataset;
 use ehdl::nn::{Model, Tensor};
+use ehdl_fleet::Json;
 
 /// Prints a separator header for a report section.
 pub fn section(title: &str) {
@@ -60,98 +61,120 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Inserts or replaces one named datapoint in a machine-readable bench
-/// file shaped `{"name": { ... }, ...}` (e.g. `BENCH_fleet.json`), so
-/// independent bench binaries can each own an entry without clobbering
-/// the others. `body` is the entry's JSON object text; existing entries
-/// are kept in order and an unparseable file is started fresh.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the file cannot be written.
-pub fn upsert_bench_json(path: &str, name: &str, body: &str) -> std::io::Result<()> {
+/// The machine-readable bench file the bench binaries record into,
+/// relative to the directory they run from (the repo root).
+pub const BENCH_FILE: &str = "BENCH_fleet.json";
+
+/// Records `body` (a JSON object) as the `name` entry of [`BENCH_FILE`]
+/// and says where it went. An entry flagged `"quick": true` is a CI
+/// smoke on a shrunken grid, so it is printed but never written: a
+/// quick run must not replace the full-grid numbers.
+pub fn record_bench_entry(name: &str, body: &str) {
+    let Ok(Json::Obj(members)) = Json::parse(body.trim()) else {
+        eprintln!("the {name} entry is not a JSON object; {BENCH_FILE} is left unchanged");
+        return;
+    };
+    if members
+        .iter()
+        .any(|(k, v)| k == "quick" && *v == Json::Bool(true))
+    {
+        println!("quick run: the {name} entry of {BENCH_FILE} is left unchanged");
+        return;
+    }
+    match upsert_bench_json(BENCH_FILE, name, members) {
+        Ok(()) => println!("wrote the {name} entry of {BENCH_FILE}"),
+        Err(e) => eprintln!("could not write {BENCH_FILE}: {e}"),
+    }
+}
+
+/// One bench-file entry: an object's members in document order.
+type Members = Vec<(String, Json)>;
+
+/// Inserts or replaces one named entry in a machine-readable bench file
+/// shaped `{"name": { ... }, ...}`, so independent bench binaries can
+/// each own an entry without clobbering the others. Existing entries are
+/// kept in order, and a file that is not such an object of objects is
+/// started fresh.
+fn upsert_bench_json(path: &str, name: &str, entry: Members) -> std::io::Result<()> {
     let existing = std::fs::read_to_string(path).unwrap_or_default();
     let mut entries = parse_bench_entries(&existing);
-    let body = body.trim().to_string();
     match entries.iter_mut().find(|(k, _)| k == name) {
-        Some((_, v)) => *v = body,
-        None => entries.push((name.to_string(), body)),
+        Some((_, v)) => *v = entry,
+        None => entries.push((name.to_string(), entry)),
     }
+    std::fs::write(path, render_bench_entries(&entries))
+}
+
+/// The top-level `"name": { ... }` entries of a bench file, or nothing
+/// when the file is not a JSON object whose members are all objects
+/// (including the legacy single-object layout).
+fn parse_bench_entries(text: &str) -> Vec<(String, Members)> {
+    let Ok(Json::Obj(entries)) = Json::parse(text.trim()) else {
+        return Vec::new();
+    };
+    entries
+        .into_iter()
+        .map(|(name, entry)| match entry {
+            Json::Obj(members) => Some((name, members)),
+            _ => None,
+        })
+        .collect::<Option<_>>()
+        .unwrap_or_default()
+}
+
+/// Writes entries as `{"name": {member per line}, ...}` with every
+/// member value inline.
+fn render_bench_entries(entries: &[(String, Members)]) -> String {
     let mut out = String::from("{\n");
-    for (i, (key, value)) in entries.iter().enumerate() {
-        out.push_str(&format!("  \"{key}\": "));
-        // Re-indent the (flat) entry body under its key, normalizing
-        // whatever indentation it arrived with.
-        let lines: Vec<&str> = value.lines().map(str::trim).collect();
-        for (j, line) in lines.iter().enumerate() {
-            match j {
-                0 => {}
-                j if j + 1 == lines.len() => out.push_str("  "),
-                _ => out.push_str("    "),
-            }
-            out.push_str(line);
-            out.push('\n');
+    for (i, (name, members)) in entries.iter().enumerate() {
+        out.push_str(&format!("  {}: {{", quoted(name)));
+        for (j, (k, v)) in members.iter().enumerate() {
+            out.push_str(if j == 0 { "\n" } else { ",\n" });
+            out.push_str(&format!("    {}: {}", quoted(k), inline(v)));
         }
-        out.pop();
+        if !members.is_empty() {
+            out.push_str("\n  ");
+        }
+        out.push('}');
         out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
     }
     out.push_str("}\n");
-    std::fs::write(path, out)
+    out
 }
 
-/// Parses the top-level `"name": { ... }` entries of a bench file.
-/// Returns an empty list on any shape mismatch (including the legacy
-/// single-object layout), which makes the caller start fresh.
-fn parse_bench_entries(text: &str) -> Vec<(String, String)> {
-    let mut entries = Vec::new();
-    let body = text.trim();
-    let Some(body) = body.strip_prefix('{').and_then(|b| b.strip_suffix('}')) else {
-        return entries;
-    };
-    let mut rest = body.trim();
-    while !rest.is_empty() {
-        // "key"
-        let Some(after_quote) = rest.strip_prefix('"') else {
-            return Vec::new();
-        };
-        let Some(quote_end) = after_quote.find('"') else {
-            return Vec::new();
-        };
-        let key = &after_quote[..quote_end];
-        let Some(after_colon) = after_quote[quote_end + 1..].trim_start().strip_prefix(':') else {
-            return Vec::new();
-        };
-        // { balanced object } — our bench values hold no braces inside
-        // strings, so plain depth counting suffices.
-        let value = after_colon.trim_start();
-        if !value.starts_with('{') {
-            return Vec::new();
-        }
-        let mut depth = 0usize;
-        let mut end = None;
-        for (i, c) in value.char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = Some(i);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(end) = end else {
-            return Vec::new();
-        };
-        entries.push((key.to_string(), value[..=end].to_string()));
-        rest = value[end + 1..]
-            .trim_start()
-            .trim_start_matches(',')
-            .trim_start();
+/// One JSON value on one line; numbers keep their original token.
+fn inline(v: &Json) -> String {
+    let join = |items: Vec<String>| items.join(", ");
+    match v {
+        Json::Null => "null".to_string(),
+        Json::Bool(b) => b.to_string(),
+        Json::Num(raw) => raw.clone(),
+        Json::Str(s) => quoted(s),
+        Json::Arr(items) => format!("[{}]", join(items.iter().map(inline).collect())),
+        Json::Obj(members) => format!(
+            "{{{}}}",
+            join(
+                members
+                    .iter()
+                    .map(|(k, v)| format!("{}: {}", quoted(k), inline(v)))
+                    .collect()
+            )
+        ),
     }
-    entries
+}
+
+fn quoted(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]
@@ -185,10 +208,45 @@ mod tests {
         let entries = parse_bench_entries(text);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].0, "a");
-        assert!(entries[1].1.contains("2.5"));
+        assert_eq!(
+            entries[1].1,
+            vec![("y".to_string(), Json::Num("2.5".into()))]
+        );
         // Legacy flat layouts (non-object values) start fresh.
         assert!(parse_bench_entries("{\n  \"bench\": \"exec_plan\"\n}").is_empty());
         assert!(parse_bench_entries("not json").is_empty());
+    }
+
+    #[test]
+    fn rendering_a_bench_file_is_canonical() {
+        // The committed layout re-renders byte for byte, number tokens
+        // and inline arrays included; braces inside strings (which the
+        // old brace counter would have miscounted) survive.
+        let text = concat!(
+            "{\n",
+            "  \"gateway_sweep\": {\n",
+            "    \"quick\": false,\n",
+            "    \"sweep_seconds\": 1.725539,\n",
+            "    \"workers\": [1, 2, 4],\n",
+            "    \"note\": \"a } in \\\"text\\\" {\",\n",
+            "    \"digest_checksum\": \"d1c4e357fc063337\"\n",
+            "  },\n",
+            "  \"empty\": {}\n",
+            "}\n"
+        );
+        let entries = parse_bench_entries(text);
+        assert_eq!(entries.len(), 2);
+        assert_eq!(render_bench_entries(&entries), text);
+    }
+
+    #[test]
+    fn the_committed_bench_file_is_canonical() {
+        // Recording one entry must not reformat the others.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../", "BENCH_fleet.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let entries = parse_bench_entries(&text);
+        assert!(!entries.is_empty());
+        assert_eq!(render_bench_entries(&entries), text);
     }
 
     #[test]
@@ -196,15 +254,15 @@ mod tests {
         let path = std::env::temp_dir().join("ehdl_bench_upsert_test.json");
         let path = path.to_str().unwrap();
         let _ = std::fs::remove_file(path);
-        upsert_bench_json(path, "first", "{\n  \"v\": 1\n}").unwrap();
-        upsert_bench_json(path, "second", "{\n  \"v\": 2\n}").unwrap();
-        upsert_bench_json(path, "first", "{\n  \"v\": 3\n}").unwrap();
+        let v = |n: &str| vec![("v".to_string(), Json::Num(n.into()))];
+        upsert_bench_json(path, "first", v("1")).unwrap();
+        upsert_bench_json(path, "second", v("2")).unwrap();
+        upsert_bench_json(path, "first", v("3")).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
-        let entries = parse_bench_entries(&text);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0, "first");
-        assert!(entries[0].1.contains('3'));
-        assert!(entries[1].1.contains('2'));
+        assert_eq!(
+            text,
+            "{\n  \"first\": {\n    \"v\": 3\n  },\n  \"second\": {\n    \"v\": 2\n  }\n}\n"
+        );
         std::fs::remove_file(path).unwrap();
     }
 }

@@ -78,6 +78,14 @@ impl VoltageMonitor {
         self.warn_volts - self.off_volts
     }
 
+    /// Energy (joules) a capacitor of `farads` holds at the warning
+    /// level, `½C·V_warn²`: comparing stored energy against it is
+    /// [`warns`](Self::warns) without deriving the voltage.
+    #[inline]
+    pub fn warn_energy_joules(&self, farads: f64) -> f64 {
+        0.5 * farads * self.warn_volts * self.warn_volts
+    }
+
     /// Energy (joules) available between warn and off for a capacitor of
     /// `farads`: `½C(V_warn² − V_off²)`. FLEX's checkpoint must fit in
     /// this budget for the on-demand scheme to be safe.
@@ -122,6 +130,13 @@ mod tests {
         let j = m.margin_energy_joules(100e-6);
         assert!((j - 38e-6).abs() < 1e-7, "margin = {j}");
         assert!(j > 33e-6);
+    }
+
+    #[test]
+    fn warn_energy_is_half_c_v_squared() {
+        let m = VoltageMonitor::msp430fr5994();
+        // ½·100µF·2.0² = 200 µJ.
+        assert!((m.warn_energy_joules(100e-6) - 200e-6).abs() < 1e-15);
     }
 
     #[test]

@@ -26,7 +26,13 @@ pub struct Capacitor {
     v_max: f64,
     v_on: f64,
     v_off: f64,
-    volts: f64,
+    /// Stored energy; the state every powered op reads and writes.
+    joules: f64,
+    /// `½CV²` at `v_max`, `v_on` and `v_off`, fixed at construction so
+    /// the hot path never leaves the energy domain.
+    e_max: f64,
+    e_on: f64,
+    e_off: f64,
 }
 
 impl Capacitor {
@@ -35,20 +41,38 @@ impl Capacitor {
     ///
     /// # Panics
     ///
-    /// Panics unless `v_max >= v_on > v_off >= 0` and `farads > 0`.
+    /// Panics unless `v_max >= v_on > v_off >= 0` and `farads > 0`, all
+    /// finite; see [`Capacitor::try_new`] for the non-panicking
+    /// constructor.
     pub fn new(farads: f64, v_max: f64, v_on: f64, v_off: f64) -> Self {
-        assert!(farads > 0.0, "capacitance must be positive");
-        assert!(
-            v_max >= v_on && v_on > v_off && v_off >= 0.0,
-            "need v_max >= v_on > v_off >= 0"
-        );
-        Capacitor {
+        Self::try_new(farads, v_max, v_on, v_off).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a capacitor, validating its parameters: the capacitance
+    /// must be positive and finite, and the thresholds finite with
+    /// `v_max >= v_on > v_off >= 0`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CapacitorError`] naming the first violated rule.
+    pub fn try_new(farads: f64, v_max: f64, v_on: f64, v_off: f64) -> Result<Self, CapacitorError> {
+        if !(farads > 0.0 && farads.is_finite()) {
+            return Err(CapacitorError::BadCapacitance { farads });
+        }
+        if !(v_max.is_finite() && v_max >= v_on && v_on > v_off && v_off >= 0.0) {
+            return Err(CapacitorError::BadThresholds { v_max, v_on, v_off });
+        }
+        let energy_at = |v: f64| 0.5 * farads * v * v;
+        Ok(Capacitor {
             farads,
             v_max,
             v_on,
             v_off,
-            volts: v_on,
-        }
+            joules: energy_at(v_on),
+            e_max: energy_at(v_max),
+            e_on: energy_at(v_on),
+            e_off: energy_at(v_off),
+        })
     }
 
     /// The paper's setup: 100 µF, charged to 3.3 V, boot at 3.0 V,
@@ -63,9 +87,10 @@ impl Capacitor {
         self.farads
     }
 
-    /// Present voltage.
+    /// Present voltage, `√(2E/C)`, derived from the stored energy on
+    /// demand (the simulation itself never needs it).
     pub fn volts(&self) -> f64 {
-        self.volts
+        (2.0 * self.joules / self.farads).sqrt()
     }
 
     /// Turn-on threshold.
@@ -83,50 +108,39 @@ impl Capacitor {
         self.v_max
     }
 
-    /// Stored energy in joules at the present voltage.
+    /// Stored energy in joules.
     pub fn energy_joules(&self) -> f64 {
-        0.5 * self.farads * self.volts * self.volts
+        self.joules
     }
 
     /// Energy in joules usable before brown-out.
     pub fn usable_joules(&self) -> f64 {
-        (self.energy_joules() - self.energy_at(self.v_off)).max(0.0)
+        (self.joules - self.e_off).max(0.0)
     }
 
     /// Usable joules in one full `v_on → v_off` discharge.
     pub fn discharge_budget_joules(&self) -> f64 {
-        self.energy_at(self.v_on) - self.energy_at(self.v_off)
+        self.e_on - self.e_off
     }
 
-    fn energy_at(&self, v: f64) -> f64 {
-        0.5 * self.farads * v * v
-    }
-
-    fn set_energy(&mut self, joules: f64) {
-        let v = (2.0 * joules / self.farads).max(0.0).sqrt();
-        self.volts = v.min(self.v_max);
-    }
-
-    /// Removes `joules`; voltage floors at zero.
+    /// Removes `joules`; stored energy floors at zero.
     pub fn drain_joules(&mut self, joules: f64) {
-        let e = (self.energy_joules() - joules).max(0.0);
-        self.set_energy(e);
+        self.joules = (self.joules - joules).max(0.0);
     }
 
-    /// Adds `joules`; voltage is capped at `v_max`.
+    /// Adds `joules`; stored energy is capped at `½C·v_max²`.
     pub fn charge_joules(&mut self, joules: f64) {
-        let e = self.energy_joules() + joules;
-        self.set_energy(e);
+        self.joules = (self.joules + joules).min(self.e_max);
     }
 
     /// `true` once the voltage has fallen below brown-out.
     pub fn browned_out(&self) -> bool {
-        self.volts < self.v_off
+        self.joules < self.e_off
     }
 
     /// `true` once the voltage has recovered to the boot threshold.
     pub fn can_boot(&self) -> bool {
-        self.volts >= self.v_on
+        self.joules >= self.e_on
     }
 
     /// Joules still missing before the boot threshold is reached — the
@@ -135,19 +149,33 @@ impl Capacitor {
     /// [`Harvester::time_to_energy`](crate::Harvester::time_to_energy),
     /// this turns the executor's dark phase into a single closed-form
     /// solve instead of a fixed-step integration loop.
+    ///
+    /// Charging exactly this amount always makes the capacitor
+    /// [`can_boot`](Self::can_boot). Below `e_on / 2` the subtraction
+    /// `e_on − E` rounds, and `E + (e_on − E)` can land one ulp short of
+    /// `e_on`; the deficit is then bumped by one ulp, which is enough
+    /// because it is at least `e_on / 2` there. At or above `e_on / 2`
+    /// the subtraction is exact (Sterbenz) and the sum lands on `e_on`.
     pub fn joules_to_boot(&self) -> f64 {
-        (self.energy_at(self.v_on) - self.energy_joules()).max(0.0)
+        let deficit = self.e_on - self.joules;
+        if deficit <= 0.0 {
+            0.0
+        } else if self.joules + deficit < self.e_on {
+            deficit.next_up()
+        } else {
+            deficit
+        }
     }
 
     /// Forces the voltage to the brown-out level (used by the executor
     /// when a power failure interrupts an op midway).
     pub fn collapse_to_off(&mut self) {
-        self.volts = self.v_off;
+        self.joules = self.e_off;
     }
 
     /// Recharges to exactly the boot threshold (bench reset in tests).
     pub fn recharge_to_on(&mut self) {
-        self.volts = self.v_on;
+        self.joules = self.e_on;
     }
 }
 
@@ -157,11 +185,48 @@ impl fmt::Display for Capacitor {
             f,
             "{:.0} µF @ {:.2} V ({:.1} µJ usable)",
             self.farads * 1e6,
-            self.volts,
+            self.volts(),
             self.usable_joules() * 1e6
         )
     }
 }
+
+/// Invalid capacitor parameters, rejected by [`Capacitor::try_new`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum CapacitorError {
+    /// The capacitance is non-positive or not finite.
+    BadCapacitance {
+        /// The rejected capacitance in farads.
+        farads: f64,
+    },
+    /// The thresholds violate `v_max >= v_on > v_off >= 0` or are not
+    /// finite.
+    BadThresholds {
+        /// The rejected source-limited maximum.
+        v_max: f64,
+        /// The rejected boot threshold.
+        v_on: f64,
+        /// The rejected brown-out threshold.
+        v_off: f64,
+    },
+}
+
+impl fmt::Display for CapacitorError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CapacitorError::BadCapacitance { farads } => {
+                write!(f, "capacitance must be positive and finite, got {farads} F")
+            }
+            CapacitorError::BadThresholds { v_max, v_on, v_off } => write!(
+                f,
+                "need v_max >= v_on > v_off >= 0 (finite), got v_max {v_max} V, \
+                 v_on {v_on} V, v_off {v_off} V"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CapacitorError {}
 
 #[cfg(test)]
 mod tests {
@@ -218,6 +283,28 @@ mod tests {
     #[should_panic(expected = "v_max >= v_on > v_off")]
     fn invalid_thresholds_panic() {
         let _ = Capacitor::new(100e-6, 3.0, 1.0, 2.0);
+    }
+
+    #[test]
+    fn try_new_rejects_bad_parameters() {
+        assert!(Capacitor::try_new(15e-6, 3.3, 3.0, 1.8).is_ok());
+        for farads in [0.0, -1e-6, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                Capacitor::try_new(farads, 3.3, 3.0, 1.8),
+                Err(CapacitorError::BadCapacitance { .. })
+            ));
+        }
+        for (v_max, v_on, v_off) in [
+            (3.3, 1.8, 1.8),
+            (3.3, 1.8, 3.0),
+            (2.0, 3.0, 1.8),
+            (3.3, 3.0, -0.1),
+            (f64::INFINITY, 3.0, 1.8),
+            (3.3, f64::NAN, 1.8),
+        ] {
+            let err = Capacitor::try_new(15e-6, v_max, v_on, v_off).unwrap_err();
+            assert!(matches!(err, CapacitorError::BadThresholds { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -617,6 +617,9 @@ impl IntermittentExecutor {
         let mut itally = IntegrityTally::default();
 
         let (harvester, capacitor) = supply.parts_mut();
+        // The warn threshold as an energy, so the on-demand check never
+        // derives a voltage.
+        let warn_j = monitor.warn_energy_joules(capacitor.farads());
 
         let outcome = 'run: loop {
             if i >= n {
@@ -639,7 +642,7 @@ impl IntermittentExecutor {
             // On-demand (voltage-triggered) checkpoint before op i.
             if let Some(slot) = plan.ondemand_slot(i) {
                 let ck = &plan.checkpoints[slot as usize];
-                if committed < i && monitor.warns(capacitor.volts()) {
+                if committed < i && capacitor.energy_joules() < warn_j {
                     let span = SpanTimer::start::<P>();
                     let harvested = harvester.energy_over(t, ck.duration_s);
                     capacitor.charge_joules(harvested);
@@ -1148,6 +1151,9 @@ impl IntermittentExecutor {
         let mut istate = IntegrityState::new();
         let mut itally = IntegrityTally::default();
 
+        // The warn threshold as an energy, mirroring `run_plan_inner`.
+        let warn_j = monitor.warn_energy_joules(supply.capacitor().farads());
+
         let outcome = 'run: loop {
             if i >= n {
                 break 'run RunOutcome::Completed;
@@ -1164,7 +1170,7 @@ impl IntermittentExecutor {
 
             // On-demand (voltage-triggered) checkpoint before op i.
             if let Some(words) = ops[i].spec.ondemand_words {
-                if committed < i && monitor.warns(supply.capacitor().volts()) {
+                if committed < i && supply.capacitor().energy_joules() < warn_j {
                     let ck = DeviceOp::Checkpoint {
                         words: scheme.padded_words(words as u64),
                     };

@@ -52,12 +52,38 @@ pub enum Harvester {
         /// Hash seed.
         seed: u64,
     },
-    /// Piecewise-constant recorded trace, cycled. Samples are
-    /// `(duration_s, watts)` segments.
-    Trace {
-        /// The `(duration, power)` segments, repeated forever.
-        segments: Vec<(f64, f64)>,
-    },
+    /// Piecewise-constant recorded trace, cycled. Built only through
+    /// [`Harvester::try_trace`] (or its panicking and CSV variants).
+    Trace(TraceWave),
+}
+
+/// The validated segments of a [`Harvester::Trace`] plus the cycle
+/// length and per-cycle energy, summed once at construction. The fields
+/// are private so the cached sums can never go stale.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceWave {
+    segments: Vec<(f64, f64)>,
+    cycle_s: f64,
+    cycle_j: f64,
+}
+
+impl TraceWave {
+    /// Caches the sums of already-validated segments, adding them in
+    /// segment order.
+    fn from_valid(segments: Vec<(f64, f64)>) -> Self {
+        let cycle_s = segments.iter().map(|&(d, _)| d).sum();
+        let cycle_j = segments.iter().map(|&(d, w)| d * w).sum();
+        TraceWave {
+            segments,
+            cycle_s,
+            cycle_j,
+        }
+    }
+
+    /// The `(duration_s, watts)` segments, repeated forever.
+    pub fn segments(&self) -> &[(f64, f64)] {
+        &self.segments
+    }
 }
 
 impl Harvester {
@@ -70,41 +96,79 @@ impl Harvester {
     ///
     /// # Panics
     ///
-    /// Panics unless `period_s > 0` and `0 < duty <= 1`.
+    /// Panics on parameters [`Harvester::try_square`] rejects.
     pub fn square(watts: f64, period_s: f64, duty: f64) -> Self {
-        assert!(period_s > 0.0, "period must be positive");
-        assert!(duty > 0.0 && duty <= 1.0, "duty must be in (0, 1]");
-        Harvester::Square {
+        Self::try_square(watts, period_s, duty).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Function-generator square wave, validated: `watts` finite and
+    /// non-negative, `period_s` positive and finite, `0 < duty <= 1`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`WaveformError`] for the first rejected parameter.
+    pub fn try_square(watts: f64, period_s: f64, duty: f64) -> Result<Self, WaveformError> {
+        check_power(watts)?;
+        check_positive("period_s", period_s)?;
+        WaveformError::check(duty > 0.0 && duty <= 1.0, "duty", "in (0, 1]", duty)?;
+        Ok(Harvester::Square {
             watts,
             period_s,
             duty,
-        }
+        })
     }
 
     /// Rectified sine source.
     ///
     /// # Panics
     ///
-    /// Panics unless `period_s > 0`.
+    /// Panics on parameters [`Harvester::try_sine`] rejects.
     pub fn sine(watts: f64, period_s: f64) -> Self {
-        assert!(period_s > 0.0, "period must be positive");
-        Harvester::Sine { watts, period_s }
+        Self::try_sine(watts, period_s).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Rectified sine source, validated: `watts` finite and
+    /// non-negative, `period_s` positive and finite.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`WaveformError`] for the first rejected parameter.
+    pub fn try_sine(watts: f64, period_s: f64) -> Result<Self, WaveformError> {
+        check_power(watts)?;
+        check_positive("period_s", period_s)?;
+        Ok(Harvester::Sine { watts, period_s })
     }
 
     /// Random burst source (deterministic per seed).
     ///
     /// # Panics
     ///
-    /// Panics unless `slot_s > 0` and `p_on` is a probability.
+    /// Panics on parameters [`Harvester::try_bursts`] rejects.
     pub fn bursts(watts: f64, slot_s: f64, p_on: f64, seed: u64) -> Self {
-        assert!(slot_s > 0.0, "slot must be positive");
-        assert!((0.0..=1.0).contains(&p_on), "p_on must be in [0, 1]");
-        Harvester::Bursts {
+        Self::try_bursts(watts, slot_s, p_on, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Random burst source, validated: `watts` finite and non-negative,
+    /// `slot_s` positive and finite, `p_on` in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`WaveformError`] for the first rejected parameter.
+    pub fn try_bursts(
+        watts: f64,
+        slot_s: f64,
+        p_on: f64,
+        seed: u64,
+    ) -> Result<Self, WaveformError> {
+        check_power(watts)?;
+        check_positive("slot_s", slot_s)?;
+        WaveformError::check((0.0..=1.0).contains(&p_on), "p_on", "in [0, 1]", p_on)?;
+        Ok(Harvester::Bursts {
             watts,
             slot_s,
             p_on,
             seed,
-        }
+        })
     }
 
     /// Piecewise-constant trace, cycled forever.
@@ -138,7 +202,7 @@ impl Harvester {
                 return Err(TraceError::BadPower { index, watts });
             }
         }
-        Ok(Harvester::Trace { segments })
+        Ok(Harvester::Trace(TraceWave::from_valid(segments)))
     }
 
     /// Piecewise-constant trace parsed from a recorded harvester log in
@@ -273,9 +337,12 @@ impl Harvester {
                 p_on: *p_on,
                 seed: *seed,
             },
-            Harvester::Trace { segments } => Harvester::Trace {
-                segments: segments.iter().map(|&(d, w)| (d, w * factor)).collect(),
-            },
+            Harvester::Trace(wave) => Harvester::Trace(TraceWave::from_valid(
+                wave.segments
+                    .iter()
+                    .map(|&(d, w)| (d, w * factor))
+                    .collect(),
+            )),
         }
     }
 
@@ -320,9 +387,9 @@ impl Harvester {
                     0.0
                 }
             }
-            Harvester::Trace { segments } => {
-                let total: f64 = segments.iter().map(|&(d, _)| d).sum();
-                let mut phase = t.rem_euclid(total);
+            Harvester::Trace(wave) => {
+                let segments = &wave.segments;
+                let mut phase = t.rem_euclid(wave.cycle_s);
                 for &(d, w) in segments {
                     if phase < d {
                         return w;
@@ -358,13 +425,13 @@ impl Harvester {
                 let on_time = square_on_time(t0, dt, *period_s, *duty);
                 watts * on_time
             }
-            Harvester::Trace { segments } => {
+            Harvester::Trace(wave) => {
                 // Whole cycles in closed form, then a bounded walk over
                 // the remainder. (A naive boundary walk can take
                 // denormal-sized steps from rem_euclid rounding and never
                 // terminate — caught by the executor property tests.)
-                let total: f64 = segments.iter().map(|&(d, _)| d).sum();
-                let per_cycle: f64 = segments.iter().map(|&(d, w)| d * w).sum();
+                let segments = &wave.segments;
+                let (total, per_cycle) = (wave.cycle_s, wave.cycle_j);
                 let cycles = (dt / total).floor();
                 let mut energy = cycles * per_cycle;
                 let start = t0 + cycles * total;
@@ -538,9 +605,9 @@ impl Harvester {
                 }
                 dt
             }
-            Harvester::Trace { segments } => {
-                let total: f64 = segments.iter().map(|&(d, _)| d).sum();
-                let per_cycle: f64 = segments.iter().map(|&(d, w)| d * w).sum();
+            Harvester::Trace(wave) => {
+                let segments = &wave.segments;
+                let (total, per_cycle) = (wave.cycle_s, wave.cycle_j);
                 if per_cycle <= 0.0 {
                     return f64::INFINITY;
                 }
@@ -673,11 +740,7 @@ impl Harvester {
             Harvester::Square { watts, duty, .. } => watts * duty,
             Harvester::Sine { watts, .. } => watts / core::f64::consts::PI,
             Harvester::Bursts { watts, p_on, .. } => watts * p_on,
-            Harvester::Trace { segments } => {
-                let total: f64 = segments.iter().map(|&(d, _)| d).sum();
-                let energy: f64 = segments.iter().map(|&(d, w)| d * w).sum();
-                energy / total
-            }
+            Harvester::Trace(wave) => wave.cycle_j / wave.cycle_s,
         }
     }
 }
@@ -706,7 +769,7 @@ impl fmt::Display for Harvester {
             Harvester::Bursts { watts, p_on, .. } => {
                 write!(f, "bursts {:.1} mW, {:.0}% on", watts * 1e3, p_on * 100.0)
             }
-            Harvester::Trace { segments } => write!(f, "trace ({} segments)", segments.len()),
+            Harvester::Trace(wave) => write!(f, "trace ({} segments)", wave.segments.len()),
         }
     }
 }
@@ -776,6 +839,59 @@ fn skip_cycles(joules: f64, per_cycle: f64) -> (f64, f64) {
     }
     let skip = skip.max(0.0);
     (skip, joules - skip * per_cycle)
+}
+
+/// A waveform parameter outside its domain, rejected by
+/// [`Harvester::try_square`], [`Harvester::try_sine`] and
+/// [`Harvester::try_bursts`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct WaveformError {
+    /// The rejected parameter's name.
+    pub field: &'static str,
+    /// The domain it must lie in.
+    pub rule: &'static str,
+    /// The rejected value.
+    pub value: f64,
+}
+
+impl WaveformError {
+    fn check(ok: bool, field: &'static str, rule: &'static str, value: f64) -> Result<(), Self> {
+        if ok {
+            Ok(())
+        } else {
+            Err(WaveformError { field, rule, value })
+        }
+    }
+}
+
+impl fmt::Display for WaveformError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} must be {}, got {}",
+            self.field, self.rule, self.value
+        )
+    }
+}
+
+impl std::error::Error for WaveformError {}
+
+fn check_power(watts: f64) -> Result<(), WaveformError> {
+    WaveformError::check(
+        watts >= 0.0 && watts.is_finite(),
+        "watts",
+        "finite and non-negative",
+        watts,
+    )
+}
+
+fn check_positive(field: &'static str, value: f64) -> Result<(), WaveformError> {
+    WaveformError::check(
+        value > 0.0 && value.is_finite(),
+        field,
+        "positive and finite",
+        value,
+    )
 }
 
 /// A malformed recorded power trace, rejected by
@@ -924,6 +1040,32 @@ mod tests {
     #[should_panic(expected = "duty")]
     fn bad_duty_panics() {
         let _ = Harvester::square(1.0, 1.0, 0.0);
+    }
+
+    #[test]
+    fn validating_constructors_name_the_bad_parameter() {
+        let field = |r: Result<Harvester, WaveformError>| r.unwrap_err().field;
+        assert_eq!(field(Harvester::try_square(1.0, 0.0, 0.5)), "period_s");
+        assert_eq!(field(Harvester::try_square(1.0, 1.0, 1.5)), "duty");
+        assert_eq!(field(Harvester::try_square(-1.0, 1.0, 0.5)), "watts");
+        assert_eq!(field(Harvester::try_sine(1.0, f64::NAN)), "period_s");
+        assert_eq!(field(Harvester::try_sine(f64::INFINITY, 1.0)), "watts");
+        assert_eq!(field(Harvester::try_bursts(1.0, 0.0, 0.5, 1)), "slot_s");
+        assert_eq!(field(Harvester::try_bursts(1.0, 0.01, 1.5, 1)), "p_on");
+        assert_eq!(
+            Harvester::try_square(0.004, 0.05, 0.5),
+            Ok(Harvester::square(0.004, 0.05, 0.5))
+        );
+    }
+
+    #[test]
+    fn trace_caches_its_cycle_sums() {
+        let Harvester::Trace(wave) = Harvester::trace(vec![(0.02, 0.003), (0.08, 0.0002)]) else {
+            unreachable!()
+        };
+        assert_eq!(wave.segments(), &[(0.02, 0.003), (0.08, 0.0002)]);
+        assert_eq!(wave.cycle_s, 0.02 + 0.08);
+        assert_eq!(wave.cycle_j, 0.02 * 0.003 + 0.08 * 0.0002);
     }
 
     /// Midpoint-rule reference integrator, written independently of the

@@ -51,13 +51,13 @@ mod probe;
 mod program;
 mod timeline;
 
-pub use capacitor::Capacitor;
+pub use capacitor::{Capacitor, CapacitorError};
 pub use environment::Environment;
 pub use executor::{
     ExecutorConfig, ExecutorConfigError, IntermittentExecutor, RunOutcome, RunReport, RunTrace,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultSpecError, FaultState, FaultTally, OpFault};
-pub use harvester::{Harvester, TraceError};
+pub use harvester::{Harvester, TraceError, TraceWave, WaveformError};
 pub use integrity::{Integrity, IntegrityTally, WearCurve};
 pub use plan::{ExecutionPlan, PlannedCost};
 pub use probe::{EventRing, ExecEvent, ExecPhase, ExecProbe, NullProbe, SpanTimer};

@@ -5,8 +5,8 @@
 
 use ehdl_device::{Board, DeviceOp};
 use ehdl_ehsim::{
-    Capacitor, CheckpointSpec, ExecutorConfig, Harvester, IntermittentExecutor, PowerSupply,
-    Program,
+    catalog, Capacitor, CheckpointSpec, ExecutorConfig, Harvester, IntermittentExecutor,
+    PowerSupply, Program,
 };
 use ehdl_nn::WeightRng;
 
@@ -21,6 +21,12 @@ impl Gen {
 
     fn next_u64(&mut self) -> u64 {
         self.0.next_u64()
+    }
+
+    /// Uniform in `[0, 1)` at full f64 resolution (53 random bits), for
+    /// properties that must see every rounding case.
+    fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
@@ -332,4 +338,113 @@ fn harvester_energy_is_additive() {
             assert!((whole - split).abs() < 1e-12, "case {case}: {h}");
         }
     }
+}
+
+/// The capacitors of every catalog environment, including the stress
+/// entry outside `catalog::all()`.
+fn catalog_capacitors() -> Vec<Capacitor> {
+    catalog::all()
+        .into_iter()
+        .chain([catalog::low_duty_square()])
+        .map(|env| env.capacitor().clone())
+        .collect()
+}
+
+/// `½CV²`, evaluated in the same order as the capacitor's own
+/// thresholds so the comparisons below are exact.
+fn energy_at(cap: &Capacitor, v: f64) -> f64 {
+    0.5 * cap.farads() * v * v
+}
+
+/// One random step over the reachable state space: charges and drains
+/// of random size (up to the whole buffer, at full f64 resolution),
+/// with occasional brown-out collapses and boot recharges.
+fn random_step(g: &mut Gen, cap: &mut Capacitor, e_max: f64) {
+    let whole = g.unit_f64() * e_max;
+    // One step in four may overshoot the whole buffer.
+    let scale = [1.2, 0.3, 0.3, 0.3][(g.next_u64() % 4) as usize];
+    let amount = whole * scale;
+    match g.next_u64() % 16 {
+        0 => cap.collapse_to_off(),
+        1 => cap.recharge_to_on(),
+        2..=8 => cap.charge_joules(amount),
+        _ => cap.drain_joules(amount),
+    }
+}
+
+#[test]
+fn capacitor_energy_stays_within_its_bounds() {
+    let mut g = Gen::new(51);
+    for mut cap in catalog_capacitors() {
+        let e_max = energy_at(&cap, cap.v_max());
+        for step in 0..20_000 {
+            random_step(&mut g, &mut cap, e_max);
+            let e = cap.energy_joules();
+            assert!((0.0..=e_max).contains(&e), "{cap} step {step}: {e} J");
+        }
+    }
+}
+
+#[test]
+fn capacitor_thresholds_agree_with_the_voltage() {
+    // The energy-domain checks must say what a voltmeter would, except
+    // within float noise of a threshold.
+    let mut g = Gen::new(52);
+    let near = |v: f64, threshold: f64| (v - threshold).abs() <= 1e-12 * threshold;
+    for mut cap in catalog_capacitors() {
+        let e_max = energy_at(&cap, cap.v_max());
+        for step in 0..20_000 {
+            random_step(&mut g, &mut cap, e_max);
+            let v = cap.volts();
+            if !near(v, cap.v_on()) {
+                assert_eq!(cap.can_boot(), v >= cap.v_on(), "{cap} step {step}");
+            }
+            if !near(v, cap.v_off()) {
+                assert_eq!(cap.browned_out(), v < cap.v_off(), "{cap} step {step}");
+            }
+        }
+    }
+}
+
+#[test]
+fn capacitor_drain_then_charge_round_trips() {
+    let mut g = Gen::new(53);
+    for mut cap in catalog_capacitors() {
+        let e_max = energy_at(&cap, cap.v_max());
+        for step in 0..20_000 {
+            random_step(&mut g, &mut cap, e_max);
+            let before = cap.energy_joules();
+            // Any amount the buffer holds, so the drain never floors.
+            let x = g.unit_f64() * before;
+            cap.drain_joules(x);
+            cap.charge_joules(x);
+            let err = (cap.energy_joules() - before).abs();
+            assert!(err <= 1e-18, "{cap} step {step}: off by {err:e} J");
+        }
+    }
+}
+
+#[test]
+fn charging_the_boot_deficit_always_boots() {
+    // In plain f64, `j + (e_on − j)` rounds below `e_on` for a fraction
+    // of states under `e_on / 2`; `joules_to_boot` must cover those, and
+    // the loop below must actually meet some of them.
+    let mut g = Gen::new(54);
+    let mut rounded_short = 0u64;
+    for mut cap in catalog_capacitors() {
+        let e_max = energy_at(&cap, cap.v_max());
+        let e_on = energy_at(&cap, cap.v_on());
+        for step in 0..20_000 {
+            random_step(&mut g, &mut cap, e_max);
+            let j = cap.energy_joules();
+            if j + (e_on - j) < e_on {
+                rounded_short += 1;
+            }
+            let mut charged = cap.clone();
+            charged.charge_joules(cap.joules_to_boot());
+            assert!(charged.can_boot(), "{cap} step {step}: {j} J");
+            assert_eq!(charged.joules_to_boot(), 0.0, "{cap} step {step}");
+        }
+    }
+    assert!(rounded_short > 0, "no state exercised the rounding case");
 }

@@ -1084,9 +1084,9 @@ fn environment_json(out: &mut String, env: &Environment) {
                 f64_hex(*p_on)
             );
         }
-        Harvester::Trace { segments } => {
+        Harvester::Trace(wave) => {
             out.push_str("{\"kind\":\"trace\",\"segments\":[");
-            for (i, (duration, watts)) in segments.iter().enumerate() {
+            for (i, (duration, watts)) in wave.segments().iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -1108,26 +1108,33 @@ fn opt_f64(v: &Json) -> Result<Option<f64>, String> {
     }
 }
 
+/// Decodes a harvester through the validating constructors, so a
+/// hostile matrix (zero period, duty or `p_on` out of range, an empty
+/// trace) is an `Err` here instead of a panic or a hang in a worker.
 fn harvester_from(v: &Json) -> Result<Harvester, String> {
+    let invalid = |e: &dyn std::fmt::Display| format!("invalid harvester: {e}");
     match field!(v, "kind", as_str)? {
         "constant" => Ok(Harvester::Constant {
             watts: field!(v, "watts", as_f64_bits)?,
         }),
-        "square" => Ok(Harvester::Square {
-            watts: field!(v, "watts", as_f64_bits)?,
-            period_s: field!(v, "period_s", as_f64_bits)?,
-            duty: field!(v, "duty", as_f64_bits)?,
-        }),
-        "sine" => Ok(Harvester::Sine {
-            watts: field!(v, "watts", as_f64_bits)?,
-            period_s: field!(v, "period_s", as_f64_bits)?,
-        }),
-        "bursts" => Ok(Harvester::Bursts {
-            watts: field!(v, "watts", as_f64_bits)?,
-            slot_s: field!(v, "slot_s", as_f64_bits)?,
-            p_on: field!(v, "p_on", as_f64_bits)?,
-            seed: field!(v, "seed", as_u64)?,
-        }),
+        "square" => Harvester::try_square(
+            field!(v, "watts", as_f64_bits)?,
+            field!(v, "period_s", as_f64_bits)?,
+            field!(v, "duty", as_f64_bits)?,
+        )
+        .map_err(|e| invalid(&e)),
+        "sine" => Harvester::try_sine(
+            field!(v, "watts", as_f64_bits)?,
+            field!(v, "period_s", as_f64_bits)?,
+        )
+        .map_err(|e| invalid(&e)),
+        "bursts" => Harvester::try_bursts(
+            field!(v, "watts", as_f64_bits)?,
+            field!(v, "slot_s", as_f64_bits)?,
+            field!(v, "p_on", as_f64_bits)?,
+            field!(v, "seed", as_u64)?,
+        )
+        .map_err(|e| invalid(&e)),
         "trace" => {
             let mut segments = Vec::new();
             for pair in field!(v, "segments", as_arr)? {
@@ -1137,7 +1144,7 @@ fn harvester_from(v: &Json) -> Result<Harvester, String> {
                     .ok_or_else(|| "bad trace segment".to_string())?;
                 segments.push(segment);
             }
-            Ok(Harvester::Trace { segments })
+            Harvester::try_trace(segments).map_err(|e| invalid(&e))
         }
         kind => Err(format!("unknown harvester kind {kind:?}")),
     }
@@ -1145,12 +1152,13 @@ fn harvester_from(v: &Json) -> Result<Harvester, String> {
 
 fn environment_from(v: &Json) -> Result<Environment, String> {
     let c = v.req("capacitor")?;
-    let capacitor = Capacitor::new(
+    let capacitor = Capacitor::try_new(
         field!(c, "farads", as_f64_bits)?,
         field!(c, "v_max", as_f64_bits)?,
         field!(c, "v_on", as_f64_bits)?,
         field!(c, "v_off", as_f64_bits)?,
-    );
+    )
+    .map_err(|e| format!("invalid capacitor: {e}"))?;
     Ok(Environment::new(
         field!(v, "name", as_str)?.to_string(),
         harvester_from(v.req("harvester")?)?,
@@ -1553,6 +1561,56 @@ mod tests {
         let bad = json.replace("\"checksum\"", "\"crc32\"");
         let err = matrix_from(&Json::parse(&bad).unwrap()).unwrap_err();
         assert!(err.contains("crc32"), "{err}");
+    }
+
+    #[test]
+    fn hostile_environments_decode_to_errors_not_panics() {
+        let matrix = ScenarioMatrix::new()
+            .environments(vec![catalog::low_duty_square(), catalog::piezo_gait()]);
+        let json = matrix_json(&matrix).unwrap();
+        let hex = |v: f64| format!("\"{}\"", f64_hex(v));
+        let field = |name: &str, v: f64| format!("\"{name}\":{}", hex(v));
+        let piezo_segments = format!(
+            "[[{},{}],[{},{}]]",
+            hex(0.02),
+            hex(0.003),
+            hex(0.08),
+            hex(0.0002)
+        );
+        let zero_length = format!("[[{},{}]]", hex(0.0), hex(0.003));
+        let hostile = [
+            // v_on <= v_off.
+            (
+                field("v_on", 3.0),
+                field("v_on", 1.8),
+                "v_max >= v_on > v_off",
+            ),
+            // No capacitance.
+            (field("farads", 15e-6), field("farads", 0.0), "capacitance"),
+            // A square wave with a zero period.
+            (field("period_s", 2.0), field("period_s", 0.0), "period_s"),
+            // Duty outside (0, 1].
+            (field("duty", 0.005), field("duty", 1.5), "duty"),
+            // An empty trace.
+            (
+                piezo_segments.clone(),
+                "[]".to_string(),
+                "at least one segment",
+            ),
+            // A zero-duration trace segment.
+            (piezo_segments, zero_length, "duration"),
+        ];
+        for (from, to, why) in hostile {
+            assert!(json.contains(&from), "{from} not in the matrix JSON");
+            let bad = json.replacen(&from, &to, 1);
+            let parsed = Json::parse(&bad).unwrap();
+            let err = std::panic::catch_unwind(|| matrix_from(&parsed))
+                .unwrap_or_else(|_| panic!("decoding {to} panicked"))
+                .unwrap_err();
+            assert!(err.contains(why), "{to}: {err}");
+        }
+        // The untouched matrix still round-trips.
+        assert!(matrix_from(&Json::parse(&json).unwrap()).is_ok());
     }
 
     #[test]
