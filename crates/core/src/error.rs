@@ -110,6 +110,12 @@ impl From<ehdl_ehsim::ExecutorConfigError> for Error {
     }
 }
 
+impl From<ehdl_ehsim::ReplayError> for Error {
+    fn from(e: ehdl_ehsim::ReplayError) -> Self {
+        Error::Config(ConfigError::TraceMismatch(e))
+    }
+}
+
 impl From<ehdl_ehsim::FaultSpecError> for Error {
     fn from(e: ehdl_ehsim::FaultSpecError) -> Self {
         Error::Config(ConfigError::InvalidFault(e))
@@ -138,6 +144,10 @@ pub enum ConfigError {
     /// A fault-injection spec carries an out-of-range rate or sag
     /// factor (see [`ehdl_ehsim::FaultSpec::validate`]).
     InvalidFault(ehdl_ehsim::FaultSpecError),
+    /// A recorded [`RunTrace`](ehdl_ehsim::RunTrace) was replayed
+    /// against a plan of a different shape than the one it was recorded
+    /// from.
+    TraceMismatch(ehdl_ehsim::ReplayError),
 }
 
 impl fmt::Display for ConfigError {
@@ -160,6 +170,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::InvalidFault(e) => {
                 write!(f, "invalid fault spec: {e}")
+            }
+            ConfigError::TraceMismatch(e) => {
+                write!(f, "cannot replay trace: {e}")
             }
         }
     }

@@ -266,12 +266,35 @@ impl<'d> DeviceSession<'d> {
     /// deterministic supply and the same executor configuration: the
     /// board's meter and clock advance exactly as a live run would, and
     /// the returned report is bit-identical to one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace was recorded from a differently shaped plan;
+    /// [`try_infer_intermittent_replay`](Self::try_infer_intermittent_replay)
+    /// returns that as an error instead.
     pub fn infer_intermittent_replay(
         &mut self,
         executor: &IntermittentExecutor,
         trace: &RunTrace,
     ) -> RunReport {
-        executor.replay_trace(&self.plan, trace, &mut self.board)
+        self.try_infer_intermittent_replay(executor, trace)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`infer_intermittent_replay`](Self::infer_intermittent_replay)
+    /// without the panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::TraceMismatch`](crate::ConfigError::TraceMismatch)
+    /// if the trace was recorded from a plan whose op or checkpoint
+    /// count differs from this session's; the board is left untouched.
+    pub fn try_infer_intermittent_replay(
+        &mut self,
+        executor: &IntermittentExecutor,
+        trace: &RunTrace,
+    ) -> Result<RunReport, Error> {
+        Ok(executor.try_replay_trace(&self.plan, trace, &mut self.board)?)
     }
 
     /// Reference-path twin of
@@ -454,6 +477,52 @@ mod tests {
         assert!(a.completed() && b.completed());
         assert_eq!(a.outages, b.outages);
         assert_eq!(a.executed_ops, b.executed_ops);
+    }
+
+    #[test]
+    fn try_replay_is_bit_identical_and_rejects_foreign_traces() {
+        let (d, _) = har_session_parts();
+        let exec = IntermittentExecutor::default();
+        let mut recorder = d.session();
+        let mut supply = PowerSupply::new(
+            Harvester::square(0.002, 0.05, 0.5),
+            Capacitor::new(15e-6, 3.3, 3.0, 1.8),
+        );
+        let (live, trace) = recorder.infer_intermittent_faulted_traced(
+            &exec,
+            &mut supply,
+            &ehdl_ehsim::FaultPlan::NONE,
+        );
+        let mut replayer = d.session();
+        let replayed = replayer
+            .try_infer_intermittent_replay(&exec, &trace)
+            .unwrap();
+        assert_eq!(replayed, live);
+        assert_eq!(
+            replayer.board().meter().total_energy(),
+            recorder.board().meter().total_energy()
+        );
+
+        // A trace from a one-op program cannot decode against the HAR
+        // plan: a typed error, not a panic, and the board is untouched.
+        let mut tiny = ehdl_ehsim::Program::new("tiny");
+        tiny.push(
+            ehdl_device::DeviceOp::CpuOps { count: 10 },
+            ehdl_ehsim::CheckpointSpec::COMMIT,
+        );
+        let tiny_plan = ehdl_ehsim::ExecutionPlan::compile(tiny, &d.board_spec().board());
+        let mut board = d.board_spec().board();
+        let (_, foreign) = exec.run_plan_traced(&tiny_plan, &mut board, &mut supply.clone());
+        let before = replayer.board().meter().clone();
+        let err = replayer
+            .try_infer_intermittent_replay(&exec, &foreign)
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Config(crate::ConfigError::TraceMismatch(_))),
+            "{err}"
+        );
+        assert!(err.to_string().contains("differently shaped plan"), "{err}");
+        assert_eq!(*replayer.board().meter(), before);
     }
 
     #[test]

@@ -130,6 +130,31 @@ impl fmt::Display for ExecutorConfigError {
 
 impl std::error::Error for ExecutorConfigError {}
 
+/// A [`RunTrace`] replayed against a plan of a different shape than the
+/// one it was recorded from; decoding its steps against that plan would
+/// meter the wrong costs. Returned by
+/// [`IntermittentExecutor::try_replay_trace`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplayError {
+    /// (op count, on-demand checkpoint count) of the recording plan.
+    pub recorded: (usize, usize),
+    /// (op count, on-demand checkpoint count) of the replaying plan.
+    pub plan: (usize, usize),
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "trace was recorded from a differently shaped plan \
+             ({} ops / {} checkpoints, replaying against {} / {})",
+            self.recorded.0, self.recorded.1, self.plan.0, self.plan.1
+        )
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
 /// Why a run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunOutcome {
@@ -509,18 +534,41 @@ impl IntermittentExecutor {
     ///
     /// Panics if `trace` was recorded from a plan of a different shape
     /// (op or checkpoint count mismatch) — decoding its steps against
-    /// this plan would silently meter garbage.
+    /// this plan would silently meter garbage. Use
+    /// [`try_replay_trace`](Self::try_replay_trace) to get that as an
+    /// error instead.
     pub fn replay_trace(
         &self,
         plan: &ExecutionPlan,
         trace: &RunTrace,
         board: &mut Board,
     ) -> RunReport {
-        assert_eq!(
-            (trace.op_count as usize, trace.checkpoint_count as usize),
-            (plan.len(), plan.checkpoints.len()),
-            "trace was recorded from a differently shaped plan"
-        );
+        self.try_replay_trace(plan, trace, board)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`replay_trace`](Self::replay_trace) without the panic: a trace
+    /// recorded from a differently shaped plan is rejected before any
+    /// cost is applied, leaving `board` untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReplayError`] on an op or checkpoint count mismatch
+    /// between the recording plan and `plan`.
+    pub fn try_replay_trace(
+        &self,
+        plan: &ExecutionPlan,
+        trace: &RunTrace,
+        board: &mut Board,
+    ) -> Result<RunReport, ReplayError> {
+        let recorded = (trace.op_count as usize, trace.checkpoint_count as usize);
+        let shape = (plan.len(), plan.checkpoints.len());
+        if recorded != shape {
+            return Err(ReplayError {
+                recorded,
+                plan: shape,
+            });
+        }
         let n = plan.len() as u32;
         let meter_before = board.meter().clone();
         for &step in &trace.steps {
@@ -549,7 +597,7 @@ impl IntermittentExecutor {
         report.energy = meter.total_energy();
         report.checkpoint_energy = meter.energy_of(Component::Checkpoint);
         report.meter = meter;
-        report
+        Ok(report)
     }
 
     fn run_plan_inner<S: StepSink, P: ExecProbe>(
@@ -2050,6 +2098,39 @@ mod tests {
         let mut supply = bench_supply();
         let (_, trace) = exec.run_plan_traced(&recorded_plan, &mut b, &mut supply);
         let _ = exec.replay_trace(&other_plan, &trace, &mut b);
+    }
+
+    #[test]
+    fn try_replay_rejects_a_mismatched_plan_and_matches_replay_otherwise() {
+        let board = Board::msp430fr5994();
+        let recorded_plan =
+            ExecutionPlan::compile(cpu_heavy_program(50, 1_000, CheckpointSpec::COMMIT), &board);
+        let other_plan =
+            ExecutionPlan::compile(cpu_heavy_program(60, 1_000, CheckpointSpec::COMMIT), &board);
+        let exec = IntermittentExecutor::default();
+        let mut b = Board::msp430fr5994();
+        let mut supply = bench_supply();
+        let (_, trace) = exec.run_plan_traced(&recorded_plan, &mut b, &mut supply);
+
+        let before = b.meter().clone();
+        let err = exec
+            .try_replay_trace(&other_plan, &trace, &mut b)
+            .unwrap_err();
+        assert_eq!(err.recorded.0, recorded_plan.len());
+        assert_eq!(err.plan.0, other_plan.len());
+        assert!(err.to_string().contains("differently shaped plan"), "{err}");
+        // Rejected before any cost was applied.
+        assert_eq!(*b.meter(), before);
+
+        // A matching plan replays exactly what the panicking entry does.
+        let mut b1 = b.clone();
+        let mut b2 = b.clone();
+        let tried = exec
+            .try_replay_trace(&recorded_plan, &trace, &mut b1)
+            .unwrap();
+        let replayed = exec.replay_trace(&recorded_plan, &trace, &mut b2);
+        assert_eq!(tried, replayed);
+        assert_eq!(b1.meter(), b2.meter());
     }
 
     #[test]

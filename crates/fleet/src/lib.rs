@@ -78,7 +78,7 @@ pub use metrics::{
     CsvSink, DigestSink, FleetDigest, FullReportSink, GroupAxis, GroupBySink, GroupedDigest,
     JsonlSink, MetricsSink, ResilienceTally, RunRecord, SloTally,
 };
-pub use profile::{CacheCounters, CacheStats, PhaseProfile};
+pub use profile::{CacheCounters, CacheStats, PhaseProfile, SetupPhase};
 pub use report::{percentile, FleetReport, ScenarioReport};
 pub use runner::{mix, FleetBuilder, FleetRunner};
 pub use scenario::{Scenario, ScenarioMatrix, Workload};

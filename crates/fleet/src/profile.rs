@@ -1,20 +1,21 @@
 //! Phase profiling for fleet sweeps: where the wall-clock time goes
 //! (charge solving, plan execution, checkpoint/restore, trace replay,
-//! sink folding) and how well the runner's caches work (plan, trace,
-//! deployment hit/miss/size counters — the evidence the ROADMAP's cache
-//! eviction follow-on needs).
+//! sink folding, and the set-up phases: deployment builds, plan
+//! compiles and waits on a cache slot another worker is filling) and
+//! how well the runner's caches work (plan, trace, deployment
+//! hit/miss/size counters).
 //!
 //! A [`PhaseProfile`] is an [`ExecProbe`] with
 //! [`TIMED`](ExecProbe::TIMED) `= true`: handed to a probed executor
 //! run it collects charge-solve and checkpoint/restore spans from
 //! inside the hot loop, while the fleet runner adds the spans only it
-//! can see (whole plan executions, trace replays, sink folds) plus the
-//! cache counters. Spans aggregate into mergeable [`StatsDigest`]s, so
-//! per-worker and per-shard profiles combine like the fleet's metric
-//! sinks: merging chunks in stream order reassembles every span count,
-//! histogram bin, min/max and cache counter exactly, and the merge is a
-//! pure function — the same parts in the same order always reproduce
-//! the same bits (float *sums* reassociate across chunk boundaries, so
+//! can see (whole plan executions, trace replays, sink folds, and the
+//! [`SetupPhase`]s) plus the cache counters. Spans aggregate into
+//! mergeable [`StatsDigest`]s, so per-worker and per-shard profiles
+//! combine like the fleet's metric sinks: merging chunks in stream
+//! order reassembles every span count, histogram bin, min/max and cache
+//! counter exactly, and the merge is a pure function — the same parts
+//! in the same order always reproduce the same bits (float *sums* reassociate across chunk boundaries, so
 //! they agree with an unchunked accumulation to rounding).
 //!
 //! Profiles are a **side channel**: wall-clock timings are
@@ -23,11 +24,46 @@
 //! with profiling on or off. What *is* deterministic: every span/lookup
 //! **count** at one worker, and cache `hits + misses` totals at any
 //! worker count (the trace hit/miss *split* can shift when racing
-//! workers both record the same trajectory).
+//! workers both record the same trajectory). Of the set-up spans,
+//! `deploy_build` and `plan_compile` count one build per key and
+//! residency at any worker count when every build succeeds (a
+//! deployment built ahead of need is still its key's one build), while
+//! `slot_wait` spans exist only when workers contend.
 
 use crate::digest::StatsDigest;
 use core::fmt;
 use ehdl::ehsim::{ExecEvent, ExecPhase, ExecProbe};
+
+/// A wall-clock phase of a scenario's set-up, timed by the fleet runner
+/// around its caches rather than by the executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SetupPhase {
+    /// Building one calibrated deployment and pricing its accuracy.
+    DeployBuild,
+    /// Compiling one execution plan from a deployment.
+    PlanCompile,
+    /// Blocking on a deployment or plan slot that another worker is
+    /// building.
+    SlotWait,
+}
+
+impl SetupPhase {
+    /// Every set-up phase, in reporting order.
+    pub const ALL: [SetupPhase; 3] = [
+        SetupPhase::DeployBuild,
+        SetupPhase::PlanCompile,
+        SetupPhase::SlotWait,
+    ];
+
+    /// A stable snake_case name for machine-readable streams.
+    pub fn name(self) -> &'static str {
+        match self {
+            SetupPhase::DeployBuild => "deploy_build",
+            SetupPhase::PlanCompile => "plan_compile",
+            SetupPhase::SlotWait => "slot_wait",
+        }
+    }
+}
 
 /// Hit/miss/size counters for one runner cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -124,6 +160,12 @@ pub struct PhaseProfile {
     pub trace_replay_s: StatsDigest,
     /// Per-record metric-sink folds and in-order merges.
     pub sink_fold_s: StatsDigest,
+    /// Calibrated-deployment builds, including builds ahead of need.
+    pub deploy_build_s: StatsDigest,
+    /// Execution-plan compiles.
+    pub plan_compile_s: StatsDigest,
+    /// Waits on a cache slot another worker was building.
+    pub slot_wait_s: StatsDigest,
     /// Plan / trace / deployment cache counters.
     pub caches: CacheStats,
 }
@@ -165,8 +207,44 @@ impl PhaseProfile {
         }
     }
 
+    /// Folds one wall-clock set-up span into the phase's digest.
+    pub fn record_setup(&mut self, phase: SetupPhase, seconds: f64) {
+        self.setup_digest_mut(phase).record(seconds);
+    }
+
+    /// The span digest for one set-up phase.
+    pub fn setup_digest(&self, phase: SetupPhase) -> &StatsDigest {
+        match phase {
+            SetupPhase::DeployBuild => &self.deploy_build_s,
+            SetupPhase::PlanCompile => &self.plan_compile_s,
+            SetupPhase::SlotWait => &self.slot_wait_s,
+        }
+    }
+
+    /// Replaces one set-up phase's digest wholesale (wire
+    /// deserialization).
+    pub(crate) fn setup_digest_replace(&mut self, phase: SetupPhase, digest: StatsDigest) {
+        *self.setup_digest_mut(phase) = digest;
+    }
+
+    fn setup_digest_mut(&mut self, phase: SetupPhase) -> &mut StatsDigest {
+        match phase {
+            SetupPhase::DeployBuild => &mut self.deploy_build_s,
+            SetupPhase::PlanCompile => &mut self.plan_compile_s,
+            SetupPhase::SlotWait => &mut self.slot_wait_s,
+        }
+    }
+
+    /// Every phase's name and digest: [`ExecPhase::ALL`] then
+    /// [`SetupPhase::ALL`].
+    pub(crate) fn named_digests(&self) -> impl Iterator<Item = (&'static str, &StatsDigest)> {
+        let exec = ExecPhase::ALL.map(|phase| (phase.name(), self.digest(phase)));
+        let setup = SetupPhase::ALL.map(|phase| (phase.name(), self.setup_digest(phase)));
+        exec.into_iter().chain(setup)
+    }
+
     /// Merges `other` into `self`, phase by phase in [`ExecPhase::ALL`]
-    /// order then caches. A pure function: merging the same parts in
+    /// then [`SetupPhase::ALL`] order, then caches. A pure function: merging the same parts in
     /// the same order always reproduces the same bits, and every span
     /// count, histogram bin, min/max and cache counter reassembles
     /// exactly (sums reassociate; see [`StatsDigest::merge`]).
@@ -175,15 +253,17 @@ impl PhaseProfile {
             let theirs = other.digest(phase).clone();
             self.digest_mut(phase).merge(&theirs);
         }
+        for phase in SetupPhase::ALL {
+            let theirs = other.setup_digest(phase).clone();
+            self.setup_digest_mut(phase).merge(&theirs);
+        }
         self.caches.merge(&other.caches);
     }
 
-    /// Total profiled wall-clock seconds across every phase.
+    /// Total profiled wall-clock seconds across every phase, set-up
+    /// phases included.
     pub fn total_seconds(&self) -> f64 {
-        ExecPhase::ALL
-            .iter()
-            .map(|&phase| self.digest(phase).sum())
-            .sum()
+        self.named_digests().map(|(_, d)| d.sum()).sum()
     }
 
     /// Serializes the profile as one canonical JSON object (floats as
@@ -222,8 +302,7 @@ impl fmt::Display for PhaseProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let total = self.total_seconds();
         writeln!(f, "phase profile ({total:.3} s profiled):")?;
-        for phase in ExecPhase::ALL {
-            let d = self.digest(phase);
+        for (name, d) in self.named_digests() {
             let share = if total > 0.0 {
                 d.sum() / total * 100.0
             } else {
@@ -232,7 +311,7 @@ impl fmt::Display for PhaseProfile {
             writeln!(
                 f,
                 "  {:<18} {:>10.4} s ({:5.1}%) over {} spans",
-                phase.name(),
+                name,
                 d.sum(),
                 share,
                 d.count()
@@ -268,6 +347,11 @@ mod tests {
         p.span(ExecPhase::ChargeSolve, 0.5);
         p.span(ExecPhase::ChargeSolve, 0.25);
         p.record(ExecPhase::SinkFold, 1.0);
+        p.record_setup(SetupPhase::DeployBuild, 0.125);
+        assert_eq!(p.deploy_build_s.count(), 1);
+        assert_eq!(p.plan_compile_s.count(), 0);
+        assert_eq!(p.total_seconds(), 1.875);
+        p.deploy_build_s = StatsDigest::new();
         assert_eq!(p.charge_solve_s.count(), 2);
         assert_eq!(p.charge_solve_s.sum(), 0.75);
         assert_eq!(p.sink_fold_s.count(), 1);
@@ -360,6 +444,9 @@ mod tests {
         for i in 0..50 {
             p.record(ExecPhase::ALL[i % 5], 1e-5 * (i as f64 + 0.123_456_789));
         }
+        for i in 0..12 {
+            p.record_setup(SetupPhase::ALL[i % 3], 1e-3 * (i as f64 + 0.5));
+        }
         p.caches.plan = CacheCounters {
             hits: 10,
             misses: 2,
@@ -381,16 +468,34 @@ mod tests {
         // The empty profile round-trips too.
         let empty = PhaseProfile::new();
         assert_eq!(PhaseProfile::from_json(&empty.to_json()).unwrap(), empty);
+        // Every set-up phase is on the wire: dropping one is an error.
+        for phase in SetupPhase::ALL {
+            assert_eq!(p.setup_digest(phase).count(), 4);
+            let key = format!("\"{}\":", phase.name());
+            assert!(json.contains(&key), "{json}");
+            let renamed = json.replace(&key, "\"unknown_phase\":");
+            assert!(
+                PhaseProfile::from_json(&renamed).is_err(),
+                "{}",
+                phase.name()
+            );
+        }
     }
 
     #[test]
     fn display_lists_every_phase_and_cache() {
         let mut p = PhaseProfile::new();
         p.record(ExecPhase::PlanExec, 2.0);
+        p.record_setup(SetupPhase::SlotWait, 2.0);
         let s = p.to_string();
         for phase in ExecPhase::ALL {
             assert!(s.contains(phase.name()), "{s}");
         }
+        for phase in SetupPhase::ALL {
+            assert!(s.contains(phase.name()), "{s}");
+        }
+        assert!(s.contains("slot_wait") && s.contains("50.0%"), "{s}");
+        assert_eq!(p.total_seconds(), 4.0);
         assert!(s.contains("deployment"), "{s}");
     }
 }

@@ -2,7 +2,7 @@
 //! [`MetricsSink`].
 
 use crate::metrics::{FullReportSink, MetricsSink, RunRecord};
-use crate::profile::PhaseProfile;
+use crate::profile::{PhaseProfile, SetupPhase};
 use crate::report::FleetReport;
 use crate::scenario::{Scenario, ScenarioMatrix, Workload};
 use ehdl::deployment::quantized_accuracy;
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
 /// The default [`cache_entries`](FleetBuilder::cache_entries) bound for
@@ -63,6 +63,21 @@ impl<V: Clone> Lru<V> {
         self.get_or_insert_with(key, || value)
     }
 
+    /// The value under `key` without refreshing its recency, or
+    /// `make()` inserted there if the cache has room. `None` when the
+    /// key is absent and inserting it would evict.
+    fn peek_or_insert_with_room(&mut self, key: usize, make: impl FnOnce() -> V) -> Option<V> {
+        if let Some((_, value)) = self.entries.iter().find(|(k, _)| *k == key) {
+            return Some(value.clone());
+        }
+        if self.entries.len() >= self.cap {
+            return None;
+        }
+        let value = make();
+        self.entries.push((key, value.clone()));
+        Some(value)
+    }
+
     /// The value under `key`, refreshed to most-recently-used, or
     /// `make()` inserted there, evicting the least-recently-used entry
     /// when over capacity. Returns the resident value.
@@ -91,30 +106,82 @@ impl<V: Clone> Lru<V> {
 /// A per-key once-cell: the first worker to find the slot empty builds
 /// its value holding only this slot's lock. Workers needing other keys
 /// never wait on the build; workers needing this key wait for it
-/// instead of building it again.
-struct Slot<V>(Mutex<Option<Arc<V>>>);
+/// instead of building it again — or, for deployments, first build a
+/// later scenario's value ahead of time with [`try_fill`](Self::try_fill).
+///
+/// The contract that keeps cache counters worker-count-invariant:
+/// each value is **claimed** by the scenarios that need it, and exactly
+/// one claim per built value reports `built == true` — the claim that
+/// built it, or, for a value built ahead, the first claim after the
+/// fill. Misses therefore count distinct keys (per residency) whoever
+/// did the building. A failed build, claimed or ahead, leaves the slot
+/// empty, so the next scenario needing the key rebuilds it and reports
+/// its own error.
+struct Slot<V>(Mutex<SlotState<V>>);
+
+/// A [`Slot`]'s contents, read and filled under the slot's lock.
+struct SlotState<V> {
+    value: Option<Arc<V>>,
+    /// The value was built ahead and nobody has claimed it yet: the
+    /// first claim counts as the miss.
+    unclaimed: bool,
+}
 
 impl<V> Default for Slot<V> {
     fn default() -> Self {
-        Slot(Mutex::new(None))
+        Slot(Mutex::new(SlotState {
+            value: None,
+            unclaimed: false,
+        }))
     }
 }
 
 impl<V> Slot<V> {
-    /// The slot's value, built by `init` if the slot is still empty,
-    /// and whether this call built it. A failed build leaves the slot
-    /// empty, so the next scenario needing the key retries the build
-    /// and reports its own error.
-    fn get_or_try_init<E>(&self, init: impl FnOnce() -> Result<V, E>) -> Result<(Arc<V>, bool), E> {
-        // A build that panicked never filled the slot, so a poisoned
-        // slot is an empty one.
-        let mut value = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(built) = value.as_ref() {
-            return Ok((Arc::clone(built), false));
+    /// Locks the slot, blocking while another worker builds into it. A
+    /// build that panicked never filled the slot, so a poisoned slot is
+    /// an empty one.
+    fn lock(&self) -> MutexGuard<'_, SlotState<V>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the slot unless another worker holds it (is building).
+    fn try_lock(&self) -> Option<MutexGuard<'_, SlotState<V>>> {
+        match self.0.try_lock() {
+            Ok(state) => Some(state),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
         }
-        let built = Arc::new(init()?);
-        *value = Some(Arc::clone(&built));
-        Ok((built, true))
+    }
+
+    /// Builds ahead: fills the slot with `init()` only if nobody holds
+    /// it and it is empty, leaving the value unclaimed. `init` returning
+    /// `None` (a failed build) leaves the slot empty. Returns whether
+    /// `init` ran.
+    fn try_fill(&self, init: impl FnOnce() -> Option<V>) -> bool {
+        let Some(mut state) = self.try_lock() else {
+            return false;
+        };
+        if state.value.is_some() {
+            return false;
+        }
+        if let Some(value) = init() {
+            state.value = Some(Arc::new(value));
+            state.unclaimed = true;
+        }
+        true
+    }
+}
+
+impl<V> SlotState<V> {
+    /// Claims the slot's value, built by `init` if the slot is still
+    /// empty, and whether this claim counts as the build (see [`Slot`]).
+    fn claim<E>(&mut self, init: impl FnOnce() -> Result<V, E>) -> Result<(Arc<V>, bool), E> {
+        if let Some(value) = self.value.as_ref() {
+            return Ok((Arc::clone(value), std::mem::take(&mut self.unclaimed)));
+        }
+        let value = Arc::new(init()?);
+        self.value = Some(Arc::clone(&value));
+        Ok((value, true))
     }
 }
 
@@ -194,6 +261,9 @@ type PlanStore = Mutex<
 /// outside the cache lock under a per-key once-cell, and an evicted
 /// entry is rebuilt deterministically on its next miss, so the cap
 /// trades wall-clock for memory without changing a single report bit.
+/// A worker that would wait on another worker's deployment build
+/// builds a later scenario's deployment ahead instead, so the builds of
+/// neighbouring keys overlap rather than queue.
 ///
 /// Deterministic environments (every catalog entry except the burst
 /// sources) go one step further: an intermittent run is a pure function
@@ -387,8 +457,7 @@ impl FleetRunner {
             if let Some(nj) = *budget {
                 config.energy_budget_nj = Some(nj);
             }
-            config.validate().map_err(Error::from)?;
-            executors.push(IntermittentExecutor::new(config));
+            executors.push(IntermittentExecutor::try_new(config)?);
         }
         // Reject malformed fault specs (out-of-range rates, sag factor
         // below 1) up front, then compile each spec's schedule exactly
@@ -414,10 +483,11 @@ impl FleetRunner {
         // per-key once-cells: its lock covers only finding or inserting
         // a key's slot, and the build runs under that slot alone, so a
         // worker hitting a built key never waits on another key's
-        // build. Each key still misses exactly once (until evicted) at
-        // any worker count, and a rebuild after eviction is a pure
-        // function of the scenario, so eviction never changes any
-        // report.
+        // build. A worker that finds its key's slot busy builds a later
+        // key ahead before waiting (see `lower`). Each key still misses
+        // exactly once (until evicted) at any worker count, and a
+        // rebuild after eviction is a pure function of the scenario, so
+        // eviction never changes any report.
         let artifacts: ArtifactCache = Mutex::new(Lru::new(self.cache_entries));
 
         // One execution plan per (workload, board, strategy,
@@ -447,12 +517,16 @@ impl FleetRunner {
         let sink = Mutex::new(sink);
 
         // One scenario's worker-side work: find or build what it runs
-        // on, open its accumulator and fold its runs.
+        // on (building a scenario in `ahead` first if it would otherwise
+        // wait on another worker's build), open its accumulator and fold
+        // its runs.
         let sweep_one = |scenario: &Scenario,
+                         ahead: &[Scenario],
                          mut profile: Option<&mut PhaseProfile>|
          -> Result<S::Partial, Error> {
             let lowered = lower(
                 scenario,
+                ahead,
                 matrix.calibration,
                 &artifacts,
                 &plans,
@@ -539,22 +613,28 @@ impl FleetRunner {
                         // doze — negligible CPU, and at most a stall-length
                         // wakeup lag — instead of inflating the reorder
                         // buffer.
-                        while i >= merged.load(Ordering::Relaxed).saturating_add(window) {
+                        let mut horizon = merged.load(Ordering::Relaxed).saturating_add(window);
+                        while i >= horizon {
                             std::thread::sleep(std::time::Duration::from_micros(200));
+                            horizon = merged.load(Ordering::Relaxed).saturating_add(window);
                         }
+                        // The scenarios this worker may build ahead for:
+                        // the rest of the backpressure window.
+                        let ahead = &scenarios[i + 1..horizon.min(total)];
                         // A panic in the scenario's own work fails that
                         // scenario with a typed error, the way a failed
                         // shard is reported, instead of unwinding through
                         // the whole sweep.
-                        let result =
-                            catch_unwind(AssertUnwindSafe(|| sweep_one(scenario, local.as_mut())))
-                                .unwrap_or_else(|payload| {
-                                    Err(Error::ScenarioPanicked {
-                                        index: scenario.index,
-                                        name: scenario.name(),
-                                        message: panic_message(&*payload),
-                                    })
-                                });
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            sweep_one(scenario, ahead, local.as_mut())
+                        }))
+                        .unwrap_or_else(|payload| {
+                            Err(Error::ScenarioPanicked {
+                                index: scenario.index,
+                                name: scenario.name(),
+                                message: panic_message(&*payload),
+                            })
+                        });
                         if tx.send((i, result)).is_err() {
                             break; // coordinator gone
                         }
@@ -764,19 +844,48 @@ impl FleetBuilder<FullReportSink> {
 /// seed) artifact from the bounded artifact cache, then its (workload,
 /// board, strategy, integrity) plan from the plan store — each built at
 /// most once per residency, under its own [`Slot`] with the cache locks
-/// released. Counts one deployment and one plan lookup.
+/// released.
+///
+/// A worker whose artifact slot is busy — another worker is building
+/// it — builds ahead instead of idling: [`build_ahead`] fills the first
+/// empty, idle artifact slot among `ahead` (the scenarios after this
+/// one within the runner's backpressure window), and only then does the
+/// worker block on its own slot. Build-ahead never evicts and discards
+/// a failed build, and the first claim of a built-ahead artifact counts
+/// as its miss (see [`Slot`]), so every counter and report is what a
+/// one-worker sweep produces. Plans are never built ahead.
+///
+/// Counts one deployment and one plan lookup and, when profiled, times
+/// every deployment build, plan compile and wait on a busy slot.
 fn lower(
     scenario: &Scenario,
+    ahead: &[Scenario],
     calibration: CalibrationConfig,
     artifacts: &ArtifactCache,
     plans: &PlanStore,
-    profile: Option<&mut PhaseProfile>,
+    mut profile: Option<&mut PhaseProfile>,
 ) -> Result<Lowered, Error> {
     let slot = artifacts
         .lock()
         .expect("artifact cache lock")
         .get_or_insert_with(scenario.artifact_key, Arc::default);
-    let (artifact, built) = slot.get_or_try_init(|| calibrate(scenario, calibration))?;
+    let mut state = match slot.try_lock() {
+        Some(state) => state,
+        None => {
+            build_ahead(ahead, artifacts, |next| {
+                timed(profile.as_deref_mut(), SetupPhase::DeployBuild, || {
+                    calibrate(next, calibration)
+                })
+            });
+            timed(profile.as_deref_mut(), SetupPhase::SlotWait, || slot.lock())
+        }
+    };
+    let (artifact, built) = state.claim(|| {
+        timed(profile.as_deref_mut(), SetupPhase::DeployBuild, || {
+            calibrate(scenario, calibration)
+        })
+    })?;
+    drop(state);
     let key = (
         scenario.workload,
         scenario.board.clone(),
@@ -794,13 +903,22 @@ fn lower(
         };
         (plan_slot, Arc::clone(&plans[plan_slot].1))
     };
-    let Ok((plan, compiled)) = slot.get_or_try_init(|| {
-        Ok::<_, Infallible>(
-            artifact
-                .deployment
-                .compile_plan_for(scenario.strategy, scenario.integrity),
-        )
+    let mut state = match slot.try_lock() {
+        Some(state) => state,
+        None => timed(profile.as_deref_mut(), SetupPhase::SlotWait, || slot.lock()),
+    };
+    let Ok((plan, compiled)) = state.claim(|| {
+        Ok::<_, Infallible>(timed(
+            profile.as_deref_mut(),
+            SetupPhase::PlanCompile,
+            || {
+                artifact
+                    .deployment
+                    .compile_plan_for(scenario.strategy, scenario.integrity)
+            },
+        ))
     });
+    drop(state);
     if let Some(p) = profile {
         p.caches.deployment.lookup(built);
         p.caches.plan.lookup(compiled);
@@ -810,6 +928,50 @@ fn lower(
         plan_slot,
         plan,
     })
+}
+
+/// Builds ahead for a worker about to wait on another worker's build:
+/// fills the artifact slot of the first scenario in `ahead` whose slot
+/// is empty and idle, then returns whether it tried a build. It never
+/// evicts — a key not yet resident is inserted only while the cache has
+/// room, and resident keys are looked up without refreshing their
+/// recency — and it discards a failed or panicking build, leaving the
+/// slot empty so the scenario that owns the key rebuilds it and reports
+/// its own error.
+fn build_ahead<V, E>(
+    ahead: &[Scenario],
+    cache: &Mutex<Lru<Arc<Slot<V>>>>,
+    mut build: impl FnMut(&Scenario) -> Result<V, E>,
+) -> bool {
+    let mut last = None;
+    for next in ahead {
+        // Scenarios sharing a key sit next to each other.
+        if last.replace(next.artifact_key) == Some(next.artifact_key) {
+            continue;
+        }
+        let slot = cache
+            .lock()
+            .expect("artifact cache lock")
+            .peek_or_insert_with_room(next.artifact_key, Arc::default);
+        let Some(slot) = slot else {
+            continue;
+        };
+        if slot.try_fill(|| catch_unwind(AssertUnwindSafe(|| build(next))).ok()?.ok()) {
+            return true;
+        }
+    }
+    false
+}
+
+/// Runs `f`, recording its wall-clock seconds as `phase` when profiled.
+fn timed<T>(profile: Option<&mut PhaseProfile>, phase: SetupPhase, f: impl FnOnce() -> T) -> T {
+    let Some(p) = profile else {
+        return f();
+    };
+    let t0 = Instant::now();
+    let out = f();
+    p.record_setup(phase, t0.elapsed().as_secs_f64());
+    out
 }
 
 /// Builds one calibrated artifact: calibrates, quantizes and
@@ -887,7 +1049,7 @@ fn run_scenario<S: MetricsSink>(
             match existing {
                 Some(recorded) => {
                     let t0 = profile.is_some().then(Instant::now);
-                    let r = session.infer_intermittent_replay(executor, &recorded);
+                    let r = session.try_infer_intermittent_replay(executor, &recorded)?;
                     if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
                         p.caches.trace.hits += 1;
                         p.record(ExecPhase::TraceReplay, t0.elapsed().as_secs_f64());
@@ -1386,6 +1548,107 @@ mod tests {
             merged.caches.deployment.lookups(),
             whole.caches.deployment.lookups()
         );
+    }
+
+    #[test]
+    fn a_built_ahead_value_counts_as_built_for_its_first_claimant_only() {
+        let slot = Slot::<u32>::default();
+        assert!(slot.try_fill(|| Some(7)));
+        // A filled slot is never built again, ahead or claimed.
+        assert!(!slot.try_fill(|| panic!("a filled slot never rebuilds")));
+        let claim = |slot: &Slot<u32>| {
+            slot.lock()
+                .claim(|| Err::<u32, ()>(()))
+                .map(|(v, built)| (*v, built))
+        };
+        assert_eq!(claim(&slot), Ok((7, true)));
+        assert_eq!(claim(&slot), Ok((7, false)));
+        assert_eq!(claim(&slot), Ok((7, false)));
+        // A value built by its own claim counts on that claim only.
+        let own = Slot::<u32>::default();
+        let built = own.lock().claim(|| Ok::<_, ()>(3)).map(|(v, b)| (*v, b));
+        assert_eq!(built, Ok((3, true)));
+        assert_eq!(claim(&own), Ok((3, false)));
+    }
+
+    #[test]
+    fn a_failed_build_ahead_leaves_the_slot_empty() {
+        let slot = Slot::<u32>::default();
+        assert!(slot.try_fill(|| None), "the build was tried");
+        assert!(slot.lock().value.is_none());
+        // The owning scenario rebuilds and reports its own error…
+        let err = slot.lock().claim(|| Err::<u32, &str>("owner's error"));
+        assert_eq!(err.unwrap_err(), "owner's error");
+        // …or, when its build succeeds, counts the miss.
+        let (v, built) = slot.lock().claim(|| Ok::<_, &str>(5)).unwrap();
+        assert_eq!((*v, built), (5, true));
+        // A slot another worker holds is skipped, never waited on.
+        let busy = Slot::<u32>::default();
+        let held = busy.lock();
+        assert!(!busy.try_fill(|| Some(1)));
+        assert!(busy.try_lock().is_none());
+        drop(held);
+        assert!(busy.lock().value.is_none());
+    }
+
+    /// Three scenarios with artifact keys 0, 1 and 2.
+    fn three_keys() -> Vec<Scenario> {
+        let scenarios = ScenarioMatrix::new()
+            .environments(vec![catalog::bench_supply()])
+            .seeds(vec![0, 1, 2])
+            .scenarios();
+        let keys: Vec<usize> = scenarios.iter().map(|s| s.artifact_key).collect();
+        assert_eq!(keys, [0, 1, 2]);
+        scenarios
+    }
+
+    #[test]
+    fn build_ahead_into_a_full_cache_does_nothing() {
+        let scenarios = three_keys();
+        let cache: Mutex<Lru<Arc<Slot<usize>>>> = Mutex::new(Lru::new(1));
+        let own = cache.lock().unwrap().get_or_insert_with(0, Arc::default);
+        let _building = own.lock();
+        let built = build_ahead(&scenarios, &cache, |s| Ok::<_, ()>(s.artifact_key));
+        assert!(!built);
+        let lru = cache.lock().unwrap();
+        assert_eq!((lru.len(), lru.evictions()), (1, 0));
+        drop(lru);
+
+        // With room, it fills the first idle, empty key and stops there;
+        // the busy key 0 is skipped.
+        let cache: Mutex<Lru<Arc<Slot<usize>>>> = Mutex::new(Lru::new(2));
+        let own = cache.lock().unwrap().get_or_insert_with(0, Arc::default);
+        let _building = own.lock();
+        let built = build_ahead(&scenarios, &cache, |s| Ok::<_, ()>(s.artifact_key));
+        assert!(built);
+        let mut lru = cache.lock().unwrap();
+        assert_eq!((lru.len(), lru.evictions()), (2, 0));
+        let ahead = lru.get(1).expect("key 1 built ahead");
+        assert_eq!(ahead.lock().value.as_deref(), Some(&1));
+        assert!(lru.get(2).is_none(), "one build per wait");
+        drop(lru);
+        // The cache is now full: key 2 is never inserted.
+        assert!(!build_ahead(&scenarios, &cache, |s| Ok::<_, ()>(
+            s.artifact_key
+        )));
+        assert_eq!(cache.lock().unwrap().evictions(), 0);
+    }
+
+    #[test]
+    fn a_panicking_build_ahead_is_discarded() {
+        let scenarios = three_keys();
+        let cache: Mutex<Lru<Arc<Slot<usize>>>> = Mutex::new(Lru::new(4));
+        let tried = build_ahead(&scenarios[1..], &cache, |_| -> Result<usize, ()> {
+            panic!("injected build failure")
+        });
+        assert!(tried);
+        let slot = cache.lock().unwrap().get(1).expect("slot inserted");
+        assert!(slot.lock().value.is_none(), "the panic left the slot empty");
+        // A failing build is discarded the same way.
+        assert!(build_ahead(&scenarios[1..], &cache, |_| Err::<usize, ()>(
+            ()
+        )));
+        assert!(slot.lock().value.is_none());
     }
 
     /// A sink whose `fold` panics on the scenario with the given index.

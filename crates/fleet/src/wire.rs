@@ -17,7 +17,7 @@
 
 use crate::digest::StatsDigest;
 use crate::metrics::{json_escape, FleetDigest, ResilienceTally, SloTally};
-use crate::profile::{CacheCounters, CacheStats, PhaseProfile};
+use crate::profile::{CacheCounters, CacheStats, PhaseProfile, SetupPhase};
 use crate::scenario::{ScenarioMatrix, Workload};
 use ehdl::ehsim::{
     Capacitor, Environment, ExecPhase, ExecutorConfig, FaultSpec, Harvester, Integrity,
@@ -456,17 +456,17 @@ fn stats_from(v: &Json) -> Result<StatsDigest, String> {
 }
 
 /// Serializes a [`PhaseProfile`] as one canonical JSON object: phase
-/// digests (floats as bit-exact hex) in [`ExecPhase::ALL`] order, then
-/// the three cache counters.
+/// digests (floats as bit-exact hex) in [`ExecPhase::ALL`] then
+/// [`SetupPhase::ALL`] order, then the three cache counters.
 pub(crate) fn profile_json(p: &PhaseProfile) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\"phases\":{");
-    for (i, phase) in ExecPhase::ALL.into_iter().enumerate() {
+    for (i, (name, digest)) in p.named_digests().enumerate() {
         if i != 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":", phase.name());
-        stats_json(&mut out, p.digest(phase));
+        let _ = write!(out, "\"{name}\":");
+        stats_json(&mut out, digest);
     }
     out.push_str("},\"caches\":{");
     for (i, (name, c)) in [
@@ -508,6 +508,10 @@ pub(crate) fn profile_from_json(text: &str) -> Result<PhaseProfile, String> {
     for phase in ExecPhase::ALL {
         let d = stats_from(phases.req(phase.name())?)?;
         profile.digest_replace(phase, d);
+    }
+    for phase in SetupPhase::ALL {
+        let d = stats_from(phases.req(phase.name())?)?;
+        profile.setup_digest_replace(phase, d);
     }
     let caches = v.req("caches")?;
     profile.caches = CacheStats {

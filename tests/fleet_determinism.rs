@@ -516,3 +516,106 @@ fn deployment_sharing_gives_equal_accuracy_across_environments() {
         assert_eq!(s.accuracy, acc, "{}", s.name);
     }
 }
+
+/// The `grid` shape (every environment innermost, then seed, across
+/// `Strategy::ALL` and two workloads): consecutive scenarios share a
+/// (workload, board, seed) deployment, so concurrent workers collide on
+/// one key and the waiting ones build later keys ahead. None of that may
+/// show: the digest is byte-identical at every worker count, the
+/// deployment and plan counters equal the one-worker sweep's, and each
+/// distinct key misses exactly once — on its first claim, whoever built
+/// it.
+#[test]
+fn grid_shaped_sweeps_build_ahead_without_moving_a_bit_or_a_counter() {
+    let seeds = vec![0, 1, 2, 3];
+    let workloads = vec![Workload::Har { samples: 4 }, Workload::Mnist { samples: 2 }];
+    let matrix = ScenarioMatrix::new()
+        .environments(catalog::all())
+        .strategies(Strategy::ALL.to_vec())
+        .workloads(workloads.clone())
+        .seeds(seeds.clone())
+        .executor(ExecutorConfig {
+            stall_outages: 6,
+            ..ExecutorConfig::default()
+        });
+    let (baseline, one) = FleetRunner::builder()
+        .workers(1)
+        .sink(DigestSink::new())
+        .run_profiled(&matrix)
+        .unwrap();
+    let keys = (workloads.len() * seeds.len()) as u64;
+    assert_eq!(one.caches.deployment.misses, keys);
+    assert_eq!(one.caches.deployment.entries, keys);
+    assert_eq!(one.caches.deployment.lookups(), matrix.len() as u64);
+    assert_eq!(
+        one.caches.plan.misses,
+        (workloads.len() * Strategy::ALL.len()) as u64
+    );
+    // One build per key and no contention at one worker.
+    assert_eq!(one.deploy_build_s.count(), keys);
+    assert_eq!(one.slot_wait_s.count(), 0);
+    for workers in [2, 4, 8] {
+        let (digest, profile) = FleetRunner::builder()
+            .workers(workers)
+            .sink(DigestSink::new())
+            .run_profiled(&matrix)
+            .unwrap();
+        assert_eq!(digest.to_json(), baseline.to_json(), "{workers} workers");
+        assert_eq!(
+            profile.caches.deployment, one.caches.deployment,
+            "{workers} workers"
+        );
+        assert_eq!(profile.caches.plan, one.caches.plan, "{workers} workers");
+        // Built ahead or not, every key is built once.
+        assert_eq!(profile.deploy_build_s.count(), keys, "{workers} workers");
+    }
+}
+
+/// Builds that fail stay deterministic under build-ahead: a worker that
+/// builds a failing key ahead of time discards the error, the scenario
+/// that owns the key rebuilds it, and the sweep reports the
+/// lowest-indexed scenario's error at every worker count.
+#[test]
+fn failing_builds_report_the_same_lowest_indexed_error_at_any_worker_count() {
+    let base = ScenarioMatrix::new()
+        .environments(catalog::all())
+        .strategies(vec![Strategy::Sonic, Strategy::Flex])
+        .seeds(vec![0, 1, 2])
+        .executor(ExecutorConfig {
+            stall_outages: 6,
+            ..ExecutorConfig::default()
+        });
+    // Every build fails: a percentile outside (0, 1].
+    let bad_calibration = base
+        .clone()
+        .workloads(vec![Workload::Har { samples: 4 }])
+        .calibration(CalibrationConfig {
+            percentile: 1.5,
+            ..CalibrationConfig::default()
+        });
+    // Only the second workload's builds fail (an empty data slice), so
+    // the first failing scenario sits mid-matrix, right where workers
+    // finishing the first workload build ahead into the second.
+    let empty_slice = base.workloads(vec![
+        Workload::Har { samples: 4 },
+        Workload::Har { samples: 0 },
+    ]);
+    for (matrix, want) in [
+        (bad_calibration, ConfigError::BadPercentile(1.5)),
+        (empty_slice, ConfigError::EmptyDataset),
+    ] {
+        let one = FleetRunner::new(1).run(&matrix).unwrap_err().to_string();
+        for workers in [1, 2, 8] {
+            let err = FleetRunner::builder()
+                .workers(workers)
+                .sink(DigestSink::new())
+                .run(&matrix)
+                .unwrap_err();
+            match &err {
+                ehdl::Error::Config(e) => assert_eq!(*e, want, "{workers} workers"),
+                other => panic!("{workers} workers: want a config error, got {other}"),
+            }
+            assert_eq!(err.to_string(), one, "{workers} workers");
+        }
+    }
+}
