@@ -8,7 +8,7 @@
 //! * [`QuantizedModel`] — the deployed representation: 16-bit fixed-point
 //!   weights, pruning masks, BCM blocks, plus the FRAM footprint
 //!   accounting,
-//! * [`reference`] — the **bit-exact software forward pass**, including
+//! * [`reference`](mod@reference) — the **bit-exact software forward pass**, including
 //!   the on-device BCM pipeline of Algorithm 1 (SCALE-DOWN via the FFT's
 //!   per-stage scaling, wide-accumulator complex multiply with mid-chain
 //!   scale recovery, SCALE-UP at the end). Every execution strategy in

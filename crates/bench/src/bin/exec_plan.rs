@@ -17,7 +17,7 @@
 //! datapoint in the fleet-throughput trajectory. `--quick` shrinks the
 //! grid for the CI smoke run.
 
-use ehdl::ehsim::{catalog, ExecutionPlan, ExecutorConfig, IntermittentExecutor};
+use ehdl::ehsim::{catalog, ExecutionPlan, ExecutorConfig, Integrity, IntermittentExecutor};
 use ehdl::prelude::*;
 use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{mix, FleetRunner, ScenarioMatrix, Workload};
@@ -83,7 +83,8 @@ fn main() {
         for run in 0..u64::from(runs) {
             let env = scenario.environment.reseeded(mix(scenario.seed, run));
             let mut supply = env.supply();
-            executor.run_unplanned(&program, &mut board, &mut supply);
+            let opts = RunOptions::default();
+            executor.run_reference(&program, Integrity::None, &mut board, &mut supply, opts);
         }
     }
     let baseline_s = started.elapsed().as_secs_f64();
@@ -118,11 +119,15 @@ fn main() {
                 let trace_slot = &mut traces[slot * environments + scenario.environment_key()];
                 match trace_slot {
                     Some(trace) => {
-                        executor.replay_trace(plan, trace, &mut board);
+                        executor
+                            .try_replay_trace(plan, trace, &mut board)
+                            .expect("trace recorded from this plan");
                     }
                     None => {
                         let mut supply = scenario.environment.supply();
-                        let (_, trace) = executor.run_plan_traced(plan, &mut board, &mut supply);
+                        let opts = RunOptions::default();
+                        let (_, trace) =
+                            executor.record_plan_with(plan, &mut board, &mut supply, opts);
                         *trace_slot = Some(trace);
                     }
                 }

@@ -6,7 +6,7 @@
 //!
 //! * **baseline** — `run_plan`, the fault-free fast path every
 //!   production sweep uses;
-//! * **armed** — `run_plan_faulted` with `FaultPlan::armed_empty`: the
+//! * **armed** — `run_plan_with` under `FaultPlan::armed_empty`: the
 //!   injection machinery fully enabled (one SplitMix64 draw per op
 //!   attempt, commit and restore) but with all-zero thresholds, so no
 //!   fault ever fires.
@@ -115,7 +115,8 @@ fn main() {
         for run in 0..u64::from(runs) {
             let env = scenario.environment.reseeded(mix(scenario.seed, run));
             let mut supply = env.supply();
-            reports_armed.push(executor.run_plan_faulted(plan, &mut board, &mut supply, &armed));
+            let opts = RunOptions::default().fault(&armed);
+            reports_armed.push(executor.run_plan_with(plan, &mut board, &mut supply, opts));
         }
     }
     let armed_s = started.elapsed().as_secs_f64();

@@ -5,7 +5,7 @@
 //!
 //! * **untraced** — `run_plan` with the implicit `NullProbe`, the
 //!   zero-cost default every production sweep uses;
-//! * **traced** — `run_plan_probed` with the full observability stack
+//! * **traced** — `run_plan_with` and the full observability stack
 //!   attached: an `EventRing` collecting every structured run event
 //!   next to a `PhaseProfile` timing the executor's phases.
 //!
@@ -123,11 +123,11 @@ fn main() {
             }
             let (len_before, dropped_before) = (probe.0.len() as u64, probe.0.dropped());
             let t0 = Instant::now();
-            reports_traced.push(executor.run_plan_probed(
+            reports_traced.push(executor.run_plan_with(
                 plan,
                 &mut board,
                 &mut supply,
-                &mut probe,
+                RunOptions::default().probe(&mut probe),
             ));
             probe
                 .1

@@ -5,7 +5,7 @@
 //! identical pre-built deployments and compiled plans:
 //!
 //! * **baseline** — `run_plan`, the fault-free fast path;
-//! * **armed** — `run_plan_faulted` with
+//! * **armed** — `run_plan_with` under
 //!   `FaultPlan::armed_empty_integrity`: the per-commit flip draw, the
 //!   slot-wear bookkeeping and the full recovery-ladder walk all
 //!   enabled, but at flip rate zero so no upset ever lands.
@@ -117,7 +117,8 @@ fn main() {
             for run in 0..u64::from(runs) {
                 let env = scenario.environment.reseeded(mix(scenario.seed, run));
                 let mut supply = env.supply();
-                reports.push(executor.run_plan_faulted(plan, &mut board, &mut supply, &armed));
+                let opts = RunOptions::default().fault(&armed);
+                reports.push(executor.run_plan_with(plan, &mut board, &mut supply, opts));
             }
         }
         reports

@@ -13,7 +13,7 @@
 //!   softmax, leaving the argmax — the prediction — unchanged),
 //! * [`cosine_normalize_dense`] — row-wise weight normalization in the
 //!   spirit of Luo et al.'s cosine normalization (the paper's citation
-//!   [12]), provided for the ablation benches.
+//!   \[12\]), provided for the ablation benches.
 
 use ehdl_nn::{Layer, Model, ModelError, Tensor};
 

@@ -31,7 +31,14 @@
 //! The high-level API lives in this crate: [`Deployment`] (RAD's
 //! deployment pass with every scenario axis — calibration, board,
 //! checkpoint strategy — as a builder parameter) and [`DeviceSession`]
-//! (a live board + lowered program, reused across inferences).
+//! (a live board + lowered program, reused across inferences). A
+//! session runs intermittently through one entry point per kind of run
+//! — [`infer_intermittent_with`](DeviceSession::infer_intermittent_with),
+//! [`record_intermittent_with`](DeviceSession::record_intermittent_with)
+//! and the op-by-op oracle
+//! [`infer_reference_with`](DeviceSession::infer_reference_with) — each
+//! taking a [`RunOptions`](ehsim::RunOptions) that carries the optional
+//! fault plan and probe.
 //!
 //! # Quickstart
 //!
@@ -60,6 +67,17 @@
 //! let supply = PowerSupply::new(harvester, capacitor);
 //! let report = session.infer_intermittent(&supply);
 //! assert!(report.completed());
+//!
+//! // ... and again under a seeded fault storm, watched by an event ring.
+//! use ehdl::ehsim::{EventRing, FaultPlan, FaultSpec};
+//! let spec = FaultSpec { seed: 7, reset_per_op: 1e-3, ..FaultSpec::none() };
+//! let storm = FaultPlan::compile(&spec);
+//! let mut ring = EventRing::new(1 << 12);
+//! let opts = RunOptions::default().fault(&storm).probe(&mut ring);
+//! let executor = IntermittentExecutor::default();
+//! let stormy = session.infer_intermittent_with(&executor, &mut supply.clone(), opts);
+//! assert!(stormy.faults.injected() > 0);
+//! assert_eq!(ring.events().last().map(|e| e.label()), Some("run_end"));
 //!
 //! // 5. Accuracy of the deployed (compressed + quantized) model.
 //! let accuracy = session.accuracy(&data)?;
@@ -100,7 +118,9 @@ pub mod prelude {
     pub use ehdl_compress::quantize::QuantParams;
     pub use ehdl_datasets::{Dataset, Sample};
     pub use ehdl_device::{Board, Component, Cycles, Energy};
-    pub use ehdl_ehsim::{Capacitor, Harvester, IntermittentExecutor, PowerSupply, RunReport};
+    pub use ehdl_ehsim::{
+        Capacitor, Harvester, IntermittentExecutor, PowerSupply, RunOptions, RunReport,
+    };
     pub use ehdl_fixed::Q15;
     pub use ehdl_nn::{Layer, Model, Tensor};
 }

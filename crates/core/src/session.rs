@@ -16,8 +16,8 @@ use ehdl_ace::reference;
 use ehdl_datasets::Dataset;
 use ehdl_device::{Board, Cost, EnergyMeter};
 use ehdl_ehsim::{
-    ExecProbe, ExecutionPlan, FaultPlan, IntermittentExecutor, PowerSupply, Program, RunReport,
-    RunTrace,
+    ExecProbe, ExecutionPlan, FaultPlan, IntermittentExecutor, PowerSupply, Program, RunOptions,
+    RunReport, RunTrace,
 };
 use ehdl_fixed::{OverflowStats, Q15};
 use ehdl_nn::Tensor;
@@ -154,135 +154,66 @@ impl<'d> DeviceSession<'d> {
     /// the same power environment from its configured initial state.
     pub fn infer_intermittent(&mut self, supply: &PowerSupply) -> RunReport {
         let mut supply = supply.clone();
-        self.infer_intermittent_with(&IntermittentExecutor::default(), &mut supply)
+        self.infer_intermittent_with(
+            &IntermittentExecutor::default(),
+            &mut supply,
+            RunOptions::default(),
+        )
     }
 
-    /// [`infer_intermittent`](Self::infer_intermittent) with a custom
-    /// executor and a caller-owned supply (drained in place). Replays
-    /// the session's compiled plan — no per-op pricing.
-    pub fn infer_intermittent_with(
+    /// Runs the session's compiled plan with a custom executor on a
+    /// caller-owned supply (drained in place), under `opts`' fault plan
+    /// and probe (see [`RunOptions`]) — no per-op pricing.
+    pub fn infer_intermittent_with<P: ExecProbe>(
         &mut self,
         executor: &IntermittentExecutor,
         supply: &mut PowerSupply,
+        opts: RunOptions<'_, P>,
     ) -> RunReport {
-        executor.run_plan(&self.plan, &mut self.board, supply)
-    }
-
-    /// [`infer_intermittent_with`](Self::infer_intermittent_with) with
-    /// an [`ExecProbe`] observing the run: the probe receives the
-    /// executor's structured events (boots, brown-outs, commits, dark
-    /// skips) and — if timed — charge-solve and checkpoint/restore
-    /// wall-clock spans. Probes observe only; the report is
-    /// bit-identical to the unprobed call.
-    pub fn infer_intermittent_probed<P: ExecProbe>(
-        &mut self,
-        executor: &IntermittentExecutor,
-        supply: &mut PowerSupply,
-        probe: &mut P,
-    ) -> RunReport {
-        executor.run_plan_probed(&self.plan, &mut self.board, supply, probe)
+        executor.run_plan_with(&self.plan, &mut self.board, supply, opts)
     }
 
     /// [`infer_intermittent_with`](Self::infer_intermittent_with),
     /// additionally recording the run as a [`RunTrace`]. When the supply
     /// is deterministic (its harvester is a pure function of time), the
-    /// trace replays the run bit-identically via
-    /// [`infer_intermittent_replay`](Self::infer_intermittent_replay) —
+    /// trace replays the run bit-identically — faults included — via
+    /// [`try_infer_intermittent_replay`](Self::try_infer_intermittent_replay),
     /// the fleet engine's run-deduplication fast path.
-    pub fn infer_intermittent_traced(
+    pub fn record_intermittent_with<P: ExecProbe>(
         &mut self,
         executor: &IntermittentExecutor,
         supply: &mut PowerSupply,
+        opts: RunOptions<'_, P>,
     ) -> (RunReport, RunTrace) {
-        executor.run_plan_traced(&self.plan, &mut self.board, supply)
+        executor.record_plan_with(&self.plan, &mut self.board, supply, opts)
     }
 
-    /// [`infer_intermittent_traced`](Self::infer_intermittent_traced)
-    /// with an [`ExecProbe`] observing the recording run. The report and
-    /// trace are bit-identical to the unprobed call.
-    pub fn infer_intermittent_traced_probed<P: ExecProbe>(
+    /// Reference-path twin of
+    /// [`infer_intermittent_with`](Self::infer_intermittent_with): runs
+    /// the session's program, at its plan's integrity scheme, through
+    /// the retained op-by-op interpreter instead of the compiled plan.
+    /// Slower by design; parity suites diff the two paths, which must
+    /// agree bit for bit.
+    pub fn infer_reference_with<P: ExecProbe>(
         &mut self,
         executor: &IntermittentExecutor,
         supply: &mut PowerSupply,
-        probe: &mut P,
-    ) -> (RunReport, RunTrace) {
-        executor.run_plan_traced_probed(&self.plan, &mut self.board, supply, probe)
-    }
-
-    /// [`infer_intermittent_with`](Self::infer_intermittent_with) under
-    /// a seeded [`FaultPlan`]: the executor injects spurious resets,
-    /// voltage sags, torn checkpoint commits and corrupt restores at the
-    /// plan's deterministic decision points, tallying them into
-    /// [`RunReport::faults`]. With [`FaultPlan::NONE`] the run is
-    /// bit-identical to the unfaulted call.
-    pub fn infer_intermittent_faulted(
-        &mut self,
-        executor: &IntermittentExecutor,
-        supply: &mut PowerSupply,
-        fault: &FaultPlan,
+        opts: RunOptions<'_, P>,
     ) -> RunReport {
-        executor.run_plan_faulted(&self.plan, &mut self.board, supply, fault)
-    }
-
-    /// [`infer_intermittent_faulted`](Self::infer_intermittent_faulted)
-    /// with an [`ExecProbe`] observing the run (fault injections emit
-    /// their own events).
-    pub fn infer_intermittent_faulted_probed<P: ExecProbe>(
-        &mut self,
-        executor: &IntermittentExecutor,
-        supply: &mut PowerSupply,
-        fault: &FaultPlan,
-        probe: &mut P,
-    ) -> RunReport {
-        executor.run_plan_faulted_probed(&self.plan, &mut self.board, supply, fault, probe)
-    }
-
-    /// [`infer_intermittent_faulted`](Self::infer_intermittent_faulted),
-    /// additionally recording the run as a [`RunTrace`]. Faulted runs
-    /// against deterministic supplies replay bit-identically, so the
-    /// fleet's trace-deduplication fast path works under fire too.
-    pub fn infer_intermittent_faulted_traced(
-        &mut self,
-        executor: &IntermittentExecutor,
-        supply: &mut PowerSupply,
-        fault: &FaultPlan,
-    ) -> (RunReport, RunTrace) {
-        executor.run_plan_faulted_traced(&self.plan, &mut self.board, supply, fault)
-    }
-
-    /// [`infer_intermittent_faulted_traced`](Self::infer_intermittent_faulted_traced)
-    /// with an [`ExecProbe`] observing the recording run.
-    pub fn infer_intermittent_faulted_traced_probed<P: ExecProbe>(
-        &mut self,
-        executor: &IntermittentExecutor,
-        supply: &mut PowerSupply,
-        fault: &FaultPlan,
-        probe: &mut P,
-    ) -> (RunReport, RunTrace) {
-        executor.run_plan_faulted_traced_probed(&self.plan, &mut self.board, supply, fault, probe)
+        let program = self.plan.program();
+        executor.run_reference(
+            program,
+            self.plan.integrity(),
+            &mut self.board,
+            supply,
+            opts,
+        )
     }
 
     /// Replays a [`RunTrace`] recorded from this session's plan under a
     /// deterministic supply and the same executor configuration: the
     /// board's meter and clock advance exactly as a live run would, and
     /// the returned report is bit-identical to one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace was recorded from a differently shaped plan;
-    /// [`try_infer_intermittent_replay`](Self::try_infer_intermittent_replay)
-    /// returns that as an error instead.
-    pub fn infer_intermittent_replay(
-        &mut self,
-        executor: &IntermittentExecutor,
-        trace: &RunTrace,
-    ) -> RunReport {
-        self.try_infer_intermittent_replay(executor, trace)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`infer_intermittent_replay`](Self::infer_intermittent_replay)
-    /// without the panic.
     ///
     /// # Errors
     ///
@@ -297,67 +228,57 @@ impl<'d> DeviceSession<'d> {
         Ok(executor.try_replay_trace(&self.plan, trace, &mut self.board)?)
     }
 
-    /// Reference-path twin of
-    /// [`infer_intermittent_with`](Self::infer_intermittent_with): runs
-    /// the session's program through the retained op-by-op interpreter
-    /// instead of the compiled plan. Slower by design; parity suites
-    /// diff the two paths, which must agree bit for bit.
-    pub fn infer_intermittent_reference(
-        &mut self,
-        executor: &IntermittentExecutor,
-        supply: &mut PowerSupply,
-    ) -> RunReport {
-        executor.run_unplanned(self.plan.program(), &mut self.board, supply)
-    }
-
-    /// [`infer_intermittent_reference`](Self::infer_intermittent_reference)
-    /// with an [`ExecProbe`] observing the op-by-op interpreter run.
-    pub fn infer_intermittent_reference_probed<P: ExecProbe>(
-        &mut self,
-        executor: &IntermittentExecutor,
-        supply: &mut PowerSupply,
-        probe: &mut P,
-    ) -> RunReport {
-        executor.run_unplanned_probed(self.plan.program(), &mut self.board, supply, probe)
-    }
-
-    /// Reference-path twin of
-    /// [`infer_intermittent_faulted`](Self::infer_intermittent_faulted):
-    /// the op-by-op interpreter under the same seeded [`FaultPlan`].
-    /// Parity suites diff the two faulted paths, which must agree bit
-    /// for bit.
-    pub fn infer_intermittent_faulted_reference(
+    /// [`infer_intermittent_with`](Self::infer_intermittent_with) under
+    /// `fault` alone.
+    pub fn infer_intermittent_faulted(
         &mut self,
         executor: &IntermittentExecutor,
         supply: &mut PowerSupply,
         fault: &FaultPlan,
     ) -> RunReport {
-        executor.run_unplanned_faulted_integrity(
-            self.plan.program(),
-            &mut self.board,
-            supply,
-            fault,
-            self.plan.integrity(),
-        )
+        self.infer_intermittent_with(executor, supply, RunOptions::default().fault(fault))
     }
 
-    /// [`infer_intermittent_faulted_reference`](Self::infer_intermittent_faulted_reference)
-    /// with an [`ExecProbe`] observing the run.
-    pub fn infer_intermittent_faulted_reference_probed<P: ExecProbe>(
+    /// [`infer_intermittent_with`](Self::infer_intermittent_with) under
+    /// `fault`, observed by `probe`.
+    pub fn infer_intermittent_faulted_probed<P: ExecProbe>(
         &mut self,
         executor: &IntermittentExecutor,
         supply: &mut PowerSupply,
         fault: &FaultPlan,
         probe: &mut P,
     ) -> RunReport {
-        executor.run_unplanned_faulted_integrity_probed(
-            self.plan.program(),
-            &mut self.board,
+        self.infer_intermittent_with(
+            executor,
             supply,
-            fault,
-            self.plan.integrity(),
-            probe,
+            RunOptions::default().fault(fault).probe(probe),
         )
+    }
+
+    /// [`record_intermittent_with`](Self::record_intermittent_with)
+    /// under `fault` alone.
+    pub fn infer_intermittent_faulted_traced(
+        &mut self,
+        executor: &IntermittentExecutor,
+        supply: &mut PowerSupply,
+        fault: &FaultPlan,
+    ) -> (RunReport, RunTrace) {
+        self.record_intermittent_with(executor, supply, RunOptions::default().fault(fault))
+    }
+
+    /// [`try_infer_intermittent_replay`](Self::try_infer_intermittent_replay)
+    /// for a trace known to come from this session's plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace was recorded from a differently shaped plan.
+    pub fn infer_intermittent_replay(
+        &mut self,
+        executor: &IntermittentExecutor,
+        trace: &RunTrace,
+    ) -> RunReport {
+        self.try_infer_intermittent_replay(executor, trace)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Quantized-model accuracy over a dataset (Table II "Accuracy"
@@ -512,7 +433,12 @@ mod tests {
         );
         let tiny_plan = ehdl_ehsim::ExecutionPlan::compile(tiny, &d.board_spec().board());
         let mut board = d.board_spec().board();
-        let (_, foreign) = exec.run_plan_traced(&tiny_plan, &mut board, &mut supply.clone());
+        let (_, foreign) = exec.record_plan_with(
+            &tiny_plan,
+            &mut board,
+            &mut supply.clone(),
+            RunOptions::default(),
+        );
         let before = replayer.board().meter().clone();
         let err = replayer
             .try_infer_intermittent_replay(&exec, &foreign)
@@ -552,8 +478,8 @@ mod tests {
         let mut reference = d.session();
         let mut sa = supply.clone();
         let mut sb = supply;
-        let a = planned.infer_intermittent_with(&exec, &mut sa);
-        let b = reference.infer_intermittent_reference(&exec, &mut sb);
+        let a = planned.infer_intermittent_with(&exec, &mut sa, RunOptions::default());
+        let b = reference.infer_reference_with(&exec, &mut sb, RunOptions::default());
         assert_eq!(a, b);
     }
 

@@ -233,14 +233,13 @@ pub struct RunReport {
     pub checkpoint_energy: Energy,
     /// Full per-component breakdown.
     pub meter: EnergyMeter,
-    /// Injected-fault accounting — all zeros unless the run was driven
-    /// through a faulted entry point with an enabled
-    /// [`FaultPlan`](crate::FaultPlan).
+    /// Injected-fault accounting — all zeros unless the run drew from an
+    /// enabled [`FaultPlan`](crate::FaultPlan) (see [`RunOptions`]).
     pub faults: FaultTally,
     /// Checkpoint payload integrity accounting (bit flips, repairs,
-    /// recovery-ladder depths) — all zeros unless the run was driven
-    /// through a faulted entry point with bit-flips armed or a
-    /// non-`None` [`Integrity`] scheme.
+    /// recovery-ladder depths) — all zeros unless the run drew from a
+    /// fault plan with bit-flips armed or ran a non-`None` [`Integrity`]
+    /// scheme.
     pub integrity: IntegrityTally,
 }
 
@@ -279,6 +278,58 @@ impl fmt::Display for RunReport {
             self.charging_seconds * 1e3,
             self.energy
         )
+    }
+}
+
+/// The optional inputs of one intermittent run: the [`FaultPlan`] the
+/// executor draws from and the [`ExecProbe`] observing it.
+///
+/// [`RunOptions::default`] is the plain run — [`FaultPlan::NONE`] and
+/// [`NullProbe`], which monomorphizes to the unprobed loop. The probe is
+/// held by value; pass it as `&mut probe` to read it after the run:
+/// `RunOptions::default().fault(&storm).probe(&mut ring)`.
+#[derive(Debug, Clone, Copy)]
+pub struct RunOptions<'a, P: ExecProbe = NullProbe> {
+    fault: &'a FaultPlan,
+    probe: P,
+}
+
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        RunOptions {
+            fault: &FaultPlan::NONE,
+            probe: NullProbe,
+        }
+    }
+}
+
+impl<'a, P: ExecProbe> RunOptions<'a, P> {
+    /// Runs under `fault`: the executor consults its seeded decision
+    /// stream at every op attempt (spurious reset / voltage sag), every
+    /// successful commit (torn write, payload bit flips) and every
+    /// restore (slot corruption), tallying injections into
+    /// [`RunReport::faults`] and [`RunReport::integrity`] and emitting
+    /// [`ExecEvent::FaultInjected`] / [`ExecEvent::CorruptionDetected`].
+    /// With [`FaultPlan::NONE`] the run is bit-identical to the unfaulted
+    /// one.
+    pub fn fault<'b>(self, fault: &'b FaultPlan) -> RunOptions<'b, P> {
+        RunOptions {
+            fault,
+            probe: self.probe,
+        }
+    }
+
+    /// Attaches `probe`: it receives sim-time-stamped [`ExecEvent`]s
+    /// (boots, brown-outs, commits, dark skips, run end) and — if it is
+    /// [`TIMED`](ExecProbe::TIMED) — wall-clock spans for the charge
+    /// solver and checkpoint/restore phases. Probes observe only: the
+    /// report, board and supply are bit-identical whatever the probe
+    /// does.
+    pub fn probe<Q: ExecProbe>(self, probe: Q) -> RunOptions<'a, Q> {
+        RunOptions {
+            fault: self.fault,
+            probe,
+        }
     }
 }
 
@@ -355,40 +406,18 @@ impl IntermittentExecutor {
         self.run_plan(&plan, board, supply)
     }
 
-    /// Replays a compiled [`ExecutionPlan`] on `board` powered by
-    /// `supply`.
-    ///
-    /// The inner loop touches only the plan's flat cost arrays and the
-    /// capacitor: no cost-table lookups, no `DeviceOp` dispatch, and runs
-    /// of non-commit, non-ondemand ops execute in a coalesced segment
-    /// loop with no per-op flag checks. Results are bit-identical to
-    /// [`run_unplanned`](Self::run_unplanned) on the same inputs.
-    ///
-    /// The plan must have been compiled against a board with the same
-    /// cost table as `board` (checked against the clock in debug builds).
+    /// [`run_plan_with`](Self::run_plan_with) under the default
+    /// [`RunOptions`]: no faults, no probe.
     pub fn run_plan(
         &self,
         plan: &ExecutionPlan,
         board: &mut Board,
         supply: &mut PowerSupply,
     ) -> RunReport {
-        self.run_plan_inner(
-            plan,
-            board,
-            supply,
-            &mut NoTrace,
-            &mut NullProbe,
-            &FaultPlan::NONE,
-        )
+        self.run_plan_with(plan, board, supply, RunOptions::default())
     }
 
-    /// [`run_plan`](Self::run_plan) under a seeded [`FaultPlan`]: the
-    /// executor consults the plan's SplitMix64 decision stream at every
-    /// op attempt (spurious reset / voltage sag), every successful
-    /// on-demand commit (torn write) and every restore (slot
-    /// corruption), tallying injections into
-    /// [`RunReport::faults`]. With [`FaultPlan::NONE`] this is
-    /// bit-identical to [`run_plan`](Self::run_plan).
+    /// [`run_plan_with`](Self::run_plan_with) under `fault` alone.
     pub fn run_plan_faulted(
         &self,
         plan: &ExecutionPlan,
@@ -396,120 +425,55 @@ impl IntermittentExecutor {
         supply: &mut PowerSupply,
         fault: &FaultPlan,
     ) -> RunReport {
-        self.run_plan_inner(plan, board, supply, &mut NoTrace, &mut NullProbe, fault)
+        self.run_plan_with(plan, board, supply, RunOptions::default().fault(fault))
     }
 
-    /// [`run_plan_faulted`](Self::run_plan_faulted) with an
-    /// [`ExecProbe`] observing the run — injected faults additionally
-    /// emit [`ExecEvent::FaultInjected`] /
-    /// [`ExecEvent::CorruptionDetected`] events.
-    pub fn run_plan_faulted_probed<P: ExecProbe>(
-        &self,
-        plan: &ExecutionPlan,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        fault: &FaultPlan,
-        probe: &mut P,
-    ) -> RunReport {
-        self.run_plan_inner(plan, board, supply, &mut NoTrace, probe, fault)
-    }
-
-    /// [`run_plan`](Self::run_plan) with an [`ExecProbe`] observing the
-    /// run: the probe receives sim-time-stamped [`ExecEvent`]s (boots,
-    /// brown-outs, commits, dark skips, run end) and — if it is
-    /// [`TIMED`](ExecProbe::TIMED) — wall-clock spans for the charge
-    /// solver and checkpoint/restore phases.
+    /// Replays a compiled [`ExecutionPlan`] on `board` powered by
+    /// `supply`, under `opts`' fault plan and probe.
     ///
-    /// Probes observe only: the report (and the board/supply state) is
-    /// bit-identical to [`run_plan`](Self::run_plan) whatever the probe
-    /// does. With [`NullProbe`](crate::NullProbe) this monomorphizes to
-    /// exactly the unprobed loop.
-    pub fn run_plan_probed<P: ExecProbe>(
+    /// The inner loop touches only the plan's flat cost arrays and the
+    /// capacitor: no cost-table lookups, no `DeviceOp` dispatch, and runs
+    /// of non-commit, non-ondemand ops execute in a coalesced segment
+    /// loop with no per-op flag checks. Results are bit-identical to
+    /// [`run_reference`](Self::run_reference) on the same inputs.
+    ///
+    /// The plan must have been compiled against a board with the same
+    /// cost table as `board` (checked against the clock in debug builds).
+    pub fn run_plan_with<P: ExecProbe>(
         &self,
         plan: &ExecutionPlan,
         board: &mut Board,
         supply: &mut PowerSupply,
-        probe: &mut P,
+        opts: RunOptions<'_, P>,
     ) -> RunReport {
-        self.run_plan_inner(plan, board, supply, &mut NoTrace, probe, &FaultPlan::NONE)
+        self.run_plan_inner(plan, board, supply, &mut NoTrace, opts)
     }
 
-    /// [`run_plan`](Self::run_plan), additionally recording the ordered
-    /// sequence of applied costs as a [`RunTrace`].
+    /// [`run_plan_with`](Self::run_plan_with), additionally recording the
+    /// ordered sequence of applied costs as a [`RunTrace`]. The report is
+    /// bit-identical to the unrecorded run's.
     ///
     /// Against a *deterministic* supply (any harvester whose output is a
     /// pure function of time — everything except a re-seeded burst
-    /// source), a run is a pure function of (plan, supply): replaying
-    /// the trace with [`replay_trace`](Self::replay_trace) reproduces
-    /// the run bit for bit at a fraction of the cost. Fleet sweeps use
-    /// this to execute each (plan, environment) trajectory once and
-    /// replay it across every seed, run and worker.
-    pub fn run_plan_traced(
+    /// source), a run is a pure function of (plan, supply, fault seed):
+    /// every fault effect either applies an op's *nominal* board cost
+    /// through the trace or applies no cost at all, so
+    /// [`try_replay_trace`](Self::try_replay_trace) reproduces the run bit
+    /// for bit at a fraction of the cost. Fleet sweeps use this to
+    /// execute each (plan, environment) trajectory once and replay it
+    /// across every seed, run and worker.
+    pub fn record_plan_with<P: ExecProbe>(
         &self,
         plan: &ExecutionPlan,
         board: &mut Board,
         supply: &mut PowerSupply,
-    ) -> (RunReport, RunTrace) {
-        self.run_plan_traced_inner(plan, board, supply, &mut NullProbe, &FaultPlan::NONE)
-    }
-
-    /// [`run_plan_traced`](Self::run_plan_traced) with an [`ExecProbe`]
-    /// observing the recording run (see
-    /// [`run_plan_probed`](Self::run_plan_probed)). The recorded trace
-    /// and report are bit-identical to the unprobed call.
-    pub fn run_plan_traced_probed<P: ExecProbe>(
-        &self,
-        plan: &ExecutionPlan,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        probe: &mut P,
-    ) -> (RunReport, RunTrace) {
-        self.run_plan_traced_inner(plan, board, supply, probe, &FaultPlan::NONE)
-    }
-
-    /// [`run_plan_traced`](Self::run_plan_traced) under a seeded
-    /// [`FaultPlan`]. A faulted run is still a pure function of
-    /// (plan, supply, fault seed) against a deterministic supply: every
-    /// fault effect either applies an op's *nominal* board cost through
-    /// the step sink or applies no cost at all, so replaying the trace
-    /// reproduces the faulted run bit for bit (the template report
-    /// carries the fault tally).
-    pub fn run_plan_faulted_traced(
-        &self,
-        plan: &ExecutionPlan,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        fault: &FaultPlan,
-    ) -> (RunReport, RunTrace) {
-        self.run_plan_traced_inner(plan, board, supply, &mut NullProbe, fault)
-    }
-
-    /// [`run_plan_faulted_traced`](Self::run_plan_faulted_traced) with an
-    /// [`ExecProbe`] observing the recording run.
-    pub fn run_plan_faulted_traced_probed<P: ExecProbe>(
-        &self,
-        plan: &ExecutionPlan,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        fault: &FaultPlan,
-        probe: &mut P,
-    ) -> (RunReport, RunTrace) {
-        self.run_plan_traced_inner(plan, board, supply, probe, fault)
-    }
-
-    fn run_plan_traced_inner<P: ExecProbe>(
-        &self,
-        plan: &ExecutionPlan,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        probe: &mut P,
-        fault: &FaultPlan,
+        opts: RunOptions<'_, P>,
     ) -> (RunReport, RunTrace) {
         let mut recorder = TraceRecorder {
             steps: Vec::with_capacity(plan.len() + plan.len() / 8),
             op_count: plan.len() as u32,
         };
-        let report = self.run_plan_inner(plan, board, supply, &mut recorder, probe, fault);
+        let report = self.run_plan_inner(plan, board, supply, &mut recorder, opts);
         let trace = RunTrace {
             steps: recorder.steps,
             op_count: plan.len() as u32,
@@ -530,31 +494,12 @@ impl IntermittentExecutor {
     /// The capacitor dynamics are not re-simulated; the caller owns the
     /// supply and must treat it as consumed.
     ///
-    /// # Panics
-    ///
-    /// Panics if `trace` was recorded from a plan of a different shape
-    /// (op or checkpoint count mismatch) — decoding its steps against
-    /// this plan would silently meter garbage. Use
-    /// [`try_replay_trace`](Self::try_replay_trace) to get that as an
-    /// error instead.
-    pub fn replay_trace(
-        &self,
-        plan: &ExecutionPlan,
-        trace: &RunTrace,
-        board: &mut Board,
-    ) -> RunReport {
-        self.try_replay_trace(plan, trace, board)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`replay_trace`](Self::replay_trace) without the panic: a trace
-    /// recorded from a differently shaped plan is rejected before any
-    /// cost is applied, leaving `board` untouched.
-    ///
     /// # Errors
     ///
     /// Returns [`ReplayError`] on an op or checkpoint count mismatch
-    /// between the recording plan and `plan`.
+    /// between the recording plan and `plan` — decoding its steps against
+    /// this plan would silently meter garbage. The trace is rejected
+    /// before any cost is applied, leaving `board` untouched.
     pub fn try_replay_trace(
         &self,
         plan: &ExecutionPlan,
@@ -606,9 +551,10 @@ impl IntermittentExecutor {
         board: &mut Board,
         supply: &mut PowerSupply,
         sink: &mut S,
-        probe: &mut P,
-        fault: &FaultPlan,
+        opts: RunOptions<'_, P>,
     ) -> RunReport {
+        let RunOptions { fault, mut probe } = opts;
+        let probe = &mut probe;
         debug_assert_eq!(
             plan.clock_hz(),
             board.costs().clock_hz,
@@ -1041,127 +987,35 @@ impl IntermittentExecutor {
 
     /// Runs `program` op by op, pricing every op against the board as it
     /// goes — the original interpreter, retained as the reference
-    /// implementation that parity suites diff [`run_plan`](Self::run_plan)
-    /// against. Prefer [`run`](Self::run): same results, priced once.
-    pub fn run_unplanned(
+    /// implementation that parity suites diff
+    /// [`run_plan_with`](Self::run_plan_with) against. Prefer
+    /// [`run`](Self::run): same results, priced once.
+    ///
+    /// `scheme` is the checkpoint payload [`Integrity`] scheme the twin
+    /// plan was compiled with (see
+    /// [`compile_with_integrity`](ExecutionPlan::compile_with_integrity)):
+    /// checkpoints and restores pay its padded word counts and restores
+    /// walk the same recovery ladder. Both paths advance `opts`' fault
+    /// decision stream at the same logical points (one draw per op
+    /// attempt, per successful commit, per restore), so the two stay
+    /// bit-identical scheme by scheme and fault seed by fault seed.
+    ///
+    /// The probe sees the planned path's events except
+    /// [`SegmentRetired`](ExecEvent::SegmentRetired) (the interpreter has
+    /// no coalesced segments); the `slot` of a
+    /// [`CheckpointCommit`](ExecEvent::CheckpointCommit) is the program op
+    /// index the checkpoint fired ahead of, since the reference path has
+    /// no deduplicated checkpoint slots.
+    pub fn run_reference<P: ExecProbe>(
         &self,
         program: &Program,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-    ) -> RunReport {
-        self.run_unplanned_inner(
-            program,
-            board,
-            supply,
-            &mut NullProbe,
-            &FaultPlan::NONE,
-            Integrity::None,
-        )
-    }
-
-    /// [`run_unplanned`](Self::run_unplanned) under a seeded
-    /// [`FaultPlan`] — the reference-path twin of
-    /// [`run_plan_faulted`](Self::run_plan_faulted). Both paths advance
-    /// the same decision stream at the same logical points (one draw per
-    /// op attempt, per successful commit, per restore), so a faulted
-    /// planned run and its faulted reference run stay bit-identical.
-    pub fn run_unplanned_faulted(
-        &self,
-        program: &Program,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        fault: &FaultPlan,
-    ) -> RunReport {
-        self.run_unplanned_inner(
-            program,
-            board,
-            supply,
-            &mut NullProbe,
-            fault,
-            Integrity::None,
-        )
-    }
-
-    /// [`run_unplanned_faulted`](Self::run_unplanned_faulted) under a
-    /// checkpoint payload [`Integrity`] scheme — the reference-path twin
-    /// of [`run_plan_faulted`](Self::run_plan_faulted) on a plan
-    /// compiled with
-    /// [`compile_with_integrity`](ExecutionPlan::compile_with_integrity):
-    /// checkpoints and restores pay the scheme's padded word counts, and
-    /// restores walk the same recovery ladder, so the two paths stay
-    /// bit-identical scheme by scheme.
-    pub fn run_unplanned_faulted_integrity(
-        &self,
-        program: &Program,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        fault: &FaultPlan,
         scheme: Integrity,
-    ) -> RunReport {
-        self.run_unplanned_inner(program, board, supply, &mut NullProbe, fault, scheme)
-    }
-
-    /// [`run_unplanned_faulted_integrity`](Self::run_unplanned_faulted_integrity)
-    /// with an [`ExecProbe`] observing the run.
-    pub fn run_unplanned_faulted_integrity_probed<P: ExecProbe>(
-        &self,
-        program: &Program,
         board: &mut Board,
         supply: &mut PowerSupply,
-        fault: &FaultPlan,
-        scheme: Integrity,
-        probe: &mut P,
+        opts: RunOptions<'_, P>,
     ) -> RunReport {
-        self.run_unplanned_inner(program, board, supply, probe, fault, scheme)
-    }
-
-    /// [`run_unplanned_faulted`](Self::run_unplanned_faulted) with an
-    /// [`ExecProbe`] observing the run.
-    pub fn run_unplanned_faulted_probed<P: ExecProbe>(
-        &self,
-        program: &Program,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        fault: &FaultPlan,
-        probe: &mut P,
-    ) -> RunReport {
-        self.run_unplanned_inner(program, board, supply, probe, fault, Integrity::None)
-    }
-
-    /// [`run_unplanned`](Self::run_unplanned) with an [`ExecProbe`]
-    /// observing the run — the reference-path twin of
-    /// [`run_plan_probed`](Self::run_plan_probed), emitting the same
-    /// events except [`SegmentRetired`](ExecEvent::SegmentRetired) (the
-    /// op-by-op interpreter has no coalesced segments); the `slot` of a
-    /// [`CheckpointCommit`](ExecEvent::CheckpointCommit) is the program
-    /// op index the checkpoint fired ahead of, since the reference path
-    /// has no deduplicated checkpoint slots.
-    pub fn run_unplanned_probed<P: ExecProbe>(
-        &self,
-        program: &Program,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        probe: &mut P,
-    ) -> RunReport {
-        self.run_unplanned_inner(
-            program,
-            board,
-            supply,
-            probe,
-            &FaultPlan::NONE,
-            Integrity::None,
-        )
-    }
-
-    fn run_unplanned_inner<P: ExecProbe>(
-        &self,
-        program: &Program,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        probe: &mut P,
-        fault: &FaultPlan,
-        scheme: Integrity,
-    ) -> RunReport {
+        let RunOptions { fault, mut probe } = opts;
+        let probe = &mut probe;
         let clock = board.costs().clock_hz;
         let monitor = board.monitor();
         let ops = program.ops();
@@ -1512,7 +1366,7 @@ impl IntermittentExecutor {
     /// [`RunOutcome::TimeLimit`]).
     ///
     /// Shared verbatim by both executor paths so their float arithmetic
-    /// is identical and `run_plan` / `run_unplanned` stay bit-for-bit
+    /// is identical and `run_plan_with` / `run_reference` stay bit-for-bit
     /// in parity. Two modes (see [`ExecutorConfig::charge_step_s`]):
     ///
     /// * **analytic** (default): one closed-form solve — the capacitor
@@ -1574,8 +1428,8 @@ impl IntermittentExecutor {
 /// checkpoints, restores) plus the report it produced — everything
 /// needed to replay a *deterministic* run bit-identically without
 /// re-simulating the capacitor. Produced by
-/// [`IntermittentExecutor::run_plan_traced`], consumed by
-/// [`IntermittentExecutor::replay_trace`].
+/// [`IntermittentExecutor::record_plan_with`], consumed by
+/// [`IntermittentExecutor::try_replay_trace`].
 ///
 /// Steps are encoded against the plan the trace was recorded from:
 /// `0..len` are plan op indices, `len` is a restore, and `len + 1 + k`
@@ -1930,7 +1784,13 @@ mod tests {
             let mut supply_a = supply.clone();
             let mut supply_b = supply;
             let planned = exec.run(&p, &mut board_a, &mut supply_a);
-            let reference = exec.run_unplanned(&p, &mut board_b, &mut supply_b);
+            let reference = exec.run_reference(
+                &p,
+                Integrity::None,
+                &mut board_b,
+                &mut supply_b,
+                RunOptions::default(),
+            );
             assert_eq!(planned, reference);
             assert_eq!(board_a.meter(), board_b.meter());
             assert_eq!(board_a.elapsed_cycles(), board_b.elapsed_cycles());
@@ -1949,7 +1809,13 @@ mod tests {
             let mut sa = weak_supply();
             let mut sb = weak_supply();
             let planned = exec.run(&p, &mut board_a, &mut sa);
-            let reference = exec.run_unplanned(&p, &mut board_b, &mut sb);
+            let reference = exec.run_reference(
+                &p,
+                Integrity::None,
+                &mut board_b,
+                &mut sb,
+                RunOptions::default(),
+            );
             assert_eq!(planned, reference);
         }
     }
@@ -1974,7 +1840,12 @@ mod tests {
 
         let mut recording_board = Board::msp430fr5994();
         let mut supply = weak_supply();
-        let (recorded, trace) = exec.run_plan_traced(&plan, &mut recording_board, &mut supply);
+        let (recorded, trace) = exec.record_plan_with(
+            &plan,
+            &mut recording_board,
+            &mut supply,
+            RunOptions::default(),
+        );
         assert_eq!(&recorded, trace.report());
         assert!(recorded.outages > 0, "want outage coverage in the trace");
 
@@ -1983,111 +1854,15 @@ mod tests {
         for _ in 0..3 {
             let mut live_supply = weak_supply();
             let live = exec.run_plan(&plan, &mut live_board, &mut live_supply);
-            let replayed = exec.replay_trace(&plan, &trace, &mut replay_board);
-            assert_eq!(live, replayed);
+            let replayed = exec.try_replay_trace(&plan, &trace, &mut replay_board);
+            assert_eq!(Ok(live), replayed);
         }
         assert_eq!(live_board.meter(), replay_board.meter());
         assert_eq!(live_board.elapsed_cycles(), replay_board.elapsed_cycles());
     }
 
     #[test]
-    fn tracing_does_not_change_the_run() {
-        let p = cpu_heavy_program(400, 10_000, CheckpointSpec::COMMIT);
-        let board = Board::msp430fr5994();
-        let plan = ExecutionPlan::compile(p.clone(), &board);
-        let exec = IntermittentExecutor::default();
-        let mut board_a = Board::msp430fr5994();
-        let mut supply_a = weak_supply();
-        let plain = exec.run_plan(&plan, &mut board_a, &mut supply_a);
-        let mut board_b = Board::msp430fr5994();
-        let mut supply_b = weak_supply();
-        let (traced, trace) = exec.run_plan_traced(&plan, &mut board_b, &mut supply_b);
-        assert_eq!(plain, traced);
-        // Every executed op, checkpoint and restore left a step.
-        assert_eq!(
-            trace.len() as u64,
-            traced.executed_ops + traced.restores,
-            "commit-only program: steps = ops + restores"
-        );
-        assert!(!trace.is_empty());
-    }
-
-    #[test]
-    fn probes_observe_without_changing_either_path() {
-        use crate::probe::EventRing;
-
-        // Mixed commit/ondemand/plain program on a weak supply: plenty
-        // of brown-outs, dark skips, boots and on-demand commits.
-        let mut p = Program::new("mixed");
-        for k in 0..600usize {
-            let spec = match k % 5 {
-                0 => CheckpointSpec::COMMIT,
-                1 => CheckpointSpec::ondemand(32),
-                _ => CheckpointSpec::NONE,
-            };
-            p.push(DeviceOp::CpuOps { count: 9_000 }, spec);
-        }
-        let board = Board::msp430fr5994();
-        let plan = ExecutionPlan::compile(p.clone(), &board);
-        let exec = IntermittentExecutor::default();
-
-        let mut plain_board = Board::msp430fr5994();
-        let mut plain_supply = weak_supply();
-        let plain = exec.run_plan(&plan, &mut plain_board, &mut plain_supply);
-
-        let mut probed_board = Board::msp430fr5994();
-        let mut probed_supply = weak_supply();
-        let mut ring = EventRing::new(1 << 16);
-        let probed = exec.run_plan_probed(&plan, &mut probed_board, &mut probed_supply, &mut ring);
-        assert_eq!(plain, probed, "probe must not perturb the run");
-        assert_eq!(plain_board.meter(), probed_board.meter());
-
-        // Event-stream sanity against the report's own counters.
-        let count = |label: &str| ring.events().filter(|e| e.label() == label).count() as u64;
-        assert_eq!(count("brown_out"), probed.outages);
-        assert_eq!(count("boot"), probed.restores);
-        assert_eq!(count("dark_skip"), probed.restores);
-        assert_eq!(count("checkpoint_commit"), probed.ondemand_checkpoints);
-        assert_eq!(count("run_end"), 1);
-        assert!(probed.outages > 0, "want outage coverage");
-        let last = ring.events().last().copied().unwrap();
-        assert_eq!(
-            last,
-            ExecEvent::RunEnd {
-                t: probed.wall_seconds,
-                outcome: probed.outcome
-            }
-        );
-        // Dark skips carry the solved deficit and a positive duration.
-        assert!(ring.events().all(|e| match *e {
-            ExecEvent::DarkSkip { t0, t1, joules } => t1 > t0 && joules > 0.0,
-            _ => true,
-        }));
-
-        // The reference interpreter under the same probe agrees bit for
-        // bit and emits the same outage/boot/commit stream (it has no
-        // segments to retire).
-        let mut ref_board = Board::msp430fr5994();
-        let mut ref_supply = weak_supply();
-        let mut ref_ring = EventRing::new(1 << 16);
-        let reference =
-            exec.run_unplanned_probed(&p, &mut ref_board, &mut ref_supply, &mut ref_ring);
-        assert_eq!(plain, reference);
-        let ref_count =
-            |label: &str| ref_ring.events().filter(|e| e.label() == label).count() as u64;
-        assert_eq!(ref_count("brown_out"), probed.outages);
-        assert_eq!(ref_count("boot"), probed.restores);
-        assert_eq!(ref_count("checkpoint_commit"), probed.ondemand_checkpoints);
-        assert_eq!(ref_count("segment_retired"), 0);
-
-        // Exports render every retained event.
-        assert_eq!(ring.to_jsonl().lines().count(), ring.len());
-        assert!(ring.to_chrome_trace().contains("\"traceEvents\""));
-    }
-
-    #[test]
-    #[should_panic(expected = "differently shaped plan")]
-    fn replaying_a_trace_against_the_wrong_plan_panics() {
+    fn try_replay_rejects_a_mismatched_plan() {
         let board = Board::msp430fr5994();
         let recorded_plan =
             ExecutionPlan::compile(cpu_heavy_program(50, 1_000, CheckpointSpec::COMMIT), &board);
@@ -2096,21 +1871,8 @@ mod tests {
         let exec = IntermittentExecutor::default();
         let mut b = Board::msp430fr5994();
         let mut supply = bench_supply();
-        let (_, trace) = exec.run_plan_traced(&recorded_plan, &mut b, &mut supply);
-        let _ = exec.replay_trace(&other_plan, &trace, &mut b);
-    }
-
-    #[test]
-    fn try_replay_rejects_a_mismatched_plan_and_matches_replay_otherwise() {
-        let board = Board::msp430fr5994();
-        let recorded_plan =
-            ExecutionPlan::compile(cpu_heavy_program(50, 1_000, CheckpointSpec::COMMIT), &board);
-        let other_plan =
-            ExecutionPlan::compile(cpu_heavy_program(60, 1_000, CheckpointSpec::COMMIT), &board);
-        let exec = IntermittentExecutor::default();
-        let mut b = Board::msp430fr5994();
-        let mut supply = bench_supply();
-        let (_, trace) = exec.run_plan_traced(&recorded_plan, &mut b, &mut supply);
+        let (_, trace) =
+            exec.record_plan_with(&recorded_plan, &mut b, &mut supply, RunOptions::default());
 
         let before = b.meter().clone();
         let err = exec
@@ -2121,16 +1883,6 @@ mod tests {
         assert!(err.to_string().contains("differently shaped plan"), "{err}");
         // Rejected before any cost was applied.
         assert_eq!(*b.meter(), before);
-
-        // A matching plan replays exactly what the panicking entry does.
-        let mut b1 = b.clone();
-        let mut b2 = b.clone();
-        let tried = exec
-            .try_replay_trace(&recorded_plan, &trace, &mut b1)
-            .unwrap();
-        let replayed = exec.replay_trace(&recorded_plan, &trace, &mut b2);
-        assert_eq!(tried, replayed);
-        assert_eq!(b1.meter(), b2.meter());
     }
 
     #[test]
@@ -2218,7 +1970,13 @@ mod tests {
                 let mut supply_a = supply.clone();
                 let mut supply_b = supply.clone();
                 let planned = exec.run(&p, &mut board_a, &mut supply_a);
-                let reference = exec.run_unplanned(&p, &mut board_b, &mut supply_b);
+                let reference = exec.run_reference(
+                    &p,
+                    Integrity::None,
+                    &mut board_b,
+                    &mut supply_b,
+                    RunOptions::default(),
+                );
                 assert_eq!(planned, reference, "budget {budget}");
                 assert_eq!(board_a.meter(), board_b.meter());
             }
@@ -2236,11 +1994,12 @@ mod tests {
         });
         let mut record_board = Board::msp430fr5994();
         let mut supply = weak_supply();
-        let (recorded, trace) = exec.run_plan_traced(&plan, &mut record_board, &mut supply);
+        let (recorded, trace) =
+            exec.record_plan_with(&plan, &mut record_board, &mut supply, RunOptions::default());
         assert_eq!(recorded.outcome, RunOutcome::EnergyLimit);
         let mut replay_board = Board::msp430fr5994();
-        let replayed = exec.replay_trace(&plan, &trace, &mut replay_board);
-        assert_eq!(recorded, replayed);
+        let replayed = exec.try_replay_trace(&plan, &trace, &mut replay_board);
+        assert_eq!(Ok(recorded), replayed);
         assert_eq!(record_board.meter(), replay_board.meter());
     }
 
@@ -2299,7 +2058,13 @@ mod tests {
         let mut sa = weak_supply();
         let mut sb = weak_supply();
         let planned = exec.run(&p, &mut board_a, &mut sa);
-        let reference = exec.run_unplanned(&p, &mut board_b, &mut sb);
+        let reference = exec.run_reference(
+            &p,
+            Integrity::None,
+            &mut board_b,
+            &mut sb,
+            RunOptions::default(),
+        );
         assert_eq!(planned, reference);
         assert_eq!(board_a.meter(), board_b.meter());
     }
@@ -2331,7 +2096,13 @@ mod tests {
             // The reference interpreter clamps identically.
             let mut board_b = Board::msp430fr5994();
             let mut supply_b = PowerSupply::new(Harvester::constant(0.0), Capacitor::paper_100uf());
-            let reference = exec.run_unplanned(&p, &mut board_b, &mut supply_b);
+            let reference = exec.run_reference(
+                &p,
+                Integrity::None,
+                &mut board_b,
+                &mut supply_b,
+                RunOptions::default(),
+            );
             assert_eq!(r, reference, "{charge_step_s:?}");
         }
     }
@@ -2446,7 +2217,13 @@ mod tests {
                 let mut sa = supply.clone();
                 let mut sb = supply.clone();
                 let planned = exec.run_plan_faulted(&plan, &mut board_a, &mut sa, &fault);
-                let reference = exec.run_unplanned_faulted(&p, &mut board_b, &mut sb, &fault);
+                let reference = exec.run_reference(
+                    &p,
+                    Integrity::None,
+                    &mut board_b,
+                    &mut sb,
+                    RunOptions::default().fault(&fault),
+                );
                 assert_eq!(planned, reference, "seed {seed}");
                 assert_eq!(board_a.meter(), board_b.meter());
                 saw_faults |= planned.faults.injected() > 0;
@@ -2464,12 +2241,7 @@ mod tests {
         let mut board_a = Board::msp430fr5994();
         let mut sa = weak_supply();
         let plain = exec.run_plan(&plan, &mut board_a, &mut sa);
-        let mut board_b = Board::msp430fr5994();
-        let mut sb = weak_supply();
-        let faulted = exec.run_plan_faulted(&plan, &mut board_b, &mut sb, &FaultPlan::NONE);
-        assert_eq!(plain, faulted);
-        assert!(faulted.faults.is_clean());
-        // An all-zero spec compiles to the disabled plan, too.
+        // An all-zero spec compiles to the disabled plan.
         let mut board_c = Board::msp430fr5994();
         let mut sc = weak_supply();
         let none = exec.run_plan_faulted(
@@ -2500,76 +2272,141 @@ mod tests {
         assert!(armed.faults.is_clean());
     }
 
-    #[test]
-    fn faulted_traces_replay_bit_identically() {
-        // Every fault effect either applies a nominal board cost through
-        // the step sink or applies none, so a faulted run against a
-        // deterministic supply replays exactly — tally included.
-        let p = mixed_program(600);
-        let board = Board::msp430fr5994();
-        let plan = ExecutionPlan::compile(p, &board);
-        let exec = IntermittentExecutor::default();
-        let fault = FaultPlan::compile(&noisy_fault_spec(99));
-        let mut record_board = Board::msp430fr5994();
+    /// The entry point one row of the options parity table drives.
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Live,
+        RecordThenReplay,
+        Reference,
+    }
+
+    /// Runs `p` down `path` on a fresh board and weak supply. A recorded
+    /// run is also replayed onto a second fresh board; every (report,
+    /// board) pair the row produced is returned.
+    fn parity_row<P: ExecProbe>(
+        exec: &IntermittentExecutor,
+        p: &Program,
+        plan: &ExecutionPlan,
+        path: Path,
+        opts: RunOptions<'_, P>,
+    ) -> Vec<(RunReport, Board)> {
+        let mut board = Board::msp430fr5994();
         let mut supply = weak_supply();
-        let (recorded, trace) =
-            exec.run_plan_faulted_traced(&plan, &mut record_board, &mut supply, &fault);
-        assert!(recorded.faults.injected() > 0, "want fault coverage");
-        let mut replay_board = Board::msp430fr5994();
-        let replayed = exec.replay_trace(&plan, &trace, &mut replay_board);
-        assert_eq!(recorded, replayed);
-        assert_eq!(record_board.meter(), replay_board.meter());
+        match path {
+            Path::Live => {
+                let r = exec.run_plan_with(plan, &mut board, &mut supply, opts);
+                vec![(r, board)]
+            }
+            Path::Reference => {
+                let r = exec.run_reference(p, Integrity::None, &mut board, &mut supply, opts);
+                vec![(r, board)]
+            }
+            Path::RecordThenReplay => {
+                let (r, trace) = exec.record_plan_with(plan, &mut board, &mut supply, opts);
+                assert_eq!(&r, trace.report());
+                // Every executed op and checkpoint, and every restore,
+                // left exactly one step.
+                assert_eq!(trace.len() as u64, r.executed_ops + r.restores);
+                let mut replay_board = Board::msp430fr5994();
+                let replayed = exec
+                    .try_replay_trace(plan, &trace, &mut replay_board)
+                    .expect("trace recorded from this plan");
+                vec![(r, board), (replayed, replay_board)]
+            }
+        }
     }
 
     #[test]
-    fn fault_probe_events_match_the_tally() {
+    fn run_options_parity_across_probe_fault_and_trace() {
         use crate::probe::EventRing;
+
+        // Mixed commit/ondemand/plain program on a weak supply: plenty
+        // of brown-outs, dark skips, boots and on-demand commits. Every
+        // {probe} x {fault plan} x {live, record then replay, reference}
+        // combination must reproduce the plain planned run's report and
+        // board meter bit for bit.
         let p = mixed_program(800);
-        let board = Board::msp430fr5994();
-        let plan = ExecutionPlan::compile(p.clone(), &board);
+        let plan = ExecutionPlan::compile(p.clone(), &Board::msp430fr5994());
         let exec = IntermittentExecutor::default();
-        let fault = FaultPlan::compile(&noisy_fault_spec(5));
+        let storm = FaultPlan::compile(&noisy_fault_spec(5));
+        for fault in [&FaultPlan::NONE, &storm] {
+            let mut base_board = Board::msp430fr5994();
+            let base = exec.run_plan_faulted(&plan, &mut base_board, &mut weak_supply(), fault);
+            assert!(base.outages > 0, "want outage coverage");
+            assert_eq!(
+                fault.enabled(),
+                base.faults.injected() > 0,
+                "fault coverage"
+            );
+            for path in [Path::Live, Path::RecordThenReplay, Path::Reference] {
+                let opts = RunOptions::default().fault(fault);
+                let mut ring = EventRing::new(1 << 16);
+                let plain = parity_row(&exec, &p, &plan, path, opts);
+                let probed = parity_row(&exec, &p, &plan, path, opts.probe(&mut ring));
+                for (r, board) in plain.iter().chain(&probed) {
+                    assert_eq!(*r, base, "{path:?} faulted={}", fault.enabled());
+                    assert_eq!(board.meter(), base_board.meter(), "{path:?}");
+                    assert_eq!(board.elapsed_cycles(), base_board.elapsed_cycles());
+                }
+                assert_probe_stream(&ring, &base, fault.enabled(), path);
+            }
+        }
+    }
 
-        let mut plain_board = Board::msp430fr5994();
-        let mut plain_supply = weak_supply();
-        let plain = exec.run_plan_faulted(&plan, &mut plain_board, &mut plain_supply, &fault);
-
-        let mut probed_board = Board::msp430fr5994();
-        let mut probed_supply = weak_supply();
-        let mut ring = EventRing::new(1 << 16);
-        let probed = exec.run_plan_faulted_probed(
-            &plan,
-            &mut probed_board,
-            &mut probed_supply,
-            &fault,
-            &mut ring,
-        );
-        assert_eq!(plain, probed, "probe must not perturb a faulted run");
-        assert!(probed.faults.injected() > 0, "want fault coverage");
-
-        let kind_count = |kind: FaultKind| {
-            ring.events()
-                .filter(|e| matches!(e, ExecEvent::FaultInjected { kind: k, .. } if *k == kind))
-                .count() as u64
-        };
+    /// Checks one probed parity row's event stream against its report.
+    fn assert_probe_stream(
+        ring: &crate::probe::EventRing,
+        r: &RunReport,
+        faulted: bool,
+        path: Path,
+    ) {
+        let count = |label: &str| ring.events().filter(|e| e.label() == label).count() as u64;
         assert_eq!(
-            kind_count(FaultKind::SpuriousReset),
-            probed.faults.spurious_resets
+            count("checkpoint_commit"),
+            r.ondemand_checkpoints,
+            "{path:?}"
         );
+        assert_eq!(count("run_end"), 1);
+        let last = ring.events().last().copied().unwrap();
         assert_eq!(
-            kind_count(FaultKind::TornCommit),
-            probed.faults.torn_commits
+            last,
+            ExecEvent::RunEnd {
+                t: r.wall_seconds,
+                outcome: r.outcome
+            }
         );
-        assert_eq!(kind_count(FaultKind::VoltageSag), probed.faults.sag_ops);
-        let detected = ring
-            .events()
-            .filter(|e| matches!(e, ExecEvent::CorruptionDetected { .. }))
-            .count() as u64;
-        assert_eq!(detected, probed.faults.detected_corruptions);
-        assert_eq!(probed.faults.silent_corruptions, 0);
-        // The JSONL exporter renders the new variants.
-        let jsonl = ring.to_jsonl();
-        assert!(jsonl.contains("\"type\":\"fault_injected\""), "{jsonl}");
+        if matches!(path, Path::Reference) {
+            // The interpreter has no coalesced segments to retire.
+            assert_eq!(count("segment_retired"), 0);
+        }
+        if faulted {
+            let kind_count = |kind: FaultKind| {
+                ring.events()
+                    .filter(|e| matches!(e, ExecEvent::FaultInjected { kind: k, .. } if *k == kind))
+                    .count() as u64
+            };
+            assert_eq!(
+                kind_count(FaultKind::SpuriousReset),
+                r.faults.spurious_resets
+            );
+            assert_eq!(kind_count(FaultKind::TornCommit), r.faults.torn_commits);
+            assert_eq!(kind_count(FaultKind::VoltageSag), r.faults.sag_ops);
+            assert_eq!(count("corruption_detected"), r.faults.detected_corruptions);
+            assert_eq!(r.faults.silent_corruptions, 0);
+            assert!(ring.to_jsonl().contains("\"type\":\"fault_injected\""));
+        } else {
+            assert_eq!(count("brown_out"), r.outages);
+            assert_eq!(count("boot"), r.restores);
+            assert_eq!(count("dark_skip"), r.restores);
+            // Dark skips carry the solved deficit and a positive duration.
+            assert!(ring.events().all(|e| match *e {
+                ExecEvent::DarkSkip { t0, t1, joules } => t1 > t0 && joules > 0.0,
+                _ => true,
+            }));
+        }
+        // Exports render every retained event.
+        assert_eq!(ring.to_jsonl().lines().count(), ring.len());
+        assert!(ring.to_chrome_trace().contains("\"traceEvents\""));
     }
 
     #[test]
@@ -2592,11 +2429,12 @@ mod tests {
         let fault = FaultPlan::compile(&spec);
         let mut board = Board::msp430fr5994();
         let mut supply = weak_supply();
-        let r = IntermittentExecutor::default().run_unplanned_faulted(
+        let r = IntermittentExecutor::default().run_reference(
             &p,
+            Integrity::None,
             &mut board,
             &mut supply,
-            &fault,
+            RunOptions::default().fault(&fault),
         );
         assert!(r.faults.corrupt_restores > 0);
         assert_eq!(r.faults.corrupt_restores, r.faults.detected_corruptions);
@@ -2630,9 +2468,9 @@ mod tests {
                 let mut board_b = Board::msp430fr5994();
                 let mut sa = supply.clone();
                 let mut sb = supply.clone();
-                let planned = exec.run_plan_faulted(&plan, &mut board_a, &mut sa, &fault);
-                let reference =
-                    exec.run_unplanned_faulted_integrity(&p, &mut board_b, &mut sb, &fault, scheme);
+                let opts = RunOptions::default().fault(&fault);
+                let planned = exec.run_plan_with(&plan, &mut board_a, &mut sa, opts);
+                let reference = exec.run_reference(&p, scheme, &mut board_b, &mut sb, opts);
                 assert_eq!(planned, reference, "{scheme}");
                 assert_eq!(board_a.meter(), board_b.meter());
                 saw_flips |= planned.integrity.flips_injected > 0;

@@ -9,7 +9,7 @@
 //! constant.
 //!
 //! Determinism contract: both executor paths (`run_plan_inner` and
-//! `run_unplanned_inner`) advance one shared [`FaultState`] stream at the
+//! `run_reference`) advance one shared [`FaultState`] stream at the
 //! same logical points — one draw per program-op attempt, one draw per
 //! successful checkpoint commit, one draw per restore. Same seed + same
 //! spec ⇒ identical injection points on either path, which keeps the

@@ -131,8 +131,8 @@ impl WearCurve {
 }
 
 /// Payload-integrity accounting for one run (or, once folded into a
-/// fleet digest, many runs). All-zero unless the run was driven through
-/// a faulted entry point with bit-flips armed or a non-`None` scheme.
+/// fleet digest, many runs). All-zero unless the run drew from a fault
+/// plan with bit-flips armed or ran a non-`None` scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IntegrityTally {
     /// Payload bits flipped at commit time (per-bit upsets drawn from

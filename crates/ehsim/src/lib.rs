@@ -54,8 +54,8 @@ mod timeline;
 pub use capacitor::{Capacitor, CapacitorError};
 pub use environment::Environment;
 pub use executor::{
-    ExecutorConfig, ExecutorConfigError, IntermittentExecutor, ReplayError, RunOutcome, RunReport,
-    RunTrace,
+    ExecutorConfig, ExecutorConfigError, IntermittentExecutor, ReplayError, RunOptions, RunOutcome,
+    RunReport, RunTrace,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultSpecError, FaultState, FaultTally, OpFault};
 pub use harvester::{Harvester, TraceError, TraceWave, WaveformError};

@@ -1,9 +1,11 @@
 //! Zero-cost executor observability: structured run events and phase
 //! span timers behind a monomorphized probe parameter.
 //!
-//! Both executor paths ([`run_plan`](crate::IntermittentExecutor::run_plan)
-//! and [`run_unplanned`](crate::IntermittentExecutor::run_unplanned)) are
-//! generic over an [`ExecProbe`]. The default [`NullProbe`] is a
+//! Both executor paths
+//! ([`run_plan_with`](crate::IntermittentExecutor::run_plan_with) and
+//! [`run_reference`](crate::IntermittentExecutor::run_reference)) are
+//! generic over an [`ExecProbe`], carried in
+//! [`RunOptions`](crate::RunOptions). The default [`NullProbe`] is a
 //! zero-sized type whose hooks are empty `#[inline(always)]` bodies, so
 //! the unprobed hot loop monomorphizes to exactly the code it was before
 //! probes existed — observability costs nothing until a probe is passed.
@@ -241,6 +243,23 @@ impl ExecProbe for NullProbe {
 
     #[inline(always)]
     fn span(&mut self, _phase: ExecPhase, _seconds: f64) {}
+}
+
+/// A borrowed probe, so a caller can hand `&mut probe` to a run and
+/// read the probe afterwards.
+impl<P: ExecProbe> ExecProbe for &mut P {
+    const ENABLED: bool = P::ENABLED;
+    const TIMED: bool = P::TIMED;
+
+    #[inline(always)]
+    fn event(&mut self, event: ExecEvent) {
+        (**self).event(event);
+    }
+
+    #[inline(always)]
+    fn span(&mut self, phase: ExecPhase, seconds: f64) {
+        (**self).span(phase, seconds);
+    }
 }
 
 /// Two probes observing the same run side by side (e.g. an

@@ -55,7 +55,10 @@ impl RunRecord<'_> {
 }
 
 /// A streaming, mergeable metric sink — the fold target of a fleet
-/// sweep. See the [module docs](self) for the determinism contract.
+/// sweep. Its determinism contract: [`open`](Self::open) is a pure
+/// function of its arguments, [`fold`](Self::fold) runs in run order and
+/// [`merge`](Self::merge) in matrix order, so a sink's report is
+/// bit-identical at any worker count.
 pub trait MetricsSink {
     /// Fixed-size per-scenario accumulator, handed to one worker.
     type Partial: Send;

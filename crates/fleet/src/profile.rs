@@ -1,9 +1,9 @@
 //! Phase profiling for fleet sweeps: where the wall-clock time goes
 //! (charge solving, plan execution, checkpoint/restore, trace replay,
-//! sink folding, and the set-up phases: deployment builds, plan
-//! compiles and waits on a cache slot another worker is filling) and
-//! how well the runner's caches work (plan, trace, deployment
-//! hit/miss/size counters).
+//! sink folding, the set-up phases — deployment builds, plan compiles
+//! and waits on a cache slot another worker is filling — and networked
+//! worlds' gateway resolves) and how well the runner's caches work
+//! (plan, trace, deployment hit/miss/size counters).
 //!
 //! A [`PhaseProfile`] is an [`ExecProbe`] with
 //! [`TIMED`](ExecProbe::TIMED) `= true`: handed to a probed executor
@@ -27,15 +27,17 @@
 //! workers both record the same trajectory). Of the set-up spans,
 //! `deploy_build` and `plan_compile` count one build per key and
 //! residency at any worker count when every build succeeds (a
-//! deployment built ahead of need is still its key's one build), while
+//! deployment built ahead of need is still its key's one build),
+//! `world_resolve` counts one span per networked scenario, and
 //! `slot_wait` spans exist only when workers contend.
 
 use crate::digest::StatsDigest;
 use core::fmt;
 use ehdl::ehsim::{ExecEvent, ExecPhase, ExecProbe};
 
-/// A wall-clock phase of a scenario's set-up, timed by the fleet runner
-/// around its caches rather than by the executor.
+/// A wall-clock phase the fleet runner times outside the executor: a
+/// scenario's set-up around the runner's caches, or resolving a
+/// networked world once its devices have run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SetupPhase {
     /// Building one calibrated deployment and pricing its accuracy.
@@ -45,14 +47,18 @@ pub enum SetupPhase {
     /// Blocking on a deployment or plan slot that another worker is
     /// building.
     SlotWait,
+    /// Resolving a networked scenario's gateway polling schedule from
+    /// its devices' recorded timelines.
+    WorldResolve,
 }
 
 impl SetupPhase {
     /// Every set-up phase, in reporting order.
-    pub const ALL: [SetupPhase; 3] = [
+    pub const ALL: [SetupPhase; 4] = [
         SetupPhase::DeployBuild,
         SetupPhase::PlanCompile,
         SetupPhase::SlotWait,
+        SetupPhase::WorldResolve,
     ];
 
     /// A stable snake_case name for machine-readable streams.
@@ -61,6 +67,7 @@ impl SetupPhase {
             SetupPhase::DeployBuild => "deploy_build",
             SetupPhase::PlanCompile => "plan_compile",
             SetupPhase::SlotWait => "slot_wait",
+            SetupPhase::WorldResolve => "world_resolve",
         }
     }
 }
@@ -166,6 +173,8 @@ pub struct PhaseProfile {
     pub plan_compile_s: StatsDigest,
     /// Waits on a cache slot another worker was building.
     pub slot_wait_s: StatsDigest,
+    /// Networked-world gateway resolves.
+    pub world_resolve_s: StatsDigest,
     /// Plan / trace / deployment cache counters.
     pub caches: CacheStats,
 }
@@ -218,6 +227,7 @@ impl PhaseProfile {
             SetupPhase::DeployBuild => &self.deploy_build_s,
             SetupPhase::PlanCompile => &self.plan_compile_s,
             SetupPhase::SlotWait => &self.slot_wait_s,
+            SetupPhase::WorldResolve => &self.world_resolve_s,
         }
     }
 
@@ -232,6 +242,7 @@ impl PhaseProfile {
             SetupPhase::DeployBuild => &mut self.deploy_build_s,
             SetupPhase::PlanCompile => &mut self.plan_compile_s,
             SetupPhase::SlotWait => &mut self.slot_wait_s,
+            SetupPhase::WorldResolve => &mut self.world_resolve_s,
         }
     }
 
@@ -348,10 +359,19 @@ mod tests {
         p.span(ExecPhase::ChargeSolve, 0.25);
         p.record(ExecPhase::SinkFold, 1.0);
         p.record_setup(SetupPhase::DeployBuild, 0.125);
+        p.record_setup(SetupPhase::WorldResolve, 0.5);
         assert_eq!(p.deploy_build_s.count(), 1);
         assert_eq!(p.plan_compile_s.count(), 0);
-        assert_eq!(p.total_seconds(), 1.875);
+        assert_eq!(p.world_resolve_s.count(), 1);
+        assert_eq!(p.total_seconds(), 2.375);
+        // Merging into an empty profile carries every phase over.
+        let mut merged = PhaseProfile::new();
+        merged.merge(&p);
+        merged.merge(&p);
+        assert_eq!(merged.world_resolve_s.count(), 2);
+        assert_eq!(merged.total_seconds(), 4.75);
         p.deploy_build_s = StatsDigest::new();
+        p.world_resolve_s = StatsDigest::new();
         assert_eq!(p.charge_solve_s.count(), 2);
         assert_eq!(p.charge_solve_s.sum(), 0.75);
         assert_eq!(p.sink_fold_s.count(), 1);
@@ -444,8 +464,8 @@ mod tests {
         for i in 0..50 {
             p.record(ExecPhase::ALL[i % 5], 1e-5 * (i as f64 + 0.123_456_789));
         }
-        for i in 0..12 {
-            p.record_setup(SetupPhase::ALL[i % 3], 1e-3 * (i as f64 + 0.5));
+        for i in 0..16 {
+            p.record_setup(SetupPhase::ALL[i % 4], 1e-3 * (i as f64 + 0.5));
         }
         p.caches.plan = CacheCounters {
             hits: 10,

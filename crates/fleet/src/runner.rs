@@ -7,8 +7,8 @@ use crate::report::FleetReport;
 use crate::scenario::{Scenario, ScenarioMatrix, Workload};
 use ehdl::deployment::quantized_accuracy;
 use ehdl::ehsim::{
-    ExecPhase, ExecutionPlan, FaultPlan, Integrity, IntermittentExecutor, RunTrace,
-    TimelineRecorder,
+    ExecPhase, ExecProbe, ExecutionPlan, FaultPlan, Integrity, IntermittentExecutor, NullProbe,
+    PowerSupply, RunOptions, RunReport, RunTrace, SpanTimer, TimelineRecorder,
 };
 use ehdl::{BoardSpec, CalibrationConfig, Deployment, DeviceSession, Error, Strategy};
 use ehdl_netsim::{DeviceTimeline, SharedField, WorldSim};
@@ -539,33 +539,23 @@ impl FleetRunner {
                     + scenario.fault_key
             });
             let mut partial = lock_sink(&sink).open(scenario, lowered.artifact.accuracy);
-            let executor = &executors[scenario.budget_key];
-            let fault = &fault_plans[scenario.fault_key];
-            if scenario.topology.is_solo() {
-                run_scenario::<S>(
-                    scenario,
-                    &lowered,
-                    trace_key,
-                    &traces,
-                    executor,
-                    fault,
-                    matrix.runs,
-                    self.reference,
-                    &mut partial,
-                    profile,
-                )?;
-            } else {
-                run_world_scenario::<S>(
-                    scenario,
-                    &lowered,
-                    executor,
-                    fault,
-                    matrix.runs,
-                    self.reference,
-                    &mut partial,
-                    profile,
-                )?;
-            }
+            let job = ScenarioRun {
+                scenario,
+                lowered: &lowered,
+                trace_key,
+                traces: &traces,
+                executor: &executors[scenario.budget_key],
+                fault: &fault_plans[scenario.fault_key],
+                runs: matrix.runs,
+                reference: self.reference,
+            };
+            let p = &mut partial;
+            match (scenario.topology.is_solo(), profile) {
+                (true, Some(profile)) => run_scenario::<S, _>(&job, p, profile),
+                (true, None) => run_scenario::<S, _>(&job, p, NullProbe),
+                (false, Some(profile)) => run_world_scenario::<S, _>(&job, p, profile),
+                (false, None) => run_world_scenario::<S, _>(&job, p, NullProbe),
+            }?;
             Ok(partial)
         };
 
@@ -1013,6 +1003,58 @@ fn open_session<'a>(
     deployment.session_with_plan(plan)
 }
 
+/// One scenario's runs, as a worker executes them: the scenario, what
+/// it runs on, and how it runs.
+struct ScenarioRun<'a> {
+    scenario: &'a Scenario,
+    lowered: &'a Lowered,
+    /// The trace-cache slot of a deterministic solo scenario.
+    trace_key: Option<usize>,
+    traces: &'a TraceCache,
+    executor: &'a IntermittentExecutor,
+    fault: &'a FaultPlan,
+    runs: u32,
+    reference: bool,
+}
+
+impl ScenarioRun<'_> {
+    /// One live run on `session`: the compiled plan, or in `reference`
+    /// mode the op-by-op interpreter.
+    fn live<Q: ExecProbe>(
+        &self,
+        session: &mut DeviceSession<'_>,
+        supply: &mut PowerSupply,
+        opts: RunOptions<'_, Q>,
+    ) -> RunReport {
+        if self.reference {
+            session.infer_reference_with(self.executor, supply, opts)
+        } else {
+            session.infer_intermittent_with(self.executor, supply, opts)
+        }
+    }
+}
+
+/// How a worker observes its runs: [`NullProbe`] when the sweep is
+/// unprofiled, so the executor's hot loop and the runner's span timers
+/// compile away, or the worker's [`PhaseProfile`], which collects the
+/// executor's spans, the runner's own and the cache counters.
+trait RunProbe: ExecProbe {
+    /// The profile to count into, if any.
+    fn profile(&mut self) -> Option<&mut PhaseProfile>;
+}
+
+impl RunProbe for NullProbe {
+    fn profile(&mut self) -> Option<&mut PhaseProfile> {
+        None
+    }
+}
+
+impl RunProbe for &mut PhaseProfile {
+    fn profile(&mut self) -> Option<&mut PhaseProfile> {
+        Some(self)
+    }
+}
+
 /// Runs one scenario on its shared deployment and shared execution
 /// plan: `runs` intermittent inferences with per-run re-seeding, each
 /// folded into the sink accumulator as a [`RunRecord`] in run order
@@ -1022,37 +1064,31 @@ fn open_session<'a>(
 /// pre-fault arithmetic. In `reference` mode the session compiles its
 /// own plan and replays the op-by-op interpreter instead — the
 /// pre-plan behavior parity suites compare against.
-#[allow(clippy::too_many_arguments)]
-fn run_scenario<S: MetricsSink>(
-    scenario: &Scenario,
-    lowered: &Lowered,
-    trace_key: Option<usize>,
-    traces: &TraceCache,
-    executor: &IntermittentExecutor,
-    fault: &FaultPlan,
-    runs: u32,
-    reference: bool,
+fn run_scenario<S: MetricsSink, P: RunProbe>(
+    job: &ScenarioRun<'_>,
     partial: &mut S::Partial,
-    mut profile: Option<&mut PhaseProfile>,
+    mut probe: P,
 ) -> Result<(), Error> {
-    let mut session = open_session(scenario, lowered, reference);
+    let scenario = job.scenario;
+    let mut session = open_session(scenario, job.lowered, job.reference);
+    let opts = RunOptions::default().fault(job.fault);
 
-    for run in 0..u64::from(runs) {
-        let r = if let Some(key) = trace_key {
+    for run in 0..u64::from(job.runs) {
+        let r = if let Some(key) = job.trace_key {
             // Deterministic environment: every (seed, run) replays the
             // one trajectory this (plan, environment, budget, fault)
             // tuple can take. Record it on first demand, replay it ever
             // after — replays re-apply the same per-op meter records
             // (fault effects included), so they are bit-identical to
             // live runs on this session's board.
-            let existing = traces.lock().expect("trace cache lock").get(key);
+            let existing = job.traces.lock().expect("trace cache lock").get(key);
             match existing {
                 Some(recorded) => {
-                    let t0 = profile.is_some().then(Instant::now);
-                    let r = session.try_infer_intermittent_replay(executor, &recorded)?;
-                    if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
+                    let span = SpanTimer::start::<P>();
+                    let r = session.try_infer_intermittent_replay(job.executor, &recorded)?;
+                    span.finish(&mut probe, ExecPhase::TraceReplay);
+                    if let Some(p) = probe.profile() {
                         p.caches.trace.hits += 1;
-                        p.record(ExecPhase::TraceReplay, t0.elapsed().as_secs_f64());
                     }
                     r
                 }
@@ -1065,21 +1101,17 @@ fn run_scenario<S: MetricsSink>(
                     // bit-identical, so whichever lands first is equally
                     // valid — the LRU keeps the first insert).
                     let mut supply = scenario.environment.supply();
-                    let (report, recorded) = if let Some(p) = profile.as_deref_mut() {
-                        let t0 = Instant::now();
-                        let out = session.infer_intermittent_faulted_traced_probed(
-                            executor,
-                            &mut supply,
-                            fault,
-                            p,
-                        );
+                    let span = SpanTimer::start::<P>();
+                    let (report, recorded) = session.record_intermittent_with(
+                        job.executor,
+                        &mut supply,
+                        opts.probe(&mut probe),
+                    );
+                    span.finish(&mut probe, ExecPhase::PlanExec);
+                    if let Some(p) = probe.profile() {
                         p.caches.trace.misses += 1;
-                        p.record(ExecPhase::PlanExec, t0.elapsed().as_secs_f64());
-                        out
-                    } else {
-                        session.infer_intermittent_faulted_traced(executor, &mut supply, fault)
-                    };
-                    traces
+                    }
+                    job.traces
                         .lock()
                         .expect("trace cache lock")
                         .insert(key, Arc::new(recorded));
@@ -1092,37 +1124,20 @@ fn run_scenario<S: MetricsSink>(
             // a no-op replay of the same waveform).
             let env = scenario.environment.reseeded(mix(scenario.seed, run));
             let mut supply = env.supply();
-            if let Some(p) = profile.as_deref_mut() {
-                let t0 = Instant::now();
-                let r = if reference {
-                    session.infer_intermittent_faulted_reference_probed(
-                        executor,
-                        &mut supply,
-                        fault,
-                        p,
-                    )
-                } else {
-                    session.infer_intermittent_faulted_probed(executor, &mut supply, fault, p)
-                };
-                p.record(ExecPhase::PlanExec, t0.elapsed().as_secs_f64());
-                r
-            } else if reference {
-                session.infer_intermittent_faulted_reference(executor, &mut supply, fault)
-            } else {
-                session.infer_intermittent_faulted(executor, &mut supply, fault)
-            }
+            let span = SpanTimer::start::<P>();
+            let r = job.live(&mut session, &mut supply, opts.probe(&mut probe));
+            span.finish(&mut probe, ExecPhase::PlanExec);
+            r
         };
         let record = RunRecord {
             scenario,
             run: run as u32,
-            accuracy: lowered.artifact.accuracy,
+            accuracy: job.lowered.artifact.accuracy,
             report: &r,
         };
-        let t0 = profile.is_some().then(Instant::now);
+        let span = SpanTimer::start::<P>();
         S::fold(partial, &record);
-        if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
-            p.record(ExecPhase::SinkFold, t0.elapsed().as_secs_f64());
-        }
+        span.finish(&mut probe, ExecPhase::SinkFold);
     }
     Ok(())
 }
@@ -1142,17 +1157,12 @@ fn run_scenario<S: MetricsSink>(
 /// (which is what makes a single-device topology reproduce the solo
 /// executor's records bit for bit); higher ids salt it so no two
 /// devices replay the same stochastic waveform.
-#[allow(clippy::too_many_arguments)]
-fn run_world_scenario<S: MetricsSink>(
-    scenario: &Scenario,
-    lowered: &Lowered,
-    executor: &IntermittentExecutor,
-    fault: &FaultPlan,
-    runs: u32,
-    reference: bool,
+fn run_world_scenario<S: MetricsSink, P: RunProbe>(
+    job: &ScenarioRun<'_>,
     partial: &mut S::Partial,
-    mut profile: Option<&mut PhaseProfile>,
+    mut probe: P,
 ) -> Result<(), Error> {
+    let scenario = job.scenario;
     let topology = scenario.topology;
     let field = SharedField::for_topology(&topology);
     let mut world = WorldSim::new(topology);
@@ -1169,9 +1179,9 @@ fn run_world_scenario<S: MetricsSink>(
         let device_seed = scenario
             .seed
             .wrapping_add(u64::from(device).wrapping_mul(0xD1B5_4A32_D192_ED03));
-        let mut session = open_session(scenario, lowered, reference);
+        let mut session = open_session(scenario, job.lowered, job.reference);
         let mut timeline = DeviceTimeline::new();
-        for run in 0..u64::from(runs) {
+        for run in 0..u64::from(job.runs) {
             let reseeded;
             let run_env = if env.is_stochastic() {
                 reseeded = env.reseeded(mix(device_seed, run));
@@ -1180,46 +1190,29 @@ fn run_world_scenario<S: MetricsSink>(
                 &env
             };
             let mut supply = run_env.supply();
-            let t0 = profile.is_some().then(Instant::now);
-            let r = if reference {
-                session.infer_intermittent_faulted_reference_probed(
-                    executor,
-                    &mut supply,
-                    fault,
-                    &mut recorder,
-                )
-            } else {
-                session.infer_intermittent_faulted_probed(
-                    executor,
-                    &mut supply,
-                    fault,
-                    &mut recorder,
-                )
-            };
-            if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
-                p.record(ExecPhase::PlanExec, t0.elapsed().as_secs_f64());
-            }
+            let span = SpanTimer::start::<P>();
+            let opts = RunOptions::default().fault(job.fault).probe(&mut recorder);
+            let r = job.live(&mut session, &mut supply, opts);
+            span.finish(&mut probe, ExecPhase::PlanExec);
             timeline.push_run(&recorder.take());
             let record = RunRecord {
                 scenario,
-                run: device * runs + run as u32,
-                accuracy: lowered.artifact.accuracy,
+                run: device * job.runs + run as u32,
+                accuracy: job.lowered.artifact.accuracy,
                 report: &r,
             };
-            let t0 = profile.is_some().then(Instant::now);
+            let span = SpanTimer::start::<P>();
             S::fold(partial, &record);
-            if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
-                p.record(ExecPhase::SinkFold, t0.elapsed().as_secs_f64());
-            }
+            span.finish(&mut probe, ExecPhase::SinkFold);
         }
         world.add_device(device, timeline);
     }
-    let outcome = world.resolve();
-    let t0 = profile.is_some().then(Instant::now);
+    let outcome = timed(probe.profile(), SetupPhase::WorldResolve, || {
+        world.resolve()
+    });
+    let span = SpanTimer::start::<P>();
     S::fold_slo(partial, &outcome);
-    if let (Some(p), Some(t0)) = (profile, t0) {
-        p.record(ExecPhase::SinkFold, t0.elapsed().as_secs_f64());
-    }
+    span.finish(&mut probe, ExecPhase::SinkFold);
     Ok(())
 }
 

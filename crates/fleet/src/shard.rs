@@ -331,7 +331,7 @@ impl ShardCoordinator {
     ///
     /// [`ShardError::BadPlan`] for an unrunnable plan (zero shard
     /// size, empty matrix, shard larger than the matrix),
-    /// [`Error::Config`](ehdl::Error::Config) for invalid executor
+    /// [`Error::Config`] for invalid executor
     /// tunables, [`ShardError::Protocol`] for a matrix with no wire
     /// form, [`ShardError::CheckpointMismatch`] /
     /// [`ShardError::Checkpoint`] for an unusable checkpoint

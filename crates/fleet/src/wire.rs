@@ -130,7 +130,7 @@ impl Json {
     /// # Errors
     ///
     /// Returns a description of the first syntax error, or of arrays
-    /// and objects nested deeper than [`MAX_DEPTH`] levels.
+    /// and objects nested deeper than 128 levels.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),

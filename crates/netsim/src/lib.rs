@@ -15,7 +15,7 @@
 //!   regardless of the order devices are later simulated in.
 //! * [`DeviceTimeline`] — a device's availability over world time,
 //!   assembled from per-run
-//!   [`RunTimeline`](ehdl_ehsim::RunTimeline)s captured by the
+//!   [`RunTimeline`]s captured by the
 //!   executor's probe layer. The executor's closed-form dark-phase
 //!   solvers already advance the device between interaction points;
 //!   the timeline records those points, nothing is re-simulated.

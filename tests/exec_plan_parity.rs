@@ -7,7 +7,7 @@
 //! fast path shows up here as a hard failure.
 
 use ehdl::device::CostTable;
-use ehdl::ehsim::{catalog, ExecutorConfig, IntermittentExecutor};
+use ehdl::ehsim::{catalog, ExecutorConfig, Integrity, IntermittentExecutor};
 use ehdl::prelude::*;
 use ehdl_fleet::{FleetRunner, ScenarioMatrix, Workload};
 
@@ -42,8 +42,13 @@ fn assert_strategy_catalog_parity(mut model: ehdl::nn::Model, data: ehdl::datase
             let mut supply_planned = environment.supply();
             let mut supply_reference = environment.supply();
             let planned = executor.run_plan(&plan, &mut board_planned, &mut supply_planned);
-            let reference =
-                executor.run_unplanned(&program, &mut board_reference, &mut supply_reference);
+            let reference = executor.run_reference(
+                &program,
+                Integrity::None,
+                &mut board_reference,
+                &mut supply_reference,
+                RunOptions::default(),
+            );
             assert_eq!(
                 planned,
                 reference,
@@ -88,8 +93,13 @@ fn stepped_legacy_mode_parity_across_the_catalog() {
             let mut supply_planned = environment.supply();
             let mut supply_reference = environment.supply();
             let planned = executor.run_plan(&plan, &mut board_planned, &mut supply_planned);
-            let reference =
-                executor.run_unplanned(&program, &mut board_reference, &mut supply_reference);
+            let reference = executor.run_reference(
+                &program,
+                Integrity::None,
+                &mut board_reference,
+                &mut supply_reference,
+                RunOptions::default(),
+            );
             assert_eq!(
                 planned,
                 reference,
@@ -183,8 +193,8 @@ fn probed_runs_are_bit_identical_across_strategies_and_catalog() {
             let mut board_probed = deployment.board_spec().board();
             let mut supply_probed = environment.supply();
             let mut probe = (EventRing::new(1 << 16), PhaseProfile::new());
-            let probed =
-                executor.run_plan_probed(&plan, &mut board_probed, &mut supply_probed, &mut probe);
+            let opts = RunOptions::default().probe(&mut probe);
+            let probed = executor.run_plan_with(&plan, &mut board_probed, &mut supply_probed, opts);
             assert_eq!(plain, probed, "{strategy} in {name}");
             assert_eq!(
                 board_plain.meter(),
@@ -231,15 +241,22 @@ fn probed_runs_are_bit_identical_across_strategies_and_catalog() {
             // The reference-path twin holds the same bit-identity bar.
             let mut board_ref = deployment.board_spec().board();
             let mut supply_ref = environment.supply();
-            let reference = executor.run_unplanned(&program, &mut board_ref, &mut supply_ref);
+            let reference = executor.run_reference(
+                &program,
+                Integrity::None,
+                &mut board_ref,
+                &mut supply_ref,
+                RunOptions::default(),
+            );
             let mut board_ref_probed = deployment.board_spec().board();
             let mut supply_ref_probed = environment.supply();
             let mut ring_ref = EventRing::new(1 << 16);
-            let reference_probed = executor.run_unplanned_probed(
+            let reference_probed = executor.run_reference(
                 &program,
+                Integrity::None,
                 &mut board_ref_probed,
                 &mut supply_ref_probed,
-                &mut ring_ref,
+                RunOptions::default().probe(&mut ring_ref),
             );
             assert_eq!(
                 reference, reference_probed,
@@ -274,17 +291,21 @@ fn traced_recording_is_probe_invariant() {
     for environment in catalog::all() {
         let mut board_plain = deployment.board_spec().board();
         let mut supply_plain = environment.supply();
-        let (report_plain, trace_plain) =
-            executor.run_plan_traced(&plan, &mut board_plain, &mut supply_plain);
+        let (report_plain, trace_plain) = executor.record_plan_with(
+            &plan,
+            &mut board_plain,
+            &mut supply_plain,
+            RunOptions::default(),
+        );
 
         let mut board_probed = deployment.board_spec().board();
         let mut supply_probed = environment.supply();
         let mut ring = EventRing::new(1 << 16);
-        let (report_probed, trace_probed) = executor.run_plan_traced_probed(
+        let (report_probed, trace_probed) = executor.record_plan_with(
             &plan,
             &mut board_probed,
             &mut supply_probed,
-            &mut ring,
+            RunOptions::default().probe(&mut ring),
         );
         assert_eq!(report_plain, report_probed, "{}", environment.name());
         assert_eq!(trace_plain, trace_probed, "{}", environment.name());

@@ -76,29 +76,30 @@ fn disabled_fault_plan_is_bit_identical_to_the_unfaulted_engine() {
 
             let mut plain_session = deployment.session();
             let mut supply = environment.supply();
-            let plain = plain_session.infer_intermittent_with(&executor, &mut supply);
+            let plain = plain_session.infer_intermittent_with(
+                &executor,
+                &mut supply,
+                RunOptions::default(),
+            );
 
             let mut faulted_session = deployment.session();
             let mut supply = environment.supply();
-            let faulted = faulted_session.infer_intermittent_faulted(
-                &executor,
-                &mut supply,
-                &FaultPlan::NONE,
-            );
+            let none = RunOptions::default().fault(&FaultPlan::NONE);
+            let faulted = faulted_session.infer_intermittent_with(&executor, &mut supply, none);
             assert_eq!(plain, faulted, "{strategy} in {name}");
             assert!(faulted.faults.is_clean(), "{strategy} in {name}");
 
             let mut traced_session = deployment.session();
             let mut supply = environment.supply();
-            let (plain_report, plain_trace) =
-                traced_session.infer_intermittent_traced(&executor, &mut supply);
-            let mut traced_faulted = deployment.session();
-            let mut supply = environment.supply();
-            let (faulted_report, faulted_trace) = traced_faulted.infer_intermittent_faulted_traced(
+            let (plain_report, plain_trace) = traced_session.record_intermittent_with(
                 &executor,
                 &mut supply,
-                &FaultPlan::NONE,
+                RunOptions::default(),
             );
+            let mut traced_faulted = deployment.session();
+            let mut supply = environment.supply();
+            let (faulted_report, faulted_trace) =
+                traced_faulted.record_intermittent_with(&executor, &mut supply, none);
             assert_eq!(plain_report, faulted_report, "{strategy} in {name}");
             assert_eq!(plain_trace, faulted_trace, "{strategy} in {name}");
         }
@@ -118,15 +119,11 @@ fn faulted_plan_and_reference_paths_agree_across_strategies() {
             let name = environment.name();
             let mut planned_session = deployment.session();
             let mut supply = environment.supply();
-            let planned =
-                planned_session.infer_intermittent_faulted(&executor, &mut supply, &fault);
+            let opts = RunOptions::default().fault(&fault);
+            let planned = planned_session.infer_intermittent_with(&executor, &mut supply, opts);
             let mut reference_session = deployment.session();
             let mut supply = environment.supply();
-            let reference = reference_session.infer_intermittent_faulted_reference(
-                &executor,
-                &mut supply,
-                &fault,
-            );
+            let reference = reference_session.infer_reference_with(&executor, &mut supply, opts);
             assert_eq!(planned, reference, "{strategy} in {name}");
         }
     }
@@ -151,11 +148,16 @@ fn every_strategy_recovers_or_reports_detected_corruption() {
 
             let mut clean_session = deployment.session();
             let mut supply = environment.supply();
-            let clean = clean_session.infer_intermittent_with(&executor, &mut supply);
+            let clean = clean_session.infer_intermittent_with(
+                &executor,
+                &mut supply,
+                RunOptions::default(),
+            );
 
             let mut session = deployment.session();
             let mut supply = environment.supply();
-            let report = session.infer_intermittent_faulted(&executor, &mut supply, &fault);
+            let opts = RunOptions::default().fault(&fault);
+            let report = session.infer_intermittent_with(&executor, &mut supply, opts);
             let tally = &report.faults;
             injected_total += tally.injected();
 
@@ -336,12 +338,12 @@ fn bit_flip_storm_is_silent_under_none_and_caught_only_by_the_golden_twin() {
 
         let mut planned_session = deployment.session_with_plan(Arc::clone(&plan));
         let mut supply = environment.supply();
-        let planned = planned_session.infer_intermittent_faulted(&executor, &mut supply, &fault);
+        let opts = RunOptions::default().fault(&fault);
+        let planned = planned_session.infer_intermittent_with(&executor, &mut supply, opts);
 
         let mut reference_session = deployment.session_with_plan(Arc::clone(&plan));
         let mut supply = environment.supply();
-        let reference =
-            reference_session.infer_intermittent_faulted_reference(&executor, &mut supply, &fault);
+        let reference = reference_session.infer_reference_with(&executor, &mut supply, opts);
 
         // Bit-identical across executor paths, flips included.
         assert_eq!(planned, reference, "{scheme}");
