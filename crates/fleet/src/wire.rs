@@ -1391,9 +1391,8 @@ mod tests {
         assert_eq!(back, empty);
     }
 
-    #[test]
-    fn records_round_trip() {
-        let record = ShardRecord {
+    fn sample_record() -> ShardRecord {
+        ShardRecord {
             index: 42,
             workload: "har".to_string(),
             environment: "lab, \"day 2\"".to_string(),
@@ -1404,9 +1403,95 @@ mod tests {
             topology: "n4:d1:b1:p0.5:o0:f10".to_string(),
             integrity: "secded".to_string(),
             digest: sample_digest(),
+        }
+    }
+
+    fn sample_profile() -> PhaseProfile {
+        let mut p = PhaseProfile::new();
+        for (i, phase) in ExecPhase::ALL.into_iter().enumerate() {
+            p.record(phase, 1e-4 * (i as f64 + 0.25));
+        }
+        for (i, phase) in SetupPhase::ALL.into_iter().enumerate() {
+            p.record_setup(phase, 2e-3 * (i as f64 + 0.5));
+        }
+        p.caches.plan = CacheCounters {
+            hits: 10,
+            misses: 2,
+            entries: 2,
+            evictions: 0,
         };
+        p.caches.deployment = CacheCounters {
+            hits: 90,
+            misses: 6,
+            entries: 6,
+            evictions: 3,
+        };
+        p
+    }
+
+    fn fnv(text: &str) -> u64 {
+        let mut h = Fnv64::new();
+        h.write(text.as_bytes());
+        h.finish()
+    }
+
+    #[test]
+    fn records_round_trip() {
+        let record = sample_record();
         let back = ShardRecord::from_line(&record.to_line()).unwrap();
         assert_eq!(back, record);
+    }
+
+    /// [`sample_digest`] in the v4 wire encoding.
+    const GOLDEN_DIGEST: &str =
+        "{\"scenarios\":1,\"runs\":1,\"completed_runs\":1,\"no_progress_runs\":0,\
+        \"outage_limited_runs\":0,\"time_limited_runs\":0,\"energy_limited_runs\":0,\
+        \"outages\":3,\"restores\":3,\"ondemand_checkpoints\":2,\
+        \"executed_ops\":1234,\"wasted_ops\":56,\"energy_nj\":\"40be614000000000\",\
+        \"active_seconds\":\"3f8948b0f8fab5e6\",\
+        \"charging_seconds\":\"3f5205bc01a36e2f\",\"latency_ms\":{\"count\":1,\
+        \"sum\":\"407f400000000000\",\"min\":\"407f400000000000\",\
+        \"max\":\"407f400000000000\",\"bins\":[[673,1]]},\"accuracy\":{\"count\":1,\
+        \"sum\":\"3fec000000000000\",\"min\":\"3fec000000000000\",\
+        \"max\":\"3fec000000000000\",\"bins\":[[514,1]]},\"dark_s\":{\"count\":1,\
+        \"sum\":\"3f5205bc01a36e2f\",\"min\":\"3f5205bc01a36e2f\",\
+        \"max\":\"3f5205bc01a36e2f\",\"bins\":[[347,1]]},\
+        \"resilience\":{\"faulted_runs\":1,\"recovered_runs\":1,\
+        \"spurious_resets\":2,\"torn_commits\":1,\"sag_ops\":1,\
+        \"corrupt_restores\":1,\"cold_boots\":1,\"detected_corruptions\":1,\
+        \"silent_corruptions\":0},\"slo\":{\"worlds\":0,\"devices\":0,\"polls\":0,\
+        \"served\":0,\"missed_asleep\":0,\"missed_stale\":0,\"starved_devices\":0,\
+        \"staleness_s\":{\"count\":0,\"sum\":\"0000000000000000\",\
+        \"min\":\"7ff0000000000000\",\"max\":\"fff0000000000000\",\"bins\":[]}},\
+        \"integrity\":{\"flips_injected\":5,\"flips_repaired\":2,\
+        \"flips_detected\":1,\"silent_restores\":1,\"wear_max_commits\":321,\
+        \"ladder\":[7,2,1,0]}}";
+
+    #[test]
+    fn encoders_reproduce_the_golden_v4_bytes() {
+        // Pinned against the hand-written v4 encoders. The round-trip
+        // tests only prove self-consistency; these catch a reordered
+        // key, a renamed field or a changed number form. A change here
+        // is a wire-format change: bump WIRE_VERSION with it.
+        assert_eq!(sample_digest().to_json(), GOLDEN_DIGEST);
+        let head = "{\"scenario\":42,\"workload\":\"har\",\
+            \"environment\":\"lab, \\\"day 2\\\"\",\"strategy\":\"ACE+FLEX\",\
+            \"board\":\"MSP430FR5994\",\"budget\":\"unbounded\",\"fault\":\"f9:r1e-3:s0:t0:c0\",\
+            \"topology\":\"n4:d1:b1:p0.5:o0:f10\",\"integrity\":\"secded\",\"digest\":";
+        assert_eq!(
+            sample_record().to_line(),
+            format!("{head}{GOLDEN_DIGEST}}}")
+        );
+        let profile = sample_profile().to_json();
+        let caches = "\"caches\":{\"plan\":{\"hits\":10,\"misses\":2,\"entries\":2,\
+            \"evictions\":0},\"trace\":{\"hits\":0,\"misses\":0,\"entries\":0,\
+            \"evictions\":0},\"deployment\":{\"hits\":90,\"misses\":6,\"entries\":6,\
+            \"evictions\":3}}}";
+        assert!(profile.ends_with(caches), "{profile}");
+        assert_eq!(fnv(&profile), 0xef68_616f_8029_9717, "{profile}");
+        let matrix = matrix_json(&sample_matrix()).unwrap();
+        assert!(matrix.starts_with("{\"environments\":[{\"name\":\"bench_supply\","));
+        assert_eq!(fnv(&matrix), 0x0bb2_52ca_320e_49ae, "{matrix}");
     }
 
     #[test]
@@ -1453,9 +1538,8 @@ mod tests {
         assert!(read_partial("").is_err());
     }
 
-    #[test]
-    fn matrix_spec_round_trips_canonically() {
-        let matrix = ScenarioMatrix::new()
+    fn sample_matrix() -> ScenarioMatrix {
+        ScenarioMatrix::new()
             .environments(vec![
                 catalog::bench_supply(),
                 catalog::office_rf(),
@@ -1499,7 +1583,12 @@ mod tests {
                 Integrity::Checksum,
                 Integrity::Secded,
             ])
-            .runs(3);
+            .runs(3)
+    }
+
+    #[test]
+    fn matrix_spec_round_trips_canonically() {
+        let matrix = sample_matrix();
         let json = matrix_json(&matrix).unwrap();
         let back = matrix_from(&Json::parse(&json).unwrap()).unwrap();
         // Canonical: the round trip re-serializes byte-identically, so
