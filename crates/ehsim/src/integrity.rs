@@ -158,18 +158,6 @@ pub struct IntegrityTally {
 }
 
 impl IntegrityTally {
-    /// Folds another tally in: counters add, wear maxima take the max.
-    pub fn merge(&mut self, other: &IntegrityTally) {
-        self.flips_injected += other.flips_injected;
-        self.flips_repaired += other.flips_repaired;
-        self.flips_detected += other.flips_detected;
-        self.silent_restores += other.silent_restores;
-        self.wear_max_commits = self.wear_max_commits.max(other.wear_max_commits);
-        for (mine, theirs) in self.ladder.iter_mut().zip(other.ladder.iter()) {
-            *mine += *theirs;
-        }
-    }
-
     /// `true` when nothing integrity-related ever happened — not even a
     /// clean rung-0 restore under an armed scheme.
     pub fn is_empty(&self) -> bool {
@@ -532,33 +520,5 @@ mod tests {
             (accelerated as f64) < zeros as f64 * 0.75,
             "8× wear must visibly erode P(0): {accelerated} vs {zeros}"
         );
-    }
-
-    #[test]
-    fn tallies_merge_counters_and_max_wear() {
-        let mut a = IntegrityTally {
-            flips_injected: 3,
-            flips_repaired: 1,
-            flips_detected: 1,
-            silent_restores: 0,
-            wear_max_commits: 40,
-            ladder: [5, 1, 1, 0],
-        };
-        let b = IntegrityTally {
-            flips_injected: 2,
-            flips_repaired: 0,
-            flips_detected: 1,
-            silent_restores: 2,
-            wear_max_commits: 25,
-            ladder: [2, 0, 1, 1],
-        };
-        a.merge(&b);
-        assert_eq!(a.flips_injected, 5);
-        assert_eq!(a.silent_restores, 2);
-        assert_eq!(a.wear_max_commits, 40, "wear merges by max, not sum");
-        assert_eq!(a.ladder, [7, 1, 2, 1]);
-        assert_eq!(a.restores_resolved(), 11);
-        assert!(!a.is_empty());
-        assert!(IntegrityTally::default().is_empty());
     }
 }

@@ -23,7 +23,9 @@
 //! [`fingerprint`]: crate::wire::fingerprint
 
 use crate::metrics::{FleetDigest, GroupAxis, GroupedDigest};
-use crate::wire::{self, hex64, parse_hex64, Fnv64, Json, PartialHeader, ShardRecord};
+use crate::wire::{
+    self, hex64, member, parse_hex64, Fnv64, Json, PartialHeader, ShardRecord, Wire,
+};
 use ehdl::ShardError;
 use std::fs;
 use std::io::Write;
@@ -195,22 +197,20 @@ impl CheckpointStore {
         fingerprint: u64,
     ) -> Result<(), ShardError> {
         let mut text = format!(
-            "{{\"ehdl_frontier\":{},\"fingerprint\":\"{}\",\"merged_shards\":{},\"groups\":[",
+            "{{\"ehdl_frontier\":{},\"fingerprint\":\"{}\",\"merged_shards\":{},\"groups\":",
             wire::WIRE_VERSION,
             hex64(fingerprint),
             frontier.merged_shards
         );
-        for (i, gd) in frontier.grouped.iter().enumerate() {
-            if i > 0 {
-                text.push(',');
-            }
-            text.push('"');
-            text.push_str(gd.axis.name());
-            text.push('"');
-        }
-        text.push_str("]}\n");
+        let axes: Vec<String> = frontier
+            .grouped
+            .iter()
+            .map(|gd| gd.axis.name().into())
+            .collect();
+        axes.encode(&mut text);
+        text.push_str("}\n");
         text.push_str("{\"digest\":");
-        text.push_str(&wire::digest_json(&frontier.digest));
+        text.push_str(&frontier.digest.to_json());
         text.push_str("}\n");
         for gd in &frontier.grouped {
             for (key, digest) in &gd.groups {
@@ -218,7 +218,7 @@ impl CheckpointStore {
                     "{{\"axis\":\"{}\",\"key\":\"{}\",\"digest\":{}}}\n",
                     gd.axis.name(),
                     crate::metrics::json_escape(key),
-                    wire::digest_json(digest)
+                    digest.to_json()
                 ));
             }
         }
@@ -307,16 +307,8 @@ impl CheckpointStore {
                 found,
             }));
         }
-        let recorded_axes: Vec<String> = header
-            .get("groups")
-            .and_then(Json::as_arr)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|s| s.as_str().map(str::to_string))
-                    .collect()
-            })
-            .ok_or_else(|| corrupt("bad groups field"))?;
+        let recorded_axes: Vec<String> =
+            member(&header, "groups").map_err(|_| corrupt("bad groups field"))?;
         let requested: Vec<&str> = axes.iter().map(|a| a.name()).collect();
         if recorded_axes != requested {
             return Err(FrontierError::Fatal(ShardError::Checkpoint {
@@ -327,40 +319,27 @@ impl CheckpointStore {
                 ),
             }));
         }
-        let merged_shards = header
-            .get("merged_shards")
-            .and_then(Json::as_u64)
-            .and_then(|v| usize::try_from(v).ok())
-            .ok_or_else(|| corrupt("bad merged_shards field"))?;
+        let merged_shards =
+            member(&header, "merged_shards").map_err(|_| corrupt("bad merged_shards field"))?;
         let digest_line = lines.next().ok_or_else(|| corrupt("missing digest"))?;
         let digest = Json::parse(digest_line)
-            .and_then(|v| wire::digest_from(v.req("digest")?))
+            .and_then(|v| member(&v, "digest"))
             .map_err(FrontierError::Corrupt)?;
         let mut frontier = Frontier::empty(axes);
         frontier.merged_shards = merged_shards;
         frontier.digest = digest;
         for line in lines {
             let v = Json::parse(line).map_err(FrontierError::Corrupt)?;
-            let axis_name = v
-                .get("axis")
-                .and_then(|a| a.as_str())
-                .ok_or_else(|| corrupt("bad group axis"))?;
-            let axis = GroupAxis::parse(axis_name).ok_or_else(|| corrupt("unknown group axis"))?;
-            let key = v
-                .get("key")
-                .and_then(|k| k.as_str())
-                .ok_or_else(|| corrupt("bad group key"))?;
-            let digest = wire::digest_from(
-                v.get("digest")
-                    .ok_or_else(|| corrupt("missing group digest"))?,
-            )
-            .map_err(FrontierError::Corrupt)?;
+            let axis_name: String = member(&v, "axis").map_err(FrontierError::Corrupt)?;
+            let axis = GroupAxis::parse(&axis_name).ok_or_else(|| corrupt("unknown group axis"))?;
+            let key: String = member(&v, "key").map_err(FrontierError::Corrupt)?;
+            let digest = member(&v, "digest").map_err(FrontierError::Corrupt)?;
             let gd = frontier
                 .grouped
                 .iter_mut()
                 .find(|gd| gd.axis == axis)
                 .ok_or_else(|| corrupt("group line for unrequested axis"))?;
-            gd.groups.push((key.to_string(), digest));
+            gd.groups.push((key, digest));
         }
         Ok(frontier)
     }

@@ -231,8 +231,11 @@ impl StatsDigest {
     }
 
     /// Rebuilds a digest from wire parts; `sparse` is `(bin, count)`
-    /// pairs. Returns `None` when a bin index is out of range (a
-    /// corrupt or newer-format partial).
+    /// pairs in ascending bin order. Returns `None` for parts no digest
+    /// produces (a corrupt, hostile or newer-format partial): a bin
+    /// index out of range, repeated or descending, bin counts that do
+    /// not sum to `count`, or a non-empty digest whose min or max is
+    /// NaN or whose min exceeds its max.
     pub(crate) fn from_raw_parts(
         count: u64,
         sum: f64,
@@ -241,11 +244,17 @@ impl StatsDigest {
         sparse: &[(usize, u64)],
     ) -> Option<Self> {
         let mut bins = Box::new([0u64; BINS]);
+        let (mut next, mut total) = (0, 0u64);
         for &(bin, n) in sparse {
-            if bin >= BINS {
+            if bin < next || bin >= BINS {
                 return None;
             }
             bins[bin] = n;
+            (next, total) = (bin + 1, total.checked_add(n)?);
+        }
+        let bad_range = min.is_nan() || max.is_nan() || min > max;
+        if total != count || (count > 0 && bad_range) {
+            return None;
         }
         Some(StatsDigest {
             count,

@@ -69,6 +69,7 @@ mod report;
 mod runner;
 mod scenario;
 pub mod shard;
+mod tally;
 mod wire;
 
 pub use digest::{QuantileFidelity, StatsDigest};

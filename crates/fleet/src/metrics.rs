@@ -23,10 +23,21 @@
 //! Because every fold happens in a fixed order and merges walk the
 //! matrix order, a sink's report is a pure function of the matrix:
 //! bit-identical at any worker count.
+//!
+//! Adding a counter: the digest and its tallies are declared through
+//! `tally!`, so a new counter is one field line there
+//! (`pub name: u64 => sum,`), which also gives it its merge and its wire
+//! key. Hand-written code remains only where a field list cannot say
+//! it: the line in [`FleetDigest::fold_run`] (or the tally's own fold)
+//! that counts it, and optionally a `Display` clause. A new field changes
+//! the wire bytes, so bump the wire version and re-pin the golden wire
+//! test in the same change.
 
 use crate::digest::{QuantileFidelity, StatsDigest};
 use crate::report::{FleetReport, ScenarioReport};
 use crate::scenario::Scenario;
+use crate::tally::{tally, Merge};
+use crate::wire::{Json, Wire};
 use core::fmt;
 use ehdl::ehsim::{FaultTally, IntegrityTally, RunOutcome, RunReport};
 use ehdl::Error;
@@ -169,20 +180,7 @@ impl MetricsSink for FullReportSink {
             board: scenario.board.name(),
             seed: scenario.seed,
             accuracy,
-            runs: 0,
-            completed_runs: 0,
-            energy_limited_runs: 0,
-            outages: 0,
-            restores: 0,
-            ondemand_checkpoints: 0,
-            executed_ops: 0,
-            wasted_ops: 0,
-            energy_nj: 0.0,
-            active_seconds: 0.0,
-            charging_seconds: 0.0,
-            latencies_ms: Vec::new(),
-            resilience: ResilienceTally::default(),
-            integrity: IntegrityTally::default(),
+            ..ScenarioReport::default()
         }
     }
 
@@ -223,107 +221,98 @@ impl MetricsSink for FullReportSink {
 
 // -------------------------------------------------------------- digest
 
-/// The fixed-size summary of a whole sweep: exact counters plus
-/// [`StatsDigest`] sketches for latency (one sample per completed run)
-/// and accuracy (one sample per scenario). Mergeable — two digests from
-/// disjoint scenario ranges combine with [`FleetDigest::merge`], which
-/// is what makes per-worker (and, next, per-shard) partial results
-/// composable.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FleetDigest {
-    /// Scenarios folded.
-    pub scenarios: u64,
-    /// Intermittent runs attempted.
-    pub runs: u64,
-    /// Runs whose inference finished.
-    pub completed_runs: u64,
-    /// Runs declared ✗ (stalled without progress).
-    pub no_progress_runs: u64,
-    /// Runs that hit the outage budget.
-    pub outage_limited_runs: u64,
-    /// Runs that hit the wall-clock budget.
-    pub time_limited_runs: u64,
-    /// Runs that hit the per-run energy budget.
-    pub energy_limited_runs: u64,
-    /// Power failures across all runs.
-    pub outages: u64,
-    /// Restores performed after outages.
-    pub restores: u64,
-    /// On-demand checkpoints taken.
-    pub ondemand_checkpoints: u64,
-    /// Ops executed, including re-execution after rollbacks.
-    pub executed_ops: u64,
-    /// Ops whose work was lost to rollbacks.
-    pub wasted_ops: u64,
-    /// Total energy drawn from the capacitor, in nanojoules.
-    pub energy_nj: f64,
-    /// Seconds spent computing.
-    pub active_seconds: f64,
-    /// Seconds spent dark, charging.
-    pub charging_seconds: f64,
-    /// Completed-run latency sketch, in milliseconds.
-    pub latency_ms: StatsDigest,
-    /// Per-scenario deployment accuracy sketch.
-    pub accuracy: StatsDigest,
-    /// Per-run dark (charging) time sketch, in seconds — one sample per
-    /// run, whatever its outcome. `charging_seconds` holds the exact
-    /// total; this sketch adds the distribution, so budget sweeps can
-    /// chart charging-vs-compute time per strategy or environment.
-    pub dark_s: StatsDigest,
-    /// Fault-injection resilience counters, folded from each run's
-    /// [`FaultTally`]. All-zero on fault-free sweeps.
-    pub resilience: ResilienceTally,
-    /// Gateway service-level counters, folded from each networked
-    /// scenario's [`SloOutcome`]. Empty on solo-topology sweeps.
-    pub slo: SloTally,
-    /// Checkpoint-payload integrity counters, folded from each run's
-    /// [`IntegrityTally`]. All-zero unless bit-flips were armed or a
-    /// non-`None` integrity scheme ran.
-    pub integrity: IntegrityTally,
+tally! {
+    /// The fixed-size summary of a whole sweep: exact counters plus
+    /// [`StatsDigest`] sketches for latency (one sample per completed run)
+    /// and accuracy (one sample per scenario). Mergeable — two digests from
+    /// disjoint scenario ranges combine with [`FleetDigest::merge`], which
+    /// is what makes per-worker and per-shard partial results composable.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct FleetDigest {
+        /// Scenarios folded.
+        pub scenarios: u64 => sum,
+        /// Intermittent runs attempted.
+        pub runs: u64 => sum,
+        /// Runs whose inference finished.
+        pub completed_runs: u64 => sum,
+        /// Runs declared ✗ (stalled without progress).
+        pub no_progress_runs: u64 => sum,
+        /// Runs that hit the outage budget.
+        pub outage_limited_runs: u64 => sum,
+        /// Runs that hit the wall-clock budget.
+        pub time_limited_runs: u64 => sum,
+        /// Runs that hit the per-run energy budget.
+        pub energy_limited_runs: u64 => sum,
+        /// Power failures across all runs.
+        pub outages: u64 => sum,
+        /// Restores performed after outages.
+        pub restores: u64 => sum,
+        /// On-demand checkpoints taken.
+        pub ondemand_checkpoints: u64 => sum,
+        /// Ops executed, including re-execution after rollbacks.
+        pub executed_ops: u64 => sum,
+        /// Ops whose work was lost to rollbacks.
+        pub wasted_ops: u64 => sum,
+        /// Total energy drawn from the capacitor, in nanojoules.
+        pub energy_nj: f64 => sum,
+        /// Seconds spent computing.
+        pub active_seconds: f64 => sum,
+        /// Seconds spent dark, charging.
+        pub charging_seconds: f64 => sum,
+        /// Completed-run latency sketch, in milliseconds.
+        pub latency_ms: StatsDigest => merge,
+        /// Per-scenario deployment accuracy sketch.
+        pub accuracy: StatsDigest => merge,
+        /// Per-run dark (charging) time sketch, in seconds — one sample per
+        /// run, whatever its outcome. `charging_seconds` holds the exact
+        /// total; this sketch adds the distribution, so budget sweeps can
+        /// chart charging-vs-compute time per strategy or environment.
+        pub dark_s: StatsDigest => merge,
+        /// Fault-injection resilience counters, folded from each run's
+        /// [`FaultTally`]. All-zero on fault-free sweeps.
+        pub resilience: ResilienceTally => merge,
+        /// Gateway service-level counters, folded from each networked
+        /// scenario's [`SloOutcome`]. Empty on solo-topology sweeps.
+        pub slo: SloTally => merge,
+        /// Checkpoint-payload integrity counters, folded from each run's
+        /// [`IntegrityTally`]. All-zero unless bit-flips were armed or a
+        /// non-`None` integrity scheme ran.
+        pub integrity: IntegrityTally => merge,
+    }
 }
 
-/// Fleet-wide gateway service-level tally: how many polls the fleet's
-/// devices answered, how the misses split between asleep and stale,
-/// and a mergeable sketch of served-result staleness. Folded once per
-/// networked scenario from its [`SloOutcome`]; solo scenarios
-/// contribute nothing. Merged field-wise, so it composes across
-/// workers and shards exactly like the rest of [`FleetDigest`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SloTally {
-    /// Networked scenarios (simulated worlds) folded.
-    pub worlds: u64,
-    /// Device slots across those worlds.
-    pub devices: u64,
-    /// Gateway polls issued.
-    pub polls: u64,
-    /// Polls answered with a fresh result.
-    pub served: u64,
-    /// Polls that found the target device dark (charging).
-    pub missed_asleep: u64,
-    /// Polls that found the device awake but its newest result older
-    /// than the freshness window (or no result at all).
-    pub missed_stale: u64,
-    /// Devices that answered zero polls in their world — the fleet's
-    /// starvation count under the shared harvest field.
-    pub starved_devices: u64,
-    /// Staleness of each served result, in seconds (poll time minus
-    /// the served inference's completion time).
-    pub staleness_s: StatsDigest,
+tally! {
+    /// Fleet-wide gateway service-level tally: how many polls the fleet's
+    /// devices answered, how the misses split between asleep and stale,
+    /// and a mergeable sketch of served-result staleness. Folded once per
+    /// networked scenario from its [`SloOutcome`]; solo scenarios
+    /// contribute nothing. Merged field-wise, so it composes across
+    /// workers and shards exactly like the rest of [`FleetDigest`].
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct SloTally {
+        /// Networked scenarios (simulated worlds) folded.
+        pub worlds: u64 => sum,
+        /// Device slots across those worlds.
+        pub devices: u64 => sum,
+        /// Gateway polls issued.
+        pub polls: u64 => sum,
+        /// Polls answered with a fresh result.
+        pub served: u64 => sum,
+        /// Polls that found the target device dark (charging).
+        pub missed_asleep: u64 => sum,
+        /// Polls that found the device awake but its newest result older
+        /// than the freshness window (or no result at all).
+        pub missed_stale: u64 => sum,
+        /// Devices that answered zero polls in their world — the fleet's
+        /// starvation count under the shared harvest field.
+        pub starved_devices: u64 => sum,
+        /// Staleness of each served result, in seconds (poll time minus
+        /// the served inference's completion time).
+        pub staleness_s: StatsDigest => merge,
+    }
 }
 
 impl SloTally {
-    /// Merges `other` into `self` (field-wise sums; sketches merge).
-    pub fn merge(&mut self, other: &SloTally) {
-        self.worlds += other.worlds;
-        self.devices += other.devices;
-        self.polls += other.polls;
-        self.served += other.served;
-        self.missed_asleep += other.missed_asleep;
-        self.missed_stale += other.missed_stale;
-        self.starved_devices += other.starved_devices;
-        self.staleness_s.merge(&other.staleness_s);
-    }
-
     /// Folds one networked scenario's gateway outcome.
     pub(crate) fn fold_outcome(&mut self, outcome: &SloOutcome) {
         self.worlds += 1;
@@ -348,49 +337,38 @@ impl SloTally {
     }
 }
 
-/// Fleet-wide resilience counters for fault-injected sweeps: how many
-/// runs saw injected faults, how many of those still completed, and the
-/// per-kind injection totals. Folded from each run's [`FaultTally`] and
-/// merged by field-wise sum, so it composes across workers and shards
-/// exactly like the rest of [`FleetDigest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResilienceTally {
-    /// Runs with at least one injected fault.
-    pub faulted_runs: u64,
-    /// Faulted runs that nevertheless completed inference.
-    pub recovered_runs: u64,
-    /// Spurious mid-compute resets injected.
-    pub spurious_resets: u64,
-    /// Checkpoint commits torn by mid-commit power loss.
-    pub torn_commits: u64,
-    /// Ops executed under injected voltage sag.
-    pub sag_ops: u64,
-    /// Restores that found the newest checkpoint slot corrupted.
-    pub corrupt_restores: u64,
-    /// Corrupt restores that fell all the way back to a cold boot.
-    pub cold_boots: u64,
-    /// Corruptions the restore path detected (and recovered from).
-    pub detected_corruptions: u64,
-    /// Corruptions that went undetected — always zero under the
-    /// double-buffered checkpoint audit; a nonzero value is a
-    /// crash-consistency bug.
-    pub silent_corruptions: u64,
+tally! {
+    /// Fleet-wide resilience counters for fault-injected sweeps: how many
+    /// runs saw injected faults, how many of those still completed, and the
+    /// per-kind injection totals. Folded from each run's [`FaultTally`] and
+    /// merged by field-wise sum, so it composes across workers and shards
+    /// exactly like the rest of [`FleetDigest`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ResilienceTally {
+        /// Runs with at least one injected fault.
+        pub faulted_runs: u64 => sum,
+        /// Faulted runs that nevertheless completed inference.
+        pub recovered_runs: u64 => sum,
+        /// Spurious mid-compute resets injected.
+        pub spurious_resets: u64 => sum,
+        /// Checkpoint commits torn by mid-commit power loss.
+        pub torn_commits: u64 => sum,
+        /// Ops executed under injected voltage sag.
+        pub sag_ops: u64 => sum,
+        /// Restores that found the newest checkpoint slot corrupted.
+        pub corrupt_restores: u64 => sum,
+        /// Corrupt restores that fell all the way back to a cold boot.
+        pub cold_boots: u64 => sum,
+        /// Corruptions the restore path detected (and recovered from).
+        pub detected_corruptions: u64 => sum,
+        /// Corruptions that went undetected — always zero under the
+        /// double-buffered checkpoint audit; a nonzero value is a
+        /// crash-consistency bug.
+        pub silent_corruptions: u64 => sum,
+    }
 }
 
 impl ResilienceTally {
-    /// Merges `other` into `self` (field-wise sums).
-    pub fn merge(&mut self, other: &ResilienceTally) {
-        self.faulted_runs += other.faulted_runs;
-        self.recovered_runs += other.recovered_runs;
-        self.spurious_resets += other.spurious_resets;
-        self.torn_commits += other.torn_commits;
-        self.sag_ops += other.sag_ops;
-        self.corrupt_restores += other.corrupt_restores;
-        self.cold_boots += other.cold_boots;
-        self.detected_corruptions += other.detected_corruptions;
-        self.silent_corruptions += other.silent_corruptions;
-    }
-
     /// Folds one run's fault tally and outcome.
     pub(crate) fn fold_run(&mut self, report: &RunReport) {
         let t: &FaultTally = &report.faults;
@@ -420,36 +398,33 @@ impl ResilienceTally {
     }
 }
 
+// Declared in `ehsim`, which knows nothing of fleet merges or wires.
+tally! {
+    impl IntegrityTally {
+        flips_injected => sum,
+        flips_repaired => sum,
+        flips_detected => sum,
+        silent_restores => sum,
+        wear_max_commits => max,
+        ladder => each,
+    }
+}
+
 impl FleetDigest {
     /// An empty digest.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Merges `other` into `self`. Merge in a fixed order (the fleet
-    /// runner uses matrix order) for bit-identical floating-point sums.
-    pub fn merge(&mut self, other: &FleetDigest) {
-        self.scenarios += other.scenarios;
-        self.runs += other.runs;
-        self.completed_runs += other.completed_runs;
-        self.no_progress_runs += other.no_progress_runs;
-        self.outage_limited_runs += other.outage_limited_runs;
-        self.time_limited_runs += other.time_limited_runs;
-        self.energy_limited_runs += other.energy_limited_runs;
-        self.outages += other.outages;
-        self.restores += other.restores;
-        self.ondemand_checkpoints += other.ondemand_checkpoints;
-        self.executed_ops += other.executed_ops;
-        self.wasted_ops += other.wasted_ops;
-        self.energy_nj += other.energy_nj;
-        self.active_seconds += other.active_seconds;
-        self.charging_seconds += other.charging_seconds;
-        self.latency_ms.merge(&other.latency_ms);
-        self.accuracy.merge(&other.accuracy);
-        self.dark_s.merge(&other.dark_s);
-        self.resilience.merge(&other.resilience);
-        self.slo.merge(&other.slo);
-        self.integrity.merge(&other.integrity);
+    /// The digest a sink opens for one scenario: the scenario counted,
+    /// its deployment accuracy sampled, no runs yet.
+    pub(crate) fn opened(accuracy: f64) -> Self {
+        let mut digest = FleetDigest {
+            scenarios: 1,
+            ..Self::default()
+        };
+        digest.accuracy.record(accuracy);
+        digest
     }
 
     /// Folds one run's facts (shared by [`DigestSink`], [`GroupBySink`]
@@ -495,7 +470,7 @@ impl FleetDigest {
         if self.executed_ops == 0 {
             1.0
         } else {
-            (self.executed_ops - self.wasted_ops) as f64 / self.executed_ops as f64
+            self.executed_ops.saturating_sub(self.wasted_ops) as f64 / self.executed_ops as f64
         }
     }
 
@@ -531,7 +506,9 @@ impl FleetDigest {
     /// of it) doubles as a determinism checksum for bench harnesses and
     /// CI smoke jobs.
     pub fn to_json(&self) -> String {
-        crate::wire::digest_json(self)
+        let mut out = String::with_capacity(1536);
+        self.encode(&mut out);
+        out
     }
 
     /// Rebuilds a digest from [`to_json`](Self::to_json)'s output —
@@ -541,7 +518,7 @@ impl FleetDigest {
     ///
     /// Describes the first syntax or schema error.
     pub fn from_json(text: &str) -> Result<FleetDigest, String> {
-        crate::wire::digest_from(&crate::wire::Json::parse(text)?)
+        FleetDigest::decode(&Json::parse(text)?)
     }
 
     /// Bytes this digest retains — a constant, however many scenarios
@@ -695,10 +672,7 @@ impl MetricsSink for DigestSink {
     type Report = FleetDigest;
 
     fn open(&self, _scenario: &Scenario, accuracy: f64) -> FleetDigest {
-        let mut partial = FleetDigest::new();
-        partial.scenarios = 1;
-        partial.accuracy.record(accuracy);
-        partial
+        FleetDigest::opened(accuracy)
     }
 
     fn fold(partial: &mut FleetDigest, record: &RunRecord<'_>) {
@@ -724,14 +698,14 @@ impl MetricsSink for DigestSink {
 /// Which scenario axis a [`GroupBySink`] groups on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupAxis {
+    /// Group by workload name.
+    Workload,
     /// Group by environment name.
     Environment,
     /// Group by checkpoint strategy.
     Strategy,
     /// Group by board name.
     Board,
-    /// Group by workload name.
-    Workload,
     /// Group by the per-run energy budget — one digest per budget axis
     /// value, which is exactly a completion-vs-joule frontier (plot
     /// each group's completion rate against its budget).
@@ -754,14 +728,30 @@ pub enum GroupAxis {
 }
 
 impl GroupAxis {
+    /// Every axis, in declaration order — the order shard records carry
+    /// their labels in, so `axis as usize` indexes them.
+    pub(crate) const ALL: [GroupAxis; 8] = [
+        GroupAxis::Workload,
+        GroupAxis::Environment,
+        GroupAxis::Strategy,
+        GroupAxis::Board,
+        GroupAxis::EnergyBudget,
+        GroupAxis::Fault,
+        GroupAxis::Topology,
+        GroupAxis::Integrity,
+    ];
+
     /// The axis label of one scenario.
     pub(crate) fn key(self, scenario: &Scenario) -> String {
         match self {
+            GroupAxis::Workload => scenario.workload.name().to_string(),
             GroupAxis::Environment => scenario.environment.name().to_string(),
             GroupAxis::Strategy => scenario.strategy.name().to_string(),
             GroupAxis::Board => scenario.board.name().to_string(),
-            GroupAxis::Workload => scenario.workload.name().to_string(),
-            GroupAxis::EnergyBudget => budget_label(scenario.energy_budget_nj),
+            GroupAxis::EnergyBudget => match scenario.energy_budget_nj {
+                None => "unbounded".to_string(),
+                Some(nj) => format!("{nj}nJ"),
+            },
             GroupAxis::Fault => scenario.fault.label(),
             GroupAxis::Topology => scenario.topology.label(),
             GroupAxis::Integrity => scenario.integrity.label().to_string(),
@@ -771,10 +761,10 @@ impl GroupAxis {
     /// The axis name (column header).
     pub fn name(self) -> &'static str {
         match self {
+            GroupAxis::Workload => "workload",
             GroupAxis::Environment => "environment",
             GroupAxis::Strategy => "strategy",
             GroupAxis::Board => "board",
-            GroupAxis::Workload => "workload",
             GroupAxis::EnergyBudget => "energy_budget",
             GroupAxis::Fault => "fault",
             GroupAxis::Topology => "topology",
@@ -782,29 +772,19 @@ impl GroupAxis {
         }
     }
 
+    /// The key of the axis label in a shard record: the
+    /// [`name`](Self::name), except `budget` for the energy budget.
+    pub(crate) fn wire_key(self) -> &'static str {
+        match self {
+            GroupAxis::EnergyBudget => "budget",
+            _ => self.name(),
+        }
+    }
+
     /// Parses the axis back from [`name`](Self::name) — the inverse the
     /// shard checkpoint store uses when restoring grouped frontiers.
     pub(crate) fn parse(name: &str) -> Option<Self> {
-        [
-            GroupAxis::Environment,
-            GroupAxis::Strategy,
-            GroupAxis::Board,
-            GroupAxis::Workload,
-            GroupAxis::EnergyBudget,
-            GroupAxis::Fault,
-            GroupAxis::Topology,
-            GroupAxis::Integrity,
-        ]
-        .into_iter()
-        .find(|a| a.name() == name)
-    }
-}
-
-/// The group label of one energy-budget axis entry.
-pub(crate) fn budget_label(budget: Option<f64>) -> String {
-    match budget {
-        None => "unbounded".to_string(),
-        Some(nj) => format!("{nj}nJ"),
+        Self::ALL.into_iter().find(|a| a.name() == name)
     }
 }
 
@@ -885,10 +865,7 @@ impl MetricsSink for GroupBySink {
     type Report = GroupedDigest;
 
     fn open(&self, scenario: &Scenario, accuracy: f64) -> (String, FleetDigest) {
-        let mut partial = FleetDigest::new();
-        partial.scenarios = 1;
-        partial.accuracy.record(accuracy);
-        (self.axis.key(scenario), partial)
+        (self.axis.key(scenario), FleetDigest::opened(accuracy))
     }
 
     fn fold(partial: &mut (String, FleetDigest), record: &RunRecord<'_>) {
@@ -917,59 +894,59 @@ impl MetricsSink for GroupBySink {
 
 // ----------------------------------------------------------- row sinks
 
-/// The row fields shared by [`JsonlSink`] and [`CsvSink`], in column
-/// order.
-fn row_fields(record: &RunRecord<'_>) -> [(&'static str, String); 23] {
-    let s = record.scenario;
-    let r = record.report;
-    [
-        ("scenario", s.index.to_string()),
-        ("workload", s.workload.name().to_string()),
-        ("environment", s.environment.name().to_string()),
-        ("strategy", s.strategy.name().to_string()),
-        ("board", s.board.name().to_string()),
-        ("seed", s.seed.to_string()),
-        (
-            "energy_budget_nj",
-            s.energy_budget_nj
-                .map_or(String::new(), |nj| nj.to_string()),
-        ),
-        ("fault", s.fault.label()),
-        ("topology", s.topology.label()),
-        ("integrity", s.integrity.label().to_string()),
-        ("run", record.run.to_string()),
-        ("outcome", r.outcome.label().to_string()),
-        ("accuracy", record.accuracy.to_string()),
-        (
-            "latency_ms",
-            r.latency_ms().map_or(String::new(), |ms| ms.to_string()),
-        ),
-        ("outages", r.outages.to_string()),
-        ("restores", r.restores.to_string()),
-        ("ondemand_checkpoints", r.ondemand_checkpoints.to_string()),
-        ("executed_ops", r.executed_ops.to_string()),
-        ("wasted_ops", r.wasted_ops.to_string()),
-        ("energy_nj", r.energy.nanojoules().to_string()),
-        ("active_seconds", r.active_seconds.to_string()),
-        ("dark_s", r.charging_seconds.to_string()),
-        ("wall_seconds", r.wall_seconds.to_string()),
-    ]
-}
+/// One row-sink column: its name, whether JSONL writes it as a string
+/// ([`TEXT`]) or a bare number ([`NUMBER`]), and its value for a run
+/// (empty for JSON `null` and an empty CSV field).
+type Column = (&'static str, bool, fn(&RunRecord<'_>) -> String);
+const TEXT: bool = true;
+const NUMBER: bool = false;
 
-/// Whether a field is a JSON string (true) or bare number (false).
-fn json_is_string(name: &str) -> bool {
-    matches!(
-        name,
-        "workload"
-            | "environment"
-            | "strategy"
-            | "board"
-            | "fault"
-            | "topology"
-            | "integrity"
-            | "outcome"
-    )
-}
+/// The row schema [`JsonlSink`] and [`CsvSink`] share, in column order.
+const COLUMNS: [Column; 23] = [
+    ("scenario", NUMBER, |r| r.scenario.index.to_string()),
+    ("workload", TEXT, |r| r.scenario.workload.name().to_string()),
+    ("environment", TEXT, |r| {
+        r.scenario.environment.name().to_string()
+    }),
+    ("strategy", TEXT, |r| r.scenario.strategy.name().to_string()),
+    ("board", TEXT, |r| r.scenario.board.name().to_string()),
+    ("seed", NUMBER, |r| r.scenario.seed.to_string()),
+    ("energy_budget_nj", NUMBER, |r| {
+        r.scenario
+            .energy_budget_nj
+            .map_or(String::new(), |nj| nj.to_string())
+    }),
+    ("fault", TEXT, |r| r.scenario.fault.label()),
+    ("topology", TEXT, |r| r.scenario.topology.label()),
+    ("integrity", TEXT, |r| {
+        r.scenario.integrity.label().to_string()
+    }),
+    ("run", NUMBER, |r| r.run.to_string()),
+    ("outcome", TEXT, |r| r.report.outcome.label().to_string()),
+    ("accuracy", NUMBER, |r| r.accuracy.to_string()),
+    ("latency_ms", NUMBER, |r| {
+        r.latency_ms().map_or(String::new(), |ms| ms.to_string())
+    }),
+    ("outages", NUMBER, |r| r.report.outages.to_string()),
+    ("restores", NUMBER, |r| r.report.restores.to_string()),
+    ("ondemand_checkpoints", NUMBER, |r| {
+        r.report.ondemand_checkpoints.to_string()
+    }),
+    ("executed_ops", NUMBER, |r| {
+        r.report.executed_ops.to_string()
+    }),
+    ("wasted_ops", NUMBER, |r| r.report.wasted_ops.to_string()),
+    ("energy_nj", NUMBER, |r| {
+        r.report.energy.nanojoules().to_string()
+    }),
+    ("active_seconds", NUMBER, |r| {
+        r.report.active_seconds.to_string()
+    }),
+    ("dark_s", NUMBER, |r| r.report.charging_seconds.to_string()),
+    ("wall_seconds", NUMBER, |r| {
+        r.report.wall_seconds.to_string()
+    }),
+];
 
 /// RFC-4180-style CSV field escape: fields containing a comma, quote
 /// or line break are quoted with inner quotes doubled (user-named
@@ -1026,21 +1003,22 @@ impl<W: Write> MetricsSink for JsonlSink<W> {
     fn fold(partial: &mut Vec<String>, record: &RunRecord<'_>) {
         let mut row = String::with_capacity(256);
         row.push('{');
-        for (i, (name, value)) in row_fields(record).iter().enumerate() {
+        for (i, (name, text, value)) in COLUMNS.iter().enumerate() {
             if i > 0 {
                 row.push(',');
             }
             row.push('"');
             row.push_str(name);
             row.push_str("\":");
+            let value = value(record);
             if value.is_empty() {
                 row.push_str("null");
-            } else if json_is_string(name) {
+            } else if *text {
                 row.push('"');
-                row.push_str(&json_escape(value));
+                row.push_str(&json_escape(&value));
                 row.push('"');
             } else {
-                row.push_str(value);
+                row.push_str(&value);
             }
         }
         row.push('}');
@@ -1084,39 +1062,13 @@ impl<W: Write> CsvSink<W> {
     fn write_header(&mut self) -> Result<(), Error> {
         if !self.wrote_header {
             self.wrote_header = true;
-            self.writer.write_all(CSV_COLUMNS.join(",").as_bytes())?;
+            let header: Vec<&str> = COLUMNS.iter().map(|c| c.0).collect();
+            self.writer.write_all(header.join(",").as_bytes())?;
             self.writer.write_all(b"\n")?;
         }
         Ok(())
     }
 }
-
-/// The CSV column names, in order (matches [`row_fields`]).
-const CSV_COLUMNS: [&str; 23] = [
-    "scenario",
-    "workload",
-    "environment",
-    "strategy",
-    "board",
-    "seed",
-    "energy_budget_nj",
-    "fault",
-    "topology",
-    "integrity",
-    "run",
-    "outcome",
-    "accuracy",
-    "latency_ms",
-    "outages",
-    "restores",
-    "ondemand_checkpoints",
-    "executed_ops",
-    "wasted_ops",
-    "energy_nj",
-    "active_seconds",
-    "dark_s",
-    "wall_seconds",
-];
 
 impl<W: Write> MetricsSink for CsvSink<W> {
     /// One pre-rendered row per run.
@@ -1129,13 +1081,12 @@ impl<W: Write> MetricsSink for CsvSink<W> {
     }
 
     fn fold(partial: &mut Vec<String>, record: &RunRecord<'_>) {
-        let fields = row_fields(record);
         let mut row = String::with_capacity(192);
-        for (i, (_, value)) in fields.iter().enumerate() {
+        for (i, (_, _, value)) in COLUMNS.iter().enumerate() {
             if i > 0 {
                 row.push(',');
             }
-            row.push_str(&csv_escape(value));
+            row.push_str(&csv_escape(&value(record)));
         }
         partial.push(row);
     }
@@ -1299,7 +1250,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5);
         assert!(lines[0].starts_with("scenario,workload,environment"));
-        assert_eq!(lines[1].split(',').count(), CSV_COLUMNS.len());
+        assert_eq!(lines[1].split(',').count(), COLUMNS.len());
         // Empty latency field for the aborted run.
         assert!(lines[2].contains(",energy_limit,"));
         // An empty sweep still produces the header.
@@ -1358,40 +1309,24 @@ mod tests {
                 _ => {}
             }
         }
-        assert_eq!(fields + 1, CSV_COLUMNS.len());
+        assert_eq!(fields + 1, COLUMNS.len());
     }
 
     #[test]
     fn csv_columns_pin_the_row_schema() {
-        // The three hand-maintained schema views must agree: the header
-        // list, the row field names, and the JSON string-typing.
-        let scenarios = ScenarioMatrix::new().scenarios();
-        let report = fake_report(RunOutcome::Completed, 0.1);
-        let record = RunRecord {
-            scenario: &scenarios[0],
-            run: 0,
-            accuracy: 0.5,
-            report: &report,
-        };
-        let names: Vec<&str> = row_fields(&record).iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, CSV_COLUMNS);
-        let string_typed: Vec<&str> = names
-            .iter()
-            .copied()
-            .filter(|n| json_is_string(n))
-            .collect();
+        // The column table is the schema's one declaration: pin its
+        // names (the CSV header) and its JSON string-typing.
+        let names: Vec<&str> = COLUMNS.iter().map(|c| c.0).collect();
         assert_eq!(
-            string_typed,
-            [
-                "workload",
-                "environment",
-                "strategy",
-                "board",
-                "fault",
-                "topology",
-                "integrity",
-                "outcome"
-            ]
+            names.join(","),
+            "scenario,workload,environment,strategy,board,seed,energy_budget_nj,fault,topology,\
+             integrity,run,outcome,accuracy,latency_ms,outages,restores,ondemand_checkpoints,\
+             executed_ops,wasted_ops,energy_nj,active_seconds,dark_s,wall_seconds"
+        );
+        let string_typed: Vec<&str> = COLUMNS.iter().filter(|c| c.1).map(|c| c.0).collect();
+        assert_eq!(
+            string_typed.join(","),
+            "workload,environment,strategy,board,fault,topology,integrity,outcome"
         );
     }
 
@@ -1589,6 +1524,42 @@ mod tests {
         let clean = drive(DigestSink::new());
         assert!(clean.integrity.is_empty());
         assert!(!clean.to_string().contains("integrity:"));
+    }
+
+    #[test]
+    fn tallies_merge_counters_and_max_wear() {
+        let mut a = IntegrityTally {
+            flips_injected: 3,
+            flips_repaired: 1,
+            flips_detected: 1,
+            silent_restores: 0,
+            wear_max_commits: 40,
+            ladder: [5, 1, 1, 0],
+        };
+        let b = IntegrityTally {
+            flips_injected: 2,
+            flips_repaired: 0,
+            flips_detected: 1,
+            silent_restores: 2,
+            wear_max_commits: 25,
+            ladder: [2, 0, 1, 1],
+        };
+        a.merge(&b);
+        assert_eq!(a.flips_injected, 5);
+        assert_eq!(a.silent_restores, 2);
+        assert_eq!(a.wear_max_commits, 40, "wear merges by max, not sum");
+        assert_eq!(a.ladder, [7, 1, 2, 1]);
+        assert_eq!(a.restores_resolved(), 11);
+        assert!(!a.is_empty());
+        assert!(IntegrityTally::default().is_empty());
+    }
+
+    #[test]
+    fn group_axes_index_shard_labels_in_declaration_order() {
+        for (i, axis) in GroupAxis::ALL.into_iter().enumerate() {
+            assert_eq!(axis as usize, i, "{}", axis.name());
+            assert_eq!(GroupAxis::parse(axis.name()), Some(axis));
+        }
     }
 
     #[test]

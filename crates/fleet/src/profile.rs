@@ -32,6 +32,7 @@
 //! `slot_wait` spans exist only when workers contend.
 
 use crate::digest::StatsDigest;
+use crate::tally::tally;
 use core::fmt;
 use ehdl::ehsim::{ExecEvent, ExecPhase, ExecProbe};
 
@@ -72,26 +73,28 @@ impl SetupPhase {
     }
 }
 
-/// Hit/miss/size counters for one runner cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheCounters {
-    /// Lookups served by an existing entry.
-    pub hits: u64,
-    /// Lookups that had to build the entry.
-    pub misses: u64,
-    /// Entries resident at the end of the sweep.
-    pub entries: u64,
-    /// Entries evicted to stay under the cache's capacity bound — a
-    /// nonzero count means later lookups rebuilt evicted state, so a
-    /// larger [`cache_entries`](crate::FleetBuilder::cache_entries) cap
-    /// would trade memory for fewer rebuilds.
-    pub evictions: u64,
+tally! {
+    /// Hit/miss/size counters for one runner cache.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct CacheCounters {
+        /// Lookups served by an existing entry.
+        pub hits: u64 => sum,
+        /// Lookups that had to build the entry.
+        pub misses: u64 => sum,
+        /// Entries resident at the end of the sweep.
+        pub entries: u64 => sum,
+        /// Entries evicted to stay under the cache's capacity bound — a
+        /// nonzero count means later lookups rebuilt evicted state, so a
+        /// larger [`cache_entries`](crate::FleetBuilder::cache_entries) cap
+        /// would trade memory for fewer rebuilds.
+        pub evictions: u64 => sum,
+    }
 }
 
 impl CacheCounters {
     /// Total lookups (`hits + misses`).
     pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
+        self.hits.saturating_add(self.misses)
     }
 
     /// Fraction of lookups served from cache (0 when never consulted).
@@ -111,43 +114,28 @@ impl CacheCounters {
             self.hits += 1;
         }
     }
-
-    /// Adds `other`'s counters.
-    pub fn merge(&mut self, other: &CacheCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.entries += other.entries;
-        self.evictions += other.evictions;
-    }
 }
 
-/// The fleet runner's three caches.
-///
-/// Lookup granularity differs per cache and is part of the contract:
-/// the **deployment** and **plan** caches are consulted once per
-/// scenario, and the **trace** cache once per run of a
-/// deterministic-environment scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Compiled [`ExecutionPlan`](ehdl::ehsim::ExecutionPlan)s, keyed
-    /// by (workload, board, strategy, integrity scheme) and shared
-    /// across seeds.
-    pub plan: CacheCounters,
-    /// Recorded [`RunTrace`](ehdl::ehsim::RunTrace)s, keyed by
-    /// (plan, environment, budget, fault schedule).
-    pub trace: CacheCounters,
-    /// Built [`Deployment`](ehdl::Deployment)s, keyed by
-    /// (workload, board, seed) and shared by every strategy and
-    /// integrity scheme.
-    pub deployment: CacheCounters,
-}
-
-impl CacheStats {
-    /// Adds `other`'s counters, cache by cache.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.plan.merge(&other.plan);
-        self.trace.merge(&other.trace);
-        self.deployment.merge(&other.deployment);
+tally! {
+    /// The fleet runner's three caches.
+    ///
+    /// Lookup granularity differs per cache and is part of the contract:
+    /// the **deployment** and **plan** caches are consulted once per
+    /// scenario, and the **trace** cache once per run of a
+    /// deterministic-environment scenario.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct CacheStats {
+        /// Compiled [`ExecutionPlan`](ehdl::ehsim::ExecutionPlan)s, keyed
+        /// by (workload, board, strategy, integrity scheme) and shared
+        /// across seeds.
+        pub plan: CacheCounters => merge,
+        /// Recorded [`RunTrace`](ehdl::ehsim::RunTrace)s, keyed by
+        /// (plan, environment, budget, fault schedule).
+        pub trace: CacheCounters => merge,
+        /// Built [`Deployment`](ehdl::Deployment)s, keyed by
+        /// (workload, board, seed) and shared by every strategy and
+        /// integrity scheme.
+        pub deployment: CacheCounters => merge,
     }
 }
 
@@ -201,12 +189,7 @@ impl PhaseProfile {
         }
     }
 
-    /// Replaces one phase's digest wholesale (wire deserialization).
-    pub(crate) fn digest_replace(&mut self, phase: ExecPhase, digest: StatsDigest) {
-        *self.digest_mut(phase) = digest;
-    }
-
-    fn digest_mut(&mut self, phase: ExecPhase) -> &mut StatsDigest {
+    pub(crate) fn digest_mut(&mut self, phase: ExecPhase) -> &mut StatsDigest {
         match phase {
             ExecPhase::ChargeSolve => &mut self.charge_solve_s,
             ExecPhase::PlanExec => &mut self.plan_exec_s,
@@ -231,13 +214,7 @@ impl PhaseProfile {
         }
     }
 
-    /// Replaces one set-up phase's digest wholesale (wire
-    /// deserialization).
-    pub(crate) fn setup_digest_replace(&mut self, phase: SetupPhase, digest: StatsDigest) {
-        *self.setup_digest_mut(phase) = digest;
-    }
-
-    fn setup_digest_mut(&mut self, phase: SetupPhase) -> &mut StatsDigest {
+    pub(crate) fn setup_digest_mut(&mut self, phase: SetupPhase) -> &mut StatsDigest {
         match phase {
             SetupPhase::DeployBuild => &mut self.deploy_build_s,
             SetupPhase::PlanCompile => &mut self.plan_compile_s,

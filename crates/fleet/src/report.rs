@@ -22,7 +22,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
 
 /// Everything measured for one scenario: the accuracy of its deployment
 /// and the folded counters of its intermittent runs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioReport {
     /// The scenario's stable name (`workload/env/strategy/board#seed`).
     pub name: String,
@@ -359,7 +359,6 @@ mod tests {
             accuracy: 0.5,
             runs: latencies_ms.len() as u32 + 1,
             completed_runs: latencies_ms.len() as u32,
-            energy_limited_runs: 0,
             outages: 3,
             restores: 3,
             ondemand_checkpoints: 2,
@@ -369,8 +368,7 @@ mod tests {
             active_seconds: 0.1,
             charging_seconds: 0.2,
             latencies_ms,
-            resilience: ResilienceTally::default(),
-            integrity: IntegrityTally::default(),
+            ..ScenarioReport::default()
         }
     }
 

@@ -37,7 +37,7 @@
 //! ```
 
 use crate::checkpoint::{CheckpointStore, Frontier};
-use crate::metrics::{budget_label, FleetDigest, GroupAxis, GroupedDigest, MetricsSink, RunRecord};
+use crate::metrics::{FleetDigest, GroupAxis, GroupedDigest, MetricsSink, RunRecord};
 use crate::runner::FleetRunner;
 use crate::scenario::{Scenario, ScenarioMatrix};
 use crate::wire::{self, hex64, Json, PartialHeader, PartialWriter, ShardRecord};
@@ -884,16 +884,7 @@ pub fn retry_backoff(base: Duration, seed: u64, shard: usize, attempt: u32) -> D
 /// Replays one scenario record into a grouped digest exactly as the
 /// in-process [`GroupBySink`](crate::GroupBySink) would.
 fn merge_group(gd: &mut GroupedDigest, record: &ShardRecord) {
-    let key = match gd.axis {
-        GroupAxis::Environment => &record.environment,
-        GroupAxis::Strategy => &record.strategy,
-        GroupAxis::Board => &record.board,
-        GroupAxis::Workload => &record.workload,
-        GroupAxis::EnergyBudget => &record.budget,
-        GroupAxis::Fault => &record.fault,
-        GroupAxis::Topology => &record.topology,
-        GroupAxis::Integrity => &record.integrity,
-    };
+    let key = &record.labels[gd.axis as usize];
     match gd.groups.iter_mut().find(|(k, _)| k == key) {
         Some((_, digest)) => digest.merge(&record.digest),
         None => gd.groups.push((key.clone(), record.digest.clone())),
@@ -1180,20 +1171,10 @@ impl<W: Write + Send> MetricsSink for ShardRecordSink<W> {
     type Report = (u64, W);
 
     fn open(&self, scenario: &Scenario, accuracy: f64) -> ShardRecord {
-        let mut digest = FleetDigest::new();
-        digest.scenarios = 1;
-        digest.accuracy.record(accuracy);
         ShardRecord {
             index: scenario.index as u64,
-            workload: scenario.workload.name().to_string(),
-            environment: scenario.environment.name().to_string(),
-            strategy: scenario.strategy.name().to_string(),
-            board: scenario.board.name().to_string(),
-            budget: budget_label(scenario.energy_budget_nj),
-            fault: scenario.fault.label(),
-            topology: scenario.topology.label(),
-            integrity: scenario.integrity.label().to_string(),
-            digest,
+            labels: GroupAxis::ALL.map(|axis| axis.key(scenario)),
+            digest: FleetDigest::opened(accuracy),
         }
     }
 

@@ -16,12 +16,12 @@
 //! recursive-descent parser ([`Json`]).
 
 use crate::digest::StatsDigest;
-use crate::metrics::{json_escape, FleetDigest, ResilienceTally, SloTally};
-use crate::profile::{CacheCounters, CacheStats, PhaseProfile, SetupPhase};
+use crate::metrics::{json_escape, FleetDigest, GroupAxis};
+use crate::profile::{PhaseProfile, SetupPhase};
 use crate::scenario::{ScenarioMatrix, Workload};
+use crate::tally::tally;
 use ehdl::ehsim::{
-    Capacitor, Environment, ExecPhase, ExecutorConfig, FaultSpec, Harvester, Integrity,
-    IntegrityTally, WearCurve,
+    Capacitor, Environment, ExecPhase, ExecutorConfig, FaultSpec, Harvester, Integrity, WearCurve,
 };
 use ehdl::{BoardSpec, CalibrationConfig, ShardError, Strategy};
 use ehdl_netsim::NetworkTopology;
@@ -91,10 +91,6 @@ pub(crate) fn parse_hex64(s: &str) -> Option<u64> {
 
 fn f64_hex(v: f64) -> String {
     hex64(v.to_bits())
-}
-
-fn f32_hex(v: f32) -> String {
-    format!("{:08x}", v.to_bits())
 }
 
 // ----------------------------------------------------------- the parser
@@ -215,15 +211,6 @@ impl Json {
         }
         u32::from_str_radix(s, 16).ok().map(f32::from_bits)
     }
-}
-
-/// Pulls a required field through one of the typed accessors above.
-macro_rules! field {
-    ($obj:expr, $key:literal, $as:ident) => {
-        $obj.req($key)?
-            .$as()
-            .ok_or_else(|| concat!("bad field ", $key).to_string())
-    };
 }
 
 /// How deep arrays and objects may nest in a parsed document. The
@@ -414,50 +401,207 @@ impl Parser<'_> {
     }
 }
 
-// ----------------------------------------------------------- digests
+// ------------------------------------------------------------ values
 
-fn stats_json(out: &mut String, d: &StatsDigest) {
-    let (count, sum, min, max, bins) = d.raw_parts();
-    let _ = write!(
-        out,
-        "{{\"count\":{count},\"sum\":\"{}\",\"min\":\"{}\",\"max\":\"{}\",\"bins\":[",
-        f64_hex(sum),
-        f64_hex(min),
-        f64_hex(max)
-    );
-    let mut first = true;
-    for (bin, &n) in bins.iter().enumerate() {
-        if n != 0 {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "[{bin},{n}]");
-        }
-    }
-    out.push_str("]}");
+/// A value with one canonical wire form, appended straight to the
+/// output and decoded bit-exactly. Tallies get theirs from
+/// [`tally!`](crate::tally::tally).
+pub(crate) trait Wire: Sized {
+    /// Appends the canonical encoding to `out`.
+    fn encode(&self, out: &mut String);
+
+    /// Decodes one value.
+    fn decode(v: &Json) -> Result<Self, String>;
 }
 
-fn stats_from(v: &Json) -> Result<StatsDigest, String> {
-    let count = field!(v, "count", as_u64)?;
-    let sum = field!(v, "sum", as_f64_bits)?;
-    let min = field!(v, "min", as_f64_bits)?;
-    let max = field!(v, "max", as_f64_bits)?;
-    let mut sparse = Vec::new();
-    for pair in field!(v, "bins", as_arr)? {
-        let pair = pair.as_arr().filter(|p| p.len() == 2);
-        let (bin, n) = pair
-            .and_then(|p| Some((p[0].as_usize()?, p[1].as_u64()?)))
-            .ok_or_else(|| "bad bins entry".to_string())?;
-        sparse.push((bin, n));
+/// Decodes a required object member.
+pub(crate) fn member<T: Wire>(v: &Json, key: &str) -> Result<T, String> {
+    T::decode(v.req(key)?).map_err(|e| format!("bad field {key}: {e}"))
+}
+
+impl Wire for u64 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
     }
-    StatsDigest::from_raw_parts(count, sum, min, max, &sparse)
-        .ok_or_else(|| "bin index out of range".to_string())
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        v.as_u64()
+            .ok_or_else(|| "expected an unsigned integer".to_string())
+    }
+}
+
+impl Wire for f64 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "\"{:016x}\"", self.to_bits());
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        v.as_f64_bits()
+            .ok_or_else(|| "expected 16 hex digits of f64 bits".to_string())
+    }
+}
+
+impl Wire for u32 {
+    fn encode(&self, out: &mut String) {
+        u64::from(*self).encode(out);
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        u64::decode(v)?
+            .try_into()
+            .map_err(|_| "out of range".to_string())
+    }
+}
+
+impl Wire for usize {
+    fn encode(&self, out: &mut String) {
+        (*self as u64).encode(out);
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        u64::decode(v)?
+            .try_into()
+            .map_err(|_| "out of range".to_string())
+    }
+}
+
+impl Wire for f32 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "\"{:08x}\"", self.to_bits());
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        v.as_f32_bits()
+            .ok_or_else(|| "expected 8 hex digits of f32 bits".to_string())
+    }
+}
+
+impl Wire for String {
+    fn encode(&self, out: &mut String) {
+        out.push('"');
+        out.push_str(&json_escape(self));
+        out.push('"');
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".to_string())
+    }
+}
+
+/// Writes `items` as a JSON array.
+fn encode_list<T: Wire>(items: &[T], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.encode(out);
+    }
+    out.push(']');
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, out: &mut String) {
+        encode_list(self, out);
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let items = v.as_arr().ok_or_else(|| "expected an array".to_string())?;
+        items.iter().map(T::decode).collect()
+    }
+}
+
+impl<const N: usize> Wire for [u64; N] {
+    fn encode(&self, out: &mut String) {
+        encode_list(self, out);
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        Vec::<u64>::decode(v)?
+            .try_into()
+            .map_err(|_| format!("expected {N} integers"))
+    }
+}
+
+/// A pair travels as a two-element array.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, out: &mut String) {
+        out.push('[');
+        self.0.encode(out);
+        out.push(',');
+        self.1.encode(out);
+        out.push(']');
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((A::decode(a)?, B::decode(b)?)),
+            _ => Err("expected a pair".to_string()),
+        }
+    }
+}
+
+/// `None` travels as `null`.
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            None => out.push_str("null"),
+            Some(value) => value.encode(out),
+        }
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            _ => T::decode(v).map(Some),
+        }
+    }
+}
+
+/// A sketch travels as its exact moments plus sparse `[bin, count]`
+/// pairs.
+impl Wire for StatsDigest {
+    fn encode(&self, out: &mut String) {
+        let (count, sum, min, max, bins) = self.raw_parts();
+        let _ = write!(
+            out,
+            "{{\"count\":{count},\"sum\":\"{:016x}\",\"min\":\"{:016x}\",\"max\":\"{:016x}\",\
+             \"bins\":[",
+            sum.to_bits(),
+            min.to_bits(),
+            max.to_bits()
+        );
+        let mut first = true;
+        for (bin, &n) in bins.iter().enumerate() {
+            if n != 0 {
+                if !first {
+                    out.push(',');
+                }
+                first = false;
+                let _ = write!(out, "[{bin},{n}]");
+            }
+        }
+        out.push_str("]}");
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let sparse: Vec<(usize, u64)> = member(v, "bins")?;
+        StatsDigest::from_raw_parts(
+            member(v, "count")?,
+            member(v, "sum")?,
+            member(v, "min")?,
+            member(v, "max")?,
+            &sparse,
+        )
+        .ok_or_else(|| "inconsistent sketch: bins, count and min/max disagree".to_string())
+    }
 }
 
 /// Serializes a [`PhaseProfile`] as one canonical JSON object: phase
 /// digests (floats as bit-exact hex) in [`ExecPhase::ALL`] then
-/// [`SetupPhase::ALL`] order, then the three cache counters.
+/// [`SetupPhase::ALL`] order, then the cache counters.
 pub(crate) fn profile_json(p: &PhaseProfile) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\"phases\":{");
@@ -466,37 +610,12 @@ pub(crate) fn profile_json(p: &PhaseProfile) -> String {
             out.push(',');
         }
         let _ = write!(out, "\"{name}\":");
-        stats_json(&mut out, digest);
+        digest.encode(&mut out);
     }
-    out.push_str("},\"caches\":{");
-    for (i, (name, c)) in [
-        ("plan", &p.caches.plan),
-        ("trace", &p.caches.trace),
-        ("deployment", &p.caches.deployment),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        if i != 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{name}\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"evictions\":{}}}",
-            c.hits, c.misses, c.entries, c.evictions
-        );
-    }
-    out.push_str("}}");
+    out.push_str("},\"caches\":");
+    p.caches.encode(&mut out);
+    out.push('}');
     out
-}
-
-fn cache_counters_from(v: &Json) -> Result<CacheCounters, String> {
-    Ok(CacheCounters {
-        hits: field!(v, "hits", as_u64)?,
-        misses: field!(v, "misses", as_u64)?,
-        entries: field!(v, "entries", as_u64)?,
-        evictions: field!(v, "evictions", as_u64)?,
-    })
 }
 
 /// Rebuilds a [`PhaseProfile`] from [`profile_json`]'s output —
@@ -506,170 +625,13 @@ pub(crate) fn profile_from_json(text: &str) -> Result<PhaseProfile, String> {
     let phases = v.req("phases")?;
     let mut profile = PhaseProfile::new();
     for phase in ExecPhase::ALL {
-        let d = stats_from(phases.req(phase.name())?)?;
-        profile.digest_replace(phase, d);
+        *profile.digest_mut(phase) = member(phases, phase.name())?;
     }
     for phase in SetupPhase::ALL {
-        let d = stats_from(phases.req(phase.name())?)?;
-        profile.setup_digest_replace(phase, d);
+        *profile.setup_digest_mut(phase) = member(phases, phase.name())?;
     }
-    let caches = v.req("caches")?;
-    profile.caches = CacheStats {
-        plan: cache_counters_from(caches.req("plan")?)?,
-        trace: cache_counters_from(caches.req("trace")?)?,
-        deployment: cache_counters_from(caches.req("deployment")?)?,
-    };
+    profile.caches = member(&v, "caches")?;
     Ok(profile)
-}
-
-/// Serializes a [`FleetDigest`] as one canonical JSON object.
-pub(crate) fn digest_json(d: &FleetDigest) -> String {
-    let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"scenarios\":{},\"runs\":{},\"completed_runs\":{},\"no_progress_runs\":{},\
-         \"outage_limited_runs\":{},\"time_limited_runs\":{},\"energy_limited_runs\":{},\
-         \"outages\":{},\"restores\":{},\"ondemand_checkpoints\":{},\
-         \"executed_ops\":{},\"wasted_ops\":{},\
-         \"energy_nj\":\"{}\",\"active_seconds\":\"{}\",\"charging_seconds\":\"{}\",\
-         \"latency_ms\":",
-        d.scenarios,
-        d.runs,
-        d.completed_runs,
-        d.no_progress_runs,
-        d.outage_limited_runs,
-        d.time_limited_runs,
-        d.energy_limited_runs,
-        d.outages,
-        d.restores,
-        d.ondemand_checkpoints,
-        d.executed_ops,
-        d.wasted_ops,
-        f64_hex(d.energy_nj),
-        f64_hex(d.active_seconds),
-        f64_hex(d.charging_seconds),
-    );
-    stats_json(&mut out, &d.latency_ms);
-    out.push_str(",\"accuracy\":");
-    stats_json(&mut out, &d.accuracy);
-    out.push_str(",\"dark_s\":");
-    stats_json(&mut out, &d.dark_s);
-    let r = &d.resilience;
-    let _ = write!(
-        out,
-        ",\"resilience\":{{\"faulted_runs\":{},\"recovered_runs\":{},\"spurious_resets\":{},\
-         \"torn_commits\":{},\"sag_ops\":{},\"corrupt_restores\":{},\"cold_boots\":{},\
-         \"detected_corruptions\":{},\"silent_corruptions\":{}}}",
-        r.faulted_runs,
-        r.recovered_runs,
-        r.spurious_resets,
-        r.torn_commits,
-        r.sag_ops,
-        r.corrupt_restores,
-        r.cold_boots,
-        r.detected_corruptions,
-        r.silent_corruptions,
-    );
-    let s = &d.slo;
-    let _ = write!(
-        out,
-        ",\"slo\":{{\"worlds\":{},\"devices\":{},\"polls\":{},\"served\":{},\
-         \"missed_asleep\":{},\"missed_stale\":{},\"starved_devices\":{},\"staleness_s\":",
-        s.worlds, s.devices, s.polls, s.served, s.missed_asleep, s.missed_stale, s.starved_devices,
-    );
-    stats_json(&mut out, &s.staleness_s);
-    out.push('}');
-    let i = &d.integrity;
-    let _ = write!(
-        out,
-        ",\"integrity\":{{\"flips_injected\":{},\"flips_repaired\":{},\"flips_detected\":{},\
-         \"silent_restores\":{},\"wear_max_commits\":{},\"ladder\":[{},{},{},{}]}}",
-        i.flips_injected,
-        i.flips_repaired,
-        i.flips_detected,
-        i.silent_restores,
-        i.wear_max_commits,
-        i.ladder[0],
-        i.ladder[1],
-        i.ladder[2],
-        i.ladder[3],
-    );
-    out.push('}');
-    out
-}
-
-fn integrity_from(v: &Json) -> Result<IntegrityTally, String> {
-    let ladder_arr = field!(v, "ladder", as_arr)?;
-    if ladder_arr.len() != 4 {
-        return Err("ladder must have 4 rungs".to_string());
-    }
-    let mut ladder = [0u64; 4];
-    for (slot, rung) in ladder.iter_mut().zip(ladder_arr) {
-        *slot = rung.as_u64().ok_or_else(|| "bad ladder rung".to_string())?;
-    }
-    Ok(IntegrityTally {
-        flips_injected: field!(v, "flips_injected", as_u64)?,
-        flips_repaired: field!(v, "flips_repaired", as_u64)?,
-        flips_detected: field!(v, "flips_detected", as_u64)?,
-        silent_restores: field!(v, "silent_restores", as_u64)?,
-        wear_max_commits: field!(v, "wear_max_commits", as_u64)?,
-        ladder,
-    })
-}
-
-fn slo_from(v: &Json) -> Result<SloTally, String> {
-    Ok(SloTally {
-        worlds: field!(v, "worlds", as_u64)?,
-        devices: field!(v, "devices", as_u64)?,
-        polls: field!(v, "polls", as_u64)?,
-        served: field!(v, "served", as_u64)?,
-        missed_asleep: field!(v, "missed_asleep", as_u64)?,
-        missed_stale: field!(v, "missed_stale", as_u64)?,
-        starved_devices: field!(v, "starved_devices", as_u64)?,
-        staleness_s: stats_from(v.req("staleness_s")?)?,
-    })
-}
-
-fn resilience_from(v: &Json) -> Result<ResilienceTally, String> {
-    Ok(ResilienceTally {
-        faulted_runs: field!(v, "faulted_runs", as_u64)?,
-        recovered_runs: field!(v, "recovered_runs", as_u64)?,
-        spurious_resets: field!(v, "spurious_resets", as_u64)?,
-        torn_commits: field!(v, "torn_commits", as_u64)?,
-        sag_ops: field!(v, "sag_ops", as_u64)?,
-        corrupt_restores: field!(v, "corrupt_restores", as_u64)?,
-        cold_boots: field!(v, "cold_boots", as_u64)?,
-        detected_corruptions: field!(v, "detected_corruptions", as_u64)?,
-        silent_corruptions: field!(v, "silent_corruptions", as_u64)?,
-    })
-}
-
-/// Rebuilds a [`FleetDigest`] from [`digest_json`]'s output —
-/// bit-identical, floats included.
-pub(crate) fn digest_from(v: &Json) -> Result<FleetDigest, String> {
-    Ok(FleetDigest {
-        scenarios: field!(v, "scenarios", as_u64)?,
-        runs: field!(v, "runs", as_u64)?,
-        completed_runs: field!(v, "completed_runs", as_u64)?,
-        no_progress_runs: field!(v, "no_progress_runs", as_u64)?,
-        outage_limited_runs: field!(v, "outage_limited_runs", as_u64)?,
-        time_limited_runs: field!(v, "time_limited_runs", as_u64)?,
-        energy_limited_runs: field!(v, "energy_limited_runs", as_u64)?,
-        outages: field!(v, "outages", as_u64)?,
-        restores: field!(v, "restores", as_u64)?,
-        ondemand_checkpoints: field!(v, "ondemand_checkpoints", as_u64)?,
-        executed_ops: field!(v, "executed_ops", as_u64)?,
-        wasted_ops: field!(v, "wasted_ops", as_u64)?,
-        energy_nj: field!(v, "energy_nj", as_f64_bits)?,
-        active_seconds: field!(v, "active_seconds", as_f64_bits)?,
-        charging_seconds: field!(v, "charging_seconds", as_f64_bits)?,
-        latency_ms: stats_from(v.req("latency_ms")?)?,
-        accuracy: stats_from(v.req("accuracy")?)?,
-        dark_s: stats_from(v.req("dark_s")?)?,
-        resilience: resilience_from(v.req("resilience")?)?,
-        slo: slo_from(v.req("slo")?)?,
-        integrity: integrity_from(v.req("integrity")?)?,
-    })
 }
 
 // ------------------------------------------------------------ records
@@ -683,49 +645,35 @@ pub(crate) fn digest_from(v: &Json) -> Result<FleetDigest, String> {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ShardRecord {
     pub index: u64,
-    pub workload: String,
-    pub environment: String,
-    pub strategy: String,
-    pub board: String,
-    pub budget: String,
-    pub fault: String,
-    pub topology: String,
-    pub integrity: String,
+    /// One label per [`GroupAxis::ALL`] entry, in that order.
+    pub labels: [String; GroupAxis::ALL.len()],
     pub digest: FleetDigest,
 }
 
 impl ShardRecord {
     pub(crate) fn to_line(&self) -> String {
-        format!(
-            "{{\"scenario\":{},\"workload\":\"{}\",\"environment\":\"{}\",\"strategy\":\"{}\",\
-             \"board\":\"{}\",\"budget\":\"{}\",\"fault\":\"{}\",\"topology\":\"{}\",\
-             \"integrity\":\"{}\",\"digest\":{}}}",
-            self.index,
-            json_escape(&self.workload),
-            json_escape(&self.environment),
-            json_escape(&self.strategy),
-            json_escape(&self.board),
-            json_escape(&self.budget),
-            json_escape(&self.fault),
-            json_escape(&self.topology),
-            json_escape(&self.integrity),
-            digest_json(&self.digest)
-        )
+        let mut out = String::with_capacity(1536);
+        let _ = write!(out, "{{\"scenario\":{}", self.index);
+        for (axis, label) in GroupAxis::ALL.iter().zip(&self.labels) {
+            let _ = write!(out, ",\"{}\":", axis.wire_key());
+            label.encode(&mut out);
+        }
+        out.push_str(",\"digest\":");
+        self.digest.encode(&mut out);
+        out.push('}');
+        out
     }
 
     pub(crate) fn from_line(line: &str) -> Result<ShardRecord, String> {
         let v = Json::parse(line)?;
+        let mut labels = <[String; GroupAxis::ALL.len()]>::default();
+        for (axis, label) in GroupAxis::ALL.iter().zip(&mut labels) {
+            *label = member(&v, axis.wire_key())?;
+        }
         Ok(ShardRecord {
-            index: field!(v, "scenario", as_u64)?,
-            workload: field!(v, "workload", as_str)?.to_string(),
-            environment: field!(v, "environment", as_str)?.to_string(),
-            strategy: field!(v, "strategy", as_str)?.to_string(),
-            board: field!(v, "board", as_str)?.to_string(),
-            budget: field!(v, "budget", as_str)?.to_string(),
-            fault: field!(v, "fault", as_str)?.to_string(),
-            topology: field!(v, "topology", as_str)?.to_string(),
-            integrity: field!(v, "integrity", as_str)?.to_string(),
-            digest: digest_from(v.req("digest")?)?,
+            index: member(&v, "scenario")?,
+            labels,
+            digest: member(&v, "digest")?,
         })
     }
 }
@@ -758,22 +706,20 @@ impl PartialHeader {
 
     fn from_line(line: &str) -> Result<PartialHeader, String> {
         let v = Json::parse(line)?;
-        let version = field!(v, "ehdl_shard_partial", as_u64)?;
+        let version: u64 = member(&v, "ehdl_shard_partial")?;
         if version != WIRE_VERSION {
             return Err(format!("wire version {version}, expected {WIRE_VERSION}"));
         }
         Ok(PartialHeader {
-            shard: field!(v, "shard", as_u64)?,
-            start: field!(v, "start", as_u64)?,
-            len: field!(v, "len", as_u64)?,
+            shard: member(&v, "shard")?,
+            start: member(&v, "start")?,
+            len: member(&v, "len")?,
             fingerprint: v
                 .req("fingerprint")?
                 .as_str()
                 .and_then(parse_hex64)
                 .ok_or_else(|| "bad field fingerprint".to_string())?,
-            runs: field!(v, "runs", as_u64)?
-                .try_into()
-                .map_err(|_| "runs out of range".to_string())?,
+            runs: member(&v, "runs")?,
         })
     }
 }
@@ -842,7 +788,7 @@ pub(crate) fn read_partial(text: &str) -> Result<(PartialHeader, Vec<ShardRecord
         .ok_or_else(|| "truncated (no trailing newline)".to_string())?;
     let footer_start = body.rfind('\n').map_or(0, |i| i + 1);
     let footer = Json::parse(&body[footer_start..]).map_err(|e| format!("bad footer: {e}"))?;
-    let claimed_records = field!(footer, "records", as_u64)?;
+    let claimed_records: u64 = member(&footer, "records")?;
     let claimed_checksum = footer
         .req("checksum")?
         .as_str()
@@ -887,410 +833,276 @@ pub(crate) fn read_partial(text: &str) -> Result<(PartialHeader, Vec<ShardRecord
 /// [`ShardError::Protocol`] when the matrix contains a
 /// [`BoardSpec::Custom`] board — a custom cost table has no wire form.
 pub(crate) fn matrix_json(m: &ScenarioMatrix) -> Result<String, ShardError> {
+    if let Some(b) = m
+        .boards
+        .iter()
+        .find(|b| !matches!(b, BoardSpec::Msp430Fr5994))
+    {
+        return Err(ShardError::Protocol {
+            shard: usize::MAX,
+            message: format!(
+                "board {:?} has no wire form; sharded sweeps support catalog boards only",
+                b.name()
+            ),
+        });
+    }
     let mut out = String::with_capacity(1024);
-    out.push_str("{\"environments\":[");
-    for (i, env) in m.environments.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        environment_json(&mut out, env);
+    m.encode(&mut out);
+    Ok(out)
+}
+
+/// Rebuilds a [`ScenarioMatrix`] from [`matrix_json`]'s output,
+/// validating every topology.
+pub(crate) fn matrix_from(v: &Json) -> Result<ScenarioMatrix, String> {
+    let m = ScenarioMatrix::decode(v)?;
+    for topology in &m.topologies {
+        topology.validate().map_err(|e| e.to_string())?;
     }
-    out.push_str("],\"strategies\":[");
-    for (i, s) in m.strategies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", s.name());
+    Ok(m)
+}
+
+tally! {
+    wire ScenarioMatrix {
+        environments, strategies, boards, workloads, seeds, budgets, faults, topologies,
+        integrities, runs, calibration, executor,
     }
-    out.push_str("],\"boards\":[");
-    for (i, b) in m.boards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match b {
-            BoardSpec::Msp430Fr5994 => out.push_str("\"MSP430FR5994\""),
-            _ => {
-                return Err(ShardError::Protocol {
-                    shard: usize::MAX,
-                    message: format!(
-                        "board {:?} has no wire form; sharded sweeps support catalog boards only",
-                        b.name()
-                    ),
-                })
-            }
+}
+
+tally! {
+    wire NetworkTopology {
+        devices, spacing, field_budget, poll_period_s, poll_offset_s, freshness_s, poll_retries,
+    }
+}
+
+tally! {
+    wire ExecutorConfig {
+        max_outages, stall_outages, charge_step_s, max_wall_seconds, energy_budget_nj,
+    }
+}
+
+tally! {
+    wire CalibrationConfig { samples, percentile, }
+}
+
+impl Wire for Strategy {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.name());
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let name = String::decode(v)?;
+        Strategy::ALL
+            .into_iter()
+            .find(|st| st.name() == name)
+            .ok_or_else(|| format!("unknown strategy {name:?}"))
+    }
+}
+
+impl Wire for Integrity {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.label());
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let label = String::decode(v)?;
+        Integrity::parse(&label).ok_or_else(|| format!("unknown integrity scheme {label:?}"))
+    }
+}
+
+/// Only catalog boards have a wire form (see [`matrix_json`]).
+impl Wire for BoardSpec {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.name());
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        match v.as_str() {
+            Some("MSP430FR5994") => Ok(BoardSpec::Msp430Fr5994),
+            other => Err(format!("unknown board {other:?}")),
         }
     }
-    out.push_str("],\"workloads\":[");
-    for (i, w) in m.workloads.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let samples = match w {
-            Workload::Mnist { samples } | Workload::Har { samples } | Workload::Okg { samples } => {
-                samples
-            }
-        };
-        let _ = write!(out, "{{\"kind\":\"{}\",\"samples\":{samples}}}", w.name());
+}
+
+impl Wire for Workload {
+    fn encode(&self, out: &mut String) {
+        let (Workload::Mnist { samples } | Workload::Har { samples } | Workload::Okg { samples }) =
+            self;
+        let _ = write!(
+            out,
+            "{{\"kind\":\"{}\",\"samples\":{samples}}}",
+            self.name()
+        );
     }
-    out.push_str("],\"seeds\":[");
-    for (i, seed) in m.seeds.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{seed}");
-    }
-    out.push_str("],\"budgets\":[");
-    for (i, budget) in m.budgets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match budget {
-            None => out.push_str("null"),
-            Some(nj) => {
-                let _ = write!(out, "\"{}\"", f64_hex(*nj));
-            }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let samples = member(v, "samples")?;
+        match member::<String>(v, "kind")?.as_str() {
+            "mnist" => Ok(Workload::Mnist { samples }),
+            "har" => Ok(Workload::Har { samples }),
+            "okg" => Ok(Workload::Okg { samples }),
+            kind => Err(format!("unknown workload kind {kind:?}")),
         }
     }
-    out.push_str("],\"faults\":[");
-    for (i, f) in m.faults.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+}
+
+/// The wear curve travels flat, as `wear_endurance`.
+impl Wire for FaultSpec {
+    fn encode(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"seed\":{},\"reset_per_op\":\"{}\",\"sag_per_op\":\"{}\",\"sag_factor\":\"{}\",\
              \"tear_per_commit\":\"{}\",\"corrupt_per_restore\":\"{}\",\"burst_len\":{},\
              \"flip_per_commit_bit\":\"{}\",\"wear_endurance\":{}}}",
-            f.seed,
-            f64_hex(f.reset_per_op),
-            f64_hex(f.sag_per_op),
-            f64_hex(f.sag_factor),
-            f64_hex(f.tear_per_commit),
-            f64_hex(f.corrupt_per_restore),
-            f.burst_len,
-            f64_hex(f.flip_per_commit_bit),
-            f.wear.endurance_commits,
+            self.seed,
+            f64_hex(self.reset_per_op),
+            f64_hex(self.sag_per_op),
+            f64_hex(self.sag_factor),
+            f64_hex(self.tear_per_commit),
+            f64_hex(self.corrupt_per_restore),
+            self.burst_len,
+            f64_hex(self.flip_per_commit_bit),
+            self.wear.endurance_commits,
         );
     }
-    out.push_str("],\"topologies\":[");
-    for (i, t) in m.topologies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"devices\":{},\"spacing\":\"{}\",\"field_budget\":\"{}\",\
-             \"poll_period_s\":\"{}\",\"poll_offset_s\":\"{}\",\"freshness_s\":\"{}\",\
-             \"poll_retries\":{}}}",
-            t.devices,
-            f64_hex(t.spacing),
-            f64_hex(t.field_budget),
-            f64_hex(t.poll_period_s),
-            f64_hex(t.poll_offset_s),
-            f64_hex(t.freshness_s),
-            t.poll_retries,
-        );
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        Ok(FaultSpec {
+            seed: member(v, "seed")?,
+            reset_per_op: member(v, "reset_per_op")?,
+            sag_per_op: member(v, "sag_per_op")?,
+            sag_factor: member(v, "sag_factor")?,
+            tear_per_commit: member(v, "tear_per_commit")?,
+            corrupt_per_restore: member(v, "corrupt_per_restore")?,
+            burst_len: member(v, "burst_len")?,
+            flip_per_commit_bit: member(v, "flip_per_commit_bit")?,
+            wear: WearCurve {
+                endurance_commits: member(v, "wear_endurance")?,
+            },
+        })
     }
-    out.push_str("],\"integrities\":[");
-    for (i, scheme) in m.integrities.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", scheme.label());
-    }
-    let _ = write!(
-        out,
-        "],\"runs\":{},\"calibration\":{{\"samples\":{},\"percentile\":\"{}\"}},\"executor\":{{",
-        m.runs,
-        m.calibration.samples,
-        f32_hex(m.calibration.percentile)
-    );
-    let e = &m.executor;
-    let _ = write!(
-        out,
-        "\"max_outages\":{},\"stall_outages\":{},\"charge_step_s\":",
-        e.max_outages, e.stall_outages
-    );
-    match e.charge_step_s {
-        None => out.push_str("null"),
-        Some(step) => {
-            let _ = write!(out, "\"{}\"", f64_hex(step));
-        }
-    }
-    let _ = write!(
-        out,
-        ",\"max_wall_seconds\":\"{}\",\"energy_budget_nj\":",
-        f64_hex(e.max_wall_seconds)
-    );
-    match e.energy_budget_nj {
-        None => out.push_str("null"),
-        Some(nj) => {
-            let _ = write!(out, "\"{}\"", f64_hex(nj));
-        }
-    }
-    out.push_str("}}");
-    Ok(out)
 }
 
-fn environment_json(out: &mut String, env: &Environment) {
-    let c = env.capacitor();
-    let _ = write!(
-        out,
-        "{{\"name\":\"{}\",\"capacitor\":{{\"farads\":\"{}\",\"v_max\":\"{}\",\
-         \"v_on\":\"{}\",\"v_off\":\"{}\"}},\"harvester\":",
-        json_escape(env.name()),
-        f64_hex(c.farads()),
-        f64_hex(c.v_max()),
-        f64_hex(c.v_on()),
-        f64_hex(c.v_off())
-    );
-    match env.harvester() {
-        Harvester::Constant { watts } => {
-            let _ = write!(
+/// Decoded through the validating capacitor constructor, so a hostile
+/// matrix (`v_on <= v_off`, no capacitance) is an `Err` here instead of
+/// a panic in a worker.
+impl Wire for Environment {
+    fn encode(&self, out: &mut String) {
+        let c = self.capacitor();
+        let _ = write!(
+            out,
+            "{{\"name\":\"{}\",\"capacitor\":{{\"farads\":\"{}\",\"v_max\":\"{}\",\
+             \"v_on\":\"{}\",\"v_off\":\"{}\"}},\"harvester\":",
+            json_escape(self.name()),
+            f64_hex(c.farads()),
+            f64_hex(c.v_max()),
+            f64_hex(c.v_on()),
+            f64_hex(c.v_off())
+        );
+        self.harvester().encode(out);
+        out.push('}');
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let c = v.req("capacitor")?;
+        let capacitor = Capacitor::try_new(
+            member(c, "farads")?,
+            member(c, "v_max")?,
+            member(c, "v_on")?,
+            member(c, "v_off")?,
+        )
+        .map_err(|e| format!("invalid capacitor: {e}"))?;
+        Ok(Environment::new(
+            member::<String>(v, "name")?,
+            member(v, "harvester")?,
+            capacitor,
+        ))
+    }
+}
+
+/// Decoded through the validating constructors, so a hostile matrix
+/// (zero period, duty or `p_on` out of range, an empty trace) is an
+/// `Err` here instead of a panic or a hang in a worker.
+impl Wire for Harvester {
+    fn encode(&self, out: &mut String) {
+        let _ = match self {
+            Harvester::Constant { watts } => write!(
                 out,
                 "{{\"kind\":\"constant\",\"watts\":\"{}\"}}",
                 f64_hex(*watts)
-            );
-        }
-        Harvester::Square {
-            watts,
-            period_s,
-            duty,
-        } => {
-            let _ = write!(
+            ),
+            Harvester::Square {
+                watts,
+                period_s,
+                duty,
+            } => write!(
                 out,
                 "{{\"kind\":\"square\",\"watts\":\"{}\",\"period_s\":\"{}\",\"duty\":\"{}\"}}",
                 f64_hex(*watts),
                 f64_hex(*period_s),
                 f64_hex(*duty)
-            );
-        }
-        Harvester::Sine { watts, period_s } => {
-            let _ = write!(
+            ),
+            Harvester::Sine { watts, period_s } => write!(
                 out,
                 "{{\"kind\":\"sine\",\"watts\":\"{}\",\"period_s\":\"{}\"}}",
                 f64_hex(*watts),
                 f64_hex(*period_s)
-            );
-        }
-        Harvester::Bursts {
-            watts,
-            slot_s,
-            p_on,
-            seed,
-        } => {
-            let _ = write!(
+            ),
+            Harvester::Bursts {
+                watts,
+                slot_s,
+                p_on,
+                seed,
+            } => write!(
                 out,
                 "{{\"kind\":\"bursts\",\"watts\":\"{}\",\"slot_s\":\"{}\",\
                  \"p_on\":\"{}\",\"seed\":{seed}}}",
                 f64_hex(*watts),
                 f64_hex(*slot_s),
                 f64_hex(*p_on)
-            );
-        }
-        Harvester::Trace(wave) => {
-            out.push_str("{\"kind\":\"trace\",\"segments\":[");
-            for (i, (duration, watts)) in wave.segments().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[\"{}\",\"{}\"]", f64_hex(*duration), f64_hex(*watts));
+            ),
+            Harvester::Trace(wave) => {
+                out.push_str("{\"kind\":\"trace\",\"segments\":");
+                encode_list(wave.segments(), out);
+                out.push('}');
+                Ok(())
             }
-            out.push_str("]}");
-        }
-    }
-    out.push('}');
-}
-
-fn opt_f64(v: &Json) -> Result<Option<f64>, String> {
-    match v {
-        Json::Null => Ok(None),
-        _ => v
-            .as_f64_bits()
-            .map(Some)
-            .ok_or_else(|| "expected null or f64 bits".to_string()),
-    }
-}
-
-/// Decodes a harvester through the validating constructors, so a
-/// hostile matrix (zero period, duty or `p_on` out of range, an empty
-/// trace) is an `Err` here instead of a panic or a hang in a worker.
-fn harvester_from(v: &Json) -> Result<Harvester, String> {
-    let invalid = |e: &dyn std::fmt::Display| format!("invalid harvester: {e}");
-    match field!(v, "kind", as_str)? {
-        "constant" => Ok(Harvester::Constant {
-            watts: field!(v, "watts", as_f64_bits)?,
-        }),
-        "square" => Harvester::try_square(
-            field!(v, "watts", as_f64_bits)?,
-            field!(v, "period_s", as_f64_bits)?,
-            field!(v, "duty", as_f64_bits)?,
-        )
-        .map_err(|e| invalid(&e)),
-        "sine" => Harvester::try_sine(
-            field!(v, "watts", as_f64_bits)?,
-            field!(v, "period_s", as_f64_bits)?,
-        )
-        .map_err(|e| invalid(&e)),
-        "bursts" => Harvester::try_bursts(
-            field!(v, "watts", as_f64_bits)?,
-            field!(v, "slot_s", as_f64_bits)?,
-            field!(v, "p_on", as_f64_bits)?,
-            field!(v, "seed", as_u64)?,
-        )
-        .map_err(|e| invalid(&e)),
-        "trace" => {
-            let mut segments = Vec::new();
-            for pair in field!(v, "segments", as_arr)? {
-                let pair = pair.as_arr().filter(|p| p.len() == 2);
-                let segment = pair
-                    .and_then(|p| Some((p[0].as_f64_bits()?, p[1].as_f64_bits()?)))
-                    .ok_or_else(|| "bad trace segment".to_string())?;
-                segments.push(segment);
-            }
-            Harvester::try_trace(segments).map_err(|e| invalid(&e))
-        }
-        kind => Err(format!("unknown harvester kind {kind:?}")),
-    }
-}
-
-fn environment_from(v: &Json) -> Result<Environment, String> {
-    let c = v.req("capacitor")?;
-    let capacitor = Capacitor::try_new(
-        field!(c, "farads", as_f64_bits)?,
-        field!(c, "v_max", as_f64_bits)?,
-        field!(c, "v_on", as_f64_bits)?,
-        field!(c, "v_off", as_f64_bits)?,
-    )
-    .map_err(|e| format!("invalid capacitor: {e}"))?;
-    Ok(Environment::new(
-        field!(v, "name", as_str)?.to_string(),
-        harvester_from(v.req("harvester")?)?,
-        capacitor,
-    ))
-}
-
-/// Rebuilds a [`ScenarioMatrix`] from [`matrix_json`]'s output.
-pub(crate) fn matrix_from(v: &Json) -> Result<ScenarioMatrix, String> {
-    let mut environments = Vec::new();
-    for env in field!(v, "environments", as_arr)? {
-        environments.push(environment_from(env)?);
-    }
-    let mut strategies = Vec::new();
-    for s in field!(v, "strategies", as_arr)? {
-        let name = s.as_str().ok_or_else(|| "bad strategy".to_string())?;
-        let strategy = Strategy::ALL
-            .into_iter()
-            .find(|st| st.name() == name)
-            .ok_or_else(|| format!("unknown strategy {name:?}"))?;
-        strategies.push(strategy);
-    }
-    let mut boards = Vec::new();
-    for b in field!(v, "boards", as_arr)? {
-        match b.as_str() {
-            Some("MSP430FR5994") => boards.push(BoardSpec::Msp430Fr5994),
-            other => return Err(format!("unknown board {other:?}")),
-        }
-    }
-    let mut workloads = Vec::new();
-    for w in field!(v, "workloads", as_arr)? {
-        let samples = field!(w, "samples", as_usize)?;
-        workloads.push(match field!(w, "kind", as_str)? {
-            "mnist" => Workload::Mnist { samples },
-            "har" => Workload::Har { samples },
-            "okg" => Workload::Okg { samples },
-            kind => return Err(format!("unknown workload kind {kind:?}")),
-        });
-    }
-    let mut seeds = Vec::new();
-    for s in field!(v, "seeds", as_arr)? {
-        seeds.push(s.as_u64().ok_or_else(|| "bad seed".to_string())?);
-    }
-    let mut budgets = Vec::new();
-    for b in field!(v, "budgets", as_arr)? {
-        budgets.push(opt_f64(b)?);
-    }
-    let mut faults = Vec::new();
-    for f in field!(v, "faults", as_arr)? {
-        faults.push(FaultSpec {
-            seed: field!(f, "seed", as_u64)?,
-            reset_per_op: field!(f, "reset_per_op", as_f64_bits)?,
-            sag_per_op: field!(f, "sag_per_op", as_f64_bits)?,
-            sag_factor: field!(f, "sag_factor", as_f64_bits)?,
-            tear_per_commit: field!(f, "tear_per_commit", as_f64_bits)?,
-            corrupt_per_restore: field!(f, "corrupt_per_restore", as_f64_bits)?,
-            burst_len: field!(f, "burst_len", as_u64)?
-                .try_into()
-                .map_err(|_| "burst_len out of range".to_string())?,
-            flip_per_commit_bit: field!(f, "flip_per_commit_bit", as_f64_bits)?,
-            wear: WearCurve {
-                endurance_commits: field!(f, "wear_endurance", as_u64)?,
-            },
-        });
-    }
-    let mut topologies = Vec::new();
-    for t in field!(v, "topologies", as_arr)? {
-        let topology = NetworkTopology {
-            devices: field!(t, "devices", as_u64)?
-                .try_into()
-                .map_err(|_| "devices out of range".to_string())?,
-            spacing: field!(t, "spacing", as_f64_bits)?,
-            field_budget: field!(t, "field_budget", as_f64_bits)?,
-            poll_period_s: field!(t, "poll_period_s", as_f64_bits)?,
-            poll_offset_s: field!(t, "poll_offset_s", as_f64_bits)?,
-            freshness_s: field!(t, "freshness_s", as_f64_bits)?,
-            poll_retries: field!(t, "poll_retries", as_u64)?
-                .try_into()
-                .map_err(|_| "poll_retries out of range".to_string())?,
         };
-        topology.validate().map_err(|e| e.to_string())?;
-        topologies.push(topology);
     }
-    let mut integrities = Vec::new();
-    for i in field!(v, "integrities", as_arr)? {
-        let label = i.as_str().ok_or_else(|| "bad integrity".to_string())?;
-        integrities.push(
-            Integrity::parse(label).ok_or_else(|| format!("unknown integrity scheme {label:?}"))?,
-        );
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let invalid = |e: &dyn std::fmt::Display| format!("invalid harvester: {e}");
+        match member::<String>(v, "kind")?.as_str() {
+            "constant" => Ok(Harvester::Constant {
+                watts: member(v, "watts")?,
+            }),
+            "square" => Harvester::try_square(
+                member(v, "watts")?,
+                member(v, "period_s")?,
+                member(v, "duty")?,
+            )
+            .map_err(|e| invalid(&e)),
+            "sine" => Harvester::try_sine(member(v, "watts")?, member(v, "period_s")?)
+                .map_err(|e| invalid(&e)),
+            "bursts" => Harvester::try_bursts(
+                member(v, "watts")?,
+                member(v, "slot_s")?,
+                member(v, "p_on")?,
+                member(v, "seed")?,
+            )
+            .map_err(|e| invalid(&e)),
+            "trace" => Harvester::try_trace(member(v, "segments")?).map_err(|e| invalid(&e)),
+            kind => Err(format!("unknown harvester kind {kind:?}")),
+        }
     }
-    let cal = v.req("calibration")?;
-    let exec = v.req("executor")?;
-    Ok(ScenarioMatrix {
-        environments,
-        strategies,
-        boards,
-        workloads,
-        seeds,
-        budgets,
-        faults,
-        topologies,
-        integrities,
-        runs: field!(v, "runs", as_u64)?
-            .try_into()
-            .map_err(|_| "runs out of range".to_string())?,
-        calibration: CalibrationConfig {
-            samples: field!(cal, "samples", as_usize)?,
-            percentile: cal
-                .req("percentile")?
-                .as_f32_bits()
-                .ok_or_else(|| "bad field percentile".to_string())?,
-        },
-        executor: ExecutorConfig {
-            max_outages: field!(exec, "max_outages", as_u64)?,
-            stall_outages: field!(exec, "stall_outages", as_u64)?,
-            charge_step_s: opt_f64(exec.req("charge_step_s")?)?,
-            max_wall_seconds: field!(exec, "max_wall_seconds", as_f64_bits)?,
-            energy_budget_nj: opt_f64(exec.req("energy_budget_nj")?)?,
-        },
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::{DigestSink, MetricsSink, RunRecord};
+    use crate::profile::CacheCounters;
     use ehdl::ehsim::catalog;
-    use ehdl::ehsim::{FaultTally, RunOutcome, RunReport};
+    use ehdl::ehsim::{FaultTally, IntegrityTally, RunOutcome, RunReport};
 
     fn sample_digest() -> FleetDigest {
         let sink = DigestSink::new();
@@ -1380,28 +1192,31 @@ mod tests {
     #[test]
     fn digest_round_trip_is_bit_identical() {
         let digest = sample_digest();
-        let line = digest_json(&digest);
-        let back = digest_from(&Json::parse(&line).unwrap()).unwrap();
+        let line = digest.to_json();
+        let back = FleetDigest::from_json(&line).unwrap();
         assert_eq!(back, digest);
         // Canonical: re-serialization is byte-identical.
-        assert_eq!(digest_json(&back), line);
+        assert_eq!(back.to_json(), line);
         // The empty digest round-trips too (min = +inf, max = -inf).
         let empty = FleetDigest::new();
-        let back = digest_from(&Json::parse(&digest_json(&empty)).unwrap()).unwrap();
+        let back = FleetDigest::from_json(&empty.to_json()).unwrap();
         assert_eq!(back, empty);
     }
 
     fn sample_record() -> ShardRecord {
         ShardRecord {
             index: 42,
-            workload: "har".to_string(),
-            environment: "lab, \"day 2\"".to_string(),
-            strategy: "ACE+FLEX".to_string(),
-            board: "MSP430FR5994".to_string(),
-            budget: "unbounded".to_string(),
-            fault: "f9:r1e-3:s0:t0:c0".to_string(),
-            topology: "n4:d1:b1:p0.5:o0:f10".to_string(),
-            integrity: "secded".to_string(),
+            labels: [
+                "har",
+                "lab, \"day 2\"",
+                "ACE+FLEX",
+                "MSP430FR5994",
+                "unbounded",
+                "f9:r1e-3:s0:t0:c0",
+                "n4:d1:b1:p0.5:o0:f10",
+                "secded",
+            ]
+            .map(str::to_string),
             digest: sample_digest(),
         }
     }
@@ -1495,6 +1310,120 @@ mod tests {
     }
 
     #[test]
+    fn hostile_digests_are_rejected_or_render_without_panicking() {
+        let latency = "\"latency_ms\":{\"count\":1,\"sum\":\"407f400000000000\",\
+            \"min\":\"407f400000000000\",\"max\":\"407f400000000000\",\"bins\":[[673,1]]}";
+        assert!(GOLDEN_DIGEST.contains(latency));
+        // Sketches no fold produces used to decode, then panic in
+        // `quantile` when the report rendered.
+        for (count, min, max, bins, why) in [
+            (1, 2.0, 1.0, "[[673,1]]", "min above max"),
+            (1, f64::NAN, 1.0, "[[673,1]]", "NaN min"),
+            (2, 1.0, 2.0, "[[673,1]]", "bins short of count"),
+            (2, 1.0, 2.0, "[[673,1],[673,1]]", "repeated bin"),
+            (2, 1.0, 2.0, "[[673,1],[600,1]]", "descending bins"),
+            (
+                1,
+                1.0,
+                2.0,
+                "[[0,1],[673,18446744073709551615]]",
+                "bin sum overflow",
+            ),
+        ] {
+            let sketch = format!(
+                "\"latency_ms\":{{\"count\":{count},\"sum\":\"407f400000000000\",\
+                 \"min\":\"{:016x}\",\"max\":\"{:016x}\",\"bins\":{bins}}}",
+                f64::to_bits(min),
+                f64::to_bits(max)
+            );
+            let hostile = GOLDEN_DIGEST.replacen(latency, &sketch, 1);
+            assert!(FleetDigest::from_json(&hostile).is_err(), "{why}");
+        }
+        // Counters are not cross-checked, but more ops wasted than
+        // executed renders as no forward progress instead of
+        // overflowing.
+        let wasteful = GOLDEN_DIGEST.replacen(
+            "\"executed_ops\":1234,\"wasted_ops\":56",
+            "\"executed_ops\":1,\"wasted_ops\":5",
+            1,
+        );
+        let digest = FleetDigest::from_json(&wasteful).unwrap();
+        assert_eq!(digest.forward_progress(), 0.0);
+        assert!(digest.to_string().contains("forward progress: 0.0%"));
+    }
+
+    /// SplitMix64, the deterministic stream behind the mutation loop.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn decoders_survive_seeded_mutations() {
+        // Truncations, bit flips, splices and deep nesting over valid
+        // encodings, fed to every decoder. No case may panic, and every
+        // value that still decodes must render and merge into an empty
+        // value.
+        let valid = [
+            sample_digest().to_json(),
+            sample_profile().to_json(),
+            sample_record().to_line(),
+        ];
+        let mut rng = SplitMix(0x5eed);
+        let mut decoded = 0;
+        for case in 0..3_000 {
+            let mut bytes = valid[case % valid.len()].clone().into_bytes();
+            let at = rng.below(bytes.len());
+            match rng.below(4) {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= 1 << rng.below(8),
+                2 => {
+                    let donor = valid[rng.below(valid.len())].as_bytes();
+                    let from = rng.below(donor.len());
+                    let len = rng.below(64).min(donor.len() - from);
+                    let end = (at + rng.below(64)).min(bytes.len());
+                    bytes.splice(at..end, donor[from..from + len].iter().copied());
+                }
+                _ => {
+                    let open: &[u8] = [b"[".as_slice(), b"{\"k\":"][rng.below(2)];
+                    let depth = rng.below(2 * MAX_DEPTH);
+                    bytes.splice(at..at, open.repeat(depth));
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let ok = std::panic::catch_unwind(|| {
+                let mut ok = 0;
+                if let Ok(d) = FleetDigest::from_json(&text) {
+                    let _ = d.to_string();
+                    FleetDigest::new().merge(&d);
+                    ok += 1;
+                }
+                if let Ok(p) = PhaseProfile::from_json(&text) {
+                    let _ = p.to_string();
+                    PhaseProfile::new().merge(&p);
+                    ok += 1;
+                }
+                if let Ok(r) = ShardRecord::from_line(&text) {
+                    let _ = r.digest.to_string();
+                    FleetDigest::new().merge(&r.digest);
+                    ok += 1;
+                }
+                ok
+            });
+            decoded += ok.unwrap_or_else(|_| panic!("case {case} panicked on {text}"));
+        }
+        // The loop must reach the decode-then-use path, not only errors.
+        assert!(decoded > 50, "only {decoded} mutants decoded");
+    }
+
+    #[test]
     fn partials_verify_and_reject_corruption() {
         let header = PartialHeader {
             shard: 3,
@@ -1507,14 +1436,17 @@ mod tests {
         for i in 0..2u64 {
             let record = ShardRecord {
                 index: 42 + i,
-                workload: "har".to_string(),
-                environment: "bench_supply".to_string(),
-                strategy: "ACE+FLEX".to_string(),
-                board: "MSP430FR5994".to_string(),
-                budget: "unbounded".to_string(),
-                fault: "none".to_string(),
-                topology: "solo".to_string(),
-                integrity: "none".to_string(),
+                labels: [
+                    "har",
+                    "bench_supply",
+                    "ACE+FLEX",
+                    "MSP430FR5994",
+                    "unbounded",
+                    "none",
+                    "solo",
+                    "none",
+                ]
+                .map(str::to_string),
                 digest: sample_digest(),
             };
             writer.write_record(&record).unwrap();
