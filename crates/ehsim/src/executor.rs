@@ -1,7 +1,7 @@
 //! The intermittent executor: programs vs. the capacitor.
 
 use crate::fault::{FaultKind, FaultPlan, FaultState, FaultTally, OpFault};
-use crate::harvester::Harvester;
+use crate::harvester::{HarvestCursor, Harvester};
 use crate::integrity::{self, Integrity, IntegrityState, IntegrityTally, WearCurve};
 use crate::plan::ExecutionPlan;
 use crate::probe::{ExecEvent, ExecPhase, ExecProbe, NullProbe, SpanTimer};
@@ -611,6 +611,9 @@ impl IntermittentExecutor {
         let mut itally = IntegrityTally::default();
 
         let (harvester, capacitor) = supply.parts_mut();
+        // Powered ops integrate through the burst-slot memo; the dark
+        // phase solves against the harvester itself.
+        let mut harvest = HarvestCursor::new(harvester);
         // The warn threshold as an energy, so the on-demand check never
         // derives a voltage.
         let warn_j = monitor.warn_energy_joules(capacitor.farads());
@@ -638,7 +641,7 @@ impl IntermittentExecutor {
                 let ck = &plan.checkpoints[slot as usize];
                 if committed < i && capacitor.energy_joules() < warn_j {
                     let span = SpanTimer::start::<P>();
-                    let harvested = harvester.energy_over(t, ck.duration_s);
+                    let harvested = harvest.energy_over(t, ck.duration_s);
                     capacitor.charge_joules(harvested);
                     if capacitor.usable_joules() >= ck.need_j {
                         // The write happens (and is paid for) either way;
@@ -704,7 +707,7 @@ impl IntermittentExecutor {
                             // passes (and harvest keeps flowing), but no
                             // energy is drained and no work happens.
                             let dt = durations[i];
-                            let harvested = harvester.energy_over(t, dt);
+                            let harvested = harvest.energy_over(t, dt);
                             capacitor.charge_joules(harvested);
                             t += dt;
                             faults.spurious_resets += 1;
@@ -728,7 +731,7 @@ impl IntermittentExecutor {
                 }
                 if !failed {
                     let dt = durations[i];
-                    let harvested = harvester.energy_over(t, dt);
+                    let harvested = harvest.energy_over(t, dt);
                     capacitor.charge_joules(harvested);
                     // A sagged op draws `sag_factor` times its nominal
                     // energy from the capacitor; the board meter keeps
@@ -790,7 +793,7 @@ impl IntermittentExecutor {
                                 match fault.op_fault(&mut fstate) {
                                     OpFault::Reset => {
                                         let dt = durations[i];
-                                        let harvested = harvester.energy_over(t, dt);
+                                        let harvested = harvest.energy_over(t, dt);
                                         capacitor.charge_joules(harvested);
                                         t += dt;
                                         faults.spurious_resets += 1;
@@ -809,7 +812,7 @@ impl IntermittentExecutor {
                                             kind: FaultKind::VoltageSag,
                                         });
                                         let dt = durations[i];
-                                        let harvested = harvester.energy_over(t, dt);
+                                        let harvested = harvest.energy_over(t, dt);
                                         capacitor.charge_joules(harvested);
                                         let need = needs[i] * fault.sag_factor();
                                         if capacitor.usable_joules() < need {
@@ -837,7 +840,7 @@ impl IntermittentExecutor {
                                 }
                             }
                             let dt = durations[i];
-                            let harvested = harvester.energy_over(t, dt);
+                            let harvested = harvest.energy_over(t, dt);
                             capacitor.charge_joules(harvested);
                             if capacitor.usable_joules() < needs[i] {
                                 t += dt;

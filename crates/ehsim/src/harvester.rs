@@ -354,7 +354,9 @@ impl Harvester {
         matches!(self, Harvester::Bursts { .. })
     }
 
-    /// Instantaneous power at time `t` seconds.
+    /// Instantaneous power at time `t` seconds. For a burst source, a
+    /// `t` that is not finite or whose slot `t / slot_s` is 2^53 or more
+    /// in magnitude (where slot indices stop being exact) yields NaN.
     pub fn power_at(&self, t: f64) -> f64 {
         match self {
             Harvester::Constant { watts } => *watts,
@@ -380,8 +382,10 @@ impl Harvester {
                 p_on,
                 seed,
             } => {
-                let slot = (t / slot_s).floor() as i64 as u64;
-                if split_mix(slot.wrapping_add(*seed)) < burst_threshold(*p_on) {
+                let Some(slot) = slot_of(t, *slot_s) else {
+                    return f64::NAN;
+                };
+                if slot_on(slot, *seed, burst_threshold(*p_on)) {
                     *watts
                 } else {
                     0.0
@@ -410,6 +414,19 @@ impl Harvester {
     /// the counter-based hash. No numeric quadrature is involved, so the
     /// result is exact up to float rounding and
     /// [`time_to_energy`](Self::time_to_energy) can invert it tightly.
+    ///
+    /// A burst window needs exact slot indices: when `t0` or `dt` is not
+    /// finite, `t0 / slot_s` is 2^53 or more in magnitude, or the window
+    /// ends past `2^53 · slot_s`, the result is `f64::INFINITY` for
+    /// `dt = +∞` from a finite `t0` on a live source (positive `watts`
+    /// and `p_on`) and NaN otherwise. A window with `dt <= 0` is 0.0
+    /// for every waveform.
+    ///
+    /// The executor's powered-op loop does not call this per op for
+    /// burst sources: it memoizes the current burst slot through a
+    /// cursor whose answers are bit-identical to this method's (checked
+    /// per call in debug builds), and falls back here whenever a window
+    /// leaves the cached slot.
     pub fn energy_over(&self, t0: f64, dt: f64) -> f64 {
         if dt <= 0.0 {
             return 0.0;
@@ -494,13 +511,21 @@ impl Harvester {
                 // overlaps — O(slots crossed).
                 let threshold = burst_threshold(*p_on);
                 let end = t0 + dt;
-                let mut k = (t0 / slot_s).floor() as i64;
+                let in_range = end <= slot_s * SLOT_RANGE;
+                let Some(mut k) = slot_of(t0, *slot_s).filter(|_| in_range) else {
+                    let live = *watts > 0.0 && threshold > 0;
+                    return if dt == f64::INFINITY && t0.is_finite() && live {
+                        f64::INFINITY
+                    } else {
+                        f64::NAN
+                    };
+                };
                 let mut cursor = t0;
                 let mut energy = 0.0;
                 loop {
-                    let slot_end = (k + 1) as f64 * slot_s;
+                    let slot_end = slot_end(k, *slot_s);
                     let upper = slot_end.min(end);
-                    if upper > cursor && split_mix((k as u64).wrapping_add(*seed)) < threshold {
+                    if upper > cursor && slot_on(k, *seed, threshold) {
                         energy += watts * (upper - cursor);
                     }
                     if slot_end >= end {
@@ -556,6 +581,11 @@ impl Harvester {
     /// `max_dt` seconds. For burst sources the slot walk itself is
     /// capped at the horizon, so a nearly dead source costs
     /// O(horizon / slot) hash evaluations instead of walking forever.
+    ///
+    /// A burst source returns NaN when `t0` or `joules` is NaN, when
+    /// `t0` is infinite or `t0 / slot_s` is 2^53 or more in magnitude,
+    /// or when the walk would pass slot 2^53, and `f64::INFINITY` for
+    /// `joules = +∞`.
     pub fn time_to_energy_within(&self, t0: f64, joules: f64, max_dt: f64) -> f64 {
         if joules <= 0.0 {
             return 0.0;
@@ -695,19 +725,24 @@ impl Harvester {
                 p_on,
                 seed,
             } => {
+                let Some(mut k) = slot_of(t0, *slot_s) else {
+                    return f64::NAN;
+                };
+                if joules.is_nan() {
+                    return f64::NAN;
+                }
                 let threshold = burst_threshold(*p_on);
-                if *watts <= 0.0 || threshold == 0 {
+                if *watts <= 0.0 || threshold == 0 || joules == f64::INFINITY {
                     return f64::INFINITY;
                 }
-                let mut k = (t0 / slot_s).floor() as i64;
                 let mut cursor = t0;
                 let mut dt = 0.0f64;
                 let mut rem = joules;
                 loop {
-                    let slot_end = (k + 1) as f64 * slot_s;
+                    let slot_end = slot_end(k, *slot_s);
                     let window = slot_end - cursor;
                     if window > 0.0 {
-                        if split_mix((k as u64).wrapping_add(*seed)) < threshold {
+                        if slot_on(k, *seed, threshold) {
                             let cap = watts * window;
                             if cap >= rem {
                                 dt += rem / watts;
@@ -722,6 +757,9 @@ impl Harvester {
                     }
                     cursor = cursor.max(slot_end);
                     k += 1;
+                    if k as f64 >= SLOT_RANGE {
+                        return f64::NAN;
+                    }
                 }
                 dt
             }
@@ -755,10 +793,10 @@ impl fmt::Display for Harvester {
                 duty,
             } => write!(
                 f,
-                "square {:.1} mW, {:.0} ms period, {:.0}% duty",
+                "square {:.1} mW, {:.0} ms period, {}% duty",
                 watts * 1e3,
                 period_s * 1e3,
-                duty * 100.0
+                Percent(*duty)
             ),
             Harvester::Sine { watts, period_s } => write!(
                 f,
@@ -767,10 +805,21 @@ impl fmt::Display for Harvester {
                 period_s * 1e3
             ),
             Harvester::Bursts { watts, p_on, .. } => {
-                write!(f, "bursts {:.1} mW, {:.0}% on", watts * 1e3, p_on * 100.0)
+                write!(f, "bursts {:.1} mW, {}% on", watts * 1e3, Percent(*p_on))
             }
             Harvester::Trace(wave) => write!(f, "trace ({} segments)", wave.segments.len()),
         }
+    }
+}
+
+/// A fraction shown as a percentage to 0.001%, trailing zeros dropped:
+/// `0.005` shows as `0.5`, `0.35` as `35`.
+struct Percent(f64);
+
+impl fmt::Display for Percent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fixed = format!("{:.3}", self.0 * 100.0);
+        f.write_str(fixed.trim_end_matches('0').trim_end_matches('.'))
     }
 }
 
@@ -948,11 +997,159 @@ impl fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// The burst source's on-slot hash threshold for a given `p_on`. One
-/// definition shared by `power_at`, `energy_over` and
-/// `time_to_energy_within`: their bit-exact agreement on which slots
-/// are on is what makes the solver the exact inverse of the integral.
+/// definition shared by `power_at`, `energy_over`,
+/// `time_to_energy_within` and [`HarvestCursor`]: their bit-exact
+/// agreement on which slots are on is what makes the solver the exact
+/// inverse of the integral.
 fn burst_threshold(p_on: f64) -> u64 {
     (p_on * u64::MAX as f64) as u64
+}
+
+/// Burst slot indices are exact in an `f64` only below 2^53 in
+/// magnitude; past that, `k + 1` and `(k + 1) · slot_s` stop naming
+/// distinct slots and the slot walk has no defined answer.
+const SLOT_RANGE: f64 = 9_007_199_254_740_992.0;
+
+/// The burst slot holding `t`, while slot indices are exact (NaN and
+/// infinite times have none).
+fn slot_of(t: f64, slot_s: f64) -> Option<i64> {
+    let k = (t / slot_s).floor();
+    (k.abs() < SLOT_RANGE).then_some(k as i64)
+}
+
+/// Whether burst slot `k` is on. One definition for every burst query
+/// (and the executor's [`HarvestCursor`]), so they agree on each slot.
+fn slot_on(k: i64, seed: u64, threshold: u64) -> bool {
+    split_mix((k as u64).wrapping_add(seed)) < threshold
+}
+
+/// The end of burst slot `k`, rounded exactly as every slot walk
+/// rounds it.
+fn slot_end(k: i64, slot_s: f64) -> f64 {
+    (k + 1) as f64 * slot_s
+}
+
+/// The first time in burst slot `k`: the least `t` whose
+/// `(t / slot_s).floor()` reaches `k`. Correctly rounded division is
+/// monotone in `t`, so a slot's times form one interval, and its start
+/// lies within an ulp or two of `k · slot_s`. `None` when a few ulp
+/// steps do not settle it (products that underflow or overflow).
+fn slot_start(k: i64, slot_s: f64) -> Option<f64> {
+    let k = k as f64;
+    let reached = |t: f64| (t / slot_s).floor() >= k;
+    let mut t = k * slot_s;
+    for _ in 0..8 {
+        if !reached(t) {
+            t = t.next_up();
+        } else if reached(t.next_down()) {
+            t = t.next_down();
+        } else {
+            return Some(t);
+        }
+    }
+    None
+}
+
+/// [`Harvester::energy_over`] for the executor's powered-op loop, with
+/// the last burst slot memoized. A powered op lasts microseconds and a
+/// burst slot milliseconds, so about a thousand ops in a row land in
+/// one slot: the cursor keeps the exact range of start times that map
+/// to it, its end and its hash decision, and answers a window inside
+/// it with the slot walk's own one-slot expression — no division, no
+/// hash. Anything else (a slot change, a window crossing a slot end, a
+/// non-finite input, any other waveform) goes to
+/// [`Harvester::energy_over`]. Every answer has that method's bits.
+pub(crate) struct HarvestCursor<'h> {
+    harvester: &'h Harvester,
+    /// Only a burst source has slots to cache.
+    bursts: bool,
+    /// The start times in the cached slot are exactly `lo <= t < hi`;
+    /// empty until the first burst refill.
+    lo: f64,
+    hi: f64,
+    slot_end: f64,
+    watts: f64,
+    on: bool,
+}
+
+impl<'h> HarvestCursor<'h> {
+    pub(crate) fn new(harvester: &'h Harvester) -> Self {
+        HarvestCursor {
+            harvester,
+            bursts: harvester.is_stochastic(),
+            lo: f64::INFINITY,
+            hi: f64::NEG_INFINITY,
+            slot_end: f64::NAN,
+            watts: 0.0,
+            on: false,
+        }
+    }
+
+    /// Exactly `harvester.energy_over(t0, dt)`, bit for bit (checked on
+    /// every call in debug builds).
+    #[inline]
+    pub(crate) fn energy_over(&mut self, t0: f64, dt: f64) -> f64 {
+        let joules = match self.memo(t0, dt) {
+            Some(joules) => joules,
+            None => self.harvester.energy_over(t0, dt),
+        };
+        debug_assert_eq!(
+            joules.to_bits(),
+            self.harvester.energy_over(t0, dt).to_bits(),
+            "burst slot memo diverged at t0 = {t0:e}, dt = {dt:e}"
+        );
+        joules
+    }
+
+    /// The one-slot window answered from the cached slot, refilled
+    /// first if `t0` has left it; `None` when the slot walk must answer.
+    #[inline]
+    fn memo(&mut self, t0: f64, dt: f64) -> Option<f64> {
+        let cached = self.lo <= t0 && t0 < self.hi;
+        if !(cached || self.bursts && self.refill(t0)) {
+            return None;
+        }
+        let end = t0 + dt;
+        if end > self.slot_end || end.is_nan() {
+            return None;
+        }
+        // The slot walk's single iteration, accumulating onto +0.0 as
+        // it does. A `dt <= 0` window ends at or before `t0` and so
+        // yields the walk's early 0.0 too.
+        let mut energy = 0.0;
+        if end > t0 && self.on {
+            energy += self.watts * (end - t0);
+        }
+        Some(energy)
+    }
+
+    /// Caches the burst slot holding `t0`; `false` (cache untouched)
+    /// when there is none to cache. Runs about once per thousand ops, so
+    /// it stays out of line.
+    #[cold]
+    fn refill(&mut self, t0: f64) -> bool {
+        let Harvester::Bursts {
+            watts,
+            slot_s,
+            p_on,
+            seed,
+        } = *self.harvester
+        else {
+            return false;
+        };
+        let Some(k) = slot_of(t0, slot_s) else {
+            return false;
+        };
+        let (Some(lo), Some(hi)) = (slot_start(k, slot_s), slot_start(k + 1, slot_s)) else {
+            return false;
+        };
+        self.lo = lo;
+        self.hi = hi;
+        self.slot_end = slot_end(k, slot_s);
+        self.watts = watts;
+        self.on = slot_on(k, seed, burst_threshold(p_on));
+        true
+    }
 }
 
 /// SplitMix64 — tiny counter-based hash for the burst source.
@@ -1295,5 +1492,196 @@ mod tests {
         assert!(Harvester::square(0.004, 0.05, 0.5)
             .to_string()
             .contains("square"));
+        assert!(Harvester::square(0.004, 0.05, 0.5)
+            .to_string()
+            .contains(" 50% duty"));
+        let low_duty = crate::catalog::low_duty_square();
+        let shown = low_duty.harvester().to_string();
+        assert!(shown.contains(" 0.5% duty"), "{shown}");
+        let rf = crate::catalog::office_rf();
+        let shown = rf.harvester().to_string();
+        assert!(shown.contains(" 35% on"), "{shown}");
+    }
+
+    #[test]
+    fn out_of_range_times_return_instead_of_walking_forever() {
+        let waveforms = [
+            Harvester::constant(0.002),
+            Harvester::square(0.004, 0.05, 0.25),
+            Harvester::sine(0.002, 0.2),
+            Harvester::bursts(0.002, 0.01, 0.35, 7),
+            Harvester::trace(vec![(0.02, 0.003), (0.08, 0.0002)]),
+        ];
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let windows = [
+            (1.0, inf),
+            (1.0, nan),
+            (nan, 1e-3),
+            (inf, 1e-3),
+            (1e30, 1e-3),
+        ];
+        for h in &waveforms {
+            for (t0, dt) in windows {
+                // Every waveform answers; the burst source's answers are
+                // the documented ones.
+                let energy = h.energy_over(t0, dt);
+                let power = h.power_at(t0);
+                let solve = h.time_to_energy(t0, 1e-6);
+                if !h.is_stochastic() {
+                    continue;
+                }
+                let want = if dt == inf { inf } else { nan };
+                assert_eq!(energy.to_bits(), want.to_bits(), "energy_over({t0}, {dt})");
+                if !t0.is_finite() || t0 == 1e30 {
+                    assert!(power.is_nan(), "power_at({t0}) = {power}");
+                    assert!(solve.is_nan(), "time_to_energy({t0}) = {solve}");
+                }
+            }
+        }
+        let bursts = Harvester::bursts(0.002, 0.01, 0.35, 7);
+        // An endless window from far out is still endless energy.
+        assert_eq!(bursts.energy_over(1e30, inf), inf);
+        // A window ending past the exact slot range, and a dead source.
+        assert!(bursts.energy_over(0.0, 1e30).is_nan());
+        assert!(bursts.scaled(0.0).energy_over(1.0, inf).is_nan());
+        assert!(Harvester::bursts(0.002, 0.01, 0.0, 7)
+            .energy_over(1.0, inf)
+            .is_nan());
+        // The solver: NaN and endless targets, and a walk that would
+        // leave the slot range.
+        assert!(bursts.time_to_energy(1.0, nan).is_nan());
+        assert_eq!(bursts.time_to_energy(1.0, inf), inf);
+        let edge = 0.01 * (SLOT_RANGE - 2.0);
+        assert!(bursts.time_to_energy(edge, 1.0).is_nan());
+        // Finite, in-range inputs keep their values.
+        assert_eq!(bursts.energy_over(1.0, -inf), 0.0);
+        assert!(bursts.energy_over(0.0, 10.0) > 0.0);
+        assert!(bursts.time_to_energy(0.0, 1e-6).is_finite());
+    }
+
+    /// One cursor query against the slot walk, bit for bit; `true` when
+    /// the memo answered it.
+    fn assert_cursor_matches(cursor: &mut HarvestCursor<'_>, t0: f64, dt: f64) -> bool {
+        let want = cursor.harvester.energy_over(t0, dt).to_bits();
+        let memo = cursor.memo(t0, dt);
+        if let Some(got) = memo {
+            assert_eq!(got.to_bits(), want, "memo: t0 = {t0:e}, dt = {dt:e}");
+        }
+        let got = cursor.energy_over(t0, dt).to_bits();
+        assert_eq!(got, want, "t0 = {t0:e}, dt = {dt:e}");
+        memo.is_some()
+    }
+
+    #[test]
+    fn harvest_cursor_is_bitwise_energy_over() {
+        // office_rf as a networked world sees it: reseeded per run and
+        // scaled by each device's inverse-square share of the field
+        // (eight devices, spacing 0.5, full budget).
+        let gains: Vec<f64> = (0..8)
+            .map(|i| {
+                let d = 1.0 + f64::from(i) * 0.5;
+                1.0 / (d * d)
+            })
+            .collect();
+        let total: f64 = gains.iter().sum();
+        let mut rng = 0x5EED_u64;
+        let mut next = || {
+            rng = split_mix(rng);
+            rng
+        };
+        let base = crate::catalog::office_rf().harvester().clone();
+        let Harvester::Bursts { slot_s, .. } = base else {
+            unreachable!()
+        };
+        let mut memo_hits = 0u64;
+        for gain in &gains {
+            let h = base.with_seed(next()).scaled(1.0 * (gain / total));
+            let mut cursor = HarvestCursor::new(&h);
+            for round in 0..400u64 {
+                let k = match round % 4 {
+                    0 => next() % 1_000_000,
+                    1 => next() % 64,
+                    2 => 1_000_000 - next() % 16,
+                    _ => round,
+                } as f64;
+                // Rounds jump backwards as well as forwards (and so does
+                // `start * 0.5`): the cursor must refill, not assume
+                // monotone time.
+                let start = k * slot_s;
+                let starts = [start.next_down(), start, start.next_up(), start * 0.5];
+                for t0 in starts {
+                    let sub = slot_s * (next() % 1000) as f64 * 1e-3;
+                    let to_end = slot_end((t0 / slot_s).floor() as i64, slot_s) - t0;
+                    let windows = [
+                        -0.0,
+                        -sub,
+                        t0.next_up() - t0,
+                        3e-6,
+                        sub,
+                        to_end,
+                        to_end.next_down(),
+                        to_end.next_up(),
+                        slot_s * 3.7,
+                        f64::NAN,
+                    ];
+                    // Cache the slot below `k`, then `k` itself, so a
+                    // time near `k · slot_s` is judged against a cached
+                    // neighbour's bounds, not only after a refill.
+                    for (dt, neighbour) in windows
+                        .into_iter()
+                        .flat_map(|dt| [(dt, k - 0.5), (dt, k + 0.5)])
+                    {
+                        assert_cursor_matches(&mut cursor, neighbour * slot_s, 1e-6);
+                        if assert_cursor_matches(&mut cursor, t0, dt) {
+                            memo_hits += 1;
+                        }
+                    }
+                }
+                // A run of microsecond ops through one slot, as the
+                // executor issues them.
+                let mut t = start;
+                for _ in 0..32 {
+                    let dt = 1e-6 * (1 + next() % 40) as f64;
+                    assert_cursor_matches(&mut cursor, t, dt);
+                    t += dt;
+                }
+            }
+        }
+        // Most queries must take the memo, or the test proves nothing.
+        assert!(memo_hits > 50_000, "memo answered only {memo_hits} queries");
+
+        // Negative times, non-finite inputs and the other waveforms all
+        // answer through the plain integral with the same bits.
+        let waveforms = [
+            Harvester::constant(0.002),
+            Harvester::square(0.004, 0.05, 0.25),
+            Harvester::sine(0.002, 0.2),
+            Harvester::bursts(0.002, 0.01, 0.35, 7),
+            Harvester::bursts(0.002, 3.0, 0.5, 7),
+            // A valid -0.0 W source: the walk's `0.0 + -0.0` is +0.0.
+            Harvester::bursts(-0.0, 0.01, 1.0, 7),
+            Harvester::trace(vec![(0.02, 0.003), (0.08, 0.0002)]),
+        ];
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for h in &waveforms {
+            let mut cursor = HarvestCursor::new(h);
+            for (t0, dt) in [
+                (0.0, 1e-6),
+                (-0.0, 1e-6),
+                (-0.015, 1e-3),
+                (-1e-300, 1e-6),
+                (5e-324, 1e-6),
+                (1.0, inf),
+                (1.0, nan),
+                (nan, 1e-3),
+                (inf, 1e-3),
+                (-inf, 1e-3),
+                (1e30, 1e-3),
+                (2.0, 1e-6),
+                (0.5, 1e-6),
+            ] {
+                assert_cursor_matches(&mut cursor, t0, dt);
+            }
+        }
     }
 }
