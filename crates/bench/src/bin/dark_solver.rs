@@ -19,16 +19,17 @@
 //!    wall-clock second; the ratio is the solver's win, independent of
 //!    how much powered op work a particular workload adds around it.
 //! 2. **End-to-end**: the full matrix (3 environments × 3 surviving
-//!    strategies × HAR) replayed through identical shared execution
-//!    plans in both modes — the Amdahl-limited scenarios/sec effect,
-//!    where the (mode-independent) powered op stream dilutes the
-//!    dark-phase win.
+//!    strategies × HAR) run over one `perf::Grid`'s shared execution
+//!    plans in both modes, timed in paired rounds — the Amdahl-limited
+//!    scenarios/sec effect, where the (mode-independent) powered op
+//!    stream dilutes the dark-phase win.
 //!
 //! Results land as the `dark_solver` entry of `BENCH_fleet.json`;
 //! `--quick` shrinks the cycle/run counts for the CI smoke run.
 
-use ehdl::ehsim::{catalog, Environment, ExecutionPlan, ExecutorConfig, IntermittentExecutor};
+use ehdl::ehsim::{catalog, Environment, ExecutorConfig, IntermittentExecutor};
 use ehdl::prelude::*;
+use ehdl_bench::perf::{paired, Grid, REPS};
 use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{ScenarioMatrix, Workload};
 use std::time::Instant;
@@ -123,43 +124,19 @@ fn main() {
     let matrix = ScenarioMatrix::new()
         .environments(environments())
         .strategies(vec![Strategy::Sonic, Strategy::Tails, Strategy::Flex])
-        .workloads(vec![Workload::Har { samples: 4 }])
-        .runs(runs)
-        .executor(ExecutorConfig {
-            stall_outages: 6,
-            ..ExecutorConfig::default()
-        });
-    let scenarios = matrix.scenarios();
+        .workloads(vec![Workload::Har { samples: 4 }]);
+    let grid = Grid::new(matrix, runs, Grid::stall_config());
+    let scenarios = grid.scenarios().len();
     println!(
-        "\nend-to-end: {} scenarios x {} runs ({} mode)",
-        scenarios.len(),
-        runs,
+        "\nend-to-end: {scenarios} scenarios x {runs} runs, {REPS} paired rounds ({} mode)",
         if quick { "quick" } else { "full" }
     );
-
-    // Shared scaffolding, excluded from timing: one deployment and one
-    // compiled plan per (workload, board, strategy).
-    let mut deployments: Vec<Deployment> = Vec::new();
-    let mut plans: Vec<ExecutionPlan> = Vec::new();
-    for scenario in &scenarios {
-        if scenario.deployment_key() == deployments.len() {
-            let data = scenario.workload.dataset(scenario.seed);
-            let mut model = scenario.workload.model();
-            let deployment = Deployment::builder(&mut model, &data)
-                .board(scenario.board.clone())
-                .strategy(scenario.strategy)
-                .build()
-                .expect("deployment builds");
-            plans.push(deployment.compile_plan());
-            deployments.push(deployment);
-        }
-    }
 
     // Sanity: the matrix really is outage-dominated but never stalled —
     // every discharge covers the hungriest post-boot burst, and every
     // environment's average power sits far below the inference draw.
-    for scenario in &scenarios {
-        let plan = &plans[scenario.deployment_key()];
+    for scenario in grid.scenarios() {
+        let plan = grid.plan(scenario);
         let budget = scenario.environment.capacitor().discharge_budget_joules();
         assert!(
             plan.max_burst_need_j() < budget,
@@ -171,84 +148,66 @@ fn main() {
         assert!(scenario.environment.average_power() < 1e-3);
     }
 
-    // One timed pass per mode over identical (plan, environment) work;
+    // Paired passes per mode over identical (plan, environment) work;
     // no trace-replay dedup, so every run exercises its dark loop.
-    let timed_pass = |label: &str, charge_step_s: Option<f64>| -> (f64, f64) {
-        let executor = IntermittentExecutor::new(ExecutorConfig {
-            charge_step_s,
-            stall_outages: 6,
-            ..ExecutorConfig::default()
-        });
-        let mut dark_s = 0.0f64;
-        let mut active_s = 0.0f64;
-        let mut completed = 0u64;
-        let started = Instant::now();
-        for scenario in &scenarios {
-            let plan = &plans[scenario.deployment_key()];
-            let mut board = scenario.board.board();
-            for _ in 0..runs {
-                let mut supply = scenario.environment.supply();
-                let report = executor.run_plan(plan, &mut board, &mut supply);
-                dark_s += report.charging_seconds;
-                active_s += report.active_seconds;
-                completed += u64::from(report.completed());
-            }
-        }
-        let wall = started.elapsed().as_secs_f64();
-        assert_eq!(
-            completed,
-            scenarios.len() as u64 * u64::from(runs),
+    let analytic = IntermittentExecutor::new(grid.config().clone());
+    let stepped = IntermittentExecutor::new(ExecutorConfig {
+        charge_step_s: Some(STEP_S),
+        ..grid.config().clone()
+    });
+    let mut analytic_pass =
+        || grid.pass(|plan, _, board, supply| analytic.run_plan(plan, board, supply));
+    let mut stepped_pass =
+        || grid.pass(|plan, _, board, supply| stepped.run_plan(plan, board, supply));
+    let measured = paired(&mut analytic_pass, &mut [("stepped", &mut stepped_pass)]);
+    // The stepped arm's median ratio to the analytic one is the
+    // end-to-end speedup.
+    let stepped_reports = &measured.outputs[0];
+    for (label, reports) in [("analytic", &measured.base), ("stepped", stepped_reports)] {
+        assert!(
+            reports.iter().all(|r| r.completed()),
             "{label}: every run of this matrix must complete"
         );
-        let dark_fraction = dark_s / (dark_s + active_s);
-        println!(
-            "{label:<22} {wall:>8.3} s wall   {:>7.1} scenarios/s   ({:.1}% of simulated time dark)",
-            scenarios.len() as f64 / wall,
-            dark_fraction * 100.0
-        );
-        (wall, dark_fraction)
-    };
-    let (stepped_e2e, dark_fraction) = timed_pass("stepped (1 ms)", Some(STEP_S));
-    let (analytic_e2e, _) = timed_pass("analytic (solver)", None);
-    let e2e_speedup = stepped_e2e / analytic_e2e;
-    println!("end-to-end speedup: {e2e_speedup:.2}x scenarios/s on this matrix");
-
-    let entry = format!(
-        concat!(
-            "{{\n",
-            "  \"quick\": {},\n",
-            "  \"dark_cycles_per_env\": {},\n",
-            "  \"stepped_dark_sim_s_per_s\": {:.1},\n",
-            "  \"analytic_dark_sim_s_per_s\": {:.1},\n",
-            "  \"dark_phase_speedup\": {:.1},\n",
-            "  \"scenarios\": {},\n",
-            "  \"runs_per_scenario\": {},\n",
-            "  \"matrix_dark_fraction\": {:.4},\n",
-            "  \"stepped_seconds\": {:.6},\n",
-            "  \"analytic_seconds\": {:.6},\n",
-            "  \"end_to_end_speedup\": {:.3}\n",
-            "}}"
-        ),
-        quick,
-        cycles,
-        stepped_rate,
-        analytic_rate,
-        dark_speedup,
-        scenarios.len(),
-        runs,
-        dark_fraction,
-        stepped_e2e,
-        analytic_e2e,
-        e2e_speedup,
+    }
+    let dark_s: f64 = stepped_reports.iter().map(|r| r.charging_seconds).sum();
+    let active_s: f64 = stepped_reports.iter().map(|r| r.active_seconds).sum();
+    let dark_fraction = dark_s / (dark_s + active_s);
+    measured.print("analytic", scenarios);
+    let e2e = measured.timings[0].ratio;
+    println!(
+        "end-to-end speedup: {:.2}x [{:.2} .. {:.2}] scenarios/s on this matrix \
+         ({:.1}% of simulated time dark)",
+        e2e.median,
+        e2e.q1,
+        e2e.q3,
+        dark_fraction * 100.0
     );
-    record_bench_entry("dark_solver", &entry);
+
+    let head = [
+        ("quick", quick.to_string()),
+        ("dark_cycles_per_env", cycles.to_string()),
+        ("stepped_dark_sim_s_per_s", format!("{stepped_rate:.1}")),
+        ("analytic_dark_sim_s_per_s", format!("{analytic_rate:.1}")),
+        ("dark_phase_speedup", format!("{dark_speedup:.1}")),
+        ("scenarios", scenarios.to_string()),
+        ("runs_per_scenario", runs.to_string()),
+        ("reps", REPS.to_string()),
+        ("matrix_dark_fraction", format!("{dark_fraction:.4}")),
+    ];
+    let fields: Vec<(String, String)> = head
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .chain(measured.fields("analytic", scenarios))
+        .collect();
+    record_bench_entry("dark_solver", &fields);
 
     assert!(
         dark_speedup >= 5.0,
         "analytic dark phase under the 5x acceptance bar ({dark_speedup:.2}x)"
     );
     assert!(
-        e2e_speedup >= 1.0,
-        "analytic mode regressed end-to-end throughput ({e2e_speedup:.2}x)"
+        e2e.median >= 1.0,
+        "analytic mode regressed end-to-end throughput ({:.2}x)",
+        e2e.median
     );
 }

@@ -125,26 +125,19 @@ fn kill_and_resume_smoke() {
     println!("resumed digest is bit-identical to the in-process sweep\n");
     println!("{}", resumed.digest);
 
-    let entry = format!(
-        concat!(
-            "{{\n",
-            "  \"quick\": true,\n",
-            "  \"scenarios\": {},\n",
-            "  \"shards\": {},\n",
-            "  \"workers\": 2,\n",
-            "  \"kill_pass_seconds\": {:.6},\n",
-            "  \"resume_pass_seconds\": {:.6},\n",
-            "  \"resumed_shards\": {},\n",
-            "  \"bit_identical_after_resume\": true\n",
-            "}}"
-        ),
-        matrix.len(),
-        resumed.shards,
-        degraded_s,
-        resumed_s,
-        resumed.resumed_shards,
+    record_bench_entry(
+        "shard_sweep",
+        &[
+            ("quick", "true".to_string()),
+            ("scenarios", matrix.len().to_string()),
+            ("shards", resumed.shards.to_string()),
+            ("workers", "2".to_string()),
+            ("kill_pass_seconds", format!("{degraded_s:.6}")),
+            ("resume_pass_seconds", format!("{resumed_s:.6}")),
+            ("resumed_shards", resumed.resumed_shards.to_string()),
+            ("bit_identical_after_resume", "true".to_string()),
+        ],
     );
-    record_bench_entry("shard_sweep", &entry);
 }
 
 /// The scale datapoint: 100k+ scenarios across subprocess shards,
@@ -218,32 +211,21 @@ fn shard_scaling() {
         .iter()
         .map(|(_, s)| format!("{:.3}", matrix.len() as f64 / s))
         .collect();
-    let entry = format!(
-        concat!(
-            "{{\n",
-            "  \"quick\": false,\n",
-            "  \"scenarios\": {},\n",
-            "  \"shard_size\": {},\n",
-            "  \"shards\": {},\n",
-            "  \"worker_threads\": 1,\n",
-            "  \"in_process_seconds\": {:.6},\n",
-            "  \"workers\": [{}],\n",
-            "  \"seconds\": [{}],\n",
-            "  \"scenarios_per_sec\": [{}],\n",
-            "  \"bit_identical_to_in_process\": true,\n",
-            "  \"completed_runs\": {},\n",
-            "  \"outages\": {}\n",
-            "}}"
-        ),
-        matrix.len(),
-        shard_size,
-        shards,
-        in_process_s,
-        counts.join(", "),
-        seconds.join(", "),
-        rates.join(", "),
-        digest.completed_runs,
-        digest.outages,
+    record_bench_entry(
+        "shard_sweep",
+        &[
+            ("quick", "false".to_string()),
+            ("scenarios", matrix.len().to_string()),
+            ("shard_size", shard_size.to_string()),
+            ("shards", shards.to_string()),
+            ("worker_threads", "1".to_string()),
+            ("in_process_seconds", format!("{in_process_s:.6}")),
+            ("workers", format!("[{}]", counts.join(", "))),
+            ("seconds", format!("[{}]", seconds.join(", "))),
+            ("scenarios_per_sec", format!("[{}]", rates.join(", "))),
+            ("bit_identical_to_in_process", "true".to_string()),
+            ("completed_runs", digest.completed_runs.to_string()),
+            ("outages", digest.outages.to_string()),
+        ],
     );
-    record_bench_entry("shard_sweep", &entry);
 }

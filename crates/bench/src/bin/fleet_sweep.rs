@@ -145,39 +145,24 @@ fn digest_scale() {
 
     println!("\n{digest}");
 
-    let entry = format!(
-        concat!(
-            "{{\n",
-            "  \"quick\": {},\n",
-            "  \"scenarios\": {},\n",
-            "  \"workers\": {},\n",
-            "  \"digest_seconds\": {:.6},\n",
-            "  \"digest_scenarios_per_sec\": {:.3},\n",
-            "  \"digest_bytes\": {},\n",
-            "  \"dense_seconds\": {:.6},\n",
-            "  \"dense_report_bytes\": {},\n",
-            "  \"memory_ratio\": {:.1},\n",
-            "  \"completed_runs\": {},\n",
-            "  \"outages\": {},\n",
-            "  \"latency_p50_ms\": {:.4},\n",
-            "  \"latency_p90_ms\": {:.4},\n",
-            "  \"latency_p99_ms\": {:.4}\n",
-            "}}"
-        ),
-        quick,
-        matrix.len(),
-        workers,
-        digest_s,
-        digest_rate,
-        digest_bytes,
-        dense_s,
-        dense_bytes,
-        ratio,
-        digest.completed_runs,
-        digest.outages,
-        digest.latency_ms.p50().unwrap_or(0.0),
-        digest.latency_ms.p90().unwrap_or(0.0),
-        digest.latency_ms.p99().unwrap_or(0.0),
+    let latency = |p: Option<f64>| format!("{:.4}", p.unwrap_or(0.0));
+    record_bench_entry(
+        "fleet_digest",
+        &[
+            ("quick", quick.to_string()),
+            ("scenarios", matrix.len().to_string()),
+            ("workers", workers.to_string()),
+            ("digest_seconds", format!("{digest_s:.6}")),
+            ("digest_scenarios_per_sec", format!("{digest_rate:.3}")),
+            ("digest_bytes", digest_bytes.to_string()),
+            ("dense_seconds", format!("{dense_s:.6}")),
+            ("dense_report_bytes", dense_bytes.to_string()),
+            ("memory_ratio", format!("{ratio:.1}")),
+            ("completed_runs", digest.completed_runs.to_string()),
+            ("outages", digest.outages.to_string()),
+            ("latency_p50_ms", latency(digest.latency_ms.p50())),
+            ("latency_p90_ms", latency(digest.latency_ms.p90())),
+            ("latency_p99_ms", latency(digest.latency_ms.p99())),
+        ],
     );
-    record_bench_entry("fleet_digest", &entry);
 }

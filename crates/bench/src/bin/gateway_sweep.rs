@@ -111,39 +111,23 @@ fn main() {
         s.devices
     );
 
-    let entry = format!(
-        concat!(
-            "{{\n",
-            "  \"quick\": {},\n",
-            "  \"devices\": {},\n",
-            "  \"scenarios\": {},\n",
-            "  \"sweep_seconds\": {:.6},\n",
-            "  \"devices_per_sec\": {:.3},\n",
-            "  \"polls\": {},\n",
-            "  \"served\": {},\n",
-            "  \"served_fraction\": {:.6},\n",
-            "  \"missed_asleep\": {},\n",
-            "  \"missed_stale\": {},\n",
-            "  \"starved_devices\": {},\n",
-            "  \"staleness_p50_s\": {:.6},\n",
-            "  \"staleness_p99_s\": {:.6},\n",
-            "  \"digest_checksum\": \"{:016x}\"\n",
-            "}}"
-        ),
-        quick,
-        devices,
-        matrix.len(),
-        sweep_s,
-        device_rate,
-        s.polls,
-        s.served,
-        served_fraction,
-        s.missed_asleep,
-        s.missed_stale,
-        s.starved_devices,
-        p50,
-        p99,
-        checksum,
+    record_bench_entry(
+        "gateway_sweep",
+        &[
+            ("quick", quick.to_string()),
+            ("devices", devices.to_string()),
+            ("scenarios", matrix.len().to_string()),
+            ("sweep_seconds", format!("{sweep_s:.6}")),
+            ("devices_per_sec", format!("{device_rate:.3}")),
+            ("polls", s.polls.to_string()),
+            ("served", s.served.to_string()),
+            ("served_fraction", format!("{served_fraction:.6}")),
+            ("missed_asleep", s.missed_asleep.to_string()),
+            ("missed_stale", s.missed_stale.to_string()),
+            ("starved_devices", s.starved_devices.to_string()),
+            ("staleness_p50_s", format!("{p50:.6}")),
+            ("staleness_p99_s", format!("{p99:.6}")),
+            ("digest_checksum", format!("\"{checksum:016x}\"")),
+        ],
     );
-    record_bench_entry("gateway_sweep", &entry);
 }

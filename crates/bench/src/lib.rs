@@ -1,13 +1,14 @@
 //! # ehdl-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index) plus [`micro`] wall-clock microbenches for the hot kernels
-//! (`cargo bench` — self-contained, no external harness). The binaries
-//! print the same rows/series the paper reports, with the paper's
-//! numbers alongside for comparison; EXPERIMENTS.md records a captured
-//! run.
+//! One binary per table/figure of the paper plus the simulator's
+//! throughput and overhead benches, the [`perf`] harness those benches
+//! share, and [`micro`] wall-clock microbenches for the hot kernels
+//! (`cargo bench` — self-contained, no external harness). The paper
+//! binaries print the same rows/series the paper reports, with the
+//! paper's numbers alongside for comparison; the benches record their
+//! entry of `BENCH_fleet.json` (see [`record_bench_entry`]).
 //!
-//! | Binary | Regenerates |
+//! | Binary | Regenerates or measures |
 //! |---|---|
 //! | `table1_bcm_compression` | Table I |
 //! | `table2_models` | Table II |
@@ -17,12 +18,19 @@
 //! | `fig8_fc_blocksize` | Figure 8(a,b) |
 //! | `checkpoint_overhead` | §IV-A.5 |
 //! | `fig6_rollback_demo` | Figure 6 (mechanism) |
-//! | `fleet_sweep` | beyond the paper: scenario-matrix sweep scaling |
+//! | `ablations` | the cost of each ACE/FLEX design choice |
+//! | `monitor_sensitivity` | FLEX under a swept voltage-monitor warn threshold |
+//! | `perf_grid` | plan speedup and probe, fault and integrity overhead on one grid |
+//! | `dark_solver` | analytic dark-phase fast-forward vs 1 ms stepping |
+//! | `fleet_sweep` | scenario-matrix sweep scaling and streaming digests |
+//! | `fleet_shard` | sharded-sweep scaling and crash recovery |
+//! | `gateway_sweep` | a thousand-device networked fleet and its gateway SLOs |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod micro;
+pub mod perf;
 
 use ehdl::datasets::Dataset;
 use ehdl::nn::{Model, Tensor};
@@ -65,22 +73,27 @@ pub fn quick_mode() -> bool {
 /// relative to the directory they run from (the repo root).
 pub const BENCH_FILE: &str = "BENCH_fleet.json";
 
-/// Records `body` (a JSON object) as the `name` entry of [`BENCH_FILE`]
-/// and says where it went. An entry flagged `"quick": true` is a CI
-/// smoke on a shrunken grid, so it is printed but never written: a
-/// quick run must not replace the full-grid numbers.
-pub fn record_bench_entry(name: &str, body: &str) {
-    let Ok(Json::Obj(members)) = Json::parse(body.trim()) else {
-        eprintln!("the {name} entry is not a JSON object; {BENCH_FILE} is left unchanged");
+/// Records `fields` (each value one JSON token, e.g. `"0.5"`,
+/// `"[1, 2]"` or `"\"text\""`) as the `name` entry of [`BENCH_FILE`],
+/// led by the `git_rev` (short `HEAD`) and `nproc` it was measured on,
+/// and says where it went. An entry with `quick` set to `true` is a CI
+/// smoke on a shrunken grid, so it is never written: a quick run must
+/// not replace the full-grid numbers.
+pub fn record_bench_entry<K: AsRef<str>>(name: &str, fields: &[(K, String)]) {
+    let members: Result<Members, _> = fields
+        .iter()
+        .map(|(k, v)| Json::parse(v).map(|v| (k.as_ref().to_string(), v)))
+        .collect();
+    let Ok(members) = members else {
+        eprintln!("the {name} entry has a non-JSON value; {BENCH_FILE} is left unchanged");
         return;
     };
-    if members
-        .iter()
-        .any(|(k, v)| k == "quick" && *v == Json::Bool(true))
-    {
+    if members.contains(&("quick".to_string(), Json::Bool(true))) {
         println!("quick run: the {name} entry of {BENCH_FILE} is left unchanged");
         return;
     }
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    let members = stamp_entry(members, &git_rev(), nproc);
     match upsert_bench_json(BENCH_FILE, name, members) {
         Ok(()) => println!("wrote the {name} entry of {BENCH_FILE}"),
         Err(e) => eprintln!("could not write {BENCH_FILE}: {e}"),
@@ -89,6 +102,36 @@ pub fn record_bench_entry(name: &str, body: &str) {
 
 /// One bench-file entry: an object's members in document order.
 type Members = Vec<(String, Json)>;
+
+/// `members` led by `git_rev` and `nproc`, replacing any earlier
+/// values of those two keys.
+fn stamp_entry(members: Members, git_rev: &str, nproc: usize) -> Members {
+    let stamp = [
+        ("git_rev".to_string(), Json::Str(git_rev.to_string())),
+        ("nproc".to_string(), Json::Num(nproc.to_string())),
+    ];
+    stamp
+        .into_iter()
+        .chain(
+            members
+                .into_iter()
+                .filter(|(k, _)| k != "git_rev" && k != "nproc"),
+        )
+        .collect()
+}
+
+/// The short revision of `HEAD`, or `"unknown"` when git cannot tell.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
 
 /// Inserts or replaces one named entry in a machine-readable bench file
 /// shaped `{"name": { ... }, ...}`, so independent bench binaries can
@@ -247,6 +290,27 @@ mod tests {
         let entries = parse_bench_entries(&text);
         assert!(!entries.is_empty());
         assert_eq!(render_bench_entries(&entries), text);
+    }
+
+    #[test]
+    fn stamping_leads_with_rev_and_core_count() {
+        let num = |n: &str| Json::Num(n.into());
+        let members = vec![
+            ("quick".to_string(), Json::Bool(false)),
+            ("nproc".to_string(), num("64")),
+            ("x".to_string(), num("1")),
+            ("git_rev".to_string(), Json::Str("old".into())),
+        ];
+        assert_eq!(
+            stamp_entry(members, "abc1234", 2),
+            vec![
+                ("git_rev".to_string(), Json::Str("abc1234".into())),
+                ("nproc".to_string(), num("2")),
+                ("quick".to_string(), Json::Bool(false)),
+                ("x".to_string(), num("1")),
+            ]
+        );
+        assert!(!git_rev().is_empty());
     }
 
     #[test]

@@ -1218,8 +1218,8 @@ fn run_world_scenario<S: MetricsSink, P: RunProbe>(
 
 /// SplitMix64-style mix of (scenario seed, run index) — the per-run
 /// reseed the runner applies to stochastic environments. Public so
-/// external harnesses (e.g. the `exec_plan` bench) can replay exactly
-/// the supplies a fleet sweep would see.
+/// external harnesses (e.g. the bench crate's scenario grid) can replay
+/// exactly the supplies a fleet sweep would see.
 pub fn mix(seed: u64, run: u64) -> u64 {
     let mut z = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
