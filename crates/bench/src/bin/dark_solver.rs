@@ -125,7 +125,7 @@ fn main() {
         .environments(environments())
         .strategies(vec![Strategy::Sonic, Strategy::Tails, Strategy::Flex])
         .workloads(vec![Workload::Har { samples: 4 }]);
-    let grid = Grid::new(matrix, runs, Grid::stall_config());
+    let grid = Grid::new(matrix, runs);
     let scenarios = grid.scenarios().len();
     println!(
         "\nend-to-end: {scenarios} scenarios x {runs} runs, {REPS} paired rounds ({} mode)",

@@ -75,10 +75,11 @@ pub const BENCH_FILE: &str = "BENCH_fleet.json";
 
 /// Records `fields` (each value one JSON token, e.g. `"0.5"`,
 /// `"[1, 2]"` or `"\"text\""`) as the `name` entry of [`BENCH_FILE`],
-/// led by the `git_rev` (short `HEAD`) and `nproc` it was measured on,
-/// and says where it went. An entry with `quick` set to `true` is a CI
-/// smoke on a shrunken grid, so it is never written: a quick run must
-/// not replace the full-grid numbers.
+/// led by the `git_rev` (short `HEAD`, marked `-dirty` when the tree
+/// differs from it) and `nproc` it was measured on, and says where it
+/// went. An entry with `quick` set to `true` is a CI smoke on a
+/// shrunken grid, so it is never written: a quick run must not replace
+/// the full-grid numbers.
 pub fn record_bench_entry<K: AsRef<str>>(name: &str, fields: &[(K, String)]) {
     let members: Result<Members, _> = fields
         .iter()
@@ -120,17 +121,34 @@ fn stamp_entry(members: Members, git_rev: &str, nproc: usize) -> Members {
         .collect()
 }
 
-/// The short revision of `HEAD`, or `"unknown"` when git cannot tell.
+/// The short revision of `HEAD`, suffixed `-dirty` when a tracked file
+/// other than [`BENCH_FILE`] differs from it (a bench run rewrites that
+/// file itself), or `"unknown"` when git cannot tell.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|text| text.trim().to_string())
+    };
+    let Some(rev) = git(&["rev-parse", "--short=7", "HEAD"]).filter(|rev| !rev.is_empty()) else {
+        return "unknown".to_string();
+    };
+    let bench_file = format!(":(top,exclude){BENCH_FILE}");
+    let status = [
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+        "--",
+        &bench_file,
+    ];
+    match git(&status) {
+        Some(changes) if changes.is_empty() => rev,
+        _ => format!("{rev}-dirty"),
+    }
 }
 
 /// Inserts or replaces one named entry in a machine-readable bench file
@@ -310,7 +328,6 @@ mod tests {
                 ("x".to_string(), num("1")),
             ]
         );
-        assert!(!git_rev().is_empty());
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Grid {
             .strategies(Strategy::ALL.to_vec())
             .workloads(workloads)
             .seeds(seeds);
-        Grid::new(matrix, runs, Grid::stall_config())
+        Grid::new(matrix, runs)
     }
 
     /// The executor configuration of every grid bench: stalled runs
@@ -70,13 +70,15 @@ impl Grid {
         }
     }
 
-    /// Expands `matrix` with `runs` runs per scenario under `config`,
-    /// and builds its deployments and plans.
+    /// Expands `matrix` with `runs` runs per scenario under
+    /// [`stall_config`](Self::stall_config), and builds its deployments
+    /// and plans.
     ///
     /// # Panics
     ///
     /// If a deployment fails to build.
-    pub fn new(matrix: ScenarioMatrix, runs: u32, config: ExecutorConfig) -> Grid {
+    pub fn new(matrix: ScenarioMatrix, runs: u32) -> Grid {
+        let config = Grid::stall_config();
         let matrix = matrix.runs(runs).executor(config.clone());
         let scenarios = matrix.scenarios();
         let (mut deployments, mut plans) = (Vec::new(), Vec::new());
