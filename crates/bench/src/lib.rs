@@ -106,19 +106,13 @@ type Members = Vec<(String, Json)>;
 
 /// `members` led by `git_rev` and `nproc`, replacing any earlier
 /// values of those two keys.
-fn stamp_entry(members: Members, git_rev: &str, nproc: usize) -> Members {
+fn stamp_entry(mut members: Members, git_rev: &str, nproc: usize) -> Members {
+    members.retain(|(k, _)| k != "git_rev" && k != "nproc");
     let stamp = [
         ("git_rev".to_string(), Json::Str(git_rev.to_string())),
         ("nproc".to_string(), Json::Num(nproc.to_string())),
     ];
-    stamp
-        .into_iter()
-        .chain(
-            members
-                .into_iter()
-                .filter(|(k, _)| k != "git_rev" && k != "nproc"),
-        )
-        .collect()
+    stamp.into_iter().chain(members).collect()
 }
 
 /// The short revision of `HEAD`, suffixed `-dirty` when a tracked file
@@ -126,28 +120,18 @@ fn stamp_entry(members: Members, git_rev: &str, nproc: usize) -> Members {
 /// file itself), or `"unknown"` when git cannot tell.
 fn git_rev() -> String {
     let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .and_then(|out| String::from_utf8(out.stdout).ok())
-            .map(|text| text.trim().to_string())
+        let out = std::process::Command::new("git").args(args).output().ok()?;
+        let text = String::from_utf8_lossy(&out.stdout).trim().to_string();
+        out.status.success().then_some(text)
     };
-    let Some(rev) = git(&["rev-parse", "--short=7", "HEAD"]).filter(|rev| !rev.is_empty()) else {
-        return "unknown".to_string();
-    };
-    let bench_file = format!(":(top,exclude){BENCH_FILE}");
-    let status = [
-        "status",
-        "--porcelain",
-        "--untracked-files=no",
-        "--",
-        &bench_file,
-    ];
-    match git(&status) {
-        Some(changes) if changes.is_empty() => rev,
-        _ => format!("{rev}-dirty"),
+    let code = format!(":(top,exclude){BENCH_FILE}");
+    match (
+        git(&["rev-parse", "--short=7", "HEAD"]),
+        git(&["status", "--porcelain", "-uno", "--", &code]),
+    ) {
+        (Some(rev), Some(changes)) if changes.is_empty() => rev,
+        (Some(rev), _) => format!("{rev}-dirty"),
+        (None, _) => "unknown".to_string(),
     }
 }
 
