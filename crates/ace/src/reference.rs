@@ -66,20 +66,97 @@ pub fn forward_trace(
     input: &[Q15],
     stats: &mut OverflowStats,
 ) -> Result<Vec<Vec<Q15>>, AceError> {
-    if input.len() != model.input_len() {
-        return Err(AceError::BadInput {
-            expected: model.input_len(),
-            got: input.len(),
-        });
+    SpectralModel::new(model)?.forward_trace(input, stats)
+}
+
+/// A quantized model with every BCM weight block already transformed
+/// (`W/N`), and one [`FftPlan`] per block size.
+///
+/// The weight spectra depend only on the model, so a pass over many
+/// samples (the accuracy pass) builds this once and reuses it; each
+/// sample then transforms only its input blocks, once per layer. The
+/// transforms are pure, so logits and [`OverflowStats`] are exactly
+/// those of [`forward_trace`].
+#[derive(Debug, Clone)]
+pub struct SpectralModel<'m> {
+    model: &'m QuantizedModel,
+    plans: Vec<FftPlan>,
+    /// Per layer: the plan index and weight spectra of a BCM layer.
+    layers: Vec<Option<(usize, Vec<Vec<ComplexQ15>>)>>,
+}
+
+impl<'m> SpectralModel<'m> {
+    /// Transforms every BCM weight block of `model`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AceError::Fft`] if a BCM block size is not a power of two.
+    pub fn new(model: &'m QuantizedModel) -> Result<Self, AceError> {
+        let mut plans: Vec<FftPlan> = Vec::new();
+        let mut layers = Vec::with_capacity(model.layers().len());
+        for layer in model.layers() {
+            let QLayer::BcmDense(d) = layer else {
+                layers.push(None);
+                continue;
+            };
+            let at = match plans.iter().position(|p| p.len() == d.block) {
+                Some(at) => at,
+                None => {
+                    plans.push(FftPlan::new(d.block)?);
+                    plans.len() - 1
+                }
+            };
+            layers.push(Some((at, bcm_spectra(&plans[at], d)?)));
+        }
+        Ok(SpectralModel {
+            model,
+            plans,
+            layers,
+        })
     }
-    let mut acts: Vec<Vec<Q15>> = vec![input.to_vec()];
-    for (i, layer) in model.layers().iter().enumerate() {
-        let in_shape = model.layer_input_shape(i);
-        let x = acts.last().expect("non-empty");
-        let y = layer_forward(layer, x, in_shape, stats)?;
-        acts.push(y);
+
+    /// Forward pass returning the logits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AceError::BadInput`] on input length mismatch.
+    pub fn forward(&self, input: &[Q15], stats: &mut OverflowStats) -> Result<Vec<Q15>, AceError> {
+        Ok(self
+            .forward_trace(input, stats)?
+            .pop()
+            .expect("trace contains at least the input"))
     }
-    Ok(acts)
+
+    /// Forward pass retaining every layer activation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AceError::BadInput`] on input length mismatch.
+    pub fn forward_trace(
+        &self,
+        input: &[Q15],
+        stats: &mut OverflowStats,
+    ) -> Result<Vec<Vec<Q15>>, AceError> {
+        let model = self.model;
+        if input.len() != model.input_len() {
+            return Err(AceError::BadInput {
+                expected: model.input_len(),
+                got: input.len(),
+            });
+        }
+        let mut acts: Vec<Vec<Q15>> = vec![input.to_vec()];
+        for (i, (layer, spectra)) in model.layers().iter().zip(&self.layers).enumerate() {
+            let x = acts.last().expect("non-empty");
+            let y = match (layer, spectra) {
+                (QLayer::BcmDense(d), Some((at, fw))) => {
+                    bcm_forward_spectral(d, &self.plans[*at], fw, x, stats)?
+                }
+                _ => layer_forward(layer, x, model.layer_input_shape(i), stats)?,
+            };
+            acts.push(y);
+        }
+        Ok(acts)
+    }
 }
 
 /// Applies one quantized layer.
@@ -108,6 +185,11 @@ pub fn layer_forward(
 }
 
 /// Whole-kernel MAC convolution (Figure 4: one accumulation per window).
+///
+/// Streamed by output plane: every window's wide accumulator starts at
+/// the bias, and each kept kernel position adds one row-long MAC run per
+/// output row. The accumulator is exact integer arithmetic, so the
+/// result is that of a per-window loop bit for bit.
 pub fn conv_forward(
     c: &QConv2d,
     x: &[Q15],
@@ -118,31 +200,37 @@ pub fn conv_forward(
     let (oh, ow) = (ih - c.kh + 1, iw - c.kw + 1);
     let klen = c.kept.len();
     let mut out = vec![Q15::ZERO; c.out_ch * oh * ow];
-    // Decode kept positions once.
-    let coords: Vec<(usize, usize, usize)> = c
+    // Decode kept positions once, as offsets of the input row each one
+    // reads for output row 0.
+    let offsets: Vec<usize> = c
         .kept
         .iter()
         .map(|&k| {
             let k = k as usize;
-            (k / (c.kh * c.kw), (k / c.kw) % c.kh, k % c.kw)
+            let (ch, u, v) = (k / (c.kh * c.kw), (k / c.kw) % c.kh, k % c.kw);
+            (ch * ih + u) * iw + v
         })
         .collect();
-    for o in 0..c.out_ch {
+    let mut acc = vec![MacAcc::ZERO; oh * ow];
+    for (o, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        acc.fill(MacAcc::from_q15(c.bias[o]));
         let wrow = &c.weights[o * klen..(o + 1) * klen];
-        for i in 0..oh {
-            for j in 0..ow {
-                let mut acc = MacAcc::from_q15(c.bias[o]);
-                for (&w, &(ch, u, v)) in wrow.iter().zip(&coords) {
-                    acc.mac(w, x[(ch * ih + i + u) * iw + (j + v)]);
+        for (&w, &offset) in wrow.iter().zip(&offsets) {
+            for (i, row) in acc.chunks_exact_mut(ow).enumerate() {
+                let xrow = &x[offset + i * iw..][..ow];
+                for (a, &xv) in row.iter_mut().zip(xrow) {
+                    a.mac(w, xv);
                 }
-                let (q, sat) = acc.overflowing_to_q15();
-                if sat {
-                    stats.record_saturation();
-                } else {
-                    stats.record_ok();
-                }
-                out[(o * oh + i) * ow + j] = q;
             }
+        }
+        for (q, a) in plane.iter_mut().zip(&acc) {
+            let (v, sat) = a.overflowing_to_q15();
+            if sat {
+                stats.record_saturation();
+            } else {
+                stats.record_ok();
+            }
+            *q = v;
         }
     }
     out
@@ -198,23 +286,48 @@ pub fn bcm_forward(
     x: &[Q15],
     stats: &mut OverflowStats,
 ) -> Result<Vec<Q15>, AceError> {
+    let plan = FftPlan::new(d.block)?;
+    let fw = bcm_spectra(&plan, d)?;
+    bcm_forward_spectral(d, &plan, &fw, x, stats)
+}
+
+/// Every weight block's spectrum `W/N`, grid row-major.
+fn bcm_spectra(plan: &FftPlan, d: &QBcmDense) -> Result<Vec<Vec<ComplexQ15>>, AceError> {
+    Ok(d.blocks
+        .iter()
+        .map(|w| plan.fft_real(w))
+        .collect::<Result<_, _>>()?)
+}
+
+/// [`bcm_forward`] given the weight spectra `fw`. Each input block is
+/// transformed once and shared by every grid row.
+fn bcm_forward_spectral(
+    d: &QBcmDense,
+    plan: &FftPlan,
+    fw: &[Vec<ComplexQ15>],
+    x: &[Q15],
+    stats: &mut OverflowStats,
+) -> Result<Vec<Q15>, AceError> {
     let b = d.block;
     let shift = b.trailing_zeros();
-    let plan = FftPlan::new(b)?;
 
-    // Zero-pad the input to the block grid.
+    // Zero-pad the input to the block grid, then take X/N per block.
     let mut xp = vec![Q15::ZERO; d.cols_b * b];
     xp[..d.in_dim].copy_from_slice(x);
+    let fx = xp
+        .chunks_exact(b)
+        .map(|xblk| plan.fft_real(xblk))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut out = vec![Q15::ZERO; d.out_dim];
     for rb in 0..d.rows_b {
         // Wide accumulator holding y_rb / N across column blocks.
         let mut acc = vec![MacAcc::ZERO; b];
-        for cb in 0..d.cols_b {
-            let xblk = &xp[cb * b..(cb + 1) * b];
-            let y_over_n = bcm_block_matvec(&plan, &d.blocks[rb * d.cols_b + cb], xblk, stats)?;
-            for (a, &v) in acc.iter_mut().zip(&y_over_n) {
-                *a += MacAcc::from_q15(v);
+        for (cb, fxb) in fx.iter().enumerate() {
+            let mut z = bcm_freq_mul(fxb, &fw[rb * d.cols_b + cb], shift, stats);
+            plan.ifft(&mut z)?; // IDFT(Z/N) = y/N
+            for (a, v) in acc.iter_mut().zip(&z) {
+                *a += MacAcc::from_q15(v.real());
             }
         }
         // Bias joins at the same 1/N scale, then SCALE-UP by N.
@@ -371,6 +484,168 @@ mod tests {
             );
         }
         assert_eq!(stats.saturations(), 0);
+    }
+
+    /// The per-window loop `conv_forward` replaced, kept as the
+    /// bit-identity oracle.
+    fn conv_per_window(
+        c: &QConv2d,
+        x: &[Q15],
+        in_shape: &[usize],
+        stats: &mut OverflowStats,
+    ) -> Vec<Q15> {
+        let (ih, iw) = (in_shape[1], in_shape[2]);
+        let (oh, ow) = (ih - c.kh + 1, iw - c.kw + 1);
+        let klen = c.kept.len();
+        let mut out = Vec::with_capacity(c.out_ch * oh * ow);
+        for o in 0..c.out_ch {
+            for i in 0..oh {
+                for j in 0..ow {
+                    let mut acc = MacAcc::from_q15(c.bias[o]);
+                    for (&w, &k) in c.weights[o * klen..(o + 1) * klen].iter().zip(&c.kept) {
+                        let k = k as usize;
+                        let (ch, u, v) = (k / (c.kh * c.kw), (k / c.kw) % c.kh, k % c.kw);
+                        acc.mac(w, x[(ch * ih + i + u) * iw + (j + v)]);
+                    }
+                    let (q, sat) = acc.overflowing_to_q15();
+                    if sat {
+                        stats.record_saturation();
+                    } else {
+                        stats.record_ok();
+                    }
+                    out.push(q);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_conv_matches_the_per_window_loop_bit_for_bit() {
+        let mut g = WeightRng::new(0xAC_C0);
+        for case in 0..48 {
+            let dim = |g: &mut WeightRng, lo: i64, hi: i64| g.range_i64(lo, hi) as usize;
+            let (out_ch, in_ch) = (dim(&mut g, 1, 5), dim(&mut g, 1, 4));
+            let (kh, kw) = (dim(&mut g, 1, 5), dim(&mut g, 1, 5));
+            // Every fourth case is exactly one output wide or tall.
+            let ih = if case % 4 == 1 {
+                kh
+            } else {
+                kh + dim(&mut g, 0, 8)
+            };
+            let iw = if case % 4 == 2 {
+                kw
+            } else {
+                kw + dim(&mut g, 0, 8)
+            };
+            let kept: Vec<u32> = (0..(in_ch * kh * kw) as u32)
+                .filter(|_| case % 2 == 1 || !g.next_u64().is_multiple_of(3))
+                .collect();
+            // Weights up to full scale, so some windows saturate.
+            let c = QConv2d {
+                out_ch,
+                in_ch,
+                kh,
+                kw,
+                weights: (0..out_ch * kept.len())
+                    .map(|_| q(g.uniform(1.0)))
+                    .collect(),
+                bias: (0..out_ch).map(|_| q(g.uniform(0.5))).collect(),
+                kept,
+            };
+            let x: Vec<Q15> = (0..in_ch * ih * iw).map(|_| q(g.uniform(1.0))).collect();
+            let shape = [in_ch, ih, iw];
+            let (mut got_stats, mut want_stats) = (OverflowStats::new(), OverflowStats::new());
+            assert_eq!(
+                conv_forward(&c, &x, &shape, &mut got_stats),
+                conv_per_window(&c, &x, &shape, &mut want_stats),
+                "case {case}: {out_ch}x{in_ch}x{kh}x{kw} over {ih}x{iw}"
+            );
+            assert_eq!(got_stats, want_stats, "case {case}");
+        }
+    }
+
+    /// The per-sample path `SpectralModel` replaced: every weight and
+    /// input block transformed per block product, and a plan per layer.
+    /// Kept as the bit-identity oracle.
+    fn bcm_per_block(d: &QBcmDense, x: &[Q15], stats: &mut OverflowStats) -> Vec<Q15> {
+        let b = d.block;
+        let plan = FftPlan::new(b).unwrap();
+        let mut xp = vec![Q15::ZERO; d.cols_b * b];
+        xp[..d.in_dim].copy_from_slice(x);
+        let mut out = vec![Q15::ZERO; d.out_dim];
+        for rb in 0..d.rows_b {
+            let mut acc = vec![MacAcc::ZERO; b];
+            for cb in 0..d.cols_b {
+                let xblk = &xp[cb * b..(cb + 1) * b];
+                let w = &d.blocks[rb * d.cols_b + cb];
+                let y = bcm_block_matvec(&plan, w, xblk, stats).unwrap();
+                for (a, &v) in acc.iter_mut().zip(&y) {
+                    *a += MacAcc::from_q15(v);
+                }
+            }
+            bcm_row_finalize(&acc, &d.bias, rb * b, &mut out, b.trailing_zeros(), stats);
+        }
+        out
+    }
+
+    #[test]
+    fn spectra_once_per_pass_match_the_per_block_path_bit_for_bit() {
+        let mut g = WeightRng::new(0x5FEC);
+        for case in 0..12 {
+            // Two BCM layers sharing a block size, then one with its own;
+            // padded dims and two or more block rows in every layer.
+            let (b1, b2) = (1usize << g.range_i64(2, 5), 1usize << g.range_i64(1, 4));
+            let dim =
+                |g: &mut WeightRng, b: usize| g.range_i64(b as i64 + 1, 3 * b as i64) as usize;
+            let (d0, d1, d2, d3) = (
+                dim(&mut g, b1),
+                dim(&mut g, b1),
+                dim(&mut g, b1),
+                dim(&mut g, b2),
+            );
+            let model = ehdl_nn::Model::builder("bcm3", &[d0])
+                .layer(ehdl_nn::Layer::BcmDense(ehdl_nn::BcmDense::new(
+                    d0, d1, b1, &mut g,
+                )))
+                .layer(ehdl_nn::Layer::Relu)
+                .layer(ehdl_nn::Layer::BcmDense(ehdl_nn::BcmDense::new(
+                    d1, d2, b1, &mut g,
+                )))
+                .layer(ehdl_nn::Layer::BcmDense(ehdl_nn::BcmDense::new(
+                    d2, d3, b2, &mut g,
+                )))
+                .build()
+                .unwrap();
+            let qm = QuantizedModel::from_model(&model).unwrap();
+            let spectral = SpectralModel::new(&qm).unwrap();
+            assert_eq!(
+                spectral.plans.len(),
+                1 + usize::from(b1 != b2),
+                "case {case}"
+            );
+            for sample in 0..3 {
+                let x: Vec<Q15> = (0..d0).map(|_| q(g.uniform(0.9))).collect();
+                let (mut got_stats, mut want_stats) = (OverflowStats::new(), OverflowStats::new());
+                let got = spectral.forward_trace(&x, &mut got_stats).unwrap();
+                let mut want = vec![x.clone()];
+                for (i, layer) in qm.layers().iter().enumerate() {
+                    let x = want.last().unwrap();
+                    let y = match layer {
+                        QLayer::BcmDense(d) => bcm_per_block(d, x, &mut want_stats),
+                        _ => layer_forward(layer, x, qm.layer_input_shape(i), &mut want_stats)
+                            .unwrap(),
+                    };
+                    want.push(y);
+                }
+                assert_eq!(got, want, "case {case} sample {sample}");
+                assert_eq!(got_stats, want_stats, "case {case} sample {sample}");
+                assert_eq!(
+                    forward_trace(&qm, &x, &mut OverflowStats::new()).unwrap(),
+                    want
+                );
+            }
+        }
     }
 
     #[test]

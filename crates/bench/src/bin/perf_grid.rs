@@ -14,7 +14,9 @@
 //! * **armed** — `FaultPlan::armed_empty`: every fault draw paid at
 //!   all-zero thresholds;
 //! * **integrity** — `FaultPlan::armed_empty_integrity`: flip draws,
-//!   slot wear and the recovery ladder at flip rate zero.
+//!   slot wear and the recovery ladder at flip rate zero;
+//! * **aa** — plain `run_plan` again: the A/A noise floor the overhead
+//!   bars are read against. It has no bar of its own.
 //!
 //! Every arm must reproduce the plain reports bit for bit (the armed
 //! arms once their tallies are stripped), replay must beat reference,
@@ -29,7 +31,7 @@ use ehdl::ehsim::{
     IntermittentExecutor, Program, RunTrace, WearCurve,
 };
 use ehdl::prelude::*;
-use ehdl_bench::perf::{paired, Grid, REPS};
+use ehdl_bench::perf::{paired, Grid, Spread, REPS};
 use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{
     DigestSink, FleetRunner, GroupAxis, GroupBySink, Json, MetricsSink, PhaseProfile,
@@ -50,7 +52,8 @@ fn main() {
     );
     let executor = IntermittentExecutor::new(grid.config().clone());
 
-    let mut plain = || grid.pass(|plan, _, board, supply| executor.run_plan(plan, board, supply));
+    let plain_pass = || grid.pass(|plan, _, board, supply| executor.run_plan(plan, board, supply));
+    let (mut plain, mut aa) = (plain_pass, plain_pass);
     let mut reference = || {
         let mut lowered: Option<(usize, Program)> = None;
         grid.pass(|_, scenario, board, supply| {
@@ -127,14 +130,36 @@ fn main() {
             ("traced", &mut traced),
             ("armed", &mut || under(&empty)),
             ("integrity", &mut || under(&inert)),
+            ("aa", &mut aa),
         ],
     );
     measured.print("plain", scenarios);
-    let [reference_t, replay_t, overhead_arms @ ..] = &measured.timings[..] else {
-        unreachable!("five arms timed");
+    let [reference_t, replay_t, overhead_arms @ .., aa_t] = &measured.timings[..] else {
+        unreachable!("six arms timed");
     };
     let speedup = reference_t.seconds.median / replay_t.seconds.median;
     println!("\nplans + replay vs op-by-op reference: {speedup:.2}x (single worker)");
+    // The acceptance bar: ≤5% on the full grid, with headroom for
+    // scheduler noise on the short quick grid CI uses.
+    let limit = if quick { 25.0 } else { 5.0 };
+    let pct = |r: Spread| {
+        let p = |v: f64| (v - 1.0) * 100.0;
+        format!(
+            "{:+.1}% [{:+.1}% .. {:+.1}%]",
+            p(r.median),
+            p(r.q1),
+            p(r.q3)
+        )
+    };
+    println!("median overhead against the {limit:.0}% bar:");
+    for t in overhead_arms {
+        println!("  {:<10} {}", t.name, pct(t.ratio));
+    }
+    println!(
+        "  {:<10} {}  (A/A noise floor, no bar)",
+        "aa",
+        pct(aa_t.ratio)
+    );
 
     // Every arm must leave the simulation alone, the armed arms once
     // their tallies are stripped.
@@ -315,9 +340,6 @@ fn main() {
         speedup >= 1.0,
         "execution plans regressed scenario throughput ({speedup:.2}x)"
     );
-    // The acceptance bar: ≤5% on the full grid, with headroom for
-    // scheduler noise on the short quick grid CI uses.
-    let limit = if quick { 25.0 } else { 5.0 };
     for t in overhead_arms {
         let pct = (t.ratio.median - 1.0) * 100.0;
         assert!(

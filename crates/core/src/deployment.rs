@@ -30,7 +30,7 @@ use ehdl_compress::normalize::{self, Calibration};
 use ehdl_datasets::Dataset;
 use ehdl_device::{Board, CostTable, VoltageMonitor};
 use ehdl_ehsim::{ExecutionPlan, Integrity, Program};
-use ehdl_fixed::Q15;
+use ehdl_fixed::{OverflowStats, Q15};
 use ehdl_flex::strategies;
 use ehdl_nn::{Model, Tensor};
 use std::sync::Arc;
@@ -414,10 +414,13 @@ pub fn quantized_accuracy(quantized: &QuantizedModel, data: &Dataset) -> Result<
     if data.is_empty() {
         return Ok(0.0);
     }
+    // Weight spectra and FFT plans are built once for the whole pass.
+    let model = reference::SpectralModel::new(quantized)?;
+    let mut stats = OverflowStats::new();
     let mut correct = 0usize;
     for s in data.samples() {
         let x = quantize_input(&s.input);
-        let logits = reference::forward(quantized, &x)?;
+        let logits = model.forward(&x, &mut stats)?;
         if reference::argmax(&logits) == s.label {
             correct += 1;
         }

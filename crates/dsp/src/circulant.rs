@@ -15,6 +15,13 @@ use ehdl_fixed::{ComplexQ15, MacAcc, Q15};
 /// Direct `O(n²)` circulant matvec in double precision:
 /// `y[i] = Σ_j c[(i-j) mod n] · x[j]`.
 ///
+/// Column-major: column `j` adds `c[(i-j) mod n]·x[j]` into every `y[i]`,
+/// which reads `c[n-j..]` for `i < j` and `c[..n-j]` for `i ≥ j` — two
+/// contiguous slices, so the inner loop has no `%` and vectorizes across
+/// outputs. Each `y[i]` still starts at `+0.0` and adds its terms in
+/// `j = 0..n` order (no fused multiply-add), so the result is bit-for-bit
+/// the row-by-row sum.
+///
 /// # Panics
 ///
 /// Panics if `c` and `x` lengths differ.
@@ -22,12 +29,14 @@ pub fn matvec_f64(c: &[f64], x: &[f64]) -> Vec<f64> {
     assert_eq!(c.len(), x.len(), "circulant dimension mismatch");
     let n = c.len();
     let mut y = vec![0.0; n];
-    for (i, yi) in y.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (j, &xj) in x.iter().enumerate() {
-            acc += c[(n + i - j) % n] * xj;
+    for (j, &xj) in x.iter().enumerate() {
+        let (wrapped, direct) = y.split_at_mut(j);
+        for (yi, &ck) in wrapped.iter_mut().zip(&c[n - j..]) {
+            *yi += ck * xj;
         }
-        *yi = acc;
+        for (yi, &ck) in direct.iter_mut().zip(&c[..n - j]) {
+            *yi += ck * xj;
+        }
     }
     y
 }
@@ -228,6 +237,45 @@ mod tests {
                 perturbed[k] += delta;
                 assert!(dist(&perturbed) >= base - 1e-12);
             }
+        }
+    }
+
+    /// The row-by-row modular loop `matvec_f64` replaced, kept as the
+    /// bit-identity oracle.
+    fn matvec_f64_modular(c: &[f64], x: &[f64]) -> Vec<f64> {
+        let n = c.len();
+        (0..n)
+            .map(|i| {
+                let mut acc = 0.0;
+                for (j, &xj) in x.iter().enumerate() {
+                    acc += c[(n + i - j) % n] * xj;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rotated_slices_match_the_modular_loop_bit_for_bit() {
+        let mut state = 0x5EED_C1C0_u64;
+        let mut draw = || {
+            // SplitMix64, mapped to a signed value with a wide exponent
+            // spread so rounding differences would show.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let unit = (z >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            unit * f64::from(1u32 << (z % 12))
+        };
+        for n in 1..=256 {
+            let c: Vec<f64> = (0..n).map(|_| draw()).collect();
+            let x: Vec<f64> = (0..n).map(|_| draw()).collect();
+            let want = matvec_f64_modular(&c, &x);
+            let got = matvec_f64(&c, &x);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n = {n}");
         }
     }
 

@@ -1365,62 +1365,108 @@ mod tests {
         }
     }
 
+    impl SplitMix {
+        /// One mutant of a random member of `valid`: a truncation, a bit
+        /// flip, a splice from another member, or deep nesting.
+        fn mutant(&mut self, valid: &[String]) -> String {
+            let mut bytes = valid[self.below(valid.len())].clone().into_bytes();
+            let at = self.below(bytes.len());
+            match self.below(4) {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= 1 << self.below(8),
+                2 => {
+                    let donor = valid[self.below(valid.len())].as_bytes();
+                    let from = self.below(donor.len());
+                    let len = self.below(64).min(donor.len() - from);
+                    let end = (at + self.below(64)).min(bytes.len());
+                    bytes.splice(at..end, donor[from..from + len].iter().copied());
+                }
+                _ => {
+                    let open: &[u8] = [b"[".as_slice(), b"{\"k\":"][self.below(2)];
+                    let depth = self.below(2 * MAX_DEPTH);
+                    bytes.splice(at..at, open.repeat(depth));
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+    }
+
+    /// Feeds `cases` mutants of `valid` to `decode`, which returns how
+    /// many decoders accepted the text and used the value. No case may
+    /// panic, and the loop must reach the decode-then-use path, not only
+    /// errors.
+    fn survive_mutations(
+        seed: u64,
+        cases: usize,
+        valid: &[String],
+        decode: impl Fn(&str) -> usize + std::panic::RefUnwindSafe,
+    ) {
+        let mut rng = SplitMix(seed);
+        let mut decoded = 0;
+        for case in 0..cases {
+            let text = rng.mutant(valid);
+            let ok = std::panic::catch_unwind(|| decode(&text));
+            decoded += ok.unwrap_or_else(|_| panic!("case {case} panicked on {text}"));
+        }
+        assert!(decoded > cases / 60, "only {decoded} mutants decoded");
+    }
+
     #[test]
     fn decoders_survive_seeded_mutations() {
-        // Truncations, bit flips, splices and deep nesting over valid
-        // encodings, fed to every decoder. No case may panic, and every
-        // value that still decodes must render and merge into an empty
-        // value.
+        // Every value that still decodes must render and merge into an
+        // empty value.
         let valid = [
             sample_digest().to_json(),
             sample_profile().to_json(),
             sample_record().to_line(),
         ];
-        let mut rng = SplitMix(0x5eed);
-        let mut decoded = 0;
-        for case in 0..3_000 {
-            let mut bytes = valid[case % valid.len()].clone().into_bytes();
-            let at = rng.below(bytes.len());
-            match rng.below(4) {
-                0 => bytes.truncate(at),
-                1 => bytes[at] ^= 1 << rng.below(8),
-                2 => {
-                    let donor = valid[rng.below(valid.len())].as_bytes();
-                    let from = rng.below(donor.len());
-                    let len = rng.below(64).min(donor.len() - from);
-                    let end = (at + rng.below(64)).min(bytes.len());
-                    bytes.splice(at..end, donor[from..from + len].iter().copied());
-                }
-                _ => {
-                    let open: &[u8] = [b"[".as_slice(), b"{\"k\":"][rng.below(2)];
-                    let depth = rng.below(2 * MAX_DEPTH);
-                    bytes.splice(at..at, open.repeat(depth));
-                }
+        survive_mutations(0x5eed, 3_000, &valid, |text| {
+            let mut ok = 0;
+            if let Ok(d) = FleetDigest::from_json(text) {
+                let _ = d.to_string();
+                FleetDigest::new().merge(&d);
+                ok += 1;
             }
-            let text = String::from_utf8_lossy(&bytes);
-            let ok = std::panic::catch_unwind(|| {
-                let mut ok = 0;
-                if let Ok(d) = FleetDigest::from_json(&text) {
-                    let _ = d.to_string();
-                    FleetDigest::new().merge(&d);
-                    ok += 1;
-                }
-                if let Ok(p) = PhaseProfile::from_json(&text) {
-                    let _ = p.to_string();
-                    PhaseProfile::new().merge(&p);
-                    ok += 1;
-                }
-                if let Ok(r) = ShardRecord::from_line(&text) {
-                    let _ = r.digest.to_string();
-                    FleetDigest::new().merge(&r.digest);
-                    ok += 1;
-                }
-                ok
-            });
-            decoded += ok.unwrap_or_else(|_| panic!("case {case} panicked on {text}"));
-        }
-        // The loop must reach the decode-then-use path, not only errors.
-        assert!(decoded > 50, "only {decoded} mutants decoded");
+            if let Ok(p) = PhaseProfile::from_json(text) {
+                let _ = p.to_string();
+                PhaseProfile::new().merge(&p);
+                ok += 1;
+            }
+            if let Ok(r) = ShardRecord::from_line(text) {
+                let _ = r.digest.to_string();
+                FleetDigest::new().merge(&r.digest);
+                ok += 1;
+            }
+            ok
+        });
+    }
+
+    #[test]
+    fn matrix_and_trace_decoders_survive_seeded_mutations() {
+        // A matrix that still decodes must expand to a count of
+        // scenarios and re-encode; a trace that still parses must
+        // integrate to a non-negative energy.
+        let matrix = [matrix_json(&sample_matrix()).unwrap()];
+        survive_mutations(0x3a7e, 2_000, &matrix, |text| {
+            let Ok(m) = Json::parse(text).and_then(|v| matrix_from(&v)) else {
+                return 0;
+            };
+            let _ = m.len();
+            matrix_json(&m).map_or(0, |_| 1)
+        });
+        let csv = [
+            "# field log\nseconds,milliwatts\n0.020,3.0\n\n0.080,0.2\n".to_string(),
+            "0.25,1.7\n1.0,0\n0.5,12.5\n".to_string(),
+        ];
+        survive_mutations(0xc5f, 2_000, &csv, |text| {
+            let Ok(env) = catalog::replay_csv("mutant", text) else {
+                return 0;
+            };
+            let harvester = env.harvester();
+            let joules = harvester.energy_over(0.0, 1.0) + harvester.energy_over(0.37, 2.5);
+            assert!(joules >= 0.0, "{joules} J from {harvester:?}");
+            1
+        });
     }
 
     #[test]

@@ -152,24 +152,28 @@ impl Conv2d {
         let mut out = Tensor::zeros(&[self.out_ch, oh, ow]);
         let xs = x.as_slice();
         let per_filter = self.in_ch * self.kh * self.kw;
-        for o in 0..self.out_ch {
-            for i in 0..oh {
-                for j in 0..ow {
-                    let mut acc = self.bias[o];
-                    for c in 0..self.in_ch {
-                        for u in 0..self.kh {
-                            for v in 0..self.kw {
-                                let k = (c * self.kh + u) * self.kw + v;
-                                if !self.kernel_mask[k] {
-                                    continue;
-                                }
-                                let w = self.weights[o * per_filter + k];
-                                let xv = xs[(c * ih + i + u) * iw + (j + v)];
-                                acc += w * xv;
-                            }
-                        }
+        // Streamed by output plane: the plane starts at the bias and every
+        // kept kernel position, in (c, u, v) order, adds one axpy per
+        // output row. Each output sums the same terms in the same order
+        // as a per-window loop, so the bits match it.
+        let planes = out.as_mut_slice().chunks_exact_mut(oh * ow);
+        for (o, plane) in planes.enumerate() {
+            plane.fill(self.bias[o]);
+            let filter = &self.weights[o * per_filter..(o + 1) * per_filter];
+            for (k, &w) in filter.iter().enumerate() {
+                if !self.kernel_mask[k] {
+                    continue;
+                }
+                let (c, u, v) = (
+                    k / (self.kh * self.kw),
+                    (k / self.kw) % self.kh,
+                    k % self.kw,
+                );
+                for (i, row) in plane.chunks_exact_mut(ow).enumerate() {
+                    let xrow = &xs[(c * ih + i + u) * iw + v..][..ow];
+                    for (y, &xv) in row.iter_mut().zip(xrow) {
+                        *y += w * xv;
                     }
-                    out.set(&[o, i, j], acc);
                 }
             }
         }
@@ -393,14 +397,18 @@ impl BcmDense {
             *d = *s as f64;
         }
         let mut yp = vec![0.0f64; self.rows_b * self.block];
-        for rb in 0..self.rows_b {
-            let yslice = &mut yp[rb * self.block..(rb + 1) * self.block];
-            for cb in 0..self.cols_b {
-                let w: Vec<f64> = self.blocks[rb * self.cols_b + cb]
-                    .iter()
-                    .map(|&v| v as f64)
-                    .collect();
-                let xblk = &xp[cb * self.block..(cb + 1) * self.block];
+        let mut w = vec![0.0f64; self.block];
+        for (yslice, row) in yp
+            .chunks_exact_mut(self.block)
+            .zip(self.blocks.chunks_exact(self.cols_b))
+        {
+            for (block, xblk) in row.iter().zip(xp.chunks_exact(self.block)) {
+                for (d, &s) in w.iter_mut().zip(block) {
+                    *d = s as f64;
+                }
+                // Each block's product is summed on its own, then added
+                // into the row: folding it straight into `yslice` would
+                // reassociate the sum and move the bits.
                 let prod = ehdl_dsp::circulant::matvec_f64(&w, xblk);
                 for (y, p) in yslice.iter_mut().zip(&prod) {
                     *y += p;
@@ -701,6 +709,158 @@ mod tests {
         let x = Tensor::zeros(&[6, 8, 8]);
         let out = c.forward(&x).unwrap();
         assert_eq!(out.shape(), &[16, 4, 4]);
+    }
+
+    /// The per-window loop `Conv2d::forward` replaced, kept as the
+    /// bit-identity oracle.
+    fn conv_per_window(c: &Conv2d, x: &Tensor) -> Vec<f32> {
+        let (ih, iw) = (x.shape()[1], x.shape()[2]);
+        let (oh, ow) = (ih - c.kh + 1, iw - c.kw + 1);
+        let xs = x.as_slice();
+        let per_filter = c.in_ch * c.kh * c.kw;
+        let mut out = Vec::with_capacity(c.out_ch * oh * ow);
+        for o in 0..c.out_ch {
+            for i in 0..oh {
+                for j in 0..ow {
+                    let mut acc = c.bias[o];
+                    for ch in 0..c.in_ch {
+                        for u in 0..c.kh {
+                            for v in 0..c.kw {
+                                let k = (ch * c.kh + u) * c.kw + v;
+                                if c.kernel_mask[k] {
+                                    acc += c.weights[o * per_filter + k]
+                                        * xs[(ch * ih + i + u) * iw + (j + v)];
+                                }
+                            }
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+        out
+    }
+
+    /// The per-block-`Vec`, modular-index path `BcmDense::forward`
+    /// replaced, kept as the bit-identity oracle.
+    fn bcm_modular(d: &BcmDense, x: &[f32]) -> Vec<f32> {
+        let b = d.block;
+        let mut xp = vec![0.0f64; d.cols_b * b];
+        for (p, &v) in xp.iter_mut().zip(x) {
+            *p = v as f64;
+        }
+        let mut yp = vec![0.0f64; d.rows_b * b];
+        for rb in 0..d.rows_b {
+            for cb in 0..d.cols_b {
+                let w: Vec<f64> = d.block_at(rb, cb).iter().map(|&v| v as f64).collect();
+                let xblk = &xp[cb * b..(cb + 1) * b];
+                for i in 0..b {
+                    let mut acc = 0.0;
+                    for (j, &xj) in xblk.iter().enumerate() {
+                        acc += w[(b + i - j) % b] * xj;
+                    }
+                    yp[rb * b + i] += acc;
+                }
+            }
+        }
+        yp[..d.out_dim]
+            .iter()
+            .zip(&d.bias)
+            .map(|(&y, &bias)| y as f32 + bias)
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn streamed_conv_matches_the_per_window_loop_bit_for_bit() {
+        let mut g = WeightRng::new(0xC0_4E);
+        for case in 0..64 {
+            let dim = |g: &mut WeightRng, lo: i64, hi: i64| g.range_i64(lo, hi) as usize;
+            let (out_ch, in_ch) = (dim(&mut g, 1, 5), dim(&mut g, 1, 5));
+            let (kh, kw) = (dim(&mut g, 1, 6), dim(&mut g, 1, 6));
+            // Every fourth case is exactly one output wide or tall.
+            let ih = if case % 4 == 1 {
+                kh
+            } else {
+                kh + dim(&mut g, 0, 9)
+            };
+            let iw = if case % 4 == 2 {
+                kw
+            } else {
+                kw + dim(&mut g, 0, 9)
+            };
+            let mut c = Conv2d::new(out_ch, in_ch, kh, kw, &mut g);
+            for b in c.bias_mut() {
+                *b = g.uniform(0.5);
+            }
+            if case % 2 == 0 {
+                let mask = (0..in_ch * kh * kw)
+                    .map(|_| !g.next_u64().is_multiple_of(3))
+                    .collect();
+                c.set_kernel_mask(mask);
+            }
+            let x: Vec<f32> = (0..in_ch * ih * iw).map(|_| g.uniform(4.0)).collect();
+            let x = Tensor::from_vec(x, &[in_ch, ih, iw]).unwrap();
+            let got = c.forward(&x).unwrap();
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(&conv_per_window(&c, &x)),
+                "case {case}: {out_ch}x{in_ch}x{kh}x{kw} over {ih}x{iw}"
+            );
+        }
+    }
+
+    #[test]
+    fn bcm_forward_matches_the_modular_path_bit_for_bit() {
+        let mut g = WeightRng::new(0xBC_4D);
+        for case in 0..48 {
+            let block = 1usize << g.range_i64(0, 7);
+            let in_dim = g.range_i64(1, 4 * block as i64 + 1) as usize;
+            // Keep most cases at two or more block rows.
+            let out_dim = g.range_i64(block as i64 / 2 + 1, 3 * block as i64 + 1) as usize;
+            let mut d = BcmDense::new(in_dim, out_dim, block, &mut g);
+            for b in d.bias_mut() {
+                *b = g.uniform(0.5);
+            }
+            let x: Vec<f32> = (0..in_dim).map(|_| g.uniform(2.0)).collect();
+            let got = d.forward(&Tensor::from_vec(x.clone(), &[in_dim]).unwrap());
+            assert_eq!(
+                bits(got.unwrap().as_slice()),
+                bits(&bcm_modular(&d, &x)),
+                "case {case}: {in_dim}x{out_dim} block {block}"
+            );
+        }
+    }
+
+    #[test]
+    fn bcm_block_products_are_summed_before_joining_the_row() {
+        // Column blocks 0 and 1 cancel exactly (negated weights over equal
+        // inputs) before the small block 2 joins, so the row sum is exactly
+        // block 2's product; any other summation order adds it to a huge
+        // partial sum first and loses its low bits.
+        let mut g = WeightRng::new(0xCA_CE1);
+        for block in [4usize, 16, 64] {
+            let mut d = BcmDense::new(3 * block, 2 * block, block, &mut g);
+            for rb in 0..2 {
+                let big: Vec<f32> = (0..block).map(|_| g.uniform(1.0) * 1e6).collect();
+                *d.block_at_mut(rb, 0) = big.clone();
+                *d.block_at_mut(rb, 1) = big.iter().map(|w| -w).collect();
+                *d.block_at_mut(rb, 2) = (0..block).map(|_| g.uniform(1e-6)).collect();
+            }
+            let outer: Vec<f32> = (0..block).map(|_| g.uniform(1.0) * 1e6).collect();
+            let mut x = outer.clone();
+            x.extend(&outer);
+            x.extend((0..block).map(|_| g.uniform(1.0)));
+            let got = d.forward(&Tensor::from_vec(x.clone(), &[3 * block]).unwrap());
+            assert_eq!(
+                bits(got.unwrap().as_slice()),
+                bits(&bcm_modular(&d, &x)),
+                "block {block}"
+            );
+        }
     }
 
     #[test]
