@@ -2570,6 +2570,116 @@ mod tests {
         assert!(armed.integrity.wear_max_commits > 0, "commits were tracked");
     }
 
+    /// The event stream both paths must agree on: every event but
+    /// segment retirements, with checkpoint slots zeroed (the paths
+    /// number them differently). It records one run's stream, then
+    /// checks a second run against it event by event, so only one
+    /// stream is held in memory.
+    #[derive(Default)]
+    struct SharedStream {
+        events: Vec<ExecEvent>,
+        /// `Some(k)` while checking: the index of the next expected event.
+        checked: Option<usize>,
+        case: String,
+    }
+
+    impl ExecProbe for SharedStream {
+        const ENABLED: bool = true;
+        const TIMED: bool = false;
+
+        fn event(&mut self, event: ExecEvent) {
+            let event = match event {
+                ExecEvent::SegmentRetired { .. } => return,
+                ExecEvent::CheckpointCommit { t, .. } => ExecEvent::CheckpointCommit { t, slot: 0 },
+                e => e,
+            };
+            match &mut self.checked {
+                None => self.events.push(event),
+                Some(k) => {
+                    let case = &self.case;
+                    assert_eq!(self.events.get(*k), Some(&event), "event {k}: {case}");
+                    *k += 1;
+                }
+            }
+        }
+
+        fn span(&mut self, _phase: ExecPhase, _seconds: f64) {}
+    }
+
+    #[test]
+    fn both_paths_emit_the_same_event_stream() {
+        // Per-kind counts cannot catch a reordered commit and flip, so
+        // the two paths' streams are compared event for event, across
+        // every fault family, scheme and supply.
+        let mut p = mixed_program(800);
+        p.set_restore_words(256);
+        let flip_wear = crate::FaultSpec {
+            flip_per_commit_bit: 2e-4,
+            wear: WearCurve {
+                endurance_commits: 10,
+            },
+            ..noisy_fault_spec(21)
+        };
+        let reset_flip = crate::FaultSpec {
+            seed: 29,
+            reset_per_op: 0.02,
+            flip_per_commit_bit: 2e-4,
+            ..crate::FaultSpec::none()
+        };
+        let plain = IntermittentExecutor::default();
+        let budgeted = IntermittentExecutor::new(ExecutorConfig {
+            energy_budget_nj: Some(5e5),
+            ..ExecutorConfig::default()
+        });
+        let cases = [
+            (&plain, crate::FaultSpec::none()),
+            (&plain, noisy_fault_spec(5)),
+            (&plain, flip_wear),
+            (&plain, reset_flip),
+            (&budgeted, noisy_fault_spec(5)),
+        ];
+        let mut kinds = std::collections::BTreeSet::new();
+        for (exec, spec) in cases {
+            let fault = FaultPlan::compile(&spec);
+            for scheme in Integrity::ALL {
+                let plan = ExecutionPlan::compile_with_integrity(
+                    p.clone(),
+                    &Board::msp430fr5994(),
+                    scheme,
+                );
+                for supply in [bench_supply(), weak_supply()] {
+                    let mut stream = SharedStream {
+                        case: format!("{scheme} {spec:?}"),
+                        ..SharedStream::default()
+                    };
+                    let opts = RunOptions::default().fault(&fault);
+                    let reference = exec.run_reference(
+                        &p,
+                        scheme,
+                        &mut Board::msp430fr5994(),
+                        &mut supply.clone(),
+                        opts.probe(&mut stream),
+                    );
+                    stream.checked = Some(0);
+                    let planned = exec.run_plan_with(
+                        &plan,
+                        &mut Board::msp430fr5994(),
+                        &mut supply.clone(),
+                        opts.probe(&mut stream),
+                    );
+                    assert_eq!(planned, reference, "{}", stream.case);
+                    assert_eq!(stream.checked, Some(stream.events.len()), "{}", stream.case);
+                    kinds.extend(stream.events.iter().map(ExecEvent::label));
+                }
+            }
+        }
+        assert_eq!(
+            kinds.len(),
+            12,
+            "every non-segment event kind occurs: {kinds:?}"
+        );
+    }
+
     #[test]
     fn run_continuous_sums_costs() {
         let p = cpu_heavy_program(10, 100, CheckpointSpec::NONE);
