@@ -560,7 +560,6 @@ impl IntermittentExecutor {
             board.costs().clock_hz,
             "plan compiled for a different board clock"
         );
-        let clock = plan.clock_hz();
         let monitor = board.monitor();
         let n = plan.len();
         let max_wall = self.config.max_wall_seconds;
@@ -573,42 +572,19 @@ impl IntermittentExecutor {
         let energy_of = &plan.energy_nj[..n];
         let component_of = &plan.component[..n];
 
-        let meter_before = board.meter().clone();
+        let mut rs = RunState::new(
+            self,
+            fault,
+            plan.integrity(),
+            plan.program(),
+            plan.clock_hz(),
+            board,
+        );
         let mut t = 0.0f64;
         let mut i = 0usize;
-        let mut committed = 0usize;
-        let mut outages = 0u64;
-        let mut wasted = 0u64;
         let mut executed = 0u64;
-        let mut ondemand = 0u64;
-        let mut restores = 0u64;
         let mut active_cycles = 0u64;
-        let mut charging_s = 0.0f64;
-        let mut committed_at_last_outage = usize::MAX;
-        let mut stall = 0u64;
         let mut spent_nj = 0.0f64;
-
-        // Fault machinery: `faulting` gates every fault branch so a
-        // disabled plan leaves the loop's arithmetic untouched.
-        let faulting = fault.enabled();
-        let mut fstate = fault.state();
-        let mut faults = FaultTally::default();
-        // The commit level *before* the latest commit — where a detected
-        // corrupt restore falls back to.
-        let mut prev_committed = 0usize;
-
-        // Payload-integrity machinery: live only on faulted runs with
-        // bit-flips armed or a non-`None` scheme compiled into the plan.
-        // When inactive, every restore takes the legacy corrupt branch
-        // bit-identically.
-        let scheme = plan.integrity();
-        let iactive = faulting && (fault.flips_armed() || scheme != Integrity::None);
-        let payload_bits = plan.program().restore_words() as u64 * 16;
-        let wear = WearCurve {
-            endurance_commits: fault.wear_endurance(),
-        };
-        let mut istate = IntegrityState::new();
-        let mut itally = IntegrityTally::default();
 
         let (harvester, capacitor) = supply.parts_mut();
         // Powered ops integrate through the burst-slot memo; the dark
@@ -639,15 +615,13 @@ impl IntermittentExecutor {
             // On-demand (voltage-triggered) checkpoint before op i.
             if let Some(slot) = plan.ondemand_slot(i) {
                 let ck = &plan.checkpoints[slot as usize];
-                if committed < i && capacitor.energy_joules() < warn_j {
+                if rs.committed < i && capacitor.energy_joules() < warn_j {
                     let span = SpanTimer::start::<P>();
                     let harvested = harvest.energy_over(t, ck.duration_s);
                     capacitor.charge_joules(harvested);
                     if capacitor.usable_joules() >= ck.need_j {
                         // The write happens (and is paid for) either way;
-                        // a torn commit dies after the cost is sunk but
-                        // before the slot's commit marker flips, so the
-                        // previous checkpoint still stands.
+                        // a torn commit dies after the cost is sunk.
                         capacitor.drain_joules(ck.need_j);
                         board.apply_cost(Component::Checkpoint, ck.cost());
                         sink.checkpoint(slot);
@@ -655,36 +629,8 @@ impl IntermittentExecutor {
                         t += ck.duration_s;
                         active_cycles += ck.cycles;
                         executed += 1;
-                        if faulting && fault.tears(&mut fstate) {
-                            faults.torn_commits += 1;
-                            span.finish(probe, ExecPhase::CheckpointRestore);
-                            probe.event(ExecEvent::FaultInjected {
-                                t,
-                                kind: FaultKind::TornCommit,
-                            });
-                            failed = true;
-                        } else {
-                            // Checkpoint committed atomically
-                            // (double-buffered in FRAM): progress up to
-                            // i is now durable.
-                            prev_committed = committed;
-                            committed = i;
-                            ondemand += 1;
-                            span.finish(probe, ExecPhase::CheckpointRestore);
-                            probe.event(ExecEvent::CheckpointCommit { t, slot });
-                            if faulting && fault.flips_armed() {
-                                commit_flips(
-                                    fault,
-                                    &mut fstate,
-                                    &mut istate,
-                                    &mut itally,
-                                    wear,
-                                    payload_bits,
-                                    t,
-                                    probe,
-                                );
-                            }
-                        }
+                        span.finish(probe, ExecPhase::CheckpointRestore);
+                        failed = !rs.ondemand_commit(i, slot, t, probe);
                     } else {
                         span.finish(probe, ExecPhase::CheckpointRestore);
                         // Dies partway through; the previous checkpoint
@@ -700,34 +646,21 @@ impl IntermittentExecutor {
             // flags.
             if !failed {
                 let mut sagged = false;
-                if faulting {
-                    match fault.op_fault(&mut fstate) {
-                        OpFault::Reset => {
-                            // Power glitches before the op runs: time
-                            // passes (and harvest keeps flowing), but no
-                            // energy is drained and no work happens.
-                            let dt = durations[i];
-                            let harvested = harvest.energy_over(t, dt);
-                            capacitor.charge_joules(harvested);
-                            t += dt;
-                            faults.spurious_resets += 1;
-                            probe.event(ExecEvent::FaultInjected {
-                                t,
-                                kind: FaultKind::SpuriousReset,
-                            });
-                            failed = true;
-                            spurious = true;
-                        }
-                        OpFault::Sag => {
-                            faults.sag_ops += 1;
-                            probe.event(ExecEvent::FaultInjected {
-                                t,
-                                kind: FaultKind::VoltageSag,
-                            });
-                            sagged = true;
-                        }
-                        OpFault::None => {}
+                match rs.op_fault(t, probe) {
+                    OpFault::Reset => {
+                        // Power glitches before the op runs: time
+                        // passes (and harvest keeps flowing), but no
+                        // energy is drained and no work happens.
+                        let dt = durations[i];
+                        let harvested = harvest.energy_over(t, dt);
+                        capacitor.charge_joules(harvested);
+                        t += dt;
+                        rs.spurious_reset(t, probe);
+                        failed = true;
+                        spurious = true;
                     }
+                    OpFault::Sag => sagged = true,
+                    OpFault::None => {}
                 }
                 if !failed {
                     let dt = durations[i];
@@ -763,20 +696,7 @@ impl IntermittentExecutor {
                         active_cycles += cycles_of[i];
                         executed += 1;
                         if plan.commits(i) {
-                            prev_committed = committed;
-                            committed = i + 1;
-                            if faulting && fault.flips_armed() {
-                                commit_flips(
-                                    fault,
-                                    &mut fstate,
-                                    &mut istate,
-                                    &mut itally,
-                                    wear,
-                                    payload_bits,
-                                    t,
-                                    probe,
-                                );
-                            }
+                            rs.commit(i + 1, t, probe);
                         }
                         i += 1;
 
@@ -789,55 +709,44 @@ impl IntermittentExecutor {
                             if spent_nj > budget_nj {
                                 break 'run RunOutcome::EnergyLimit;
                             }
-                            if faulting {
-                                match fault.op_fault(&mut fstate) {
-                                    OpFault::Reset => {
-                                        let dt = durations[i];
-                                        let harvested = harvest.energy_over(t, dt);
-                                        capacitor.charge_joules(harvested);
+                            match rs.op_fault(t, probe) {
+                                OpFault::Reset => {
+                                    let dt = durations[i];
+                                    let harvested = harvest.energy_over(t, dt);
+                                    capacitor.charge_joules(harvested);
+                                    t += dt;
+                                    rs.spurious_reset(t, probe);
+                                    failed = true;
+                                    spurious = true;
+                                    break;
+                                }
+                                OpFault::Sag => {
+                                    let dt = durations[i];
+                                    let harvested = harvest.energy_over(t, dt);
+                                    capacitor.charge_joules(harvested);
+                                    let need = needs[i] * fault.sag_factor();
+                                    if capacitor.usable_joules() < need {
                                         t += dt;
-                                        faults.spurious_resets += 1;
-                                        probe.event(ExecEvent::FaultInjected {
-                                            t,
-                                            kind: FaultKind::SpuriousReset,
-                                        });
                                         failed = true;
-                                        spurious = true;
                                         break;
                                     }
-                                    OpFault::Sag => {
-                                        faults.sag_ops += 1;
-                                        probe.event(ExecEvent::FaultInjected {
-                                            t,
-                                            kind: FaultKind::VoltageSag,
-                                        });
-                                        let dt = durations[i];
-                                        let harvested = harvest.energy_over(t, dt);
-                                        capacitor.charge_joules(harvested);
-                                        let need = needs[i] * fault.sag_factor();
-                                        if capacitor.usable_joules() < need {
-                                            t += dt;
-                                            failed = true;
-                                            break;
-                                        }
-                                        capacitor.drain_joules(need);
-                                        board.apply_cost(
-                                            component_of[i],
-                                            Cost {
-                                                cycles: Cycles::new(cycles_of[i]),
-                                                energy: Energy::from_nanojoules(energy_of[i]),
-                                            },
-                                        );
-                                        sink.op(i as u32);
-                                        spent_nj += energy_of[i] * fault.sag_factor();
-                                        t += dt;
-                                        active_cycles += cycles_of[i];
-                                        executed += 1;
-                                        i += 1;
-                                        continue;
-                                    }
-                                    OpFault::None => {}
+                                    capacitor.drain_joules(need);
+                                    board.apply_cost(
+                                        component_of[i],
+                                        Cost {
+                                            cycles: Cycles::new(cycles_of[i]),
+                                            energy: Energy::from_nanojoules(energy_of[i]),
+                                        },
+                                    );
+                                    sink.op(i as u32);
+                                    spent_nj += energy_of[i] * fault.sag_factor();
+                                    t += dt;
+                                    active_cycles += cycles_of[i];
+                                    executed += 1;
+                                    i += 1;
+                                    continue;
                                 }
+                                OpFault::None => {}
                             }
                             let dt = durations[i];
                             let harvested = harvest.energy_over(t, dt);
@@ -874,43 +783,10 @@ impl IntermittentExecutor {
                 continue 'run;
             }
 
-            // ---- power failure ----
-            outages += 1;
-            wasted += (i - committed) as u64;
-            if !spurious {
-                capacitor.collapse_to_off();
+            if let Some(outcome) = rs.power_failure(i, spurious, capacitor, t, probe) {
+                break 'run outcome;
             }
-            probe.event(ExecEvent::BrownOut { t });
-
-            if committed == committed_at_last_outage {
-                stall += 1;
-            } else {
-                stall = 0;
-            }
-            committed_at_last_outage = committed;
-            if stall >= self.config.stall_outages {
-                break 'run RunOutcome::NoProgress;
-            }
-            if outages >= self.config.max_outages {
-                break 'run RunOutcome::OutageLimit;
-            }
-
-            // ---- dark charging phase ----
-            let dark_t0 = t;
-            let dark_joules = if P::ENABLED {
-                capacitor.joules_to_boot().max(0.0)
-            } else {
-                0.0
-            };
-            let span = SpanTimer::start::<P>();
-            let booted = self.charge_until_boot(harvester, capacitor, &mut t, &mut charging_s);
-            span.finish(probe, ExecPhase::ChargeSolve);
-            probe.event(ExecEvent::DarkSkip {
-                t0: dark_t0,
-                t1: t,
-                joules: dark_joules,
-            });
-            if !booted {
+            if !rs.dark_phase(harvester, capacitor, &mut t, probe) {
                 break 'run RunOutcome::TimeLimit;
             }
 
@@ -924,68 +800,10 @@ impl IntermittentExecutor {
             capacitor.drain_joules(restore.need_j);
             t += restore.duration_s;
             active_cycles += restore.cycles;
-            restores += 1;
-            if iactive {
-                resolve_restore_ladder(
-                    scheme,
-                    fault,
-                    &mut fstate,
-                    &mut istate,
-                    &mut itally,
-                    &mut faults,
-                    &mut committed,
-                    &mut prev_committed,
-                    &mut wasted,
-                    t,
-                    probe,
-                );
-            } else if faulting && fault.corrupts(&mut fstate) {
-                // The freshest slot reads corrupt. The commit bitset /
-                // slot versioning detects it, and the runtime falls back
-                // to the previous durable commit (cold boot if none).
-                faults.corrupt_restores += 1;
-                faults.detected_corruptions += 1;
-                wasted += (committed - prev_committed) as u64;
-                committed = prev_committed;
-                if committed == 0 {
-                    faults.cold_boots += 1;
-                }
-                probe.event(ExecEvent::CorruptionDetected { t });
-            }
-            i = committed;
-            span.finish(probe, ExecPhase::CheckpointRestore);
-            probe.event(ExecEvent::Boot { t });
+            i = rs.restored(span, t, probe);
         };
 
-        if outcome == RunOutcome::EnergyLimit {
-            probe.event(ExecEvent::EnergyLimit { t });
-        }
-        probe.event(ExecEvent::RunEnd { t, outcome });
-
-        if iactive {
-            itally.wear_max_commits = istate.max_writes();
-        }
-
-        // Report only this run's share.
-        let meter = diff_meters(board.meter(), &meter_before);
-
-        RunReport {
-            outcome,
-            outages,
-            ondemand_checkpoints: ondemand,
-            restores,
-            executed_ops: executed,
-            wasted_ops: wasted,
-            active_cycles: Cycles::new(active_cycles),
-            active_seconds: active_cycles as f64 / clock,
-            charging_seconds: charging_s,
-            wall_seconds: t,
-            energy: meter.total_energy(),
-            checkpoint_energy: meter.energy_of(Component::Checkpoint),
-            meter,
-            faults,
-            integrity: itally,
-        }
+        rs.finish(outcome, t, active_cycles, executed, board, probe)
     }
 
     /// Runs `program` op by op, pricing every op against the board as it
@@ -998,9 +816,10 @@ impl IntermittentExecutor {
     /// plan was compiled with (see
     /// [`compile_with_integrity`](ExecutionPlan::compile_with_integrity)):
     /// checkpoints and restores pay its padded word counts and restores
-    /// walk the same recovery ladder. Both paths advance `opts`' fault
-    /// decision stream at the same logical points (one draw per op
-    /// attempt, per successful commit, per restore), so the two stay
+    /// walk the same recovery ladder. Both paths keep their run
+    /// bookkeeping (fault draws, commit levels, outages, restores, the
+    /// dark phase and the report) in one shared state and differ only in
+    /// how they price ops and coalesce segments, so the two stay
     /// bit-identical scheme by scheme and fault seed by fault seed.
     ///
     /// The probe sees the planned path's events except
@@ -1025,38 +844,14 @@ impl IntermittentExecutor {
         let n = ops.len();
         let budget_nj = self.config.energy_budget_nj.unwrap_or(f64::INFINITY);
 
-        let meter_before = board.meter().clone();
+        let mut rs = RunState::new(self, fault, scheme, program, clock, board);
         let mut t = 0.0f64;
         let mut i = 0usize;
-        let mut committed = 0usize;
-        let mut outages = 0u64;
-        let mut wasted = 0u64;
         let mut executed = 0u64;
-        let mut ondemand = 0u64;
-        let mut restores = 0u64;
         let mut active_cycles = 0u64;
-        let mut charging_s = 0.0f64;
-        let mut committed_at_last_outage = usize::MAX;
-        let mut stall = 0u64;
         let mut spent_nj = 0.0f64;
 
-        // Fault machinery — mirrors `run_plan_inner` draw for draw so a
-        // faulted reference run stays in bit parity with the plan path.
-        let faulting = fault.enabled();
-        let mut fstate = fault.state();
-        let mut faults = FaultTally::default();
-        let mut prev_committed = 0usize;
-
-        // Payload-integrity machinery, mirroring `run_plan_inner`.
-        let iactive = faulting && (fault.flips_armed() || scheme != Integrity::None);
-        let payload_bits = program.restore_words() as u64 * 16;
-        let wear = WearCurve {
-            endurance_commits: fault.wear_endurance(),
-        };
-        let mut istate = IntegrityState::new();
-        let mut itally = IntegrityTally::default();
-
-        // The warn threshold as an energy, mirroring `run_plan_inner`.
+        // The warn threshold as an energy, as in `run_plan_inner`.
         let warn_j = monitor.warn_energy_joules(supply.capacitor().farads());
 
         let outcome = 'run: loop {
@@ -1075,12 +870,12 @@ impl IntermittentExecutor {
 
             // On-demand (voltage-triggered) checkpoint before op i.
             if let Some(words) = ops[i].spec.ondemand_words {
-                if committed < i && supply.capacitor().energy_joules() < warn_j {
+                if rs.committed < i && supply.capacitor().energy_joules() < warn_j {
                     let ck = DeviceOp::Checkpoint {
                         words: scheme.padded_words(words as u64),
                     };
                     let span = SpanTimer::start::<P>();
-                    let committed_now = self.try_execute(
+                    let written = self.try_execute(
                         &ck,
                         board,
                         supply,
@@ -1091,39 +886,9 @@ impl IntermittentExecutor {
                         None,
                     );
                     span.finish(probe, ExecPhase::CheckpointRestore);
-                    if committed_now {
+                    if written {
                         executed += 1;
-                        if faulting && fault.tears(&mut fstate) {
-                            // Paid for, but power died before the slot's
-                            // commit marker flipped: the previous
-                            // checkpoint still stands.
-                            faults.torn_commits += 1;
-                            probe.event(ExecEvent::FaultInjected {
-                                t,
-                                kind: FaultKind::TornCommit,
-                            });
-                            failed = true;
-                        } else {
-                            // Checkpoint committed atomically
-                            // (double-buffered in FRAM): progress up to
-                            // i is now durable.
-                            prev_committed = committed;
-                            committed = i;
-                            ondemand += 1;
-                            probe.event(ExecEvent::CheckpointCommit { t, slot: i as u32 });
-                            if faulting && fault.flips_armed() {
-                                commit_flips(
-                                    fault,
-                                    &mut fstate,
-                                    &mut istate,
-                                    &mut itally,
-                                    wear,
-                                    payload_bits,
-                                    t,
-                                    probe,
-                                );
-                            }
-                        }
+                        failed = !rs.ondemand_commit(i, i as u32, t, probe);
                     }
                     // If it failed, the previous checkpoint still stands;
                     // fall through and let the op attempt trigger the
@@ -1134,35 +899,22 @@ impl IntermittentExecutor {
             if !failed {
                 let pop = &ops[i];
                 let mut sag = None;
-                if faulting {
-                    match fault.op_fault(&mut fstate) {
-                        OpFault::Reset => {
-                            // Power glitches before the op runs: time
-                            // passes (harvest keeps flowing), no energy
-                            // drains, no work happens.
-                            let cost = board.cost(&pop.op);
-                            let dt = cost.cycles.raw() as f64 / clock;
-                            let harvested = supply.harvester().energy_over(t, dt);
-                            supply.capacitor_mut().charge_joules(harvested);
-                            t += dt;
-                            faults.spurious_resets += 1;
-                            probe.event(ExecEvent::FaultInjected {
-                                t,
-                                kind: FaultKind::SpuriousReset,
-                            });
-                            failed = true;
-                            spurious = true;
-                        }
-                        OpFault::Sag => {
-                            faults.sag_ops += 1;
-                            probe.event(ExecEvent::FaultInjected {
-                                t,
-                                kind: FaultKind::VoltageSag,
-                            });
-                            sag = Some(fault.sag_factor());
-                        }
-                        OpFault::None => {}
+                match rs.op_fault(t, probe) {
+                    OpFault::Reset => {
+                        // Power glitches before the op runs: time
+                        // passes (harvest keeps flowing), no energy
+                        // drains, no work happens.
+                        let cost = board.cost(&pop.op);
+                        let dt = cost.cycles.raw() as f64 / clock;
+                        let harvested = supply.harvester().energy_over(t, dt);
+                        supply.capacitor_mut().charge_joules(harvested);
+                        t += dt;
+                        rs.spurious_reset(t, probe);
+                        failed = true;
+                        spurious = true;
                     }
+                    OpFault::Sag => sag = Some(fault.sag_factor()),
+                    OpFault::None => {}
                 }
                 if !failed {
                     if self.try_execute(
@@ -1177,20 +929,7 @@ impl IntermittentExecutor {
                     ) {
                         executed += 1;
                         if pop.spec.commits {
-                            prev_committed = committed;
-                            committed = i + 1;
-                            if faulting && fault.flips_armed() {
-                                commit_flips(
-                                    fault,
-                                    &mut fstate,
-                                    &mut istate,
-                                    &mut itally,
-                                    wear,
-                                    payload_bits,
-                                    t,
-                                    probe,
-                                );
-                            }
+                            rs.commit(i + 1, t, probe);
                         }
                         i += 1;
                         continue;
@@ -1200,47 +939,12 @@ impl IntermittentExecutor {
             }
             debug_assert!(failed);
 
-            // ---- power failure ----
-            outages += 1;
-            wasted += (i - committed) as u64;
-            if !spurious {
-                supply.capacitor_mut().collapse_to_off();
+            let (harvester, capacitor) = supply.parts_mut();
+            if let Some(outcome) = rs.power_failure(i, spurious, capacitor, t, probe) {
+                break 'run outcome;
             }
-            probe.event(ExecEvent::BrownOut { t });
-
-            if committed == committed_at_last_outage {
-                stall += 1;
-            } else {
-                stall = 0;
-            }
-            committed_at_last_outage = committed;
-            if stall >= self.config.stall_outages {
-                break 'run RunOutcome::NoProgress;
-            }
-            if outages >= self.config.max_outages {
-                break 'run RunOutcome::OutageLimit;
-            }
-
-            // ---- dark charging phase ----
-            {
-                let (harvester, capacitor) = supply.parts_mut();
-                let dark_t0 = t;
-                let dark_joules = if P::ENABLED {
-                    capacitor.joules_to_boot().max(0.0)
-                } else {
-                    0.0
-                };
-                let span = SpanTimer::start::<P>();
-                let booted = self.charge_until_boot(harvester, capacitor, &mut t, &mut charging_s);
-                span.finish(probe, ExecPhase::ChargeSolve);
-                probe.event(ExecEvent::DarkSkip {
-                    t0: dark_t0,
-                    t1: t,
-                    joules: dark_joules,
-                });
-                if !booted {
-                    break 'run RunOutcome::TimeLimit;
-                }
+            if !rs.dark_phase(harvester, capacitor, &mut t, probe) {
+                break 'run RunOutcome::TimeLimit;
             }
 
             // ---- restore ----
@@ -1256,70 +960,11 @@ impl IntermittentExecutor {
                 .drain_joules(cost.energy.nanojoules() * 1e-9);
             t += cost.cycles.raw() as f64 / clock;
             active_cycles += cost.cycles.raw();
-            restores += 1;
-            if iactive {
-                resolve_restore_ladder(
-                    scheme,
-                    fault,
-                    &mut fstate,
-                    &mut istate,
-                    &mut itally,
-                    &mut faults,
-                    &mut committed,
-                    &mut prev_committed,
-                    &mut wasted,
-                    t,
-                    probe,
-                );
-            } else if faulting && fault.corrupts(&mut fstate) {
-                // The freshest slot reads corrupt. The commit bitset /
-                // slot versioning detects it, and the runtime falls back
-                // to the previous durable commit (cold boot if none).
-                faults.corrupt_restores += 1;
-                faults.detected_corruptions += 1;
-                wasted += (committed - prev_committed) as u64;
-                committed = prev_committed;
-                if committed == 0 {
-                    faults.cold_boots += 1;
-                }
-                probe.event(ExecEvent::CorruptionDetected { t });
-            }
-            i = committed;
-            span.finish(probe, ExecPhase::CheckpointRestore);
-            probe.event(ExecEvent::Boot { t });
+            i = rs.restored(span, t, probe);
         };
 
-        if outcome == RunOutcome::EnergyLimit {
-            probe.event(ExecEvent::EnergyLimit { t });
-        }
-        probe.event(ExecEvent::RunEnd { t, outcome });
-
-        if iactive {
-            itally.wear_max_commits = istate.max_writes();
-        }
-
-        // Report only this run's share.
-        let meter = diff_meters(board.meter(), &meter_before);
-
-        RunReport {
-            outcome,
-            outages,
-            ondemand_checkpoints: ondemand,
-            restores,
-            executed_ops: executed,
-            wasted_ops: wasted,
-            active_cycles: Cycles::new(active_cycles),
-            active_seconds: active_cycles as f64 / clock,
-            charging_seconds: charging_s,
-            wall_seconds: t,
-            energy: meter.total_energy(),
-            checkpoint_energy: meter.energy_of(Component::Checkpoint),
-            meter,
-            faults,
-            integrity: itally,
-        }
+        rs.finish(outcome, t, active_cycles, executed, board, probe)
     }
-
     /// Attempts one op: harvests over its duration, checks the budget,
     /// executes and drains on success (tallying the drawn energy into
     /// `spent_nj`). Returns `false` on power failure (capacitor
@@ -1505,97 +1150,337 @@ impl StepSink for TraceRecorder {
     }
 }
 
-/// One per-commit bit-flip draw, shared verbatim by both executor paths:
-/// draws the flip count for the freshly written slot (wear-accelerated
-/// by that slot's lifetime write count), records the write in the
-/// integrity state, and tallies/probes any damage. Called only when
-/// flips are armed, so unarmed decision streams are untouched.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn commit_flips<P: ExecProbe>(
-    fault: &FaultPlan,
-    fstate: &mut FaultState,
-    istate: &mut IntegrityState,
-    itally: &mut IntegrityTally,
-    wear: WearCurve,
+/// The run bookkeeping both executor paths share: the fault decision
+/// stream and its tallies, payload integrity state, commit levels, the
+/// outage, stall and restore counters, the dark phase and the report.
+/// Each path prices its own ops and keeps its hot locals (sim time,
+/// spent energy, active cycles, executed ops); it calls these methods
+/// at the same logical points, so every draw, counter and event is
+/// written once and the two paths stay bit-identical.
+struct RunState<'a> {
+    exec: &'a IntermittentExecutor,
+    fault: &'a FaultPlan,
+    /// Gates every fault branch so a disabled plan leaves the run's
+    /// arithmetic untouched.
+    faulting: bool,
+    /// One flip draw per successful commit: faulting with flips armed.
+    flipping: bool,
+    /// Restores walk the recovery ladder: live only on faulted runs
+    /// with bit-flips armed or a non-`None` scheme. When inactive,
+    /// every restore takes the legacy corrupt branch bit-identically.
+    laddered: bool,
+    scheme: Integrity,
     payload_bits: u64,
-    t: f64,
-    probe: &mut P,
-) {
-    let mult = wear.multiplier(istate.next_write_count());
-    let flips = fault.flips(fstate, payload_bits, mult);
-    istate.commit(flips);
-    if flips > 0 {
-        itally.flips_injected += u64::from(flips);
-        probe.event(ExecEvent::BitFlipInjected { t, flips });
-    }
+    wear: WearCurve,
+    fstate: FaultState,
+    faults: FaultTally,
+    istate: IntegrityState,
+    itally: IntegrityTally,
+    /// Ops durably committed: where execution resumes after an outage.
+    committed: usize,
+    /// The commit level *before* the latest commit — where a detected
+    /// corrupt restore falls back to.
+    prev_committed: usize,
+    committed_at_last_outage: usize,
+    stall: u64,
+    outages: u64,
+    wasted: u64,
+    ondemand: u64,
+    restores: u64,
+    charging_s: f64,
+    clock: f64,
+    meter_before: EnergyMeter,
 }
 
-/// One restore resolved through the recovery ladder, shared verbatim by
-/// both executor paths. Consumes the same slot-corruption draw the
-/// legacy branch takes (exactly one stream step per restore), walks
-/// [`integrity::resolve_restore`], and translates the resolution into
-/// tallies, probe events, and the commit-level fallback:
-///
-/// * rung 0/1 — the active slot stands (possibly silently wrong, or
-///   SECDED-repaired in place); no progress is lost.
-/// * rung 2 — fall back to the previous durable commit.
-/// * rung 3 — the previous slot was rejected too: cold boot, all
-///   committed progress is lost.
-#[allow(clippy::too_many_arguments)]
-fn resolve_restore_ladder<P: ExecProbe>(
-    scheme: Integrity,
-    fault: &FaultPlan,
-    fstate: &mut FaultState,
-    istate: &mut IntegrityState,
-    itally: &mut IntegrityTally,
-    faults: &mut FaultTally,
-    committed: &mut usize,
-    prev_committed: &mut usize,
-    wasted: &mut u64,
-    t: f64,
-    probe: &mut P,
-) {
-    let slot_bad = fault.corrupts(fstate);
-    if slot_bad {
-        // Slot-level metadata corruption: always detected, exactly as
-        // the legacy branch counts it.
-        faults.corrupt_restores += 1;
-        faults.detected_corruptions += 1;
-        probe.event(ExecEvent::CorruptionDetected { t });
-    }
-    let res = integrity::resolve_restore(scheme, istate, slot_bad);
-    itally.ladder[res.rung as usize] += 1;
-    if res.repairs > 0 {
-        itally.flips_repaired += u64::from(res.repairs);
-        probe.event(ExecEvent::PayloadRepaired { t });
-    }
-    if res.payload_rejects > 0 {
-        itally.flips_detected += u64::from(res.payload_rejects);
-        faults.detected_corruptions += u64::from(res.payload_rejects);
-        probe.event(ExecEvent::PayloadRejected { t });
-    }
-    if res.silent {
-        // The scheme accepted a flipped payload: the run continues from
-        // plausible-but-wrong state, and only a golden-twin diff can
-        // tell. This is the counter the crash-consistency audit exists
-        // to keep at zero for `Checksum`/`Secded`.
-        itally.silent_restores += 1;
-        faults.silent_corruptions += 1;
-        probe.event(ExecEvent::SilentRestore { t });
-    }
-    if res.rung >= 2 {
-        *wasted += (*committed - *prev_committed) as u64;
-        *committed = *prev_committed;
-        if res.rung == 3 {
-            // The fallback slot was rejected too: nothing durable
-            // remains anywhere.
-            *wasted += *committed as u64;
-            *committed = 0;
-            *prev_committed = 0;
+impl<'a> RunState<'a> {
+    fn new(
+        exec: &'a IntermittentExecutor,
+        fault: &'a FaultPlan,
+        scheme: Integrity,
+        program: &Program,
+        clock: f64,
+        board: &Board,
+    ) -> Self {
+        let faulting = fault.enabled();
+        RunState {
+            exec,
+            fault,
+            faulting,
+            flipping: faulting && fault.flips_armed(),
+            laddered: faulting && (fault.flips_armed() || scheme != Integrity::None),
+            scheme,
+            payload_bits: program.restore_words() as u64 * 16,
+            wear: WearCurve {
+                endurance_commits: fault.wear_endurance(),
+            },
+            fstate: fault.state(),
+            faults: FaultTally::default(),
+            istate: IntegrityState::new(),
+            itally: IntegrityTally::default(),
+            committed: 0,
+            prev_committed: 0,
+            committed_at_last_outage: usize::MAX,
+            stall: 0,
+            outages: 0,
+            wasted: 0,
+            ondemand: 0,
+            restores: 0,
+            charging_s: 0.0,
+            clock,
+            meter_before: board.meter().clone(),
         }
-        if *committed == 0 {
-            faults.cold_boots += 1;
+    }
+
+    /// The op-attempt draw: a spurious reset pre-empts the op (the path
+    /// advances time, then calls [`spurious_reset`](Self::spurious_reset));
+    /// a sag is tallied here and the path inflates the op's draw.
+    #[inline(always)]
+    fn op_fault<P: ExecProbe>(&mut self, t: f64, probe: &mut P) -> OpFault {
+        if !self.faulting {
+            return OpFault::None;
+        }
+        let fired = self.fault.op_fault(&mut self.fstate);
+        if fired == OpFault::Sag {
+            self.faults.sag_ops += 1;
+            probe.event(ExecEvent::FaultInjected {
+                t,
+                kind: FaultKind::VoltageSag,
+            });
+        }
+        fired
+    }
+
+    /// Books a spurious reset once its op's duration has passed dark.
+    fn spurious_reset<P: ExecProbe>(&mut self, t: f64, probe: &mut P) {
+        self.faults.spurious_resets += 1;
+        probe.event(ExecEvent::FaultInjected {
+            t,
+            kind: FaultKind::SpuriousReset,
+        });
+    }
+
+    /// Progress up to op `level` is durable. With flips armed, draws
+    /// the flip count for the freshly written slot (wear-accelerated by
+    /// that slot's lifetime write count), records the write in the
+    /// integrity state, and tallies and probes any damage.
+    #[inline]
+    fn commit<P: ExecProbe>(&mut self, level: usize, t: f64, probe: &mut P) {
+        self.prev_committed = self.committed;
+        self.committed = level;
+        if self.flipping {
+            let mult = self.wear.multiplier(self.istate.next_write_count());
+            let flips = self.fault.flips(&mut self.fstate, self.payload_bits, mult);
+            self.istate.commit(flips);
+            if flips > 0 {
+                self.itally.flips_injected += u64::from(flips);
+                probe.event(ExecEvent::BitFlipInjected { t, flips });
+            }
+        }
+    }
+
+    /// An on-demand checkpoint ahead of op `level` was written and paid
+    /// for. Returns `false` if the write tore: power died before the
+    /// slot's commit marker flipped, so the previous checkpoint still
+    /// stands and the path takes the outage branch. Otherwise the
+    /// checkpoint committed atomically (double-buffered in FRAM).
+    fn ondemand_commit<P: ExecProbe>(
+        &mut self,
+        level: usize,
+        slot: u32,
+        t: f64,
+        probe: &mut P,
+    ) -> bool {
+        if self.faulting && self.fault.tears(&mut self.fstate) {
+            self.faults.torn_commits += 1;
+            probe.event(ExecEvent::FaultInjected {
+                t,
+                kind: FaultKind::TornCommit,
+            });
+            return false;
+        }
+        self.ondemand += 1;
+        probe.event(ExecEvent::CheckpointCommit { t, slot });
+        self.commit(level, t, probe);
+        true
+    }
+
+    /// Books a power failure at op `i`: the work past the last commit is
+    /// lost and, unless the reset was spurious, the capacitor collapses.
+    /// Returns the outcome if the run must end here: too many outages
+    /// in a row without committed progress, or the outage budget spent.
+    fn power_failure<P: ExecProbe>(
+        &mut self,
+        i: usize,
+        spurious: bool,
+        capacitor: &mut Capacitor,
+        t: f64,
+        probe: &mut P,
+    ) -> Option<RunOutcome> {
+        self.outages += 1;
+        self.wasted += (i - self.committed) as u64;
+        if !spurious {
+            capacitor.collapse_to_off();
+        }
+        probe.event(ExecEvent::BrownOut { t });
+
+        if self.committed == self.committed_at_last_outage {
+            self.stall += 1;
+        } else {
+            self.stall = 0;
+        }
+        self.committed_at_last_outage = self.committed;
+        let config = &self.exec.config;
+        if self.stall >= config.stall_outages {
+            Some(RunOutcome::NoProgress)
+        } else if self.outages >= config.max_outages {
+            Some(RunOutcome::OutageLimit)
+        } else {
+            None
+        }
+    }
+
+    /// The dark phase after an outage: charges until the capacitor can
+    /// boot (see [`IntermittentExecutor::charge_until_boot`]), timing
+    /// the solve and emitting its [`ExecEvent::DarkSkip`]. Returns
+    /// `false` if the wall-clock limit came first.
+    fn dark_phase<P: ExecProbe>(
+        &mut self,
+        harvester: &Harvester,
+        capacitor: &mut Capacitor,
+        t: &mut f64,
+        probe: &mut P,
+    ) -> bool {
+        let t0 = *t;
+        let joules = if P::ENABLED {
+            capacitor.joules_to_boot().max(0.0)
+        } else {
+            0.0
+        };
+        let span = SpanTimer::start::<P>();
+        let booted = self
+            .exec
+            .charge_until_boot(harvester, capacitor, t, &mut self.charging_s);
+        span.finish(probe, ExecPhase::ChargeSolve);
+        probe.event(ExecEvent::DarkSkip { t0, t1: *t, joules });
+        booted
+    }
+
+    /// The restore the path just paid for has landed: draws the slot
+    /// corruption and resolves it, then closes the restore `span` and
+    /// emits the boot. Returns the op execution resumes at.
+    ///
+    /// With the ladder live, the resolution walks
+    /// [`integrity::resolve_restore`]:
+    ///
+    /// * rung 0/1 — the active slot stands (possibly silently wrong, or
+    ///   SECDED-repaired in place); no progress is lost.
+    /// * rung 2 — fall back to the previous durable commit.
+    /// * rung 3 — the previous slot was rejected too: cold boot, all
+    ///   committed progress is lost.
+    ///
+    /// Otherwise a corrupt slot is always detected (the commit bitset
+    /// and slot versioning) and falls back to the previous commit.
+    /// Either way a restore takes exactly one stream step.
+    fn restored<P: ExecProbe>(&mut self, span: SpanTimer, t: f64, probe: &mut P) -> usize {
+        self.restores += 1;
+        if self.laddered {
+            let slot_bad = self.fault.corrupts(&mut self.fstate);
+            if slot_bad {
+                // Slot-level metadata corruption: always detected,
+                // exactly as the legacy branch counts it.
+                self.faults.corrupt_restores += 1;
+                self.faults.detected_corruptions += 1;
+                probe.event(ExecEvent::CorruptionDetected { t });
+            }
+            let res = integrity::resolve_restore(self.scheme, &mut self.istate, slot_bad);
+            self.itally.ladder[res.rung as usize] += 1;
+            if res.repairs > 0 {
+                self.itally.flips_repaired += u64::from(res.repairs);
+                probe.event(ExecEvent::PayloadRepaired { t });
+            }
+            if res.payload_rejects > 0 {
+                self.itally.flips_detected += u64::from(res.payload_rejects);
+                self.faults.detected_corruptions += u64::from(res.payload_rejects);
+                probe.event(ExecEvent::PayloadRejected { t });
+            }
+            if res.silent {
+                // The scheme accepted a flipped payload: the run
+                // continues from plausible-but-wrong state, and only a
+                // golden-twin diff can tell. This is the counter the
+                // crash-consistency audit exists to keep at zero for
+                // `Checksum`/`Secded`.
+                self.itally.silent_restores += 1;
+                self.faults.silent_corruptions += 1;
+                probe.event(ExecEvent::SilentRestore { t });
+            }
+            if res.rung >= 2 {
+                self.fall_back();
+                if res.rung == 3 {
+                    // The fallback slot was rejected too: nothing
+                    // durable remains anywhere.
+                    self.wasted += self.committed as u64;
+                    self.committed = 0;
+                    self.prev_committed = 0;
+                }
+                if self.committed == 0 {
+                    self.faults.cold_boots += 1;
+                }
+            }
+        } else if self.faulting && self.fault.corrupts(&mut self.fstate) {
+            self.faults.corrupt_restores += 1;
+            self.faults.detected_corruptions += 1;
+            self.fall_back();
+            if self.committed == 0 {
+                self.faults.cold_boots += 1;
+            }
+            probe.event(ExecEvent::CorruptionDetected { t });
+        }
+        span.finish(probe, ExecPhase::CheckpointRestore);
+        probe.event(ExecEvent::Boot { t });
+        self.committed
+    }
+
+    /// Drops the latest commit: execution resumes from the one before.
+    fn fall_back(&mut self) {
+        self.wasted += (self.committed - self.prev_committed) as u64;
+        self.committed = self.prev_committed;
+    }
+
+    /// Closes the run: emits its final events, records slot wear, and
+    /// reports this run's share of the board meter.
+    fn finish<P: ExecProbe>(
+        mut self,
+        outcome: RunOutcome,
+        t: f64,
+        active_cycles: u64,
+        executed: u64,
+        board: &Board,
+        probe: &mut P,
+    ) -> RunReport {
+        if outcome == RunOutcome::EnergyLimit {
+            probe.event(ExecEvent::EnergyLimit { t });
+        }
+        probe.event(ExecEvent::RunEnd { t, outcome });
+        if self.laddered {
+            self.itally.wear_max_commits = self.istate.max_writes();
+        }
+        let meter = diff_meters(board.meter(), &self.meter_before);
+        RunReport {
+            outcome,
+            outages: self.outages,
+            ondemand_checkpoints: self.ondemand,
+            restores: self.restores,
+            executed_ops: executed,
+            wasted_ops: self.wasted,
+            active_cycles: Cycles::new(active_cycles),
+            active_seconds: active_cycles as f64 / self.clock,
+            charging_seconds: self.charging_s,
+            wall_seconds: t,
+            energy: meter.total_energy(),
+            checkpoint_energy: meter.energy_of(Component::Checkpoint),
+            meter,
+            faults: self.faults,
+            integrity: self.itally,
         }
     }
 }

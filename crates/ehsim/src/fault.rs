@@ -8,8 +8,9 @@
 //! so the executor's hot loop only compares a SplitMix64 draw against a
 //! constant.
 //!
-//! Determinism contract: both executor paths (`run_plan_inner` and
-//! `run_reference`) advance one shared [`FaultState`] stream at the
+//! Determinism contract: every draw from a run's [`FaultState`] stream
+//! happens in a method of the executor's `RunState`, which both
+//! executor paths (the planned loop and `run_reference`) call at the
 //! same logical points — one draw per program-op attempt, one draw per
 //! successful checkpoint commit, one draw per restore. Same seed + same
 //! spec ⇒ identical injection points on either path, which keeps the

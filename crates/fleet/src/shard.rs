@@ -44,9 +44,11 @@ use crate::wire::{self, hex64, Json, PartialHeader, PartialWriter, ShardRecord};
 use core::fmt;
 use ehdl::{Error, ShardError};
 use std::fs;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStderr, Command, Stdio};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Environment variable for test-only fault injection in workers:
@@ -508,6 +510,7 @@ impl ShardCoordinator {
             for shard in 0..n_shards {
                 let ShardState::Running {
                     child,
+                    stderr,
                     started,
                     attempt,
                 } = &mut states[shard]
@@ -539,7 +542,7 @@ impl ShardCoordinator {
                         }
                     }
                     Ok(Some(status)) => {
-                        let detail = drain_stderr(child);
+                        let detail = stderr.wait();
                         states[shard] = self.next_attempt(
                             shard,
                             attempt,
@@ -555,8 +558,10 @@ impl ShardCoordinator {
                                 let _ = child.wait();
                                 // The tail of what the worker managed to
                                 // say before the kill often names the
-                                // hang.
-                                let detail = drain_stderr(child);
+                                // hang. Take it without waiting for EOF:
+                                // a process the worker started may
+                                // outlive the kill and hold the pipe.
+                                let detail = stderr.so_far();
                                 let message = format!(
                                     "worker exceeded the {timeout:?} shard timeout{detail}"
                                 );
@@ -649,9 +654,10 @@ impl ShardCoordinator {
                     continue;
                 }
                 match self.spawn(worker, store, shard) {
-                    Ok(child) => {
+                    Ok((child, stderr)) => {
                         *state = ShardState::Running {
                             child,
+                            stderr,
                             started: Instant::now(),
                             attempt,
                         };
@@ -806,8 +812,8 @@ impl ShardCoordinator {
         (exe, prefix): &(PathBuf, Vec<String>),
         store: &CheckpointStore,
         shard: usize,
-    ) -> Result<Child, String> {
-        Command::new(exe)
+    ) -> Result<(Child, StderrTail), String> {
+        let mut child = Command::new(exe)
             .args(prefix)
             .arg("--job")
             .arg(store.job_path())
@@ -817,7 +823,9 @@ impl ShardCoordinator {
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
-            .map_err(|e| format!("could not spawn {}: {e}", exe.display()))
+            .map_err(|e| format!("could not spawn {}: {e}", exe.display()))?;
+        let stderr = StderrTail::collect(child.stderr.take());
+        Ok((child, stderr))
     }
 
     /// Kills every live worker before surfacing a fatal error, so a
@@ -840,6 +848,7 @@ enum ShardState {
     },
     Running {
         child: Child,
+        stderr: StderrTail,
         started: Instant,
         attempt: u32,
     },
@@ -897,29 +906,81 @@ fn merge_group(gd: &mut GroupedDigest, record: &ShardRecord) {
 /// reports when a worker loops on stderr.
 const STDERR_TAIL_BYTES: usize = 2048;
 
-/// Reads whatever the worker said on stderr, as a `: `-prefixed detail
-/// string (empty when it said nothing), keeping at most the last
-/// [`STDERR_TAIL_BYTES`] bytes.
-fn drain_stderr(child: &mut Child) -> String {
-    let mut detail = String::new();
-    if let Some(mut stderr) = child.stderr.take() {
-        let _ = stderr.read_to_string(&mut detail);
+/// A worker's stderr, read on a thread of its own from spawn on and
+/// kept to its last bytes. The pipe never fills, and a timeout never
+/// waits for EOF, which a process tree outliving the killed worker (a
+/// wrapper shell's child, say) would hold off.
+struct StderrTail {
+    tail: Arc<Mutex<Tail>>,
+    reader: Option<JoinHandle<()>>,
+}
+
+/// The last `2 * STDERR_TAIL_BYTES` bytes read, so trimming trailing
+/// whitespace still leaves a full tail, and whether any were dropped.
+#[derive(Default)]
+struct Tail {
+    bytes: Vec<u8>,
+    dropped: bool,
+}
+
+impl StderrTail {
+    fn collect(stderr: Option<ChildStderr>) -> Self {
+        let tail = Arc::new(Mutex::new(Tail::default()));
+        let reader = stderr.map(|mut stderr| {
+            let tail = Arc::clone(&tail);
+            std::thread::spawn(move || {
+                let mut chunk = [0u8; 4096];
+                loop {
+                    let n = match stderr.read(&mut chunk) {
+                        Ok(0) => break,
+                        Ok(n) => n,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                        Err(_) => break,
+                    };
+                    let mut tail = tail.lock().unwrap_or_else(PoisonError::into_inner);
+                    tail.bytes.extend_from_slice(&chunk[..n]);
+                    let excess = tail.bytes.len().saturating_sub(2 * STDERR_TAIL_BYTES);
+                    if excess > 0 {
+                        tail.bytes.drain(..excess);
+                        tail.dropped = true;
+                    }
+                }
+            })
+        });
+        StderrTail { tail, reader }
     }
-    let mut detail = detail.trim();
-    let truncated = detail.len() > STDERR_TAIL_BYTES;
-    if truncated {
-        let mut cut = detail.len() - STDERR_TAIL_BYTES;
-        while !detail.is_char_boundary(cut) {
-            cut += 1;
+
+    /// Everything the worker said, once it has exited: waits for the
+    /// reader to reach EOF.
+    fn wait(&mut self) -> String {
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
         }
-        detail = &detail[cut..];
+        self.so_far()
     }
-    if detail.is_empty() {
-        String::new()
-    } else if truncated {
-        format!(": [stderr tail] …{detail}")
-    } else {
-        format!(": {detail}")
+
+    /// What the worker has said so far, as a `: `-prefixed detail
+    /// string (empty when it said nothing), keeping at most the last
+    /// [`STDERR_TAIL_BYTES`] bytes.
+    fn so_far(&self) -> String {
+        let tail = self.tail.lock().unwrap_or_else(PoisonError::into_inner);
+        let text = String::from_utf8_lossy(&tail.bytes);
+        let mut detail = text.trim();
+        let truncated = tail.dropped || detail.len() > STDERR_TAIL_BYTES;
+        if detail.len() > STDERR_TAIL_BYTES {
+            let mut cut = detail.len() - STDERR_TAIL_BYTES;
+            while !detail.is_char_boundary(cut) {
+                cut += 1;
+            }
+            detail = &detail[cut..];
+        }
+        if detail.is_empty() {
+            String::new()
+        } else if truncated {
+            format!(": [stderr tail] …{detail}")
+        } else {
+            format!(": {detail}")
+        }
     }
 }
 

@@ -419,3 +419,38 @@ fn integrity_sweeps_shard_bit_identically_at_two_shard_sizes() {
         );
     }
 }
+
+#[cfg(unix)]
+#[test]
+fn shard_timeout_bounds_the_sweep_when_the_worker_tree_outlives_the_kill() {
+    // The shell forks `sleep`, which survives the shell's kill and keeps
+    // the stderr pipe open for 5 s. The timeout must still bound the
+    // sweep instead of waiting for that pipe to close.
+    let matrix = quick_matrix();
+    let dir = tmp_dir("timeout");
+    let started = std::time::Instant::now();
+    let report = ShardCoordinator::new(8)
+        .concurrency(2)
+        .timeout(Duration::from_millis(300))
+        .retries(0)
+        .checkpoint_dir(&dir)
+        .worker_command(
+            "/bin/sh",
+            vec!["-c".to_string(), "sleep 5; true".to_string()],
+        )
+        .run(&matrix)
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
+    assert_eq!(report.merged_shards, 0);
+    assert_eq!(report.failed.len(), 2, "{report}");
+    for shard in 0..2 {
+        let timeouts = report
+            .events
+            .iter()
+            .filter(|e| e.shard == shard && e.kind == ShardEventKind::Timeout)
+            .count();
+        assert_eq!(timeouts, 1, "shard {shard}: {:?}", report.events);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
