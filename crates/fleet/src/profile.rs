@@ -480,6 +480,67 @@ mod tests {
     }
 
     #[test]
+    fn to_json_bytes_are_pinned() {
+        // One span in each of the nine phases, set through the public
+        // fields, and nonzero counters in all three caches: a change to
+        // the phase order, a phase name or the digest and counter codecs
+        // moves these bytes.
+        let mut p = PhaseProfile::new();
+        for (i, digest) in [
+            &mut p.charge_solve_s,
+            &mut p.plan_exec_s,
+            &mut p.checkpoint_restore_s,
+            &mut p.trace_replay_s,
+            &mut p.sink_fold_s,
+            &mut p.deploy_build_s,
+            &mut p.plan_compile_s,
+            &mut p.slot_wait_s,
+            &mut p.world_resolve_s,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            digest.record(0.125 * (i as f64 + 1.0));
+        }
+        p.record(ExecPhase::PlanExec, 3.5);
+        p.caches.plan = CacheCounters {
+            hits: 10,
+            misses: 2,
+            entries: 2,
+            evictions: 0,
+        };
+        p.caches.trace = CacheCounters {
+            hits: 40,
+            misses: 4,
+            entries: 3,
+            evictions: 1,
+        };
+        p.caches.deployment = CacheCounters {
+            hits: 90,
+            misses: 6,
+            entries: 6,
+            evictions: 3,
+        };
+        let golden = concat!(
+            r#"{"phases":{"#,
+            r#""charge_solve":{"count":1,"sum":"3fc0000000000000","min":"3fc0000000000000","max":"3fc0000000000000","bins":[[466,1]]},"#,
+            r#""plan_exec":{"count":2,"sum":"400e000000000000","min":"3fd0000000000000","max":"400c000000000000","bins":[[483,1],[549,1]]},"#,
+            r#""checkpoint_restore":{"count":1,"sum":"3fd8000000000000","min":"3fd8000000000000","max":"3fd8000000000000","bins":[[493,1]]},"#,
+            r#""trace_replay":{"count":1,"sum":"3fe0000000000000","min":"3fe0000000000000","max":"3fe0000000000000","bins":[[500,1]]},"#,
+            r#""sink_fold":{"count":1,"sum":"3fe4000000000000","min":"3fe4000000000000","max":"3fe4000000000000","bins":[[506,1]]},"#,
+            r#""deploy_build":{"count":1,"sum":"3fe8000000000000","min":"3fe8000000000000","max":"3fe8000000000000","bins":[[510,1]]},"#,
+            r#""plan_compile":{"count":1,"sum":"3fec000000000000","min":"3fec000000000000","max":"3fec000000000000","bins":[[514,1]]},"#,
+            r#""slot_wait":{"count":1,"sum":"3ff0000000000000","min":"3ff0000000000000","max":"3ff0000000000000","bins":[[518,1]]},"#,
+            r#""world_resolve":{"count":1,"sum":"3ff2000000000000","min":"3ff2000000000000","max":"3ff2000000000000","bins":[[521,1]]}},"#,
+            r#""caches":{"plan":{"hits":10,"misses":2,"entries":2,"evictions":0},"#,
+            r#""trace":{"hits":40,"misses":4,"entries":3,"evictions":1},"#,
+            r#""deployment":{"hits":90,"misses":6,"entries":6,"evictions":3}}}"#,
+        );
+        assert_eq!(p.to_json(), golden);
+        assert_eq!(PhaseProfile::from_json(golden).unwrap(), p);
+    }
+
+    #[test]
     fn display_lists_every_phase_and_cache() {
         let mut p = PhaseProfile::new();
         p.record(ExecPhase::PlanExec, 2.0);
