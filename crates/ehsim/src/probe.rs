@@ -170,7 +170,9 @@ impl ExecEvent {
 /// [`CheckpointRestore`](ExecPhase::CheckpointRestore) spans itself
 /// (when the probe is [`TIMED`](ExecProbe::TIMED)); the remaining
 /// phases are reported by the layers that own them (the fleet runner
-/// times whole plan executions, trace replays and sink folds).
+/// times whole plan executions, trace replays, sink folds, its set-up
+/// around the deployment and plan caches, and networked worlds'
+/// gateway resolves).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecPhase {
     /// Solving (or stepping) a dark recharge phase.
@@ -183,16 +185,30 @@ pub enum ExecPhase {
     TraceReplay,
     /// Folding run records into a metrics sink.
     SinkFold,
+    /// Building one calibrated deployment and pricing its accuracy.
+    DeployBuild,
+    /// Compiling one execution plan from a deployment.
+    PlanCompile,
+    /// Blocking on a deployment or plan slot that another worker is
+    /// building.
+    SlotWait,
+    /// Resolving a networked scenario's gateway polling schedule from
+    /// its devices' recorded timelines.
+    WorldResolve,
 }
 
 impl ExecPhase {
     /// Every phase, in reporting order.
-    pub const ALL: [ExecPhase; 5] = [
+    pub const ALL: [ExecPhase; 9] = [
         ExecPhase::ChargeSolve,
         ExecPhase::PlanExec,
         ExecPhase::CheckpointRestore,
         ExecPhase::TraceReplay,
         ExecPhase::SinkFold,
+        ExecPhase::DeployBuild,
+        ExecPhase::PlanCompile,
+        ExecPhase::SlotWait,
+        ExecPhase::WorldResolve,
     ];
 
     /// A stable snake_case name for machine-readable streams.
@@ -203,6 +219,10 @@ impl ExecPhase {
             ExecPhase::CheckpointRestore => "checkpoint_restore",
             ExecPhase::TraceReplay => "trace_replay",
             ExecPhase::SinkFold => "sink_fold",
+            ExecPhase::DeployBuild => "deploy_build",
+            ExecPhase::PlanCompile => "plan_compile",
+            ExecPhase::SlotWait => "slot_wait",
+            ExecPhase::WorldResolve => "world_resolve",
         }
     }
 }

@@ -9,6 +9,13 @@
 //! [`ehdl::Deployment`] and opens an [`ehdl::DeviceSession`] inside its
 //! worker (the session types are `Send`/`Sync` by contract).
 //!
+//! [`FleetRunner`] is the one sweep entry point. Its setters choose
+//! the worker count, the reference executor, the cache bound, a
+//! scenario [`range`](FleetRunner::range) (the whole matrix unless
+//! set; shard workers sweep theirs this way) and the
+//! [`sink`](FleetRunner::sink); [`run`](FleetRunner::run) or
+//! [`run_profiled`](FleetRunner::run_profiled) then executes.
+//!
 //! Reporting is a streaming telemetry pipeline: the runner emits one
 //! [`RunRecord`] per (scenario, run) and folds it into a pluggable
 //! [`MetricsSink`]. The compatibility [`FullReportSink`] retains every
@@ -79,9 +86,9 @@ pub use metrics::{
     CsvSink, DigestSink, FleetDigest, FullReportSink, GroupAxis, GroupBySink, GroupedDigest,
     JsonlSink, MetricsSink, ResilienceTally, RunRecord, SloTally,
 };
-pub use profile::{CacheCounters, CacheStats, PhaseProfile, SetupPhase};
+pub use profile::{CacheCounters, CacheStats, PhaseProfile};
 pub use report::{percentile, FleetReport, ScenarioReport};
-pub use runner::{mix, FleetBuilder, FleetRunner};
+pub use runner::{mix, FleetRunner};
 pub use scenario::{Scenario, ScenarioMatrix, Workload};
 pub use shard::{
     retry_backoff, FailedShard, ShardCoordinator, ShardEvent, ShardEventKind, ShardRange,

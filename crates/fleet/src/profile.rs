@@ -9,14 +9,15 @@
 //! [`TIMED`](ExecProbe::TIMED) `= true`: handed to a probed executor
 //! run it collects charge-solve and checkpoint/restore spans from
 //! inside the hot loop, while the fleet runner adds the spans only it
-//! can see (whole plan executions, trace replays, sink folds, and the
-//! [`SetupPhase`]s) plus the cache counters. Spans aggregate into
-//! mergeable [`StatsDigest`]s, so per-worker and per-shard profiles
-//! combine like the fleet's metric sinks: merging chunks in stream
-//! order reassembles every span count, histogram bin, min/max and cache
-//! counter exactly, and the merge is a pure function — the same parts
-//! in the same order always reproduce the same bits (float *sums* reassociate across chunk boundaries, so
-//! they agree with an unchunked accumulation to rounding).
+//! can see (whole plan executions, trace replays, sink folds, the
+//! set-up phases and world resolves) plus the cache counters. Spans
+//! aggregate into mergeable [`StatsDigest`]s, so per-worker and
+//! per-shard profiles combine like the fleet's metric sinks: merging
+//! chunks in stream order reassembles every span count, histogram bin,
+//! min/max and cache counter exactly, and the merge is a pure function
+//! — the same parts in the same order always reproduce the same bits
+//! (float *sums* reassociate across chunk boundaries, so they agree
+//! with an unchunked accumulation to rounding).
 //!
 //! Profiles are a **side channel**: wall-clock timings are
 //! machine-dependent, so they never enter a [`FleetDigest`]
@@ -36,43 +37,6 @@ use crate::tally::tally;
 use core::fmt;
 use ehdl::ehsim::{ExecEvent, ExecPhase, ExecProbe};
 
-/// A wall-clock phase the fleet runner times outside the executor: a
-/// scenario's set-up around the runner's caches, or resolving a
-/// networked world once its devices have run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SetupPhase {
-    /// Building one calibrated deployment and pricing its accuracy.
-    DeployBuild,
-    /// Compiling one execution plan from a deployment.
-    PlanCompile,
-    /// Blocking on a deployment or plan slot that another worker is
-    /// building.
-    SlotWait,
-    /// Resolving a networked scenario's gateway polling schedule from
-    /// its devices' recorded timelines.
-    WorldResolve,
-}
-
-impl SetupPhase {
-    /// Every set-up phase, in reporting order.
-    pub const ALL: [SetupPhase; 4] = [
-        SetupPhase::DeployBuild,
-        SetupPhase::PlanCompile,
-        SetupPhase::SlotWait,
-        SetupPhase::WorldResolve,
-    ];
-
-    /// A stable snake_case name for machine-readable streams.
-    pub fn name(self) -> &'static str {
-        match self {
-            SetupPhase::DeployBuild => "deploy_build",
-            SetupPhase::PlanCompile => "plan_compile",
-            SetupPhase::SlotWait => "slot_wait",
-            SetupPhase::WorldResolve => "world_resolve",
-        }
-    }
-}
-
 tally! {
     /// Hit/miss/size counters for one runner cache.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,7 +49,7 @@ tally! {
         pub entries: u64 => sum,
         /// Entries evicted to stay under the cache's capacity bound — a
         /// nonzero count means later lookups rebuilt evicted state, so a
-        /// larger [`cache_entries`](crate::FleetBuilder::cache_entries) cap
+        /// larger [`cache_entries`](crate::FleetRunner::cache_entries) cap
         /// would trade memory for fewer rebuilds.
         pub evictions: u64 => sum,
     }
@@ -186,6 +150,10 @@ impl PhaseProfile {
             ExecPhase::CheckpointRestore => &self.checkpoint_restore_s,
             ExecPhase::TraceReplay => &self.trace_replay_s,
             ExecPhase::SinkFold => &self.sink_fold_s,
+            ExecPhase::DeployBuild => &self.deploy_build_s,
+            ExecPhase::PlanCompile => &self.plan_compile_s,
+            ExecPhase::SlotWait => &self.slot_wait_s,
+            ExecPhase::WorldResolve => &self.world_resolve_s,
         }
     }
 
@@ -196,43 +164,22 @@ impl PhaseProfile {
             ExecPhase::CheckpointRestore => &mut self.checkpoint_restore_s,
             ExecPhase::TraceReplay => &mut self.trace_replay_s,
             ExecPhase::SinkFold => &mut self.sink_fold_s,
+            ExecPhase::DeployBuild => &mut self.deploy_build_s,
+            ExecPhase::PlanCompile => &mut self.plan_compile_s,
+            ExecPhase::SlotWait => &mut self.slot_wait_s,
+            ExecPhase::WorldResolve => &mut self.world_resolve_s,
         }
     }
 
-    /// Folds one wall-clock set-up span into the phase's digest.
-    pub fn record_setup(&mut self, phase: SetupPhase, seconds: f64) {
-        self.setup_digest_mut(phase).record(seconds);
-    }
-
-    /// The span digest for one set-up phase.
-    pub fn setup_digest(&self, phase: SetupPhase) -> &StatsDigest {
-        match phase {
-            SetupPhase::DeployBuild => &self.deploy_build_s,
-            SetupPhase::PlanCompile => &self.plan_compile_s,
-            SetupPhase::SlotWait => &self.slot_wait_s,
-            SetupPhase::WorldResolve => &self.world_resolve_s,
-        }
-    }
-
-    pub(crate) fn setup_digest_mut(&mut self, phase: SetupPhase) -> &mut StatsDigest {
-        match phase {
-            SetupPhase::DeployBuild => &mut self.deploy_build_s,
-            SetupPhase::PlanCompile => &mut self.plan_compile_s,
-            SetupPhase::SlotWait => &mut self.slot_wait_s,
-            SetupPhase::WorldResolve => &mut self.world_resolve_s,
-        }
-    }
-
-    /// Every phase's name and digest: [`ExecPhase::ALL`] then
-    /// [`SetupPhase::ALL`].
+    /// Every phase's name and digest, in [`ExecPhase::ALL`] order.
     pub(crate) fn named_digests(&self) -> impl Iterator<Item = (&'static str, &StatsDigest)> {
-        let exec = ExecPhase::ALL.map(|phase| (phase.name(), self.digest(phase)));
-        let setup = SetupPhase::ALL.map(|phase| (phase.name(), self.setup_digest(phase)));
-        exec.into_iter().chain(setup)
+        ExecPhase::ALL
+            .map(|phase| (phase.name(), self.digest(phase)))
+            .into_iter()
     }
 
     /// Merges `other` into `self`, phase by phase in [`ExecPhase::ALL`]
-    /// then [`SetupPhase::ALL`] order, then caches. A pure function: merging the same parts in
+    /// order, then caches. A pure function: merging the same parts in
     /// the same order always reproduces the same bits, and every span
     /// count, histogram bin, min/max and cache counter reassembles
     /// exactly (sums reassociate; see [`StatsDigest::merge`]).
@@ -241,15 +188,10 @@ impl PhaseProfile {
             let theirs = other.digest(phase).clone();
             self.digest_mut(phase).merge(&theirs);
         }
-        for phase in SetupPhase::ALL {
-            let theirs = other.setup_digest(phase).clone();
-            self.setup_digest_mut(phase).merge(&theirs);
-        }
         self.caches.merge(&other.caches);
     }
 
-    /// Total profiled wall-clock seconds across every phase, set-up
-    /// phases included.
+    /// Total profiled wall-clock seconds across every phase.
     pub fn total_seconds(&self) -> f64 {
         self.named_digests().map(|(_, d)| d.sum()).sum()
     }
@@ -335,8 +277,8 @@ mod tests {
         p.span(ExecPhase::ChargeSolve, 0.5);
         p.span(ExecPhase::ChargeSolve, 0.25);
         p.record(ExecPhase::SinkFold, 1.0);
-        p.record_setup(SetupPhase::DeployBuild, 0.125);
-        p.record_setup(SetupPhase::WorldResolve, 0.5);
+        p.record(ExecPhase::DeployBuild, 0.125);
+        p.record(ExecPhase::WorldResolve, 0.5);
         assert_eq!(p.deploy_build_s.count(), 1);
         assert_eq!(p.plan_compile_s.count(), 0);
         assert_eq!(p.world_resolve_s.count(), 1);
@@ -442,7 +384,7 @@ mod tests {
             p.record(ExecPhase::ALL[i % 5], 1e-5 * (i as f64 + 0.123_456_789));
         }
         for i in 0..16 {
-            p.record_setup(SetupPhase::ALL[i % 4], 1e-3 * (i as f64 + 0.5));
+            p.record(ExecPhase::ALL[5 + i % 4], 1e-3 * (i as f64 + 0.5));
         }
         p.caches.plan = CacheCounters {
             hits: 10,
@@ -465,9 +407,9 @@ mod tests {
         // The empty profile round-trips too.
         let empty = PhaseProfile::new();
         assert_eq!(PhaseProfile::from_json(&empty.to_json()).unwrap(), empty);
-        // Every set-up phase is on the wire: dropping one is an error.
-        for phase in SetupPhase::ALL {
-            assert_eq!(p.setup_digest(phase).count(), 4);
+        // Every phase is on the wire: dropping one is an error.
+        for phase in ExecPhase::ALL {
+            assert!(p.digest(phase).count() > 0, "{}", phase.name());
             let key = format!("\"{}\":", phase.name());
             assert!(json.contains(&key), "{json}");
             let renamed = json.replace(&key, "\"unknown_phase\":");
@@ -544,12 +486,9 @@ mod tests {
     fn display_lists_every_phase_and_cache() {
         let mut p = PhaseProfile::new();
         p.record(ExecPhase::PlanExec, 2.0);
-        p.record_setup(SetupPhase::SlotWait, 2.0);
+        p.record(ExecPhase::SlotWait, 2.0);
         let s = p.to_string();
         for phase in ExecPhase::ALL {
-            assert!(s.contains(phase.name()), "{s}");
-        }
-        for phase in SetupPhase::ALL {
             assert!(s.contains(phase.name()), "{s}");
         }
         assert!(s.contains("slot_wait") && s.contains("50.0%"), "{s}");

@@ -47,8 +47,8 @@ use std::fs;
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStderr, Command, Stdio};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Environment variable for test-only fault injection in workers:
@@ -542,7 +542,7 @@ impl ShardCoordinator {
                         }
                     }
                     Ok(Some(status)) => {
-                        let detail = stderr.wait();
+                        let detail = stderr.read();
                         states[shard] = self.next_attempt(
                             shard,
                             attempt,
@@ -558,10 +558,8 @@ impl ShardCoordinator {
                                 let _ = child.wait();
                                 // The tail of what the worker managed to
                                 // say before the kill often names the
-                                // hang. Take it without waiting for EOF:
-                                // a process the worker started may
-                                // outlive the kill and hold the pipe.
-                                let detail = stderr.so_far();
+                                // hang.
+                                let detail = stderr.read();
                                 let message = format!(
                                     "worker exceeded the {timeout:?} shard timeout{detail}"
                                 );
@@ -906,13 +904,19 @@ fn merge_group(gd: &mut GroupedDigest, record: &ShardRecord) {
 /// reports when a worker loops on stderr.
 const STDERR_TAIL_BYTES: usize = 2048;
 
+/// How long reading a reaped worker's stderr waits for EOF. A process
+/// the worker left behind (a wrapper shell's child, say) inherits the
+/// pipe and can hold EOF off indefinitely, long after the worker's exit
+/// or kill; past this grace the tail read so far is all there is.
+const STDERR_GRACE: Duration = Duration::from_millis(100);
+
 /// A worker's stderr, read on a thread of its own from spawn on and
-/// kept to its last bytes. The pipe never fills, and a timeout never
-/// waits for EOF, which a process tree outliving the killed worker (a
-/// wrapper shell's child, say) would hold off.
+/// kept to its last bytes, so the pipe never fills.
 struct StderrTail {
     tail: Arc<Mutex<Tail>>,
-    reader: Option<JoinHandle<()>>,
+    /// Disconnects when the reader thread reaches EOF (or there is no
+    /// pipe to read).
+    eof: Receiver<()>,
 }
 
 /// The last `2 * STDERR_TAIL_BYTES` bytes read, so trimming trailing
@@ -926,9 +930,13 @@ struct Tail {
 impl StderrTail {
     fn collect(stderr: Option<ChildStderr>) -> Self {
         let tail = Arc::new(Mutex::new(Tail::default()));
-        let reader = stderr.map(|mut stderr| {
+        let (at_eof, eof) = mpsc::channel();
+        if let Some(mut stderr) = stderr {
             let tail = Arc::clone(&tail);
             std::thread::spawn(move || {
+                // Dropped when the thread ends at EOF: what `read`
+                // waits for.
+                let _at_eof = at_eof;
                 let mut chunk = [0u8; 4096];
                 loop {
                     let n = match stderr.read(&mut chunk) {
@@ -945,24 +953,17 @@ impl StderrTail {
                         tail.dropped = true;
                     }
                 }
-            })
-        });
-        StderrTail { tail, reader }
-    }
-
-    /// Everything the worker said, once it has exited: waits for the
-    /// reader to reach EOF.
-    fn wait(&mut self) -> String {
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
+            });
         }
-        self.so_far()
+        StderrTail { tail, eof }
     }
 
-    /// What the worker has said so far, as a `: `-prefixed detail
-    /// string (empty when it said nothing), keeping at most the last
-    /// [`STDERR_TAIL_BYTES`] bytes.
-    fn so_far(&self) -> String {
+    /// What a reaped worker said, as a `: `-prefixed detail string
+    /// (empty when it said nothing), keeping at most the last
+    /// [`STDERR_TAIL_BYTES`] bytes. Waits at most [`STDERR_GRACE`] for
+    /// EOF, then takes the tail read so far.
+    fn read(&self) -> String {
+        let _ = self.eof.recv_timeout(STDERR_GRACE);
         let tail = self.tail.lock().unwrap_or_else(PoisonError::into_inner);
         let text = String::from_utf8_lossy(&tail.bytes);
         let mut detail = text.trim();
@@ -1094,13 +1095,12 @@ pub fn worker_main(args: &[String]) -> Result<(), Error> {
     };
     let dir = job_path.parent().unwrap_or(Path::new(".")).to_path_buf();
     let die_after = fault_trip(fault_spec.as_deref(), &dir, shard, len);
-    let runner = FleetRunner::new(threads);
+    let runner = FleetRunner::new(threads).range(start..start + len);
 
     if to_stdout {
         let sink =
             ShardRecordSink::new(BufWriter::new(std::io::stdout()), header, die_after, None)?;
-        let (records, mut writer) =
-            runner.run_range_with_sink(&matrix, start..start + len, sink)?;
+        let (records, mut writer) = runner.sink(sink).run(&matrix)?;
         writer.flush().map_err(Error::from)?;
         debug_assert_eq!(records, len as u64);
         return Ok(());
@@ -1118,7 +1118,7 @@ pub fn worker_main(args: &[String]) -> Result<(), Error> {
     let final_path = dir.join(format!("partial-{shard:06}.ehsp"));
     let file = fs::File::create(&tmp).map_err(Error::from)?;
     let sink = ShardRecordSink::new(BufWriter::new(file), header, die_after, Some(heartbeat))?;
-    let (records, writer) = runner.run_range_with_sink(&matrix, start..start + len, sink)?;
+    let (records, writer) = runner.sink(sink).run(&matrix)?;
     debug_assert_eq!(records, len as u64);
     let file = writer
         .into_inner()

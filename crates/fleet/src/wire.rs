@@ -17,7 +17,7 @@
 
 use crate::digest::StatsDigest;
 use crate::metrics::{json_escape, FleetDigest, GroupAxis};
-use crate::profile::{PhaseProfile, SetupPhase};
+use crate::profile::PhaseProfile;
 use crate::scenario::{ScenarioMatrix, Workload};
 use crate::tally::tally;
 use ehdl::ehsim::{
@@ -600,8 +600,8 @@ impl Wire for StatsDigest {
 }
 
 /// Serializes a [`PhaseProfile`] as one canonical JSON object: phase
-/// digests (floats as bit-exact hex) in [`ExecPhase::ALL`] then
-/// [`SetupPhase::ALL`] order, then the cache counters.
+/// digests (floats as bit-exact hex) in [`ExecPhase::ALL`] order, then
+/// the cache counters.
 pub(crate) fn profile_json(p: &PhaseProfile) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\"phases\":{");
@@ -626,9 +626,6 @@ pub(crate) fn profile_from_json(text: &str) -> Result<PhaseProfile, String> {
     let mut profile = PhaseProfile::new();
     for phase in ExecPhase::ALL {
         *profile.digest_mut(phase) = member(phases, phase.name())?;
-    }
-    for phase in SetupPhase::ALL {
-        *profile.setup_digest_mut(phase) = member(phases, phase.name())?;
     }
     profile.caches = member(&v, "caches")?;
     Ok(profile)
@@ -1224,10 +1221,13 @@ mod tests {
     fn sample_profile() -> PhaseProfile {
         let mut p = PhaseProfile::new();
         for (i, phase) in ExecPhase::ALL.into_iter().enumerate() {
-            p.record(phase, 1e-4 * (i as f64 + 0.25));
-        }
-        for (i, phase) in SetupPhase::ALL.into_iter().enumerate() {
-            p.record_setup(phase, 2e-3 * (i as f64 + 0.5));
+            // The first five phases, then the four set-up phases, each
+            // with its own span scale.
+            let seconds = match i.checked_sub(5) {
+                None => 1e-4 * (i as f64 + 0.25),
+                Some(j) => 2e-3 * (j as f64 + 0.5),
+            };
+            p.record(phase, seconds);
         }
         p.caches.plan = CacheCounters {
             hits: 10,

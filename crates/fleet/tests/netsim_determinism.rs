@@ -58,8 +58,8 @@ fn worker_count_does_not_change_the_networked_digest() {
 #[test]
 fn per_scenario_shards_merge_to_the_whole_sweep_digest() {
     let matrix = networked_matrix();
-    let runner = FleetRunner::new(2);
-    let whole = runner.run_with_sink(&matrix, DigestSink::new()).unwrap();
+    let runner = || FleetRunner::new(2).sink(DigestSink::new());
+    let whole = runner().run(&matrix).unwrap();
     // The shard coordinator's merge unit is the per-scenario record, in
     // matrix order — the same left-fold the whole-sweep runner performs,
     // so the reassembly is bit-identical (coarser groupings would change
@@ -67,9 +67,7 @@ fn per_scenario_shards_merge_to_the_whole_sweep_digest() {
     // processes: one range per scenario, merged in matrix order.
     let mut merged = FleetDigest::new();
     for scenario in 0..matrix.len() {
-        let part = runner
-            .run_range_with_sink(&matrix, scenario..scenario + 1, DigestSink::new())
-            .unwrap();
+        let part = runner().range(scenario..scenario + 1).run(&matrix).unwrap();
         merged.merge(&part);
     }
     assert_eq!(merged, whole);
@@ -98,10 +96,12 @@ fn single_device_topology_is_bit_identical_to_the_solo_executor() {
         .runs(2)
         .executor(quick_executor());
     let solo = FleetRunner::new(2)
-        .run_with_sink(&base.clone(), DigestSink::new())
+        .sink(DigestSink::new())
+        .run(&base)
         .unwrap();
     let world = FleetRunner::new(2)
-        .run_with_sink(&base.topologies(vec![one_device]), DigestSink::new())
+        .sink(DigestSink::new())
+        .run(&base.topologies(vec![one_device]))
         .unwrap();
     // The gateway saw the run...
     assert!(world.slo.polls > 0);
@@ -124,7 +124,8 @@ fn gateway_accounting_is_conserved() {
         .runs(2)
         .executor(quick_executor());
     let digest = FleetRunner::new(2)
-        .run_with_sink(&matrix, DigestSink::new())
+        .sink(DigestSink::new())
+        .run(&matrix)
         .unwrap();
     let s = &digest.slo;
     assert_eq!(s.worlds, 1);

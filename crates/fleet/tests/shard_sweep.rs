@@ -454,3 +454,36 @@ fn shard_timeout_bounds_the_sweep_when_the_worker_tree_outlives_the_kill() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[cfg(unix)]
+#[test]
+fn failed_exit_bounds_the_stderr_wait_when_the_worker_tree_outlives_the_worker() {
+    // The shell backgrounds `sleep`, which inherits the stderr pipe and
+    // holds it open for 5 s after the shell exits 3. Reaping the failed
+    // exit must not wait for that pipe to close, and the failure must
+    // still carry what the worker said before it exited.
+    let matrix = quick_matrix();
+    let dir = tmp_dir("failed-exit");
+    let started = std::time::Instant::now();
+    let report = ShardCoordinator::new(8)
+        .concurrency(2)
+        .retries(0)
+        .checkpoint_dir(&dir)
+        .worker_command(
+            "/bin/sh",
+            vec![
+                "-c".to_string(),
+                "echo boom >&2; sleep 5 & exit 3".to_string(),
+            ],
+        )
+        .run(&matrix)
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
+    assert_eq!(report.merged_shards, 0);
+    assert_eq!(report.failed.len(), 2, "{report}");
+    for failed in &report.failed {
+        assert!(failed.error.contains("boom"), "{}", failed.error);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -43,8 +43,9 @@ fn main() -> Result<(), ehdl::Error> {
         });
 
     println!("sweeping {} networked scenarios...", matrix.len());
-    let by_topology =
-        FleetRunner::new(4).run_with_sink(&matrix, GroupBySink::new(GroupAxis::Topology))?;
+    let by_topology = FleetRunner::new(4)
+        .sink(GroupBySink::new(GroupAxis::Topology))
+        .run(&matrix)?;
     for (label, digest) in &by_topology.groups {
         let s = &digest.slo;
         println!(
@@ -81,9 +82,10 @@ fn main() -> Result<(), ehdl::Error> {
         freshness_s: 10.0,
         poll_retries: 0,
     };
-    let solo = FleetRunner::new(2).run_with_sink(&base.clone(), DigestSink::new())?;
-    let world =
-        FleetRunner::new(2).run_with_sink(&base.topologies(vec![one_device]), DigestSink::new())?;
+    let solo = FleetRunner::new(2).sink(DigestSink::new()).run(&base)?;
+    let world = FleetRunner::new(2)
+        .sink(DigestSink::new())
+        .run(&base.topologies(vec![one_device]))?;
     let mut world_sans_slo = world.clone();
     world_sans_slo.slo = solo.slo.clone();
     assert_eq!(world_sans_slo, solo, "solo parity broken");

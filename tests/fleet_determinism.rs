@@ -429,13 +429,9 @@ fn phase_profile_counters_are_deterministic_and_merge_across_shards() {
     // profiles in range order reassembles the whole sweep's span counts
     // and lookup totals — what a resumed shard sweep folds together.
     let mid = matrix.len() / 2;
-    let runner = FleetRunner::new(1);
-    let (_, mut lo) = runner
-        .run_range_profiled_with_sink(&matrix, 0..mid, DigestSink::new())
-        .unwrap();
-    let (_, hi) = runner
-        .run_range_profiled_with_sink(&matrix, mid..matrix.len(), DigestSink::new())
-        .unwrap();
+    let runner = |range| FleetRunner::new(1).range(range).sink(DigestSink::new());
+    let (_, mut lo) = runner(0..mid).run_profiled(&matrix).unwrap();
+    let (_, hi) = runner(mid..matrix.len()).run_profiled(&matrix).unwrap();
     lo.merge(&hi);
     for phase in ExecPhase::ALL {
         assert_eq!(
