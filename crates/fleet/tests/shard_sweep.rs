@@ -210,6 +210,21 @@ fn rerunning_a_complete_sweep_resumes_entirely_from_the_frontier() {
     assert_eq!(second.resumed_shards, 2);
     assert_eq!(second.digest, first.digest);
     assert_eq!(second.grouped, first.grouped);
+    // Third run over a frontier with one flipped byte: the checksum
+    // catches it, the sweep starts cold and lands on the same digest.
+    let frontier = dir.join("frontier.ckpt");
+    let mut bytes = std::fs::read(&frontier).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&frontier, &bytes).unwrap();
+    let third = coordinator(8, None)
+        .checkpoint_dir(&dir)
+        .run(&matrix)
+        .unwrap();
+    assert_eq!(third.resumed_shards, 0, "{third}");
+    assert!(third.is_complete(), "{third}");
+    assert_eq!(third.digest, first.digest);
+    assert_eq!(third.grouped, first.grouped);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
