@@ -1,11 +1,12 @@
 //! The shard checkpoint store: a directory holding everything a killed
 //! sweep needs to restart from its last merged prefix.
 //!
-//! Layout (all files written atomically — `.tmp`, fsync, rename):
+//! Layout (all files written atomically — `.wip`, fsync, rename — and
+//! all but heartbeats sealed by [`SealedWriter`]):
 //!
 //! ```text
-//! <dir>/job.json            the matrix spec + shard plan workers read
-//! <dir>/partial-000042.ehsp one completed shard's records (checksummed)
+//! <dir>/job.json            the job header (plan) + the matrix spec workers read
+//! <dir>/partial-000042.ehsp one completed shard's records
 //! <dir>/frontier.ckpt       the merged prefix: cumulative digest + groups
 //! ```
 //!
@@ -13,7 +14,7 @@
 //! order, and each partial is deleted once merged — so at any kill
 //! point the directory is one of: nothing (cold start), a frontier
 //! covering shards `0..k` plus zero or more completed partials `>= k`,
-//! or a stale `.tmp` some worker never finished (ignored; workers
+//! or a stale `.wip` some worker never finished (ignored; workers
 //! recreate it). Every file carries the sweep [`fingerprint`]
 //! (matrix + shard size), so a directory can never resume a different
 //! sweep: a mismatched frontier is a typed
@@ -23,9 +24,9 @@
 //! [`fingerprint`]: crate::wire::fingerprint
 
 use crate::metrics::{FleetDigest, GroupAxis, GroupedDigest};
-use crate::wire::{
-    self, hex64, member, parse_hex64, Fnv64, Json, PartialHeader, ShardRecord, Wire,
-};
+use crate::scenario::ScenarioMatrix;
+use crate::tally::tally;
+use crate::wire::{self, unseal, PartialHeader, SealedWriter, ShardRecord, Wire, WIRE_VERSION};
 use ehdl::ShardError;
 use std::fs;
 use std::io::Write;
@@ -59,6 +60,75 @@ impl Frontier {
                 .collect(),
         }
     }
+
+    /// Decodes a sealed frontier and the fingerprint of the sweep it
+    /// belongs to. Any error means the file is unusable.
+    pub(crate) fn unseal(text: &str) -> Result<(u64, Frontier), String> {
+        let (header, mut lines) = unseal::<FrontierHeader>(text)?;
+        if header.ehdl_frontier != WIRE_VERSION {
+            return Err(format!("frontier version {}", header.ehdl_frontier));
+        }
+        let digest = FleetDigest::from_json(lines.next().ok_or("missing digest line")?)?;
+        let grouped = lines
+            .map(|line| GroupedDigest::decode(&wire::Json::parse(line)?))
+            .collect::<Result<_, String>>()?;
+        let frontier = Frontier {
+            merged_shards: header.merged_shards,
+            digest,
+            grouped,
+        };
+        Ok((header.fingerprint, frontier))
+    }
+}
+
+/// The first line of the frontier file.
+struct FrontierHeader {
+    ehdl_frontier: u64,
+    fingerprint: u64,
+    merged_shards: usize,
+}
+
+tally! {
+    wire FrontierHeader { ehdl_frontier, fingerprint, merged_shards, }
+}
+
+/// The first line of the job file: the sweep identity and shard plan
+/// every worker checks before it runs. The matrix spec follows on the
+/// one body line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct JobHeader {
+    pub ehdl_shard_job: u64,
+    pub fingerprint: u64,
+    pub shard_size: usize,
+    pub threads: usize,
+}
+
+tally! {
+    wire JobHeader { ehdl_shard_job, fingerprint, shard_size, threads, }
+}
+
+/// Decodes and verifies a job file: the seal, the version, a non-zero
+/// shard size, a matrix that decodes, and a fingerprint that its
+/// canonical re-encoding reproduces — so a corrupt or hand-edited job
+/// fails before any scenario runs.
+pub(crate) fn read_job(text: &str) -> Result<(JobHeader, ScenarioMatrix), String> {
+    let (header, lines) = unseal::<JobHeader>(text)?;
+    if header.ehdl_shard_job != WIRE_VERSION {
+        return Err(format!("job file version {}", header.ehdl_shard_job));
+    }
+    if header.shard_size == 0 {
+        return Err("job file has a zero shard_size".to_string());
+    }
+    let &[matrix] = lines.collect::<Vec<_>>().as_slice() else {
+        return Err("job file wants exactly one matrix line".to_string());
+    };
+    let matrix = wire::matrix_from(&wire::Json::parse(matrix)?)
+        .map_err(|e| format!("job matrix does not parse: {e}"))?;
+    let json = wire::matrix_json(&matrix).map_err(|e| e.to_string())?;
+    if wire::fingerprint(&json, header.shard_size) != header.fingerprint {
+        return Err("job fingerprint does not match its matrix".to_string());
+    }
+    Ok((header, matrix))
 }
 
 fn ck(e: std::io::Error, what: &str, path: &Path) -> ShardError {
@@ -144,12 +214,40 @@ impl CheckpointStore {
         fs::rename(&tmp, path).map_err(|e| ck(e, "could not publish", path))
     }
 
-    /// Publishes the job spec workers read (always rewritten on run
+    /// Seals `header` and `lines` into `path` atomically.
+    fn write_sealed(
+        &self,
+        path: &Path,
+        header: &impl Wire,
+        lines: &[String],
+    ) -> Result<(), ShardError> {
+        let mut writer = SealedWriter::new(Vec::new(), header).map_err(|e| ck(e, "seal", path))?;
+        for line in lines {
+            writer.line(line).map_err(|e| ck(e, "seal", path))?;
+        }
+        let bytes = writer.finish().map_err(|e| ck(e, "seal", path))?;
+        self.write_atomic(path, &bytes)
+    }
+
+    /// Reads a checkpoint file; `Ok(None)` when there is none. Bytes
+    /// that are not UTF-8 are replaced, so they fail the seal like any
+    /// other corruption instead of failing the read.
+    fn read(&self, path: &Path) -> Result<Option<String>, ShardError> {
+        match fs::read(path) {
+            Ok(bytes) => Ok(Some(String::from_utf8_lossy(&bytes).into_owned())),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(ck(e, "could not read", path)),
+        }
+    }
+
+    /// Publishes the job file workers read (always rewritten on run
     /// start, so a resumed sweep never reads a stale plan).
-    pub(crate) fn write_job(&self, job_json: &str) -> Result<(), ShardError> {
-        let mut bytes = job_json.as_bytes().to_vec();
-        bytes.push(b'\n');
-        self.write_atomic(&self.job_path(), &bytes)
+    pub(crate) fn write_job(
+        &self,
+        header: &JobHeader,
+        matrix_json: &str,
+    ) -> Result<(), ShardError> {
+        self.write_sealed(&self.job_path(), header, &[matrix_json.to_string()])
     }
 
     /// Loads and fully verifies one shard partial. `Ok(None)` means
@@ -162,10 +260,8 @@ impl CheckpointStore {
         expect: PartialHeader,
     ) -> Result<Option<Vec<ShardRecord>>, ShardError> {
         let path = self.partial_path(shard);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(ck(e, "could not read", &path)),
+        let Some(text) = self.read(&path)? else {
+            return Ok(None);
         };
         match wire::read_partial(&text) {
             Ok((header, records)) if header == expect => Ok(Some(records)),
@@ -188,44 +284,28 @@ impl CheckpointStore {
         }
     }
 
-    /// Persists the merge frontier atomically. Called after every
-    /// merged shard, so a kill at any point loses at most the shards
-    /// not yet merged — and their partials are still on disk.
+    /// Persists the merge frontier atomically: a header naming the
+    /// sweep, the digest line, then one line per grouped axis. Called
+    /// after every merged shard, so a kill at any point loses at most
+    /// the shards not yet merged — and their partials are still on
+    /// disk.
     pub(crate) fn save_frontier(
         &self,
         frontier: &Frontier,
         fingerprint: u64,
     ) -> Result<(), ShardError> {
-        let mut text = format!(
-            "{{\"ehdl_frontier\":{},\"fingerprint\":\"{}\",\"merged_shards\":{},\"groups\":",
-            wire::WIRE_VERSION,
-            hex64(fingerprint),
-            frontier.merged_shards
-        );
-        let axes: Vec<String> = frontier
-            .grouped
-            .iter()
-            .map(|gd| gd.axis.name().into())
-            .collect();
-        axes.encode(&mut text);
-        text.push_str("}\n");
-        text.push_str("{\"digest\":");
-        text.push_str(&frontier.digest.to_json());
-        text.push_str("}\n");
+        let header = FrontierHeader {
+            ehdl_frontier: WIRE_VERSION,
+            fingerprint,
+            merged_shards: frontier.merged_shards,
+        };
+        let mut lines = vec![frontier.digest.to_json()];
         for gd in &frontier.grouped {
-            for (key, digest) in &gd.groups {
-                text.push_str(&format!(
-                    "{{\"axis\":\"{}\",\"key\":\"{}\",\"digest\":{}}}\n",
-                    gd.axis.name(),
-                    crate::metrics::json_escape(key),
-                    digest.to_json()
-                ));
-            }
+            let mut line = String::new();
+            gd.encode(&mut line);
+            lines.push(line);
         }
-        let mut hash = Fnv64::new();
-        hash.write(text.as_bytes());
-        text.push_str(&format!("{{\"checksum\":\"{}\"}}\n", hex64(hash.finish())));
-        self.write_atomic(&self.frontier_path(), text.as_bytes())
+        self.write_sealed(&self.frontier_path(), &header, &lines)
     }
 
     /// Restores the merge frontier, if one is usable.
@@ -243,113 +323,41 @@ impl CheckpointStore {
         fingerprint: u64,
         axes: &[GroupAxis],
     ) -> Result<Option<Frontier>, ShardError> {
-        let path = self.frontier_path();
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(ck(e, "could not read", &path)),
+        let Some(text) = self.read(&self.frontier_path())? else {
+            return Ok(None);
         };
-        match Self::parse_frontier(&text, fingerprint, axes) {
-            Ok(frontier) => Ok(Some(frontier)),
-            Err(FrontierError::Fatal(e)) => Err(e),
-            // Corrupt (a kill mid-rename can't cause this, but bit rot
-            // can): start cold rather than trust it.
-            Err(FrontierError::Corrupt(reason)) => {
+        // Corrupt (a kill mid-rename can't cause this, but bit rot
+        // can): start cold rather than trust it.
+        let (found, frontier) = match Frontier::unseal(&text) {
+            Ok(decoded) => decoded,
+            Err(reason) => {
                 eprintln!(
                     "ehdl-fleet: ignoring corrupt frontier in {} ({reason}); starting cold",
                     self.dir.display()
                 );
-                Ok(None)
+                return Ok(None);
             }
-        }
-    }
-
-    fn parse_frontier(
-        text: &str,
-        fingerprint: u64,
-        axes: &[GroupAxis],
-    ) -> Result<Frontier, FrontierError> {
-        let corrupt = |m: &str| FrontierError::Corrupt(m.to_string());
-        let body = text
-            .strip_suffix('\n')
-            .ok_or_else(|| corrupt("no trailing newline"))?;
-        let footer_start = body.rfind('\n').map_or(0, |i| i + 1);
-        let footer = Json::parse(&body[footer_start..]).map_err(FrontierError::Corrupt)?;
-        let claimed = footer
-            .get("checksum")
-            .and_then(|c| c.as_str())
-            .and_then(parse_hex64)
-            .ok_or_else(|| corrupt("bad checksum field"))?;
-        let mut hash = Fnv64::new();
-        hash.write(&text.as_bytes()[..footer_start]);
-        if hash.finish() != claimed {
-            return Err(corrupt("checksum mismatch"));
-        }
-        // Checksum verified: structural errors past this point are
-        // still "corrupt" (cold start), but identity mismatches are
-        // fatal — the file is intact and disagrees with this run.
-        let mut lines = text[..footer_start].lines();
-        let header = lines
-            .next()
-            .and_then(|l| Json::parse(l).ok())
-            .ok_or_else(|| corrupt("missing header"))?;
-        if header.get("ehdl_frontier").and_then(Json::as_u64) != Some(wire::WIRE_VERSION) {
-            return Err(corrupt("wrong frontier version"));
-        }
-        let found = header
-            .get("fingerprint")
-            .and_then(|s| s.as_str())
-            .and_then(parse_hex64)
-            .ok_or_else(|| corrupt("bad fingerprint field"))?;
+        };
+        // Intact, but it disagrees with this run: surface it.
         if found != fingerprint {
-            return Err(FrontierError::Fatal(ShardError::CheckpointMismatch {
+            return Err(ShardError::CheckpointMismatch {
                 expected: fingerprint,
                 found,
-            }));
+            });
         }
-        let recorded_axes: Vec<String> =
-            member(&header, "groups").map_err(|_| corrupt("bad groups field"))?;
+        let recorded: Vec<&str> = frontier.grouped.iter().map(|gd| gd.axis.name()).collect();
         let requested: Vec<&str> = axes.iter().map(|a| a.name()).collect();
-        if recorded_axes != requested {
-            return Err(FrontierError::Fatal(ShardError::Checkpoint {
+        if recorded != requested {
+            return Err(ShardError::Checkpoint {
                 message: format!(
-                    "frontier was merged with group axes {recorded_axes:?} but this run \
+                    "frontier was merged with group axes {recorded:?} but this run \
                      requests {requested:?}; merged partials are gone, so the groups \
                      cannot be rebuilt — use a fresh checkpoint directory"
                 ),
-            }));
+            });
         }
-        let merged_shards =
-            member(&header, "merged_shards").map_err(|_| corrupt("bad merged_shards field"))?;
-        let digest_line = lines.next().ok_or_else(|| corrupt("missing digest"))?;
-        let digest = Json::parse(digest_line)
-            .and_then(|v| member(&v, "digest"))
-            .map_err(FrontierError::Corrupt)?;
-        let mut frontier = Frontier::empty(axes);
-        frontier.merged_shards = merged_shards;
-        frontier.digest = digest;
-        for line in lines {
-            let v = Json::parse(line).map_err(FrontierError::Corrupt)?;
-            let axis_name: String = member(&v, "axis").map_err(FrontierError::Corrupt)?;
-            let axis = GroupAxis::parse(&axis_name).ok_or_else(|| corrupt("unknown group axis"))?;
-            let key: String = member(&v, "key").map_err(FrontierError::Corrupt)?;
-            let digest = member(&v, "digest").map_err(FrontierError::Corrupt)?;
-            let gd = frontier
-                .grouped
-                .iter_mut()
-                .find(|gd| gd.axis == axis)
-                .ok_or_else(|| corrupt("group line for unrequested axis"))?;
-            gd.groups.push((key, digest));
-        }
-        Ok(frontier)
+        Ok(Some(frontier))
     }
-}
-
-enum FrontierError {
-    /// The file is unusable; resume cold.
-    Corrupt(String),
-    /// The file is intact but belongs to a different run; surface it.
-    Fatal(ShardError),
 }
 
 #[cfg(test)]
@@ -408,6 +416,90 @@ mod tests {
         // No frontier at all is a cold start.
         fs::remove_file(&path).unwrap();
         assert_eq!(store.load_frontier(0xfeed, &axes).unwrap(), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bytes_that_are_not_utf8_are_corruption_not_read_errors() {
+        let dir = std::env::temp_dir().join(format!("ehdl-ckpt-utf8-test-{}", std::process::id()));
+        let store = CheckpointStore::open(&dir).unwrap();
+        let axes = [GroupAxis::Strategy, GroupAxis::EnergyBudget];
+        store.save_frontier(&sample_frontier(), 0xfeed).unwrap();
+        let header = PartialHeader {
+            ehdl_shard_partial: WIRE_VERSION,
+            shard: 0,
+            start: 0,
+            len: 0,
+            fingerprint: 0xfeed,
+            runs: 1,
+        };
+        let sealed = SealedWriter::new(Vec::new(), &header).unwrap();
+        fs::write(store.partial_path(0), sealed.finish().unwrap()).unwrap();
+        assert_eq!(store.load_partial(0, header).unwrap(), Some(Vec::new()));
+        for path in [store.frontier_path(), store.partial_path(0)] {
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[10] = 0xff;
+            fs::write(&path, bytes).unwrap();
+        }
+        // A corrupt frontier is a cold start; a corrupt partial is
+        // deleted so its shard re-runs.
+        assert_eq!(store.load_frontier(0xfeed, &axes).unwrap(), None);
+        assert_eq!(store.load_partial(0, header).unwrap(), None);
+        assert!(!store.partial_path(0).exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn job_files_verify_their_seal_version_plan_and_fingerprint() {
+        let dir = std::env::temp_dir().join(format!("ehdl-ckpt-job-test-{}", std::process::id()));
+        let store = CheckpointStore::open(&dir).unwrap();
+        let matrix = ScenarioMatrix::new().seeds(vec![1, 2, 3]);
+        let json = wire::matrix_json(&matrix).unwrap();
+        let job = JobHeader {
+            ehdl_shard_job: WIRE_VERSION,
+            fingerprint: wire::fingerprint(&json, 2),
+            shard_size: 2,
+            threads: 3,
+        };
+        let read = |header: &JobHeader| {
+            store.write_job(header, &json).unwrap();
+            read_job(&fs::read_to_string(store.job_path()).unwrap())
+        };
+        let (back, back_matrix) = read(&job).unwrap();
+        assert_eq!(back, job);
+        assert_eq!(wire::matrix_json(&back_matrix).unwrap(), json);
+        // A flipped byte fails the seal.
+        let text = fs::read_to_string(store.job_path()).unwrap();
+        let flipped = text.replacen("\"threads\":3", "\"threads\":4", 1);
+        assert!(read_job(&flipped).unwrap_err().contains("checksum"));
+        // Sealed but wrong: another version, no shards, or a
+        // fingerprint the matrix does not reproduce.
+        for (bad, why) in [
+            (
+                JobHeader {
+                    ehdl_shard_job: 4,
+                    ..job
+                },
+                "version",
+            ),
+            (
+                JobHeader {
+                    shard_size: 0,
+                    ..job
+                },
+                "shard_size",
+            ),
+            (
+                JobHeader {
+                    shard_size: 3,
+                    ..job
+                },
+                "fingerprint",
+            ),
+        ] {
+            let err = read(&bad).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -381,15 +381,26 @@ impl ScenarioMatrix {
 
     /// Number of scenarios the matrix expands to.
     pub fn len(&self) -> usize {
-        self.environments.len()
-            * self.strategies.len()
-            * self.boards.len()
-            * self.workloads.len()
-            * self.seeds.len()
-            * self.budgets.len()
-            * self.faults.len()
-            * self.integrities.len()
-            * self.topologies.len()
+        self.axis_lens().iter().product()
+    }
+
+    /// [`len`](Self::len), or `None` when the count overflows a `usize`.
+    pub(crate) fn checked_len(&self) -> Option<usize> {
+        self.axis_lens().into_iter().try_fold(1, usize::checked_mul)
+    }
+
+    fn axis_lens(&self) -> [usize; 9] {
+        [
+            self.environments.len(),
+            self.strategies.len(),
+            self.boards.len(),
+            self.workloads.len(),
+            self.seeds.len(),
+            self.budgets.len(),
+            self.faults.len(),
+            self.integrities.len(),
+            self.topologies.len(),
+        ]
     }
 
     /// `true` if any axis is empty.

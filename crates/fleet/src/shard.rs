@@ -36,27 +36,20 @@
 //! # Ok::<(), ehdl::Error>(())
 //! ```
 
-use crate::checkpoint::{CheckpointStore, Frontier};
+use crate::checkpoint::{read_job, CheckpointStore, Frontier, JobHeader};
 use crate::metrics::{FleetDigest, GroupAxis, GroupedDigest, MetricsSink, RunRecord};
 use crate::runner::FleetRunner;
 use crate::scenario::{Scenario, ScenarioMatrix};
-use crate::wire::{self, hex64, Json, PartialHeader, PartialWriter, ShardRecord};
+use crate::wire::{self, hex64, Json, PartialHeader, SealedWriter, ShardRecord};
 use core::fmt;
 use ehdl::{Error, ShardError};
 use std::fs;
-use std::io::{BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Environment variable for test-only fault injection in workers:
-/// `kill:<shard>` aborts that shard mid-write on every attempt;
-/// `kill-once:<shard>` aborts the first attempt only (a sentinel file
-/// in the checkpoint directory remembers the trip). See
-/// [`worker_main`].
-pub const FAULT_ENV: &str = "EHDL_SHARD_FAULT";
 
 /// One contiguous run of scenario indices assigned to a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,7 +209,6 @@ pub struct ShardCoordinator {
     worker_threads: usize,
     retries: u32,
     backoff: Duration,
-    backoff_seed: u64,
     timeout: Option<Duration>,
     checkpoint_dir: Option<PathBuf>,
     group_by: Vec<GroupAxis>,
@@ -238,7 +230,6 @@ impl ShardCoordinator {
             worker_threads: 2,
             retries: 2,
             backoff: Duration::from_millis(250),
-            backoff_seed: 0,
             timeout: None,
             checkpoint_dir: None,
             group_by: Vec::new(),
@@ -276,21 +267,11 @@ impl ShardCoordinator {
     }
 
     /// Initial retry backoff; doubles per subsequent attempt, then a
-    /// deterministic per-(seed, shard, attempt) jitter scales each
-    /// delay into `[50%, 100%)` of its exponential slot (see
-    /// [`retry_backoff`]) so simultaneous failures never retry in
-    /// lockstep.
+    /// deterministic per-(shard, attempt) jitter scales each delay into
+    /// `[50%, 100%)` of its exponential slot (see [`retry_backoff`]) so
+    /// simultaneous failures never retry in lockstep.
     pub fn backoff(mut self, backoff: Duration) -> Self {
         self.backoff = backoff;
-        self
-    }
-
-    /// Seed of the deterministic retry jitter. The same seed replays
-    /// the exact same backoff schedule — shard for shard, attempt for
-    /// attempt — so flake reproductions are bit-faithful timing-wise
-    /// too. Defaults to 0.
-    pub fn backoff_seed(mut self, seed: u64) -> Self {
-        self.backoff_seed = seed;
         self
     }
 
@@ -332,7 +313,8 @@ impl ShardCoordinator {
     /// # Errors
     ///
     /// [`ShardError::BadPlan`] for an unrunnable plan (zero shard
-    /// size, empty matrix, shard larger than the matrix),
+    /// size, an empty matrix or one whose scenario count overflows a
+    /// `usize`, shard larger than the matrix),
     /// [`Error::Config`] for invalid executor
     /// tunables, [`ShardError::Protocol`] for a matrix with no wire
     /// form, [`ShardError::CheckpointMismatch`] /
@@ -342,28 +324,23 @@ impl ShardCoordinator {
     /// shard that exhausts retries degrades the report instead
     /// (see [`ShardReport::failed`]).
     pub fn run(&self, matrix: &ScenarioMatrix) -> Result<ShardReport, Error> {
-        let total = matrix.len();
+        let bad_plan = |message: String| Err(ShardError::BadPlan { message }.into());
+        let total = match matrix.checked_len() {
+            None => return bad_plan("the matrix's scenario count overflows a usize".into()),
+            Some(0) => {
+                return bad_plan("the matrix expands to zero scenarios (an axis is empty)".into())
+            }
+            Some(total) => total,
+        };
         if self.shard_size == 0 {
-            return Err(ShardError::BadPlan {
-                message: "shard size is zero".to_string(),
-            }
-            .into());
-        }
-        if total == 0 {
-            return Err(ShardError::BadPlan {
-                message: "the matrix expands to zero scenarios (an axis is empty)".to_string(),
-            }
-            .into());
+            return bad_plan("shard size is zero".to_string());
         }
         if self.shard_size > total {
-            return Err(ShardError::BadPlan {
-                message: format!(
-                    "shard size {} exceeds the {total}-scenario matrix; shrink the shards \
-                     or run in-process",
-                    self.shard_size
-                ),
-            }
-            .into());
+            return bad_plan(format!(
+                "shard size {} exceeds the {total}-scenario matrix; shrink the shards or run \
+                 in-process",
+                self.shard_size
+            ));
         }
         // Fail on invalid executor tunables here, not in every worker.
         matrix.executor.validate().map_err(Error::from)?;
@@ -427,25 +404,8 @@ impl ShardCoordinator {
 
     fn plan(&self, total: usize) -> Vec<ShardRange> {
         (0..total.div_ceil(self.shard_size))
-            .map(|shard| {
-                let start = shard * self.shard_size;
-                ShardRange {
-                    shard,
-                    start,
-                    len: self.shard_size.min(total - start),
-                }
-            })
+            .map(|shard| shard_range(total, self.shard_size, shard))
             .collect()
-    }
-
-    fn header_for(&self, range: ShardRange, fingerprint: u64, runs: u32) -> PartialHeader {
-        PartialHeader {
-            shard: range.shard as u64,
-            start: range.start as u64,
-            len: range.len as u64,
-            fingerprint,
-            runs,
-        }
     }
 
     #[allow(clippy::too_many_lines)]
@@ -469,14 +429,13 @@ impl ShardCoordinator {
             .unwrap_or_else(|| Frontier::empty(&self.group_by));
         frontier.merged_shards = frontier.merged_shards.min(n_shards);
         let mut resumed = frontier.merged_shards;
-        store.write_job(&format!(
-            "{{\"ehdl_shard_job\":{},\"fingerprint\":\"{}\",\"shard_size\":{},\
-             \"threads\":{},\"matrix\":{matrix_json}}}",
-            wire::WIRE_VERSION,
-            hex64(fingerprint),
-            self.shard_size,
-            self.worker_threads
-        ))?;
+        let job = JobHeader {
+            ehdl_shard_job: wire::WIRE_VERSION,
+            fingerprint,
+            shard_size: self.shard_size,
+            threads: self.worker_threads,
+        };
+        store.write_job(&job, matrix_json)?;
 
         let now = Instant::now();
         let mut states: Vec<ShardState> = Vec::with_capacity(n_shards);
@@ -486,7 +445,7 @@ impl ShardCoordinator {
             } else if store
                 .load_partial(
                     range.shard,
-                    self.header_for(*range, fingerprint, matrix.runs),
+                    partial_header(*range, fingerprint, matrix.runs),
                 )?
                 .is_some()
             {
@@ -501,7 +460,6 @@ impl ShardCoordinator {
             }
         }
 
-        let mut retries = 0u64;
         let mut events: Vec<ShardEvent> = Vec::new();
         let mut fatal: Option<Error> = None;
         let mut last_progress = Instant::now();
@@ -518,79 +476,52 @@ impl ShardCoordinator {
                     continue;
                 };
                 let attempt = *attempt;
-                match child.try_wait() {
+                let failure = match child.try_wait() {
                     Ok(Some(status)) if status.success() => {
-                        let header = self.header_for(plan[shard], fingerprint, matrix.runs);
+                        let header = partial_header(plan[shard], fingerprint, matrix.runs);
                         match store.load_partial(shard, header) {
                             Err(e) => {
                                 fatal = Some(e.into());
                                 break 'sweep;
                             }
-                            Ok(Some(_)) => states[shard] = ShardState::Ready,
+                            Ok(Some(_)) => {
+                                states[shard] = ShardState::Ready;
+                                continue;
+                            }
+                            // Exit 0 but no valid partial: protocol
+                            // breach; retry like any failure.
                             Ok(None) => {
-                                // Exit 0 but no valid partial: protocol
-                                // breach; retry like any failure.
-                                states[shard] = self.next_attempt(
-                                    shard,
-                                    attempt,
-                                    &mut retries,
-                                    &mut events,
-                                    "worker exited successfully without a valid partial"
-                                        .to_string(),
-                                );
+                                "worker exited successfully without a valid partial".to_string()
                             }
                         }
                     }
-                    Ok(Some(status)) => {
-                        let detail = stderr.read();
-                        states[shard] = self.next_attempt(
-                            shard,
-                            attempt,
-                            &mut retries,
-                            &mut events,
-                            format!("worker exited with {status}{detail}"),
-                        );
-                    }
-                    Ok(None) => {
-                        if let Some(timeout) = self.timeout {
-                            if started.elapsed() > timeout {
-                                let _ = child.kill();
-                                let _ = child.wait();
-                                // The tail of what the worker managed to
-                                // say before the kill often names the
-                                // hang.
-                                let detail = stderr.read();
-                                let message = format!(
-                                    "worker exceeded the {timeout:?} shard timeout{detail}"
-                                );
-                                events.push(ShardEvent {
-                                    shard,
-                                    attempt: attempt + 1,
-                                    kind: ShardEventKind::Timeout,
-                                    detail: message.clone(),
-                                });
-                                states[shard] = self.next_attempt(
-                                    shard,
-                                    attempt,
-                                    &mut retries,
-                                    &mut events,
-                                    message,
-                                );
-                            }
+                    Ok(Some(status)) => format!("worker exited with {status}{}", stderr.read()),
+                    Ok(None) => match self.timeout {
+                        Some(timeout) if started.elapsed() > timeout => {
+                            let _ = child.kill();
+                            let _ = child.wait();
+                            // The tail of what the worker managed to say
+                            // before the kill often names the hang.
+                            let detail = stderr.read();
+                            let message =
+                                format!("worker exceeded the {timeout:?} shard timeout{detail}");
+                            events.push(ShardEvent {
+                                shard,
+                                attempt: attempt + 1,
+                                kind: ShardEventKind::Timeout,
+                                detail: message.clone(),
+                            });
+                            message
                         }
-                    }
+                        _ => continue,
+                    },
                     Err(e) => {
                         let _ = child.kill();
                         let _ = child.wait();
-                        states[shard] = self.next_attempt(
-                            shard,
-                            attempt,
-                            &mut retries,
-                            &mut events,
-                            format!("could not poll worker: {e}"),
-                        );
+                        format!("could not poll worker: {e}")
                     }
-                }
+                };
+                states[shard] = self.next_attempt(shard, attempt, &mut events, failure);
             }
 
             // 2. Merge the ready prefix, persisting the frontier as it
@@ -602,7 +533,7 @@ impl ShardCoordinator {
                 if !matches!(states[shard], ShardState::Ready) {
                     break;
                 }
-                let header = self.header_for(plan[shard], fingerprint, matrix.runs);
+                let header = partial_header(plan[shard], fingerprint, matrix.runs);
                 let records = match store.load_partial(shard, header) {
                     Err(e) => {
                         fatal = Some(e.into());
@@ -668,8 +599,7 @@ impl ShardCoordinator {
                             kind: ShardEventKind::SpawnFailed,
                             detail: message.clone(),
                         });
-                        *state =
-                            self.next_attempt(shard, attempt, &mut retries, &mut events, message);
+                        *state = self.next_attempt(shard, attempt, &mut events, message);
                     }
                 }
             }
@@ -717,7 +647,10 @@ impl ShardCoordinator {
             merged_shards: frontier.merged_shards,
             total_scenarios: total,
             resumed_shards: resumed,
-            retries,
+            retries: events
+                .iter()
+                .filter(|e| e.kind == ShardEventKind::Retry)
+                .count() as u64,
             failed,
             events,
         })
@@ -775,7 +708,6 @@ impl ShardCoordinator {
         &self,
         shard: usize,
         attempt: u32,
-        retries: &mut u64,
         events: &mut Vec<ShardEvent>,
         message: String,
     ) -> ShardState {
@@ -790,7 +722,6 @@ impl ShardCoordinator {
             });
             ShardState::Failed { error: message }
         } else {
-            *retries += 1;
             events.push(ShardEvent {
                 shard,
                 attempt: failures,
@@ -799,8 +730,7 @@ impl ShardCoordinator {
             });
             ShardState::Pending {
                 attempt: failures,
-                ready_at: Instant::now()
-                    + retry_backoff(self.backoff, self.backoff_seed, shard, failures),
+                ready_at: Instant::now() + retry_backoff(self.backoff, shard, failures),
             }
         }
     }
@@ -869,15 +799,14 @@ fn heartbeat_done(store: &CheckpointStore, shard: usize) -> u64 {
 
 /// The retry delay for one failed shard attempt: the classic doubling
 /// schedule (`base * 2^(attempt-1)`) scaled by a deterministic jitter
-/// in `[0.5, 1.0)` drawn from SplitMix64 over `(seed, shard, attempt)`.
+/// in `[0.5, 1.0)` drawn from SplitMix64 over `(shard, attempt)`.
 /// A pure function — the same inputs always produce the same delay, so
-/// a seeded sweep's retry timing replays exactly, while distinct shards
+/// a sweep's retry timing replays exactly, while distinct shards
 /// failing at the same instant still spread out instead of thundering
 /// back in lockstep.
-pub fn retry_backoff(base: Duration, seed: u64, shard: usize, attempt: u32) -> Duration {
+pub fn retry_backoff(base: Duration, shard: usize, attempt: u32) -> Duration {
     let exponential = base * 2u32.saturating_pow(attempt.saturating_sub(1));
-    let mut z = seed
-        ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    let mut z = (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -987,22 +916,46 @@ impl StderrTail {
 
 // -------------------------------------------------------------- worker
 
+/// Shard `shard` of a `total`-scenario plan cut into `size`-scenario
+/// shards; `shard` must be in the plan.
+fn shard_range(total: usize, size: usize, shard: usize) -> ShardRange {
+    let start = shard * size;
+    ShardRange {
+        shard,
+        start,
+        len: size.min(total - start),
+    }
+}
+
+/// The header a shard's partial must carry.
+fn partial_header(range: ShardRange, fingerprint: u64, runs: u32) -> PartialHeader {
+    PartialHeader {
+        ehdl_shard_partial: wire::WIRE_VERSION,
+        shard: range.shard as u64,
+        start: range.start as u64,
+        len: range.len as u64,
+        fingerprint,
+        runs,
+    }
+}
+
 /// The worker half of the shard protocol — call this from a binary's
 /// `main` with its command-line arguments (the shipped
 /// `fleet_shard_worker` binary is exactly that, and benches/examples
 /// reuse it to act as their own workers).
 ///
-/// Arguments: `--job <job.json> --shard <n>`, plus `--stdout` to
-/// stream the partial to standard output instead of the checkpoint
-/// directory. The worker rebuilds the matrix from the job file,
-/// verifies the sweep fingerprint, runs scenarios
+/// Arguments: `--job <job.json> --shard <n>`. The worker verifies the
+/// sealed job file (checksum, version, and the sweep fingerprint its
+/// matrix reproduces), runs scenarios
 /// `n*shard_size .. (n+1)*shard_size` through an in-process
-/// [`FleetRunner`], and publishes the checksummed partial atomically
-/// (`.tmp`, fsync, rename).
+/// [`FleetRunner`], and publishes the sealed partial next to the job
+/// atomically (`.wip`, fsync, rename).
 ///
-/// Fault injection for tests rides on a `--fault <spec>` argument
-/// (passed through [`ShardCoordinator::worker_command`] prefix args)
-/// or, failing that, the [`FAULT_ENV`] environment variable.
+/// Fault injection for tests rides on a `--fault <spec>` argument,
+/// passed through [`ShardCoordinator::worker_command`] prefix args:
+/// `kill:<shard>` aborts that shard mid-write on every attempt;
+/// `kill-once:<shard>` aborts the first attempt only (a sentinel file
+/// in the checkpoint directory remembers the trip).
 ///
 /// # Errors
 ///
@@ -1018,7 +971,6 @@ pub fn worker_main(args: &[String]) -> Result<(), Error> {
     };
     let mut job_path: Option<PathBuf> = None;
     let mut shard: Option<usize> = None;
-    let mut to_stdout = false;
     let mut fault_spec: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -1030,96 +982,51 @@ pub fn worker_main(args: &[String]) -> Result<(), Error> {
                     return Err(proto("--shard wants an unsigned integer".to_string()));
                 }
             }
-            "--stdout" => to_stdout = true,
             "--fault" => fault_spec = it.next().cloned(),
             other => return Err(proto(format!("unknown worker argument {other:?}"))),
         }
     }
-    let fault_spec = fault_spec.or_else(|| std::env::var(FAULT_ENV).ok());
     let job_path = job_path.ok_or_else(|| proto("missing --job <path>".to_string()))?;
     let shard = shard.ok_or_else(|| proto("missing --shard <n>".to_string()))?;
 
     let job_text = fs::read_to_string(&job_path)
         .map_err(|e| proto(format!("could not read job {}: {e}", job_path.display())))?;
-    let job =
-        Json::parse(job_text.trim_end()).map_err(|e| proto(format!("malformed job file: {e}")))?;
-    if job.get("ehdl_shard_job").and_then(Json::as_u64) != Some(wire::WIRE_VERSION) {
-        return Err(proto("job file has the wrong version".to_string()));
-    }
-    let shard_size = job
-        .get("shard_size")
-        .and_then(Json::as_usize)
-        .filter(|&s| s > 0)
-        .ok_or_else(|| proto("job file has a bad shard_size".to_string()))?;
-    let threads = job
-        .get("threads")
-        .and_then(Json::as_usize)
-        .unwrap_or(1)
-        .max(1);
-    let claimed = job
-        .get("fingerprint")
-        .and_then(|s| s.as_str())
-        .and_then(wire::parse_hex64)
-        .ok_or_else(|| proto("job file has a bad fingerprint".to_string()))?;
-    let matrix = job
-        .req("matrix")
-        .and_then(wire::matrix_from)
-        .map_err(|e| proto(format!("job matrix does not parse: {e}")))?;
-    // The round trip is canonical, so re-serializing the parsed matrix
-    // must reproduce the fingerprint — this catches a corrupt or
-    // hand-edited job before any scenario runs.
-    let fingerprint = wire::fingerprint(&wire::matrix_json(&matrix)?, shard_size);
-    if fingerprint != claimed {
-        return Err(proto(format!(
-            "job fingerprint {} does not match its matrix ({})",
-            hex64(claimed),
-            hex64(fingerprint)
-        )));
-    }
+    let (job, matrix) = read_job(&job_text).map_err(|e| proto(format!("bad job file: {e}")))?;
     let total = matrix.len();
-    let n_shards = total.div_ceil(shard_size);
+    let n_shards = total.div_ceil(job.shard_size);
     if shard >= n_shards {
         return Err(Error::Shard(ShardError::Protocol {
             shard,
             message: format!("the plan has only {n_shards} shards"),
         }));
     }
-    let start = shard * shard_size;
-    let len = shard_size.min(total - start);
-    let header = PartialHeader {
-        shard: shard as u64,
-        start: start as u64,
-        len: len as u64,
-        fingerprint,
-        runs: matrix.runs,
-    };
+    let range = shard_range(total, job.shard_size, shard);
     let dir = job_path.parent().unwrap_or(Path::new(".")).to_path_buf();
-    let die_after = fault_trip(fault_spec.as_deref(), &dir, shard, len);
-    let runner = FleetRunner::new(threads).range(start..start + len);
-
-    if to_stdout {
-        let sink =
-            ShardRecordSink::new(BufWriter::new(std::io::stdout()), header, die_after, None)?;
-        let (records, mut writer) = runner.sink(sink).run(&matrix)?;
-        writer.flush().map_err(Error::from)?;
-        debug_assert_eq!(records, len as u64);
-        return Ok(());
-    }
     let store = CheckpointStore::open(&dir)?;
     let heartbeat = Heartbeat {
         store: store.clone(),
-        shard,
-        start: start as u64,
-        len: len as u64,
+        range,
         started: Instant::now(),
         last: None,
     };
-    let tmp = dir.join(format!("partial-{shard:06}.ehsp.tmp"));
-    let final_path = dir.join(format!("partial-{shard:06}.ehsp"));
+    let final_path = store.partial_path(shard);
+    let tmp = final_path.with_extension("wip");
     let file = fs::File::create(&tmp).map_err(Error::from)?;
-    let sink = ShardRecordSink::new(BufWriter::new(file), header, die_after, Some(heartbeat))?;
-    let (records, writer) = runner.sink(sink).run(&matrix)?;
-    debug_assert_eq!(records, len as u64);
+    let sink = ShardRecordSink {
+        writer: SealedWriter::new(
+            BufWriter::new(file),
+            &partial_header(range, job.fingerprint, matrix.runs),
+        )
+        .map_err(Error::from)?,
+        die_after: fault_trip(fault_spec.as_deref(), &dir, shard, range.len),
+        written: 0,
+        heartbeat,
+    };
+    let (records, writer) = FleetRunner::new(job.threads.max(1))
+        .range(range.start..range.start + range.len)
+        .sink(sink)
+        .run(&matrix)?;
+    debug_assert_eq!(records, range.len as u64);
     let file = writer
         .into_inner()
         .map_err(|e| Error::from(e.into_error()))?;
@@ -1127,7 +1034,6 @@ pub fn worker_main(args: &[String]) -> Result<(), Error> {
     drop(file);
     fs::rename(&tmp, &final_path).map_err(Error::from)?;
     store.remove_heartbeat(shard);
-    println!("{{\"shard\":{shard},\"records\":{records}}}");
     Ok(())
 }
 
@@ -1154,18 +1060,18 @@ fn fault_trip(spec: Option<&str>, dir: &Path, shard: usize, len: usize) -> Optio
     }
 }
 
-/// The worker-side sink: streams one wire record per scenario through
-/// a [`PartialWriter`]. Opening and folding mirror
+/// The worker-side sink: streams one wire record per scenario into the
+/// sealed partial. Opening and folding mirror
 /// [`DigestSink`](crate::DigestSink) exactly — the record carries the
 /// very partial an in-process sweep would merge.
-struct ShardRecordSink<W: Write + Send> {
-    writer: PartialWriter<W>,
+struct ShardRecordSink {
+    writer: SealedWriter<BufWriter<fs::File>>,
     /// Test-only fault injection: abort the process after this many
     /// records, leaving a truncated temp file like a real mid-shard
     /// kill would.
     die_after: Option<u64>,
     written: u64,
-    heartbeat: Option<Heartbeat>,
+    heartbeat: Heartbeat,
 }
 
 /// Live-progress publication for one worker: a throttled
@@ -1175,9 +1081,7 @@ struct ShardRecordSink<W: Write + Send> {
 /// are swallowed.
 struct Heartbeat {
     store: CheckpointStore,
-    shard: usize,
-    start: u64,
-    len: u64,
+    range: ShardRange,
     started: Instant,
     last: Option<Instant>,
 }
@@ -1199,37 +1103,21 @@ impl Heartbeat {
         } else {
             0.0
         };
+        let ShardRange { shard, start, len } = self.range;
         let _ = self.store.write_heartbeat(
-            self.shard,
+            shard,
             &format!(
-                "{{\"shard\":{},\"start\":{},\"len\":{},\"done\":{done},\
-                 \"elapsed_s\":{elapsed:.3},\"scenarios_per_sec\":{rate:.3}}}",
-                self.shard, self.start, self.len
+                "{{\"shard\":{shard},\"start\":{start},\"len\":{len},\"done\":{done},\
+                 \"elapsed_s\":{elapsed:.3},\"scenarios_per_sec\":{rate:.3}}}"
             ),
         );
     }
 }
 
-impl<W: Write + Send> ShardRecordSink<W> {
-    fn new(
-        writer: W,
-        header: PartialHeader,
-        die_after: Option<u64>,
-        heartbeat: Option<Heartbeat>,
-    ) -> Result<Self, Error> {
-        Ok(ShardRecordSink {
-            writer: PartialWriter::new(writer, header).map_err(Error::from)?,
-            die_after,
-            written: 0,
-            heartbeat,
-        })
-    }
-}
-
-impl<W: Write + Send> MetricsSink for ShardRecordSink<W> {
+impl MetricsSink for ShardRecordSink {
     type Partial = ShardRecord;
     /// Records written, plus the inner writer for fsync-and-rename.
-    type Report = (u64, W);
+    type Report = (u64, BufWriter<fs::File>);
 
     fn open(&self, scenario: &Scenario, accuracy: f64) -> ShardRecord {
         ShardRecord {
@@ -1248,11 +1136,9 @@ impl<W: Write + Send> MetricsSink for ShardRecordSink<W> {
     }
 
     fn merge(&mut self, partial: ShardRecord) -> Result<(), Error> {
-        self.writer.write_record(&partial).map_err(Error::from)?;
+        self.writer.line(&partial.to_line()).map_err(Error::from)?;
         self.written += 1;
-        if let Some(hb) = self.heartbeat.as_mut() {
-            hb.beat(self.written);
-        }
+        self.heartbeat.beat(self.written);
         if self.die_after == Some(self.written) {
             // Simulate a mid-shard kill: leave a half-written line
             // behind and die without unwinding.
@@ -1262,7 +1148,7 @@ impl<W: Write + Send> MetricsSink for ShardRecordSink<W> {
         Ok(())
     }
 
-    fn finish(self) -> Result<(u64, W), Error> {
+    fn finish(self) -> Result<Self::Report, Error> {
         let writer = self.writer.finish().map_err(Error::from)?;
         Ok((self.written, writer))
     }
@@ -1278,15 +1164,12 @@ mod tests {
         for shard in [0usize, 1, 7, 500] {
             for attempt in 1..=5u32 {
                 assert_eq!(
-                    retry_backoff(base, 42, shard, attempt),
-                    retry_backoff(base, 42, shard, attempt),
+                    retry_backoff(base, shard, attempt),
+                    retry_backoff(base, shard, attempt),
                     "shard {shard} attempt {attempt}"
                 );
             }
         }
-        // A different seed replays a different (but equally fixed)
-        // schedule.
-        assert_ne!(retry_backoff(base, 42, 3, 2), retry_backoff(base, 43, 3, 2));
     }
 
     #[test]
@@ -1295,7 +1178,7 @@ mod tests {
         for attempt in 1..=6u32 {
             let slot = base * 2u32.pow(attempt - 1);
             for shard in 0..50usize {
-                let d = retry_backoff(base, 7, shard, attempt);
+                let d = retry_backoff(base, shard, attempt);
                 assert!(d >= slot / 2, "attempt {attempt} shard {shard}: {d:?}");
                 assert!(d < slot, "attempt {attempt} shard {shard}: {d:?}");
             }
@@ -1308,7 +1191,7 @@ mod tests {
         // delay (that lockstep is exactly what jitter exists to break).
         let base = Duration::from_millis(250);
         let delays: Vec<Duration> = (0..8usize)
-            .map(|shard| retry_backoff(base, 0, shard, 1))
+            .map(|shard| retry_backoff(base, shard, 1))
             .collect();
         let mut unique = delays.clone();
         unique.sort();

@@ -5,18 +5,19 @@
 //! *bit for bit*, so floats never round-trip through decimal: every
 //! `f64` travels as the 16-hex-digit image of [`f64::to_bits`] (and
 //! `f32` as 8 digits). Integers are decimal; [`crate::StatsDigest`]
-//! bins are sparse `[bin, count]` pairs. A shard partial is a JSONL
-//! file — one versioned header line, one record line per scenario in
-//! matrix order, and a footer carrying the record count plus an
-//! FNV-1a 64 checksum of every preceding byte — so a truncated or
-//! corrupted partial is detected before it can poison a merge.
+//! bins are sparse `[bin, count]` pairs. Every file the shard store
+//! persists — partials, the merge frontier, the job file — is *sealed*
+//! ([`SealedWriter`], [`unseal`]): one versioned header line, body
+//! lines, and a footer carrying the body line count plus an FNV-1a 64
+//! checksum of every preceding byte, so a truncated or corrupted file
+//! is detected before it can poison a merge or a worker.
 //!
 //! The container ships no JSON dependency, so this module carries its
 //! own writer (string building, like [`crate::JsonlSink`]) and a small
 //! recursive-descent parser ([`Json`]).
 
 use crate::digest::StatsDigest;
-use crate::metrics::{json_escape, FleetDigest, GroupAxis};
+use crate::metrics::{json_escape, FleetDigest, GroupAxis, GroupedDigest};
 use crate::profile::PhaseProfile;
 use crate::scenario::{ScenarioMatrix, Workload};
 use crate::tally::tally;
@@ -27,8 +28,9 @@ use ehdl::{BoardSpec, CalibrationConfig, ShardError, Strategy};
 use ehdl_netsim::NetworkTopology;
 use std::fmt::Write as _;
 use std::io::{self, Write};
+use std::str::Lines;
 
-/// Wire format version stamped into partial headers and frontiers.
+/// Wire format version stamped into every sealed file's header.
 /// Version 2 added the fault-injection axis to matrix specs, the
 /// `fault` label to shard records, the `resilience` block to digests,
 /// and eviction counts to cache counters. Version 3 added the network
@@ -37,12 +39,15 @@ use std::io::{self, Write};
 /// digests. Version 4 added the checkpoint-integrity axis to matrix
 /// specs, the `integrity` label to shard records, the `integrity`
 /// block to digests, bit-flip rates and wear curves to fault specs,
-/// and poll retries to topologies.
-pub(crate) const WIRE_VERSION: u64 = 4;
+/// and poll retries to topologies. Version 5 sealed the frontier and
+/// the job file the way partials are sealed, made every header a
+/// codec-generated object with a decimal fingerprint, and wrote the
+/// frontier's groups one line per axis.
+pub(crate) const WIRE_VERSION: u64 = 5;
 
 // ------------------------------------------------------------- hashing
 
-/// Incremental FNV-1a 64 — the checksum of partials and frontiers.
+/// Incremental FNV-1a 64 — the checksum of sealed files.
 /// Not cryptographic; it guards against truncation and bit rot, not
 /// adversaries.
 #[derive(Debug, Clone)]
@@ -675,83 +680,42 @@ impl ShardRecord {
     }
 }
 
-// ------------------------------------------------------ partial files
+// ------------------------------------------------------- sealed files
 
-/// The first line of a shard partial: which shard of which sweep this
-/// is, so a stale or foreign file can never merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PartialHeader {
-    pub shard: u64,
-    pub start: u64,
-    pub len: u64,
-    pub fingerprint: u64,
-    pub runs: u32,
-}
-
-impl PartialHeader {
-    fn to_line(self) -> String {
-        format!(
-            "{{\"ehdl_shard_partial\":{WIRE_VERSION},\"shard\":{},\"start\":{},\"len\":{},\
-             \"fingerprint\":\"{}\",\"runs\":{}}}",
-            self.shard,
-            self.start,
-            self.len,
-            hex64(self.fingerprint),
-            self.runs
-        )
-    }
-
-    fn from_line(line: &str) -> Result<PartialHeader, String> {
-        let v = Json::parse(line)?;
-        let version: u64 = member(&v, "ehdl_shard_partial")?;
-        if version != WIRE_VERSION {
-            return Err(format!("wire version {version}, expected {WIRE_VERSION}"));
-        }
-        Ok(PartialHeader {
-            shard: member(&v, "shard")?,
-            start: member(&v, "start")?,
-            len: member(&v, "len")?,
-            fingerprint: v
-                .req("fingerprint")?
-                .as_str()
-                .and_then(parse_hex64)
-                .ok_or_else(|| "bad field fingerprint".to_string())?,
-            runs: member(&v, "runs")?,
-        })
-    }
-}
-
-/// Streams a shard partial: header, records, checksummed footer. The
-/// checksum covers every byte before the footer line, so any
-/// truncation — mid-line or whole-line — fails verification.
+/// Streams a sealed line file: one header line, body lines, then the
+/// footer `{"records":N,"checksum":"<fnv64>"}`, where N counts the body
+/// lines and the FNV-1a 64 covers every byte before the footer — so any
+/// truncation, mid-line or whole-line, fails [`unseal`]. Shard
+/// partials, the merge frontier and the job file are all sealed.
 #[derive(Debug)]
-pub(crate) struct PartialWriter<W: Write> {
+pub(crate) struct SealedWriter<W: Write> {
     writer: W,
     hash: Fnv64,
-    records: u64,
+    /// Lines written, the header included.
+    lines: u64,
 }
 
-impl<W: Write> PartialWriter<W> {
-    pub(crate) fn new(writer: W, header: PartialHeader) -> io::Result<Self> {
-        let mut this = PartialWriter {
+impl<W: Write> SealedWriter<W> {
+    /// Starts a sealed file with its header line.
+    pub(crate) fn new(writer: W, header: &impl Wire) -> io::Result<Self> {
+        let mut this = SealedWriter {
             writer,
             hash: Fnv64::new(),
-            records: 0,
+            lines: 0,
         };
-        this.line(&header.to_line())?;
+        let mut line = String::new();
+        header.encode(&mut line);
+        this.line(&line)?;
         Ok(this)
     }
 
-    fn line(&mut self, text: &str) -> io::Result<()> {
+    /// Appends one body line.
+    pub(crate) fn line(&mut self, text: &str) -> io::Result<()> {
+        self.lines += 1;
         self.hash.write(text.as_bytes());
         self.hash.write(b"\n");
         self.writer.write_all(text.as_bytes())?;
         self.writer.write_all(b"\n")
-    }
-
-    pub(crate) fn write_record(&mut self, record: &ShardRecord) -> io::Result<()> {
-        self.records += 1;
-        self.line(&record.to_line())
     }
 
     /// Writes raw bytes without checksumming them — test-only fault
@@ -765,21 +729,19 @@ impl<W: Write> PartialWriter<W> {
     /// fsync-and-rename by the caller.
     pub(crate) fn finish(mut self) -> io::Result<W> {
         let footer = format!(
-            "{{\"records\":{},\"checksum\":\"{}\"}}",
-            self.records,
+            "{{\"records\":{},\"checksum\":\"{}\"}}\n",
+            self.lines - 1,
             hex64(self.hash.finish())
         );
         self.writer.write_all(footer.as_bytes())?;
-        self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         Ok(self.writer)
     }
 }
 
-/// Parses and verifies a complete shard partial: checksum, record
-/// count, and record indices contiguous over the header's range.
-/// Returns the header and the records in matrix order.
-pub(crate) fn read_partial(text: &str) -> Result<(PartialHeader, Vec<ShardRecord>), String> {
+/// Verifies a sealed file — checksum and body line count — and decodes
+/// its header. Returns the header and the body lines.
+pub(crate) fn unseal<H: Wire>(text: &str) -> Result<(H, Lines<'_>), String> {
     let body = text
         .strip_suffix('\n')
         .ok_or_else(|| "truncated (no trailing newline)".to_string())?;
@@ -797,22 +759,48 @@ pub(crate) fn read_partial(text: &str) -> Result<(PartialHeader, Vec<ShardRecord
         return Err("checksum mismatch".to_string());
     }
     let mut lines = text[..footer_start].lines();
-    let header =
-        PartialHeader::from_line(lines.next().ok_or_else(|| "missing header".to_string())?)?;
+    let header = lines.next().ok_or_else(|| "missing header".to_string())?;
+    let records = lines.clone().count();
+    if records as u64 != claimed_records {
+        return Err(format!(
+            "footer claims {claimed_records} records, found {records}"
+        ));
+    }
+    let header = H::decode(&Json::parse(header)?).map_err(|e| format!("bad header: {e}"))?;
+    Ok((header, lines))
+}
+
+/// The header of a shard partial: which shard of which sweep this is,
+/// so a stale or foreign file can never merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PartialHeader {
+    /// The wire version, [`WIRE_VERSION`] when written.
+    pub ehdl_shard_partial: u64,
+    pub shard: u64,
+    pub start: u64,
+    pub len: u64,
+    pub fingerprint: u64,
+    pub runs: u32,
+}
+
+tally! {
+    wire PartialHeader { ehdl_shard_partial, shard, start, len, fingerprint, runs, }
+}
+
+/// Parses and verifies a complete shard partial: the seal, then one
+/// record per scenario of the header's range, in index order. Returns
+/// the header and the records in matrix order.
+pub(crate) fn read_partial(text: &str) -> Result<(PartialHeader, Vec<ShardRecord>), String> {
+    let (header, lines) = unseal::<PartialHeader>(text)?;
     let records: Vec<ShardRecord> = lines
         .map(ShardRecord::from_line)
         .collect::<Result<_, _>>()?;
-    if records.len() as u64 != claimed_records || claimed_records != header.len {
+    let range = (0..header.len).map(|i| header.start.checked_add(i));
+    if !records.iter().map(|r| Some(r.index)).eq(range) {
         return Err(format!(
-            "expected {} records, found {}",
-            header.len,
-            records.len()
+            "records do not cover scenarios {}+{} in order",
+            header.start, header.len
         ));
-    }
-    for (i, record) in records.iter().enumerate() {
-        if record.index != header.start + i as u64 {
-            return Err(format!("record {} out of order: index {}", i, record.index));
-        }
     }
     Ok((header, records))
 }
@@ -849,9 +837,13 @@ pub(crate) fn matrix_json(m: &ScenarioMatrix) -> Result<String, ShardError> {
 }
 
 /// Rebuilds a [`ScenarioMatrix`] from [`matrix_json`]'s output,
-/// validating every topology.
+/// validating every topology and that the scenario count fits a
+/// `usize`.
 pub(crate) fn matrix_from(v: &Json) -> Result<ScenarioMatrix, String> {
     let m = ScenarioMatrix::decode(v)?;
+    if m.checked_len().is_none() {
+        return Err("the matrix's scenario count overflows a usize".to_string());
+    }
     for topology in &m.topologies {
         topology.validate().map_err(|e| e.to_string())?;
     }
@@ -879,6 +871,21 @@ tally! {
 
 tally! {
     wire CalibrationConfig { samples, percentile, }
+}
+
+impl Wire for GroupAxis {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.name());
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let name = String::decode(v)?;
+        GroupAxis::parse(&name).ok_or_else(|| format!("unknown group axis {name:?}"))
+    }
+}
+
+tally! {
+    wire GroupedDigest { axis, groups, }
 }
 
 impl Wire for Strategy {
@@ -1469,16 +1476,17 @@ mod tests {
         });
     }
 
-    #[test]
-    fn partials_verify_and_reject_corruption() {
+    /// A two-record partial, sealed the way a shard worker seals one.
+    fn sample_partial() -> (PartialHeader, String) {
         let header = PartialHeader {
+            ehdl_shard_partial: WIRE_VERSION,
             shard: 3,
             start: 42,
             len: 2,
             fingerprint: 0xdead_beef,
             runs: 1,
         };
-        let mut writer = PartialWriter::new(Vec::new(), header).unwrap();
+        let mut writer = SealedWriter::new(Vec::new(), &header).unwrap();
         for i in 0..2u64 {
             let record = ShardRecord {
                 index: 42 + i,
@@ -1495,10 +1503,15 @@ mod tests {
                 .map(str::to_string),
                 digest: sample_digest(),
             };
-            writer.write_record(&record).unwrap();
+            writer.line(&record.to_line()).unwrap();
         }
-        let bytes = writer.finish().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = String::from_utf8(writer.finish().unwrap()).unwrap();
+        (header, text)
+    }
+
+    #[test]
+    fn partials_verify_and_reject_corruption() {
+        let (header, text) = sample_partial();
         let (back_header, records) = read_partial(&text).unwrap();
         assert_eq!(back_header, header);
         assert_eq!(records.len(), 2);
@@ -1514,6 +1527,127 @@ mod tests {
         assert!(read_partial(&corrupt).unwrap_err().contains("checksum"));
         // An empty file is detected.
         assert!(read_partial("").is_err());
+        // A footer that miscounts the body is detected, even with a
+        // valid checksum.
+        let footer_start = text.trim_end().rfind('\n').unwrap() + 1;
+        let miscounted = text.replacen("\"records\":2", "\"records\":3", 1);
+        assert_eq!(miscounted[..footer_start], text[..footer_start]);
+        assert!(read_partial(&miscounted).unwrap_err().contains("records"));
+    }
+
+    /// A header line written verbatim, so tests can re-seal mutated
+    /// files.
+    struct RawLine(String);
+
+    impl Wire for RawLine {
+        fn encode(&self, out: &mut String) {
+            out.push_str(&self.0);
+        }
+
+        fn decode(_: &Json) -> Result<Self, String> {
+            Err("write-only".to_string())
+        }
+    }
+
+    /// Re-seals everything before a (possibly mutated) file's last
+    /// line. FNV-1a is not a MAC, so the mutant gets past the checksum
+    /// into the decoders' header, count, order and fingerprint checks.
+    fn reseal(text: &str) -> String {
+        let body = text.trim_end_matches('\n');
+        let mut lines = body[..body.rfind('\n').unwrap_or(0)].lines();
+        let header = RawLine(lines.next().unwrap_or_default().to_string());
+        let mut writer = SealedWriter::new(Vec::new(), &header).unwrap();
+        for line in lines {
+            writer.line(line).unwrap();
+        }
+        String::from_utf8(writer.finish().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn sealed_store_files_survive_seeded_mutations() {
+        use crate::checkpoint::{read_job, CheckpointStore, Frontier, JobHeader};
+        // Valid seeds from the store's own writers: a partial, a
+        // frontier with two grouped axes, and a job file.
+        let dir = std::env::temp_dir().join(format!("ehdl-wire-fuzz-{}", std::process::id()));
+        let store = CheckpointStore::open(&dir).unwrap();
+        let matrix = sample_matrix();
+        let json = matrix_json(&matrix).unwrap();
+        let job = JobHeader {
+            ehdl_shard_job: WIRE_VERSION,
+            fingerprint: fingerprint(&json, 7),
+            shard_size: 7,
+            threads: 2,
+        };
+        store.write_job(&job, &json).unwrap();
+        let record = sample_record();
+        let mut frontier = Frontier::empty(&[GroupAxis::Strategy, GroupAxis::Environment]);
+        frontier.merged_shards = 4;
+        frontier.digest = sample_digest();
+        for (gd, key) in frontier
+            .grouped
+            .iter_mut()
+            .zip(["ACE+FLEX", "lab, \"day 2\""])
+        {
+            gd.groups.push((key.to_string(), record.digest.clone()));
+            gd.groups.push(("other".to_string(), FleetDigest::new()));
+        }
+        store.save_frontier(&frontier, 0xfeed).unwrap();
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        let valid = [sample_partial().1, read("frontier.ckpt"), read("job.json")];
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(read_partial(&valid[0]).is_ok());
+        assert_eq!(Frontier::unseal(&valid[1]).unwrap(), (0xfeed, frontier));
+        assert_eq!(read_job(&valid[2]).unwrap().0, job);
+
+        // Each mutant goes to every decoder twice: as mutated, and
+        // re-sealed. Whatever decodes must render, merge and plan.
+        survive_mutations(0x5ea1, 3_000, &valid, |text| {
+            let mut ok = 0;
+            for text in [text.to_string(), reseal(text)] {
+                if let Ok((header, records)) = read_partial(&text) {
+                    let mut digest = FleetDigest::new();
+                    for r in &records {
+                        digest.merge(&r.digest);
+                    }
+                    assert_eq!(records.len() as u64, header.len);
+                    let _ = digest.to_string();
+                    ok += 1;
+                }
+                if let Ok((_, frontier)) = Frontier::unseal(&text) {
+                    let mut digest = frontier.digest.clone();
+                    for gd in &frontier.grouped {
+                        let _ = gd.to_string();
+                        for (_, d) in &gd.groups {
+                            digest.merge(d);
+                        }
+                    }
+                    let _ = digest.to_string();
+                    ok += 1;
+                }
+                if let Ok((job, matrix)) = read_job(&text) {
+                    let _ = matrix.len().div_ceil(job.shard_size);
+                    ok += 1;
+                }
+            }
+            ok
+        });
+    }
+
+    #[test]
+    fn matrices_whose_scenario_count_overflows_usize_are_rejected() {
+        // Eight axes of 256 entries expand to 2^64 scenarios.
+        let matrix = ScenarioMatrix::new()
+            .environments(vec![catalog::bench_supply(); 256])
+            .strategies(vec![Strategy::Flex; 256])
+            .boards(vec![BoardSpec::Msp430Fr5994; 256])
+            .workloads(vec![Workload::Har { samples: 1 }; 256])
+            .seeds((0..256).collect())
+            .energy_budgets_nj(vec![None; 256])
+            .faults(vec![FaultSpec::none(); 256])
+            .integrities(vec![Integrity::None; 256]);
+        let json = matrix_json(&matrix).unwrap();
+        let err = matrix_from(&Json::parse(&json).unwrap()).unwrap_err();
+        assert!(err.contains("usize"), "{err}");
     }
 
     fn sample_matrix() -> ScenarioMatrix {
