@@ -169,9 +169,10 @@ impl CheckpointStore {
     /// telemetry, not state: a lost or stale one degrades the progress
     /// line, never the sweep, so callers ignore the error.
     pub(crate) fn write_heartbeat(&self, shard: usize, json: &str) -> Result<(), ShardError> {
-        let mut bytes = json.as_bytes().to_vec();
-        bytes.push(b'\n');
-        self.write_atomic(&self.heartbeat_path(shard), &bytes)
+        let path = self.heartbeat_path(shard);
+        let mut file = self.create(&path)?;
+        writeln!(file, "{json}").map_err(|e| ck(e, "could not write", &path))?;
+        self.publish(&path, file)
     }
 
     /// Deletes a shard's heartbeat if present (worker done, or shard
@@ -203,12 +204,18 @@ impl CheckpointStore {
         self.dir.join("frontier.ckpt")
     }
 
-    /// Writes `bytes` to `path` atomically: temp file, fsync, rename.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), ShardError> {
+    /// Creates the `.wip` twin of `path` that [`publish`](Self::publish)
+    /// later moves into place.
+    pub(crate) fn create(&self, path: &Path) -> Result<fs::File, ShardError> {
         let tmp = path.with_extension("wip");
-        let mut file = fs::File::create(&tmp).map_err(|e| ck(e, "could not create", &tmp))?;
-        file.write_all(bytes)
-            .and_then(|()| file.sync_all())
+        fs::File::create(&tmp).map_err(|e| ck(e, "could not create", &tmp))
+    }
+
+    /// Fsyncs `file`, the twin [`create`](Self::create) made for
+    /// `path`, and renames it over `path`.
+    pub(crate) fn publish(&self, path: &Path, file: fs::File) -> Result<(), ShardError> {
+        let tmp = path.with_extension("wip");
+        file.sync_all()
             .map_err(|e| ck(e, "could not write", &tmp))?;
         drop(file);
         fs::rename(&tmp, path).map_err(|e| ck(e, "could not publish", path))
@@ -221,12 +228,16 @@ impl CheckpointStore {
         header: &impl Wire,
         lines: &[String],
     ) -> Result<(), ShardError> {
-        let mut writer = SealedWriter::new(Vec::new(), header).map_err(|e| ck(e, "seal", path))?;
-        for line in lines {
-            writer.line(line).map_err(|e| ck(e, "seal", path))?;
-        }
-        let bytes = writer.finish().map_err(|e| ck(e, "seal", path))?;
-        self.write_atomic(path, &bytes)
+        let file = self.create(path)?;
+        let seal = || {
+            let mut writer = SealedWriter::new(file, header)?;
+            for line in lines {
+                writer.line(line)?;
+            }
+            writer.finish()
+        };
+        let file = seal().map_err(|e| ck(e, "could not write", path))?;
+        self.publish(path, file)
     }
 
     /// Reads a checkpoint file; `Ok(None)` when there is none. Bytes

@@ -402,12 +402,6 @@ impl ShardCoordinator {
             })
     }
 
-    fn plan(&self, total: usize) -> Vec<ShardRange> {
-        (0..total.div_ceil(self.shard_size))
-            .map(|shard| shard_range(total, self.shard_size, shard))
-            .collect()
-    }
-
     #[allow(clippy::too_many_lines)]
     fn drive(
         &self,
@@ -418,7 +412,9 @@ impl ShardCoordinator {
         worker: &(PathBuf, Vec<String>),
         total: usize,
     ) -> Result<ShardReport, Error> {
-        let plan = self.plan(total);
+        let plan: Vec<ShardRange> = (0..total.div_ceil(self.shard_size))
+            .map(|shard| shard_range(total, self.shard_size, shard))
+            .collect();
         let n_shards = plan.len();
         // A previous coordinator killed mid-sweep leaves orphaned
         // heartbeat files behind; drop them before the progress line
@@ -1009,9 +1005,8 @@ pub fn worker_main(args: &[String]) -> Result<(), Error> {
         started: Instant::now(),
         last: None,
     };
-    let final_path = store.partial_path(shard);
-    let tmp = final_path.with_extension("wip");
-    let file = fs::File::create(&tmp).map_err(Error::from)?;
+    let path = store.partial_path(shard);
+    let file = store.create(&path)?;
     let sink = ShardRecordSink {
         writer: SealedWriter::new(
             BufWriter::new(file),
@@ -1030,9 +1025,7 @@ pub fn worker_main(args: &[String]) -> Result<(), Error> {
     let file = writer
         .into_inner()
         .map_err(|e| Error::from(e.into_error()))?;
-    file.sync_all().map_err(Error::from)?;
-    drop(file);
-    fs::rename(&tmp, &final_path).map_err(Error::from)?;
+    store.publish(&path, file)?;
     store.remove_heartbeat(shard);
     Ok(())
 }
