@@ -293,18 +293,6 @@ impl Deployment {
     pub fn strategy(&self) -> Strategy {
         self.strategy
     }
-
-    /// Decomposes the deployment into its owned parts (the inverse of
-    /// [`from_parts`](Self::from_parts), minus the monitor override).
-    pub fn into_parts(self) -> (QuantizedModel, AceProgram, Calibration, BoardSpec, Strategy) {
-        (
-            self.quantized,
-            self.program,
-            self.calibration,
-            self.board_spec,
-            self.strategy,
-        )
-    }
 }
 
 /// Configures and builds a [`Deployment`]. Created by

@@ -109,13 +109,6 @@ impl<'d> DeviceSession<'d> {
         &self.plan
     }
 
-    /// A cheap handle to the session's plan, for opening further
-    /// sessions over the same (workload, board, strategy) without
-    /// recompiling (see [`Deployment::session_with_plan`]).
-    pub fn plan_handle(&self) -> Arc<ExecutionPlan> {
-        Arc::clone(&self.plan)
-    }
-
     /// Runs one inference under continuous power: bit-exact reference
     /// arithmetic for the *values*, the cached continuous-power pricing
     /// run for the *costs* (see [`continuous_cost`](Self::continuous_cost);
@@ -459,7 +452,7 @@ mod tests {
             Capacitor::new(15e-6, 3.3, 3.0, 1.8),
         );
         let mut own = d.session();
-        let mut shared = d.session_with_plan(own.plan_handle());
+        let mut shared = d.session_with_plan(Arc::new(d.compile_plan()));
         let a = own.infer_intermittent(&supply);
         let b = shared.infer_intermittent(&supply);
         assert_eq!(a, b);

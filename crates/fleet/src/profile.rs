@@ -23,14 +23,16 @@
 //! machine-dependent, so they never enter a [`FleetDigest`]
 //! (crate::FleetDigest) or any other sink — those stay bit-identical
 //! with profiling on or off. What *is* deterministic: every span/lookup
-//! **count** at one worker, and cache `hits + misses` totals at any
-//! worker count (the trace hit/miss *split* can shift when racing
-//! workers both record the same trajectory). Of the set-up spans,
+//! **count** at one worker and, while no cache evicts, every cache
+//! counter and every span count but `slot_wait`'s at any worker count —
+//! each deployment and plan is built, and each trace recorded, exactly
+//! once, by the first scenario that claims it. Of the set-up spans,
 //! `deploy_build` and `plan_compile` count one build per key and
-//! residency at any worker count when every build succeeds (a
-//! deployment built ahead of need is still its key's one build),
-//! `world_resolve` counts one span per networked scenario, and
-//! `slot_wait` spans exist only when workers contend.
+//! residency when every build succeeds (a deployment built ahead of
+//! need is still its key's one build), `world_resolve` counts one span
+//! per networked scenario, and `slot_wait` spans exist only when
+//! workers contend: on a deployment or plan another worker is building,
+//! or on a trace another worker is recording.
 
 use crate::digest::StatsDigest;
 use crate::tally::tally;

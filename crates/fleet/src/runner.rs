@@ -2,14 +2,14 @@
 //! [`MetricsSink`].
 
 use crate::metrics::{FullReportSink, MetricsSink, RunRecord};
-use crate::profile::PhaseProfile;
-use crate::scenario::{Scenario, ScenarioMatrix, Workload};
+use crate::profile::{CacheCounters, PhaseProfile};
+use crate::scenario::{Scenario, ScenarioMatrix};
 use ehdl::deployment::quantized_accuracy;
 use ehdl::ehsim::{
-    ExecPhase, ExecProbe, ExecutionPlan, FaultPlan, Integrity, IntermittentExecutor, NullProbe,
-    PowerSupply, RunOptions, RunReport, RunTrace, SpanTimer, TimelineRecorder,
+    ExecPhase, ExecProbe, ExecutionPlan, FaultPlan, IntermittentExecutor, NullProbe, PowerSupply,
+    RunOptions, RunReport, RunTrace, SpanTimer, TimelineRecorder,
 };
-use ehdl::{BoardSpec, CalibrationConfig, Deployment, DeviceSession, Error, Strategy};
+use ehdl::{CalibrationConfig, Deployment, DeviceSession, Error};
 use ehdl_netsim::{DeviceTimeline, SharedField, WorldSim};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -21,7 +21,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
 /// The default [`cache_entries`](FleetRunner::cache_entries) bound for
-/// the deployment and trace caches — generous enough that every sweep
+/// the deployment, plan and trace caches — generous enough that every sweep
 /// in the repo (and any reasonably shaped matrix) runs eviction-free,
 /// while still capping residency on adversarially wide axes.
 const DEFAULT_CACHE_ENTRIES: usize = 1024;
@@ -56,13 +56,6 @@ impl<V: Clone> Lru<V> {
         Some(value)
     }
 
-    /// Inserts `value` unless a racing worker already filled the slot
-    /// (first insert wins, like the trace-recording race). Returns the
-    /// resident value.
-    fn insert(&mut self, key: usize, value: V) -> V {
-        self.get_or_insert_with(key, || value)
-    }
-
     /// The value under `key` without refreshing its recency, or
     /// `make()` inserted there if the cache has room. `None` when the
     /// key is absent and inserting it would evict.
@@ -93,14 +86,6 @@ impl<V: Clone> Lru<V> {
         }
         value
     }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evictions
-    }
 }
 
 /// A per-key once-cell: the first worker to find the slot empty builds
@@ -108,6 +93,8 @@ impl<V: Clone> Lru<V> {
 /// never wait on the build; workers needing this key wait for it
 /// instead of building it again — or, for deployments, first build a
 /// later scenario's value ahead of time with [`try_fill`](Self::try_fill).
+/// For traces the build is the recording run itself, so every other
+/// claimant of the tuple waits for that one recording and replays it.
 ///
 /// The contract that keeps cache counters worker-count-invariant:
 /// each value is **claimed** by the scenarios that need it, and exactly
@@ -153,6 +140,21 @@ impl<V> Slot<V> {
         }
     }
 
+    /// Locks the slot for a claim: at once when no other worker holds
+    /// it, otherwise after running `busy` (a build ahead, for
+    /// deployments), timing the wait as [`ExecPhase::SlotWait`].
+    fn acquire(
+        &self,
+        mut profile: Option<&mut PhaseProfile>,
+        busy: impl FnOnce(Option<&mut PhaseProfile>),
+    ) -> MutexGuard<'_, SlotState<V>> {
+        if let Some(state) = self.try_lock() {
+            return state;
+        }
+        busy(profile.as_deref_mut());
+        timed(profile, ExecPhase::SlotWait, || self.lock())
+    }
+
     /// Builds ahead: fills the slot with `init()` only if nobody holds
     /// it and it is empty, leaving the value unclaimed. `init` returning
     /// `None` (a failed build) leaves the slot empty. Returns whether
@@ -185,6 +187,37 @@ impl<V> SlotState<V> {
     }
 }
 
+/// One of the runner's bounded caches: per-key [`Slot`]s in an
+/// [`Lru`], keyed by a dense index derived from the scenario. The lock
+/// guards only the slot table; each value builds under its own slot, so
+/// a worker hitting a built key never waits on another key's build. An
+/// evicted value is rebuilt deterministically on its next miss, so the
+/// bound trades wall-clock for memory without touching any report.
+struct SlotCache<V>(Mutex<Lru<Arc<Slot<V>>>>);
+
+impl<V> SlotCache<V> {
+    fn new(entries: usize) -> Self {
+        SlotCache(Mutex::new(Lru::new(entries)))
+    }
+
+    fn lru(&self) -> MutexGuard<'_, Lru<Arc<Slot<V>>>> {
+        self.0.lock().expect("slot cache lock")
+    }
+
+    /// The slot under `key`, refreshed to most-recently-used, or a new
+    /// empty one (evicting the least-recently-used when full).
+    fn slot(&self, key: usize) -> Arc<Slot<V>> {
+        self.lru().get_or_insert_with(key, Arc::default)
+    }
+
+    /// Records the cache's residency and evictions in `counters`.
+    fn count_into(&self, counters: &mut CacheCounters) {
+        let lru = self.lru();
+        counters.entries = lru.entries.len() as u64;
+        counters.evictions = lru.evictions;
+    }
+}
+
 /// The strategy- and integrity-free half of a scenario's set-up, built
 /// once per (workload, board, seed): the calibrated deployment and its
 /// quantized accuracy on the seed's data slice. Calibration,
@@ -198,38 +231,11 @@ struct Calibrated {
 
 /// What one scenario runs on: its shared calibrated artifact and the
 /// plan lowered from it for the scenario's strategy and integrity
-/// scheme, with the plan's stable slot index (the trace-cache key
-/// component).
+/// scheme.
 struct Lowered {
     artifact: Arc<Calibrated>,
-    plan_slot: usize,
     plan: Arc<ExecutionPlan>,
 }
-
-/// The bounded cache of calibrated artifacts, keyed by the dense
-/// (workload, board, seed) index scenario expansion derives. The lock
-/// guards only the slot table; each artifact builds under its own
-/// [`Slot`].
-type ArtifactCache = Mutex<Lru<Arc<Slot<Calibrated>>>>;
-
-/// The bounded cache of recorded deterministic trajectories, keyed by
-/// the dense (plan, environment, budget, fault) index. A rebuilt entry
-/// is bit-identical to the evicted one (recording is deterministic), so
-/// eviction trades wall-clock for memory without touching any report.
-type TraceCache = Mutex<Lru<Arc<RunTrace>>>;
-
-/// The append-only store of compiled execution plans, one per
-/// (workload, board, strategy, integrity scheme) — the scheme is part
-/// of the key because it changes the plan's durable-write pricing; the
-/// Vec position doubles as the stable `plan_slot` the trace-cache key
-/// is built from. Like artifacts, each plan compiles under its own
-/// [`Slot`] with the store's lock released.
-type PlanStore = Mutex<
-    Vec<(
-        (Workload, BoardSpec, Strategy, Integrity),
-        Arc<Slot<ExecutionPlan>>,
-    )>,
->;
 
 /// Executes a [`ScenarioMatrix`] across a fixed pool of worker threads,
 /// streaming one [`RunRecord`] per (scenario, run) into a
@@ -255,9 +261,9 @@ type PlanStore = Mutex<
 /// and scheme-derived, never data- or environment-derived — and shares
 /// it (via `Arc`) across every environment, seed and worker, so a
 /// 10k-scenario sweep prices each distinct program exactly once.
-/// Deployments and recorded traces live in **bounded LRU caches**
-/// ([`cache_entries`](Self::cache_entries) deep, default 1024):
-/// entries are built lazily by the first worker that needs them,
+/// Deployments, plans and recorded traces live in **bounded LRU
+/// caches** ([`cache_entries`](Self::cache_entries) deep, default
+/// 1024): entries are built lazily by the first worker that needs them,
 /// outside the cache lock under a per-key once-cell, and an evicted
 /// entry is rebuilt deterministically on its next miss, so the cap
 /// trades wall-clock for memory without changing a single report bit.
@@ -268,11 +274,12 @@ type PlanStore = Mutex<
 /// Deterministic environments (every catalog entry except the burst
 /// sources) go one step further: an intermittent run is a pure function
 /// of (plan, environment, budget, fault schedule) — it never reads
-/// input data — so the runner records the trajectory once as a
-/// [`RunTrace`] and replays it for every other seed, run and worker of
-/// that tuple. Replays are bit-identical to live runs by construction
-/// (the per-op meter records are re-applied in order against each
-/// board's own tallies), which is what keeps the report
+/// input data — so the first run that needs a tuple records its
+/// trajectory live as a [`RunTrace`], under the tuple's once-cell, and
+/// every other seed, run and worker of that tuple waits for that
+/// recording and replays it. Replays are bit-identical to live runs by
+/// construction (the per-op meter records are re-applied in order
+/// against each board's own tallies), which is what keeps the report
 /// worker-count-independent.
 ///
 /// Fault injection rides the same machinery: each
@@ -351,7 +358,7 @@ impl<S: MetricsSink> FleetRunner<S> {
         self
     }
 
-    /// Bounds the runner's deployment and trace caches to at most
+    /// Bounds the runner's deployment, plan and trace caches to at most
     /// `entries` resident entries each (clamped to ≥ 1; default 1024).
     /// Evicted entries are rebuilt deterministically on the next miss,
     /// so a tighter cap trades wall-clock for memory without changing
@@ -423,12 +430,9 @@ impl<S: MetricsSink> FleetRunner<S> {
     ///
     /// The profile is a side channel: the sink report stays
     /// **bit-identical** to the unprofiled sweep at any worker count.
-    /// Span and cache-lookup *counts* are deterministic at one worker.
-    /// At higher worker counts the deployment and plan counters stay
-    /// fixed (each key is built exactly once) and the trace cache keeps
-    /// its `hits + misses` total, but racing workers can shift its
-    /// hit/miss split (both recordings of a deterministic pair are
-    /// bit-identical, so either outcome is equally valid). Timings are
+    /// While no cache evicts, every cache counter and every span
+    /// *count* but `slot_wait`'s is the same at any worker count: each
+    /// key is built, or its trace recorded, exactly once. Timings are
     /// wall-clock and therefore never deterministic.
     ///
     /// # Errors
@@ -457,68 +461,40 @@ impl<S: MetricsSink> FleetRunner<S> {
             range,
             sink,
         } = self;
-        // Reject executor tunables that would hang a worker (zero stall
-        // budget, NaN wall clock, non-positive legacy charge step) with
-        // a typed error before any deployment is built — for the base
-        // config and for every budget-axis override of it.
-        matrix.executor.validate().map_err(Error::from)?;
-        let mut executors: Vec<IntermittentExecutor> = Vec::with_capacity(matrix.budgets.len());
-        for budget in &matrix.budgets {
-            let mut config = matrix.executor.clone();
-            if let Some(nj) = *budget {
-                config.energy_budget_nj = Some(nj);
-            }
-            executors.push(IntermittentExecutor::try_new(config)?);
-        }
-        // Reject malformed fault specs (out-of-range rates, sag factor
-        // below 1) up front, then compile each spec's schedule exactly
-        // once — like execution plans, fault plans are shared across
-        // every scenario, seed and worker of the axis value. The
-        // fault-free spec compiles to a disabled plan, which the
-        // executor treats as the pre-fault arithmetic bit for bit.
-        let mut fault_plans: Vec<FaultPlan> = Vec::with_capacity(matrix.faults.len());
-        for spec in &matrix.faults {
-            spec.validate().map_err(Error::from)?;
-            fault_plans.push(FaultPlan::compile(spec));
-        }
+        let (executors, fault_plans) = preflight(matrix)?;
         let mut profile = profiled.then(PhaseProfile::new);
         let scenarios = matrix.scenarios_range(range);
         if scenarios.is_empty() {
             return sink.finish().map(|report| (report, profile));
         }
 
-        // One calibrated artifact per (workload, board, seed) — the
-        // built deployment and its priced accuracy — shared by every
-        // strategy and integrity scheme, since neither is read until a
-        // plan is lowered. The bounded LRU (`cache_entries` deep) holds
-        // per-key once-cells: its lock covers only finding or inserting
-        // a key's slot, and the build runs under that slot alone, so a
-        // worker hitting a built key never waits on another key's
-        // build. A worker that finds its key's slot busy builds a later
-        // key ahead before waiting (see `lower`). Each key still misses
-        // exactly once (until evicted) at any worker count, and a
-        // rebuild after eviction is a pure function of the scenario, so
-        // eviction never changes any report.
-        let artifacts: ArtifactCache = Mutex::new(Lru::new(cache_entries));
-
-        // One execution plan per (workload, board, strategy,
-        // integrity scheme), lowered from the scenario's artifact and
-        // shared across seeds too: the lowered op stream and its costs
-        // depend on the model architecture, the cost table and the
-        // scheme's checkpoint padding, not on the calibration data, so
-        // seed-variant artifacts compile bit-identical plans. Plans are
-        // tiny relative to artifacts and their slot index keys the
-        // trace cache, so this store is append-only, not LRU.
-        let plans: PlanStore = Mutex::new(Vec::new());
-
-        // One trace slot per (plan, environment, budget, fault) tuple;
-        // only deterministic environments ever populate theirs. Budget
-        // and fault schedule are part of the key because both change
-        // the trajectory a recording captures.
+        // Three caches, each `cache_entries` deep, each value built at
+        // most once per residency under its own slot (see `lower` and
+        // `run_scenario`), so every key misses exactly once (until
+        // evicted) at any worker count:
+        // - one calibrated artifact per (workload, board, seed) — the
+        //   built deployment and its priced accuracy — shared by every
+        //   strategy and integrity scheme, since neither is read until
+        //   a plan is lowered;
+        // - one execution plan per (workload, board, strategy,
+        //   integrity scheme), shared across seeds too: the op stream
+        //   and its costs depend on the model architecture, the cost
+        //   table and the scheme's checkpoint padding, not on the
+        //   calibration data;
+        // - one recorded trace per (plan, environment, budget, fault)
+        //   tuple, populated by deterministic environments only. Budget
+        //   and fault schedule are part of the key because both change
+        //   the trajectory a recording captures.
+        let artifacts = SlotCache::new(cache_entries);
+        let plans = SlotCache::new(cache_entries);
+        let traces = SlotCache::new(cache_entries);
+        // `deployment_key` is dense over (workload, board, strategy,
+        // seed, integrity); dropping the seed leaves the plan key.
+        let integrities = matrix.integrities.len();
+        let seeds = matrix.seeds.len();
         let environments = matrix.environments.len();
         let budgets = matrix.budgets.len();
         let faults = matrix.faults.len();
-        let traces: TraceCache = Mutex::new(Lru::new(cache_entries));
 
         // The sink is shared: workers briefly lock it to `open` each
         // scenario's accumulator as they claim it (so at most one
@@ -535,8 +511,11 @@ impl<S: MetricsSink> FleetRunner<S> {
                          ahead: &[Scenario],
                          mut profile: Option<&mut PhaseProfile>|
          -> Result<S::Partial, Error> {
+            let plan_key = scenario.deployment_key / integrities / seeds * integrities
+                + scenario.integrity_key;
             let lowered = lower(
                 scenario,
+                plan_key,
                 ahead,
                 matrix.calibration,
                 &artifacts,
@@ -544,7 +523,7 @@ impl<S: MetricsSink> FleetRunner<S> {
                 profile.as_deref_mut(),
             )?;
             let trace_key = (!reference && !scenario.environment.is_stochastic()).then(|| {
-                ((lowered.plan_slot * environments + scenario.environment_key) * budgets
+                ((plan_key * environments + scenario.environment_key) * budgets
                     + scenario.budget_key)
                     * faults
                     + scenario.fault_key
@@ -570,7 +549,7 @@ impl<S: MetricsSink> FleetRunner<S> {
             Ok(partial)
         };
 
-        // Per-worker profiles (trace-cache counters plus every span a
+        // Per-worker profiles (cache lookup counters plus every span a
         // worker times), merged into the coordinator's profile in
         // worker-index order after the sweep — timings are wall-clock
         // and thus never deterministic, but the merge order is.
@@ -711,13 +690,9 @@ impl<S: MetricsSink> FleetRunner<S> {
             }
             // Residency and eviction counts live in the shared caches,
             // not in any worker's local profile.
-            let artifact_cache = artifacts.into_inner().expect("artifact cache lock");
-            p.caches.deployment.entries = artifact_cache.len() as u64;
-            p.caches.deployment.evictions = artifact_cache.evictions();
-            p.caches.plan.entries = plans.into_inner().expect("plan store lock").len() as u64;
-            let trace_cache = traces.into_inner().expect("trace cache lock");
-            p.caches.trace.entries = trace_cache.len() as u64;
-            p.caches.trace.evictions = trace_cache.evictions();
+            artifacts.count_into(&mut p.caches.deployment);
+            plans.count_into(&mut p.caches.plan);
+            traces.count_into(&mut p.caches.trace);
         }
         sink.into_inner()
             .unwrap_or_else(PoisonError::into_inner)
@@ -744,11 +719,51 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
+/// Checks a matrix before any sweep work and compiles what every
+/// scenario shares: one executor per energy-budget entry and one fault
+/// plan per fault-axis entry. The in-process runner and the shard
+/// coordinator both call it, so a bad matrix fails with the same typed
+/// error on either path, before a deployment is built or a worker is
+/// spawned.
+///
+/// Rejects executor tunables that would hang a worker (zero stall
+/// budget, NaN wall clock, non-positive legacy charge step), for the
+/// base config and every budget override of it, and malformed fault
+/// specs (out-of-range rates, sag factor below 1). Like execution
+/// plans, each fault plan is shared across every scenario, seed and
+/// worker of its axis value; the fault-free spec compiles to a disabled
+/// plan, which the executor treats as the pre-fault arithmetic bit for
+/// bit.
+pub(crate) fn preflight(
+    matrix: &ScenarioMatrix,
+) -> Result<(Vec<IntermittentExecutor>, Vec<FaultPlan>), Error> {
+    matrix.executor.validate().map_err(Error::from)?;
+    let executors = matrix
+        .budgets
+        .iter()
+        .map(|budget| {
+            let mut config = matrix.executor.clone();
+            if let Some(nj) = *budget {
+                config.energy_budget_nj = Some(nj);
+            }
+            IntermittentExecutor::try_new(config).map_err(Error::from)
+        })
+        .collect::<Result<_, _>>()?;
+    let fault_plans = matrix
+        .faults
+        .iter()
+        .map(|spec| {
+            spec.validate().map_err(Error::from)?;
+            Ok(FaultPlan::compile(spec))
+        })
+        .collect::<Result<_, Error>>()?;
+    Ok((executors, fault_plans))
+}
+
 /// Finds or builds what one scenario runs on: its (workload, board,
-/// seed) artifact from the bounded artifact cache, then its (workload,
-/// board, strategy, integrity) plan from the plan store — each built at
-/// most once per residency, under its own [`Slot`] with the cache locks
-/// released.
+/// seed) artifact, then its (workload, board, strategy, integrity) plan
+/// under `plan_key` — each built at most once per residency, under its
+/// own [`Slot`] with the cache locks released.
 ///
 /// A worker whose artifact slot is busy — another worker is building
 /// it — builds ahead instead of idling: [`build_ahead`] fills the first
@@ -763,75 +778,46 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// every deployment build, plan compile and wait on a busy slot.
 fn lower(
     scenario: &Scenario,
+    plan_key: usize,
     ahead: &[Scenario],
     calibration: CalibrationConfig,
-    artifacts: &ArtifactCache,
-    plans: &PlanStore,
+    artifacts: &SlotCache<Calibrated>,
+    plans: &SlotCache<ExecutionPlan>,
     mut profile: Option<&mut PhaseProfile>,
 ) -> Result<Lowered, Error> {
-    let slot = artifacts
-        .lock()
-        .expect("artifact cache lock")
-        .get_or_insert_with(scenario.artifact_key, Arc::default);
-    let mut state = match slot.try_lock() {
-        Some(state) => state,
-        None => {
+    let (artifact, built) = artifacts
+        .slot(scenario.artifact_key)
+        .acquire(profile.as_deref_mut(), |mut profile| {
             build_ahead(ahead, artifacts, |next| {
                 timed(profile.as_deref_mut(), ExecPhase::DeployBuild, || {
                     calibrate(next, calibration)
                 })
             });
-            timed(profile.as_deref_mut(), ExecPhase::SlotWait, || slot.lock())
-        }
-    };
-    let (artifact, built) = state.claim(|| {
-        timed(profile.as_deref_mut(), ExecPhase::DeployBuild, || {
-            calibrate(scenario, calibration)
         })
-    })?;
-    drop(state);
-    let key = (
-        scenario.workload,
-        scenario.board.clone(),
-        scenario.strategy,
-        scenario.integrity,
-    );
-    let (plan_slot, slot) = {
-        let mut plans = plans.lock().expect("plan store lock");
-        let plan_slot = match plans.iter().position(|(k, _)| *k == key) {
-            Some(plan_slot) => plan_slot,
-            None => {
-                plans.push((key, Arc::default()));
-                plans.len() - 1
-            }
-        };
-        (plan_slot, Arc::clone(&plans[plan_slot].1))
-    };
-    let mut state = match slot.try_lock() {
-        Some(state) => state,
-        None => timed(profile.as_deref_mut(), ExecPhase::SlotWait, || slot.lock()),
-    };
-    let Ok((plan, compiled)) = state.claim(|| {
-        Ok::<_, Infallible>(timed(
-            profile.as_deref_mut(),
-            ExecPhase::PlanCompile,
-            || {
-                artifact
-                    .deployment
-                    .compile_plan_for(scenario.strategy, scenario.integrity)
-            },
-        ))
-    });
-    drop(state);
+        .claim(|| {
+            timed(profile.as_deref_mut(), ExecPhase::DeployBuild, || {
+                calibrate(scenario, calibration)
+            })
+        })?;
+    let Ok((plan, compiled)) = plans
+        .slot(plan_key)
+        .acquire(profile.as_deref_mut(), |_| {})
+        .claim(|| {
+            Ok::<_, Infallible>(timed(
+                profile.as_deref_mut(),
+                ExecPhase::PlanCompile,
+                || {
+                    artifact
+                        .deployment
+                        .compile_plan_for(scenario.strategy, scenario.integrity)
+                },
+            ))
+        });
     if let Some(p) = profile {
         p.caches.deployment.lookup(built);
         p.caches.plan.lookup(compiled);
     }
-    Ok(Lowered {
-        artifact,
-        plan_slot,
-        plan,
-    })
+    Ok(Lowered { artifact, plan })
 }
 
 /// Builds ahead for a worker about to wait on another worker's build:
@@ -844,7 +830,7 @@ fn lower(
 /// its own error.
 fn build_ahead<V, E>(
     ahead: &[Scenario],
-    cache: &Mutex<Lru<Arc<Slot<V>>>>,
+    cache: &SlotCache<V>,
     mut build: impl FnMut(&Scenario) -> Result<V, E>,
 ) -> bool {
     let mut last = None;
@@ -854,8 +840,7 @@ fn build_ahead<V, E>(
             continue;
         }
         let slot = cache
-            .lock()
-            .expect("artifact cache lock")
+            .lru()
             .peek_or_insert_with_room(next.artifact_key, Arc::default);
         let Some(slot) = slot else {
             continue;
@@ -922,9 +907,9 @@ fn open_session<'a>(
 struct ScenarioRun<'a> {
     scenario: &'a Scenario,
     lowered: &'a Lowered,
-    /// The trace-cache slot of a deterministic solo scenario.
+    /// The trace-cache key of a deterministic solo scenario.
     trace_key: Option<usize>,
-    traces: &'a TraceCache,
+    traces: &'a SlotCache<RunTrace>,
     executor: &'a IntermittentExecutor,
     fault: &'a FaultPlan,
     runs: u32,
@@ -991,29 +976,18 @@ fn run_scenario<S: MetricsSink, P: RunProbe>(
         let r = if let Some(key) = job.trace_key {
             // Deterministic environment: every (seed, run) replays the
             // one trajectory this (plan, environment, budget, fault)
-            // tuple can take. Record it on first demand, replay it ever
-            // after — replays re-apply the same per-op meter records
-            // (fault effects included), so they are bit-identical to
-            // live runs on this session's board.
-            let existing = job.traces.lock().expect("trace cache lock").get(key);
-            match existing {
-                Some(recorded) => {
-                    let span = SpanTimer::start::<P>();
-                    let r = session.try_infer_intermittent_replay(job.executor, &recorded)?;
-                    span.finish(&mut probe, ExecPhase::TraceReplay);
-                    if let Some(p) = probe.profile() {
-                        p.caches.trace.hits += 1;
-                    }
-                    r
-                }
-                None => {
-                    // The recording run *is* this run — it executes live
-                    // on this session's board with the lock released, so
-                    // workers needing the same tuple never idle. Racing
-                    // recorders duplicate only this one run (every
-                    // recording of a deterministic tuple is
-                    // bit-identical, so whichever lands first is equally
-                    // valid — the LRU keeps the first insert).
+            // tuple can take. The first run to claim the tuple's slot
+            // *is* the recording: it executes live on this session's
+            // board, holding only that slot, while every other claimant
+            // waits for it and replays — replays re-apply the same
+            // per-op meter records (fault effects included), so they are
+            // bit-identical to live runs on this session's board.
+            let mut live = None;
+            let Ok((recorded, built)) = job
+                .traces
+                .slot(key)
+                .acquire(probe.profile(), |_| {})
+                .claim(|| {
                     let mut supply = scenario.environment.supply();
                     let span = SpanTimer::start::<P>();
                     let (report, recorded) = session.record_intermittent_with(
@@ -1022,14 +996,19 @@ fn run_scenario<S: MetricsSink, P: RunProbe>(
                         opts.probe(&mut probe),
                     );
                     span.finish(&mut probe, ExecPhase::PlanExec);
-                    if let Some(p) = probe.profile() {
-                        p.caches.trace.misses += 1;
-                    }
-                    job.traces
-                        .lock()
-                        .expect("trace cache lock")
-                        .insert(key, Arc::new(recorded));
-                    report
+                    live = Some(report);
+                    Ok::<_, Infallible>(recorded)
+                });
+            if let Some(p) = probe.profile() {
+                p.caches.trace.lookup(built);
+            }
+            match live {
+                Some(report) => report,
+                None => {
+                    let span = SpanTimer::start::<P>();
+                    let r = session.try_infer_intermittent_replay(job.executor, &recorded)?;
+                    span.finish(&mut probe, ExecPhase::TraceReplay);
+                    r
                 }
             }
         } else {
@@ -1387,20 +1366,25 @@ mod tests {
         assert_eq!(profile.sink_fold_s.count(), 16 + 8);
         assert!(profile.total_seconds() > 0.0);
 
-        // At any worker count the report stays identical and cache
-        // totals are conserved (the trace hit/miss split may shift).
-        let (profiled4, profile4) = FleetRunner::builder()
-            .workers(4)
-            .sink(DigestSink::new())
-            .run_profiled(&matrix)
-            .unwrap();
-        assert_eq!(plain, profiled4);
-        assert_eq!(profile4.caches.deployment, profile.caches.deployment);
-        assert_eq!(profile4.caches.plan, profile.caches.plan);
-        assert_eq!(
-            profile4.caches.trace.lookups(),
-            profile.caches.trace.lookups()
-        );
+        // At any worker count the report, every cache counter and the
+        // executed-vs-replayed split stay identical.
+        for workers in [2, 8] {
+            let (profiled, counted) = FleetRunner::builder()
+                .workers(workers)
+                .sink(DigestSink::new())
+                .run_profiled(&matrix)
+                .unwrap();
+            assert_eq!(plain, profiled, "{workers} workers");
+            assert_eq!(counted.caches, profile.caches, "{workers} workers");
+            for phase in [ExecPhase::PlanExec, ExecPhase::TraceReplay] {
+                assert_eq!(
+                    counted.digest(phase).count(),
+                    profile.digest(phase).count(),
+                    "{workers} workers: {}",
+                    phase.name()
+                );
+            }
+        }
 
         // The profile survives its wire format bit-identically.
         let back = PhaseProfile::from_json(&profile.to_json()).unwrap();
@@ -1504,24 +1488,24 @@ mod tests {
     #[test]
     fn build_ahead_into_a_full_cache_does_nothing() {
         let scenarios = three_keys();
-        let cache: Mutex<Lru<Arc<Slot<usize>>>> = Mutex::new(Lru::new(1));
-        let own = cache.lock().unwrap().get_or_insert_with(0, Arc::default);
+        let cache = SlotCache::<usize>::new(1);
+        let own = cache.slot(0);
         let _building = own.lock();
         let built = build_ahead(&scenarios, &cache, |s| Ok::<_, ()>(s.artifact_key));
         assert!(!built);
-        let lru = cache.lock().unwrap();
-        assert_eq!((lru.len(), lru.evictions()), (1, 0));
+        let lru = cache.lru();
+        assert_eq!((lru.entries.len(), lru.evictions), (1, 0));
         drop(lru);
 
         // With room, it fills the first idle, empty key and stops there;
         // the busy key 0 is skipped.
-        let cache: Mutex<Lru<Arc<Slot<usize>>>> = Mutex::new(Lru::new(2));
-        let own = cache.lock().unwrap().get_or_insert_with(0, Arc::default);
+        let cache = SlotCache::<usize>::new(2);
+        let own = cache.slot(0);
         let _building = own.lock();
         let built = build_ahead(&scenarios, &cache, |s| Ok::<_, ()>(s.artifact_key));
         assert!(built);
-        let mut lru = cache.lock().unwrap();
-        assert_eq!((lru.len(), lru.evictions()), (2, 0));
+        let mut lru = cache.lru();
+        assert_eq!((lru.entries.len(), lru.evictions), (2, 0));
         let ahead = lru.get(1).expect("key 1 built ahead");
         assert_eq!(ahead.lock().value.as_deref(), Some(&1));
         assert!(lru.get(2).is_none(), "one build per wait");
@@ -1530,18 +1514,18 @@ mod tests {
         assert!(!build_ahead(&scenarios, &cache, |s| Ok::<_, ()>(
             s.artifact_key
         )));
-        assert_eq!(cache.lock().unwrap().evictions(), 0);
+        assert_eq!(cache.lru().evictions, 0);
     }
 
     #[test]
     fn a_panicking_build_ahead_is_discarded() {
         let scenarios = three_keys();
-        let cache: Mutex<Lru<Arc<Slot<usize>>>> = Mutex::new(Lru::new(4));
+        let cache = SlotCache::<usize>::new(4);
         let tried = build_ahead(&scenarios[1..], &cache, |_| -> Result<usize, ()> {
             panic!("injected build failure")
         });
         assert!(tried);
-        let slot = cache.lock().unwrap().get(1).expect("slot inserted");
+        let slot = cache.lru().get(1).expect("slot inserted");
         assert!(slot.lock().value.is_none(), "the panic left the slot empty");
         // A failing build is discarded the same way.
         assert!(build_ahead(&scenarios[1..], &cache, |_| Err::<usize, ()>(

@@ -119,8 +119,6 @@ pub struct Scenario {
     pub(crate) fault_key: usize,
     /// Index of this scenario's entry in the matrix's integrity axis.
     pub(crate) integrity_key: usize,
-    /// Index of this scenario's entry in the matrix's topology axis.
-    pub(crate) topology_key: usize,
 }
 
 impl Scenario {
@@ -156,12 +154,6 @@ impl Scenario {
     /// (see [`ScenarioMatrix::integrities`]).
     pub fn integrity_key(&self) -> usize {
         self.integrity_key
-    }
-
-    /// Index of this scenario's entry in the matrix's topology axis
-    /// (see [`ScenarioMatrix::topologies`]).
-    pub fn topology_key(&self) -> usize {
-        self.topology_key
     }
 
     /// A stable human-readable name, unique within one matrix.
@@ -373,8 +365,7 @@ impl ScenarioMatrix {
         &self.integrities
     }
 
-    /// The topology axis, in expansion order (the order
-    /// [`Scenario::topology_key`] indexes).
+    /// The topology axis, in expansion order.
     pub fn topology_axis(&self) -> &[NetworkTopology] {
         &self.topologies
     }
@@ -474,7 +465,6 @@ impl ScenarioMatrix {
                 budget_key,
                 fault_key,
                 integrity_key,
-                topology_key,
             });
         }
         out
@@ -670,7 +660,7 @@ mod tests {
         assert!(s[..4].iter().all(|sc| sc.topology.is_solo()));
         assert!(s[4..].iter().all(|sc| sc.topology == fleet));
         assert!(s.iter().all(|sc| sc.deployment_key == 0));
-        assert_eq!(s[4].topology_key, 1);
+        assert_eq!(s[4].topology, fleet);
         // Solo names are unchanged; fleet ones append the label.
         assert!(!s[0].name().contains('~'), "{}", s[0].name());
         assert!(s[4].name().contains("~n4:"), "{}", s[4].name());

@@ -38,7 +38,7 @@
 
 use crate::checkpoint::{read_job, CheckpointStore, Frontier, JobHeader};
 use crate::metrics::{FleetDigest, GroupAxis, GroupedDigest, MetricsSink, RunRecord};
-use crate::runner::FleetRunner;
+use crate::runner::{preflight, FleetRunner};
 use crate::scenario::{Scenario, ScenarioMatrix};
 use crate::wire::{self, hex64, Json, PartialHeader, SealedWriter, ShardRecord};
 use core::fmt;
@@ -47,6 +47,7 @@ use std::fs;
 use std::io::{BufWriter, ErrorKind, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStderr, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -199,6 +200,11 @@ impl fmt::Display for ShardReport {
 
 // --------------------------------------------------------- coordinator
 
+/// Directory-less sweeps started by this process so far: numbers each
+/// one's scratch directory, so concurrent sweeps of one matrix never
+/// share (and delete) each other's.
+static SCRATCH_RUNS: AtomicUsize = AtomicUsize::new(0);
+
 /// Splits a matrix into shards, fans them out across worker
 /// subprocesses, and stream-merges the results behind a persisted
 /// frontier. See the [module docs](self).
@@ -284,7 +290,7 @@ impl ShardCoordinator {
 
     /// Where partials and the merge frontier persist. A rerun pointed
     /// at the same directory (same matrix, same shard size) resumes
-    /// from the last merged prefix. Without one, the sweep uses a
+    /// from the last merged prefix. Without one, each run uses its own
     /// throwaway temp directory and cannot be resumed.
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
@@ -316,7 +322,9 @@ impl ShardCoordinator {
     /// size, an empty matrix or one whose scenario count overflows a
     /// `usize`, shard larger than the matrix),
     /// [`Error::Config`] for invalid executor
-    /// tunables, [`ShardError::Protocol`] for a matrix with no wire
+    /// tunables or fault specs (the same errors an in-process
+    /// [`FleetRunner`] sweep returns, raised before any worker is
+    /// spawned), [`ShardError::Protocol`] for a matrix with no wire
     /// form, [`ShardError::CheckpointMismatch`] /
     /// [`ShardError::Checkpoint`] for an unusable checkpoint
     /// directory, and [`ShardError::Spawn`] when no worker binary can
@@ -342,13 +350,9 @@ impl ShardCoordinator {
                 self.shard_size
             ));
         }
-        // Fail on invalid executor tunables here, not in every worker.
-        matrix.executor.validate().map_err(Error::from)?;
-        for nj in matrix.budgets.iter().flatten() {
-            let mut config = matrix.executor.clone();
-            config.energy_budget_nj = Some(*nj);
-            config.validate().map_err(Error::from)?;
-        }
+        // Fail on an invalid executor config or fault spec here, as the
+        // in-process runner does, not in every worker.
+        preflight(matrix)?;
         let matrix_json = wire::matrix_json(matrix)?;
         let fingerprint = wire::fingerprint(&matrix_json, self.shard_size);
         let worker = self.resolve_worker()?;
@@ -356,9 +360,10 @@ impl ShardCoordinator {
             Some(dir) => (dir.clone(), false),
             None => (
                 std::env::temp_dir().join(format!(
-                    "ehdl-shard-{}-{}",
+                    "ehdl-shard-{}-{}-{}",
                     hex64(fingerprint),
-                    std::process::id()
+                    std::process::id(),
+                    SCRATCH_RUNS.fetch_add(1, Ordering::Relaxed)
                 )),
                 true,
             ),

@@ -8,7 +8,7 @@
 //! binary to build.
 
 use ehdl::ehsim::catalog;
-use ehdl::{CalibrationConfig, Error, ShardError, Strategy};
+use ehdl::{CalibrationConfig, ConfigError, Error, ShardError, Strategy};
 use ehdl_fleet::{
     DigestSink, FaultSpec, FleetDigest, FleetRunner, GroupAxis, GroupBySink, GroupedDigest,
     ScenarioMatrix, ShardCoordinator, ShardEventKind, ShardReport,
@@ -345,6 +345,46 @@ fn an_unspawnable_worker_degrades_every_shard() {
     assert_eq!(report.merged_shards, 0);
     assert_eq!(report.failed.len(), 2);
     assert_eq!(report.digest, FleetDigest::new());
+}
+
+/// Two directory-less sweeps of one matrix at one shard size, running at
+/// once in one process, each get their own scratch directory: neither
+/// deletes the other's files, and both reproduce the in-process digest.
+#[test]
+fn concurrent_directory_less_sweeps_do_not_share_a_scratch_directory() {
+    let matrix = quick_matrix();
+    let reports: Vec<ShardReport> = std::thread::scope(|scope| {
+        let sweeps: Vec<_> = (0..2)
+            .map(|_| scope.spawn(|| coordinator(8, None).run(&matrix).unwrap()))
+            .collect();
+        sweeps.into_iter().map(|s| s.join().unwrap()).collect()
+    });
+    for report in &reports {
+        assert_matches_in_process(report, &matrix);
+    }
+}
+
+/// The coordinator checks a matrix the way the in-process runner does:
+/// an invalid fault spec is the runner's typed config error, returned
+/// before any worker is spawned (an unspawnable worker would otherwise
+/// degrade every shard and return `Ok`).
+#[test]
+fn an_invalid_fault_spec_fails_before_any_worker_spawns() {
+    let matrix = quick_matrix().faults(vec![FaultSpec {
+        seed: 1,
+        reset_per_op: 2.0,
+        ..FaultSpec::none()
+    }]);
+    let in_process = FleetRunner::new(1).run(&matrix).unwrap_err();
+    let invalid_fault = |e: &Error| matches!(e, Error::Config(ConfigError::InvalidFault(_)));
+    assert!(invalid_fault(&in_process), "{in_process}");
+    let sharded = ShardCoordinator::new(8)
+        .worker_command("/nonexistent/fleet_shard_worker", Vec::new())
+        .retries(0)
+        .run(&matrix)
+        .unwrap_err();
+    assert!(invalid_fault(&sharded), "{sharded}");
+    assert_eq!(sharded.to_string(), in_process.to_string());
 }
 
 /// Determinism bar for retry backoff: the jittered schedule is a pure

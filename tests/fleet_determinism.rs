@@ -394,35 +394,24 @@ fn phase_profile_counters_are_deterministic_and_merge_across_shards() {
     }
     assert_eq!(first.caches, second.caches);
 
-    // Across worker counts: the coordinator-side deployment and plan
-    // counters are identical; the worker-side trace cache conserves its
-    // lookup total (racing workers may shift the hit/miss split, both
-    // recordings being bit-identical), and executed-vs-replayed work is
-    // likewise conserved.
-    let executed =
-        first.digest(ExecPhase::PlanExec).count() + first.digest(ExecPhase::TraceReplay).count();
+    // Across worker counts every cache counter and the
+    // executed-vs-replayed split are identical too: each trace is
+    // recorded once, by the first run that needs it.
     for workers in [2, 8] {
         let (_, profile) = FleetRunner::builder()
             .workers(workers)
             .sink(DigestSink::new())
             .run_profiled(&matrix)
             .unwrap();
-        assert_eq!(
-            profile.caches.deployment, first.caches.deployment,
-            "{workers} workers"
-        );
-        assert_eq!(profile.caches.plan, first.caches.plan, "{workers} workers");
-        assert_eq!(
-            profile.caches.trace.lookups(),
-            first.caches.trace.lookups(),
-            "{workers} workers"
-        );
-        assert_eq!(
-            profile.digest(ExecPhase::PlanExec).count()
-                + profile.digest(ExecPhase::TraceReplay).count(),
-            executed,
-            "{workers} workers"
-        );
+        assert_eq!(profile.caches, first.caches, "{workers} workers");
+        for phase in [ExecPhase::PlanExec, ExecPhase::TraceReplay] {
+            assert_eq!(
+                profile.digest(phase).count(),
+                first.digest(phase).count(),
+                "{workers} workers: {}",
+                phase.name()
+            );
+        }
     }
 
     // Shard merge: profiling two disjoint ranges and merging the
@@ -514,22 +503,26 @@ fn deployment_sharing_gives_equal_accuracy_across_environments() {
 }
 
 /// The `grid` shape (every environment innermost, then seed, across
-/// `Strategy::ALL` and two workloads): consecutive scenarios share a
-/// (workload, board, seed) deployment, so concurrent workers collide on
-/// one key and the waiting ones build later keys ahead. None of that may
-/// show: the digest is byte-identical at every worker count, the
-/// deployment and plan counters equal the one-worker sweep's, and each
-/// distinct key misses exactly once — on its first claim, whoever built
-/// it.
+/// `Strategy::ALL` and two workloads, two runs each): consecutive
+/// scenarios share a (workload, board, seed) deployment, so concurrent
+/// workers collide on one key and the waiting ones build later keys
+/// ahead, and runs of one trace tuple race to record it. None of that
+/// may show: the digest is byte-identical at every worker count, every
+/// cache counter and the live-vs-replayed run split equal the
+/// one-worker sweep's, and each distinct key misses exactly once — on
+/// its first claim, whoever built it.
 #[test]
 fn grid_shaped_sweeps_build_ahead_without_moving_a_bit_or_a_counter() {
+    use ehdl::ehsim::ExecPhase;
+
     let seeds = vec![0, 1, 2, 3];
-    let workloads = vec![Workload::Har { samples: 4 }, Workload::Mnist { samples: 2 }];
+    let workloads = vec![Workload::Har { samples: 8 }, Workload::Mnist { samples: 4 }];
     let matrix = ScenarioMatrix::new()
         .environments(catalog::all())
         .strategies(Strategy::ALL.to_vec())
         .workloads(workloads.clone())
         .seeds(seeds.clone())
+        .runs(2)
         .executor(ExecutorConfig {
             stall_outages: 6,
             ..ExecutorConfig::default()
@@ -550,6 +543,9 @@ fn grid_shaped_sweeps_build_ahead_without_moving_a_bit_or_a_counter() {
     // One build per key and no contention at one worker.
     assert_eq!(one.deploy_build_s.count(), keys);
     assert_eq!(one.slot_wait_s.count(), 0);
+    let runs = |p: &ehdl_fleet::PhaseProfile| {
+        [ExecPhase::PlanExec, ExecPhase::TraceReplay].map(|phase| p.digest(phase).count())
+    };
     for workers in [2, 4, 8] {
         let (digest, profile) = FleetRunner::builder()
             .workers(workers)
@@ -557,11 +553,8 @@ fn grid_shaped_sweeps_build_ahead_without_moving_a_bit_or_a_counter() {
             .run_profiled(&matrix)
             .unwrap();
         assert_eq!(digest.to_json(), baseline.to_json(), "{workers} workers");
-        assert_eq!(
-            profile.caches.deployment, one.caches.deployment,
-            "{workers} workers"
-        );
-        assert_eq!(profile.caches.plan, one.caches.plan, "{workers} workers");
+        assert_eq!(profile.caches, one.caches, "{workers} workers");
+        assert_eq!(runs(&profile), runs(&one), "{workers} workers");
         // Built ahead or not, every key is built once.
         assert_eq!(profile.deploy_build_s.count(), keys, "{workers} workers");
     }
