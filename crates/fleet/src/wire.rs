@@ -1426,6 +1426,7 @@ mod tests {
             sample_digest().to_json(),
             sample_profile().to_json(),
             sample_record().to_line(),
+            include_str!("../../../tests/golden/quick_grid_digest.json").to_string(),
         ];
         survive_mutations(0x5eed, 3_000, &valid, |text| {
             let mut ok = 0;

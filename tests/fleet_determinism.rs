@@ -608,3 +608,35 @@ fn failing_builds_report_the_same_lowest_indexed_error_at_any_worker_count() {
         }
     }
 }
+
+/// The quick digest grid `fleet_sweep --digest --quick` sweeps: every
+/// catalog environment × every strategy × 20 seeds of a 4-sample HAR
+/// workload (480 scenarios).
+fn quick_digest_matrix() -> ScenarioMatrix {
+    ScenarioMatrix::new()
+        .environments(catalog::all())
+        .strategies(Strategy::ALL.to_vec())
+        .workloads(vec![Workload::Har { samples: 4 }])
+        .seeds((0..20).collect())
+        .executor(ExecutorConfig {
+            stall_outages: 6,
+            ..ExecutorConfig::default()
+        })
+}
+
+#[test]
+fn quick_grid_digest_matches_the_golden_bytes() {
+    // The committed file is the sweep's `FleetDigest::to_json` bytes
+    // (floats as bit-exact hex), so any moved simulation bit — an
+    // energy, a latency bin, an outage count — fails here. A change
+    // that moves bits on purpose re-blesses the file in the same diff.
+    let golden = include_str!("golden/quick_grid_digest.json");
+    let matrix = quick_digest_matrix();
+    assert_eq!(matrix.len(), 480);
+    let digest = FleetRunner::builder()
+        .workers(2)
+        .sink(DigestSink::new())
+        .run(&matrix)
+        .unwrap();
+    assert_eq!(digest.to_json(), golden);
+}
