@@ -232,7 +232,7 @@ impl Deployment {
     /// `plan` must have been compiled from a deployment with this
     /// deployment's board spec and model architecture (e.g. by
     /// [`compile_plan_for`](Self::compile_plan_for) on any seed-variant
-    /// of it); the plan's cost arrays are board- and program-derived,
+    /// of it); the plan's priced kinds are board- and program-derived,
     /// never data-derived, so seed-variants share bit-identical plans.
     /// The session runs whichever strategy the plan was lowered for.
     pub fn session_with_plan(&self, plan: Arc<ExecutionPlan>) -> DeviceSession<'_> {

@@ -7,7 +7,7 @@
 //! data-independent out of the hot loop: the board and the costed
 //! [`ExecutionPlan`] (the lowered strategy [`Program`] priced once
 //! against the board) are built when the session opens, so intermittent
-//! replays run the plan's flat cost arrays with no per-op pricing, and
+//! replays run the plan's priced op kinds with no per-op pricing, and
 //! continuous-power pricing is a compile-time fold over the same plan.
 
 use crate::deployment::{quantize_input, Deployment};
@@ -98,13 +98,14 @@ impl<'d> DeviceSession<'d> {
         &self.board
     }
 
-    /// The lowered device program executed by this session.
+    /// The lowered device program executed by this session, rebuilt
+    /// from the plan on first call (see [`ExecutionPlan::program`]).
     pub fn program(&self) -> &Program {
         self.plan.program()
     }
 
     /// The compiled execution plan the session replays: the program
-    /// priced once against the board into flat per-op cost arrays.
+    /// priced once against the board, one priced kind per distinct op.
     pub fn plan(&self) -> &ExecutionPlan {
         &self.plan
     }

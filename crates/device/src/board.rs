@@ -213,7 +213,7 @@ impl Board {
 
     /// Prices an op without executing it and reports which hardware
     /// [`Component`] the cost is metered against — the query execution
-    /// plans use to pre-resolve an op stream into flat cost arrays.
+    /// plans use to price each distinct op of a stream once.
     pub fn cost_with_component(&self, op: &DeviceOp) -> (Cost, Component) {
         let (cycles, energy_nj, component) = self.breakdown(op);
         (

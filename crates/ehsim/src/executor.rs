@@ -8,7 +8,7 @@ use crate::probe::{ExecEvent, ExecPhase, ExecProbe, NullProbe, SpanTimer};
 use crate::program::Program;
 use crate::{Capacitor, PowerSupply};
 use core::fmt;
-use ehdl_device::{Board, Component, Cost, Cycles, DeviceOp, Energy, EnergyMeter};
+use ehdl_device::{Board, Component, Cycles, DeviceOp, Energy, EnergyMeter};
 
 /// Tunables for an intermittent run.
 #[derive(Debug, Clone, PartialEq)]
@@ -431,10 +431,10 @@ impl IntermittentExecutor {
     /// Replays a compiled [`ExecutionPlan`] on `board` powered by
     /// `supply`, under `opts`' fault plan and probe.
     ///
-    /// The inner loop touches only the plan's flat cost arrays and the
-    /// capacitor: no cost-table lookups, no `DeviceOp` dispatch, and runs
-    /// of non-commit, non-ondemand ops execute in a coalesced segment
-    /// loop with no per-op flag checks. Results are bit-identical to
+    /// The inner loop loads one priced kind per op from the plan's kind
+    /// table and touches the capacitor: no cost-table lookups, no
+    /// `DeviceOp` dispatch, and runs of non-commit, non-ondemand ops
+    /// execute in a coalesced segment loop with no per-op flag checks. Results are bit-identical to
     /// [`run_reference`](Self::run_reference) on the same inputs.
     ///
     /// The plan must have been compiled against a board with the same
@@ -516,16 +516,11 @@ impl IntermittentExecutor {
         }
         let n = plan.len() as u32;
         let meter_before = board.meter().clone();
+        let (kinds, op_kinds) = (plan.kinds(), plan.op_kinds());
         for &step in &trace.steps {
             let (component, cost) = if step < n {
-                let i = step as usize;
-                (
-                    plan.component[i],
-                    Cost {
-                        cycles: Cycles::new(plan.cycles[i]),
-                        energy: Energy::from_nanojoules(plan.energy_nj[i]),
-                    },
-                )
+                let kind = &kinds[op_kinds[step as usize] as usize];
+                (kind.component, kind.cost.cost())
             } else if step == n {
                 (Component::Checkpoint, plan.restore_cost().cost())
             } else {
@@ -565,18 +560,15 @@ impl IntermittentExecutor {
         let max_wall = self.config.max_wall_seconds;
         let budget_nj = self.config.energy_budget_nj.unwrap_or(f64::INFINITY);
 
-        // Slices bound once: the hot loop reads only these.
-        let durations = &plan.duration_s[..n];
-        let needs = &plan.need_j[..n];
-        let cycles_of = &plan.cycles[..n];
-        let energy_of = &plan.energy_nj[..n];
-        let component_of = &plan.component[..n];
+        // Bound once: the hot loop loads one kind per op from these.
+        let kinds = plan.kinds();
+        let op_kinds = &plan.op_kinds()[..n];
 
         let mut rs = RunState::new(
             self,
             fault,
             plan.integrity(),
-            plan.program(),
+            plan.restore_words(),
             plan.clock_hz(),
             board,
         );
@@ -611,9 +603,10 @@ impl IntermittentExecutor {
             let mut failed = false;
             let mut spurious = false;
             let seg_start = i;
+            let kind = &kinds[op_kinds[i] as usize];
 
             // On-demand (voltage-triggered) checkpoint before op i.
-            if let Some(slot) = plan.ondemand_slot(i) {
+            if let Some(slot) = kind.ondemand_slot() {
                 let ck = &plan.checkpoints[slot as usize];
                 if rs.committed < i && capacitor.energy_joules() < warn_j {
                     let span = SpanTimer::start::<P>();
@@ -651,7 +644,7 @@ impl IntermittentExecutor {
                         // Power glitches before the op runs: time
                         // passes (and harvest keeps flowing), but no
                         // energy is drained and no work happens.
-                        let dt = durations[i];
+                        let dt = kind.cost.duration_s;
                         let harvested = harvest.energy_over(t, dt);
                         capacitor.charge_joules(harvested);
                         t += dt;
@@ -663,39 +656,33 @@ impl IntermittentExecutor {
                     OpFault::None => {}
                 }
                 if !failed {
-                    let dt = durations[i];
+                    let dt = kind.cost.duration_s;
                     let harvested = harvest.energy_over(t, dt);
                     capacitor.charge_joules(harvested);
                     // A sagged op draws `sag_factor` times its nominal
                     // energy from the capacitor; the board meter keeps
                     // the nominal cost (the silicon did the same work).
                     let need = if sagged {
-                        needs[i] * fault.sag_factor()
+                        kind.cost.need_j * fault.sag_factor()
                     } else {
-                        needs[i]
+                        kind.cost.need_j
                     };
                     if capacitor.usable_joules() < need {
                         t += dt;
                         failed = true;
                     } else {
                         capacitor.drain_joules(need);
-                        board.apply_cost(
-                            component_of[i],
-                            Cost {
-                                cycles: Cycles::new(cycles_of[i]),
-                                energy: Energy::from_nanojoules(energy_of[i]),
-                            },
-                        );
+                        board.apply_cost(kind.component, kind.cost.cost());
                         sink.op(i as u32);
                         if sagged {
-                            spent_nj += energy_of[i] * fault.sag_factor();
+                            spent_nj += kind.cost.energy_nj * fault.sag_factor();
                         } else {
-                            spent_nj += energy_of[i];
+                            spent_nj += kind.cost.energy_nj;
                         }
                         t += dt;
-                        active_cycles += cycles_of[i];
+                        active_cycles += kind.cost.cycles;
                         executed += 1;
-                        if plan.commits(i) {
+                        if kind.commits {
                             rs.commit(i + 1, t, probe);
                         }
                         i += 1;
@@ -709,9 +696,10 @@ impl IntermittentExecutor {
                             if spent_nj > budget_nj {
                                 break 'run RunOutcome::EnergyLimit;
                             }
+                            let kind = &kinds[op_kinds[i] as usize];
                             match rs.op_fault(t, probe) {
                                 OpFault::Reset => {
-                                    let dt = durations[i];
+                                    let dt = kind.cost.duration_s;
                                     let harvested = harvest.energy_over(t, dt);
                                     capacitor.charge_joules(harvested);
                                     t += dt;
@@ -721,53 +709,41 @@ impl IntermittentExecutor {
                                     break;
                                 }
                                 OpFault::Sag => {
-                                    let dt = durations[i];
+                                    let dt = kind.cost.duration_s;
                                     let harvested = harvest.energy_over(t, dt);
                                     capacitor.charge_joules(harvested);
-                                    let need = needs[i] * fault.sag_factor();
+                                    let need = kind.cost.need_j * fault.sag_factor();
                                     if capacitor.usable_joules() < need {
                                         t += dt;
                                         failed = true;
                                         break;
                                     }
                                     capacitor.drain_joules(need);
-                                    board.apply_cost(
-                                        component_of[i],
-                                        Cost {
-                                            cycles: Cycles::new(cycles_of[i]),
-                                            energy: Energy::from_nanojoules(energy_of[i]),
-                                        },
-                                    );
+                                    board.apply_cost(kind.component, kind.cost.cost());
                                     sink.op(i as u32);
-                                    spent_nj += energy_of[i] * fault.sag_factor();
+                                    spent_nj += kind.cost.energy_nj * fault.sag_factor();
                                     t += dt;
-                                    active_cycles += cycles_of[i];
+                                    active_cycles += kind.cost.cycles;
                                     executed += 1;
                                     i += 1;
                                     continue;
                                 }
                                 OpFault::None => {}
                             }
-                            let dt = durations[i];
+                            let dt = kind.cost.duration_s;
                             let harvested = harvest.energy_over(t, dt);
                             capacitor.charge_joules(harvested);
-                            if capacitor.usable_joules() < needs[i] {
+                            if capacitor.usable_joules() < kind.cost.need_j {
                                 t += dt;
                                 failed = true;
                                 break;
                             }
-                            capacitor.drain_joules(needs[i]);
-                            board.apply_cost(
-                                component_of[i],
-                                Cost {
-                                    cycles: Cycles::new(cycles_of[i]),
-                                    energy: Energy::from_nanojoules(energy_of[i]),
-                                },
-                            );
+                            capacitor.drain_joules(kind.cost.need_j);
+                            board.apply_cost(kind.component, kind.cost.cost());
                             sink.op(i as u32);
-                            spent_nj += energy_of[i];
+                            spent_nj += kind.cost.energy_nj;
                             t += dt;
-                            active_cycles += cycles_of[i];
+                            active_cycles += kind.cost.cycles;
                             executed += 1;
                             i += 1;
                         }
@@ -844,7 +820,7 @@ impl IntermittentExecutor {
         let n = ops.len();
         let budget_nj = self.config.energy_budget_nj.unwrap_or(f64::INFINITY);
 
-        let mut rs = RunState::new(self, fault, scheme, program, clock, board);
+        let mut rs = RunState::new(self, fault, scheme, program.restore_words(), clock, board);
         let mut t = 0.0f64;
         let mut i = 0usize;
         let mut executed = 0u64;
@@ -1197,7 +1173,7 @@ impl<'a> RunState<'a> {
         exec: &'a IntermittentExecutor,
         fault: &'a FaultPlan,
         scheme: Integrity,
-        program: &Program,
+        restore_words: u32,
         clock: f64,
         board: &Board,
     ) -> Self {
@@ -1209,7 +1185,7 @@ impl<'a> RunState<'a> {
             flipping: faulting && fault.flips_armed(),
             laddered: faulting && (fault.flips_armed() || scheme != Integrity::None),
             scheme,
-            payload_bits: program.restore_words() as u64 * 16,
+            payload_bits: restore_words as u64 * 16,
             wear: WearCurve {
                 endurance_commits: fault.wear_endurance(),
             },

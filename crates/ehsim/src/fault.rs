@@ -323,9 +323,15 @@ impl FaultPlan {
     /// The stream *always* advances by exactly one draw per call —
     /// including while a storm forces repeats — so burst and i.i.d.
     /// specs consume the decision stream at identical logical points
-    /// and the planned/reference parity guarantee is untouched.
+    /// and the planned/reference parity guarantee is untouched. With
+    /// both thresholds zero no op fault (and so no storm) can fire, so
+    /// the draw is skipped unhashed: same counter, same answer.
     #[inline]
     pub fn op_fault(&self, state: &mut FaultState) -> OpFault {
+        if self.reset_t == 0 && self.sag_t == 0 {
+            state.skip();
+            return OpFault::None;
+        }
         let draw = state.next();
         if state.storm_left > 0 {
             state.storm_left -= 1;
@@ -345,15 +351,25 @@ impl FaultPlan {
         fault
     }
 
-    /// One draw per *successful* checkpoint commit.
+    /// One draw per *successful* checkpoint commit (skipped unhashed
+    /// at a zero rate, where it cannot fire).
     #[inline]
     pub fn tears(&self, state: &mut FaultState) -> bool {
+        if self.tear_t == 0 {
+            state.skip();
+            return false;
+        }
         (state.next() & 0xFFFF_FFFF) < self.tear_t
     }
 
-    /// One draw per restore.
+    /// One draw per restore (skipped unhashed at a zero rate, where it
+    /// cannot fire).
     #[inline]
     pub fn corrupts(&self, state: &mut FaultState) -> bool {
+        if self.corrupt_t == 0 {
+            state.skip();
+            return false;
+        }
         (state.next() & 0xFFFF_FFFF) < self.corrupt_t
     }
 
@@ -375,9 +391,14 @@ impl FaultPlan {
     /// [`flips_armed`](FaultPlan::flips_armed)): how many bits of a
     /// freshly written `bits`-bit payload flipped, wear-accelerated by
     /// `wear_mult`. Returns 0, 1, or 2 ("two or more"). The stream
-    /// advances by exactly one draw per call on both executor paths.
+    /// advances by exactly one draw per call on both executor paths;
+    /// at a zero rate no bit can flip, so the draw is skipped unhashed.
     #[inline]
     pub fn flips(&self, state: &mut FaultState, bits: u64, wear_mult: u64) -> u32 {
+        if self.flip_rate == 0.0 {
+            state.skip();
+            return 0;
+        }
         let draw = state.next();
         integrity::flips_from_draw(draw, self.flip_rate, bits, wear_mult)
     }
@@ -393,14 +414,25 @@ pub struct FaultState {
 }
 
 impl FaultState {
+    /// SplitMix64's counter increment γ: draw `k` is `mix(seed + k·γ)`.
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// Standard SplitMix64 step.
     #[inline]
     fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(Self::GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Advances past one draw whose value cannot matter, without
+    /// hashing it: the counter moves exactly as [`next`](Self::next)
+    /// would move it.
+    #[inline]
+    fn skip(&mut self) {
+        self.state = self.state.wrapping_add(Self::GAMMA);
     }
 }
 
@@ -532,6 +564,36 @@ mod tests {
             assert_eq!(plan.op_fault(&mut state), OpFault::Reset);
             assert!(plan.tears(&mut state));
             assert!(!plan.corrupts(&mut state));
+        }
+    }
+
+    #[test]
+    fn skipped_quiet_draws_leave_the_state_a_hashed_draw_would() {
+        // The quiet plan skips every draw unhashed; its twin has the
+        // smallest nonzero thresholds, so it hashes every draw (and, on
+        // this seed, never fires). Both streams must stay in lockstep.
+        let quiet = FaultPlan::armed_empty_integrity(0x5EED);
+        let hashing = FaultPlan {
+            reset_t: 1,
+            sag_t: 1,
+            tear_t: 1,
+            corrupt_t: 1,
+            flip_rate: f64::MIN_POSITIVE,
+            ..quiet
+        };
+        let mut skipped = quiet.state();
+        let mut hashed = hashing.state();
+        for k in 0..4_000 {
+            match k % 4 {
+                0 => assert_eq!(quiet.op_fault(&mut skipped), hashing.op_fault(&mut hashed)),
+                1 => assert_eq!(quiet.tears(&mut skipped), hashing.tears(&mut hashed)),
+                2 => assert_eq!(quiet.corrupts(&mut skipped), hashing.corrupts(&mut hashed)),
+                _ => assert_eq!(
+                    quiet.flips(&mut skipped, 256, 1),
+                    hashing.flips(&mut hashed, 256, 1)
+                ),
+            }
+            assert_eq!(skipped, hashed, "draw {k}");
         }
     }
 

@@ -4,12 +4,17 @@
 //! program and the board — never on input data or the power environment —
 //! yet the original executor re-priced every op on every run. An
 //! [`ExecutionPlan`] is a one-time lowering pass that prices a whole
-//! [`Program`] against a [`Board`] into flat structure-of-arrays form:
-//! per-op cycles, energy, duration, capacitor draw, meter component, a
-//! commit-flag bitset and deduplicated on-demand checkpoint costs. The
-//! intermittent executor's inner loop then touches only these arrays and
-//! the capacitor — no cost-table dispatch, no `DeviceOp` match — and a
-//! fleet sweep shares one plan (behind an `Arc`) across every
+//! [`Program`] against a [`Board`].
+//!
+//! A program is a long stream drawn from a tiny vocabulary: the zoo's
+//! programs run 11k–516k ops over a few dozen distinct (op, checkpoint
+//! spec) pairs. So a plan interns each distinct pair once as a priced
+//! **kind** — cycles, energy, duration, capacitor draw, meter component,
+//! commit flag and on-demand checkpoint slot — and keeps one `u16` kind
+//! index per op plus the coalesced-segment map: about 6 bytes per op.
+//! The intermittent executor's inner loop loads one kind per op from a
+//! table that fits in L1 — no cost-table dispatch, no `DeviceOp` match —
+//! and a fleet sweep shares one plan (behind an `Arc`) across every
 //! environment, seed and worker that replays the same (program, board)
 //! pair.
 //!
@@ -17,17 +22,22 @@
 //! per-component meter of one bench-powered inference), so session-level
 //! pricing is a lookup instead of a second full program replay.
 //!
-//! Results are bit-identical to op-by-op interpretation: compilation
-//! evaluates exactly the arithmetic [`Board::cost`] would, in the same
-//! order, and the plan-driven executor replays the same float operations
-//! the interpreter performs (see `tests/exec_plan_parity.rs`).
+//! Results are bit-identical to op-by-op interpretation: pricing is a
+//! pure function of the op, so a kind's price is exactly what
+//! [`Board::cost`] computes for each of its ops; the continuous fold
+//! still walks the ops in order; and the plan-driven executor replays
+//! the same float operations the interpreter performs (see
+//! `tests/exec_plan_parity.rs`).
 
 use crate::integrity::Integrity;
-use crate::program::Program;
+use crate::program::{Program, ProgramOp};
 use ehdl_device::{Board, Component, Cost, Cycles, DeviceOp, Energy, EnergyMeter};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// Sentinel for "no on-demand checkpoint allowed before this op".
-pub(crate) const NO_ONDEMAND: u32 = u32::MAX;
+const NO_ONDEMAND: u32 = u32::MAX;
 
 /// One pre-priced device action: the four numbers the executor's inner
 /// loop consumes, with every derived quantity (duration, joules drawn
@@ -72,9 +82,87 @@ impl PlannedCost {
     }
 }
 
-/// A [`Program`] priced once against a [`Board`]: flat per-op cost
-/// arrays plus pre-resolved checkpoint/restore costs, ready for the
-/// dispatch-free executor loop.
+/// One distinct (op, checkpoint spec) pair of a program, priced once:
+/// everything the executor's inner loop reads about an op.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PlannedKind {
+    pub(crate) cost: PlannedCost,
+    pub(crate) component: Component,
+    /// Completing an op of this kind commits progress past it.
+    pub(crate) commits: bool,
+    /// Index into the plan's checkpoint table of the on-demand
+    /// checkpoint allowed before an op of this kind, or [`NO_ONDEMAND`].
+    ondemand: u32,
+    /// The source op, for [`ExecutionPlan::program`].
+    op: ProgramOp,
+}
+
+impl PlannedKind {
+    /// The checkpoint-table slot of the on-demand checkpoint allowed
+    /// before an op of this kind, if any.
+    #[inline]
+    pub(crate) fn ondemand_slot(&self) -> Option<u32> {
+        if self.ondemand == NO_ONDEMAND {
+            None
+        } else {
+            Some(self.ondemand)
+        }
+    }
+}
+
+/// Multiply-rotate hasher for interning ops at compile time: a few
+/// cycles per word, against SipHash's dozens. Kinds are plan-internal
+/// keys, so there is nothing adversarial to defend against.
+#[derive(Default)]
+struct KindHasher(u64);
+
+impl Hasher for KindHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`ExecutionPlan::program`]'s program, rebuilt from the kind table on
+/// first use. A cache, so it takes no part in plan equality.
+#[derive(Debug, Clone, Default)]
+struct ProgramCache(OnceLock<Program>);
+
+impl PartialEq for ProgramCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// A [`Program`] priced once against a [`Board`]: a table of priced op
+/// kinds, one `u16` kind index per op, the coalesced-segment map and
+/// pre-resolved checkpoint/restore costs, ready for the dispatch-free
+/// executor loop.
+///
+/// Each distinct (op, checkpoint spec) pair of the program is one kind,
+/// priced once; the plan keeps about 6 bytes per op (kind index plus
+/// segment map) however many ops share a kind.
 ///
 /// A plan is valid for any board built from the same cost table as the
 /// one it was compiled against (boards of the same
@@ -95,22 +183,18 @@ impl PlannedCost {
 /// let board = Board::msp430fr5994();
 /// let plan = ExecutionPlan::compile(program, &board);
 /// assert_eq!(plan.len(), 10);
+/// assert_eq!(plan.kind_count(), 1);
 /// assert_eq!(plan.continuous_cost().cycles.raw(), 1000);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionPlan {
-    program: Program,
+    name: String,
+    restore_words: u32,
     clock_hz: f64,
-    // ---- per-op structure-of-arrays, all of length `len()` ----
-    pub(crate) cycles: Vec<u64>,
-    pub(crate) energy_nj: Vec<f64>,
-    pub(crate) duration_s: Vec<f64>,
-    pub(crate) need_j: Vec<f64>,
-    pub(crate) component: Vec<Component>,
-    /// Commit flags, one bit per op.
-    commit_bits: Vec<u64>,
-    /// Per-op index into `checkpoints`, or [`NO_ONDEMAND`].
-    pub(crate) ondemand: Vec<u32>,
+    /// The distinct priced kinds, in order of first appearance.
+    kinds: Vec<PlannedKind>,
+    /// Per-op index into `kinds`. Length `len()`.
+    op_kind: Vec<u16>,
     /// Deduplicated on-demand checkpoint costs (one entry per distinct
     /// word count in the program).
     pub(crate) checkpoints: Vec<PlannedCost>,
@@ -123,18 +207,24 @@ pub struct ExecutionPlan {
     integrity: Integrity,
     continuous_cost: Cost,
     continuous_meter: EnergyMeter,
+    program: ProgramCache,
 }
 
 impl ExecutionPlan {
     /// Prices `program` against `board` into a reusable plan. The
-    /// program is taken by value and retained (see
-    /// [`program`](Self::program)); callers holding only a reference can
-    /// clone at the call site.
+    /// program is taken by value; [`program`](Self::program) rebuilds
+    /// an equal one on demand.
     ///
-    /// This walks the program once, evaluating the same cost arithmetic
-    /// [`Board::cost`] performs per op, and folds the continuous-power
-    /// totals in op order (bit-identical to
-    /// [`run_continuous`](crate::run_continuous) on a fresh board).
+    /// This walks the program once, pricing each distinct (op,
+    /// checkpoint spec) pair with the cost arithmetic [`Board::cost`]
+    /// performs, and folds the continuous-power totals in op order
+    /// (bit-identical to [`run_continuous`](crate::run_continuous) on a
+    /// fresh board).
+    ///
+    /// # Panics
+    ///
+    /// If the program has more than 65,536 distinct (op, checkpoint
+    /// spec) pairs, the width of a kind index.
     pub fn compile(program: Program, board: &Board) -> Self {
         ExecutionPlan::compile_with_integrity(program, board, Integrity::None)
     }
@@ -144,70 +234,75 @@ impl ExecutionPlan {
     /// padded word count (see [`Integrity::padded_words`]), so stronger
     /// guards cost real commit energy. `Integrity::None` is
     /// bit-identical to plain [`compile`](Self::compile).
+    ///
+    /// # Panics
+    ///
+    /// If the program has more than 65,536 distinct (op, checkpoint
+    /// spec) pairs, the width of a kind index.
     pub fn compile_with_integrity(program: Program, board: &Board, integrity: Integrity) -> Self {
         let clock_hz = board.costs().clock_hz;
         let n = program.len();
 
-        let mut cycles = Vec::with_capacity(n);
-        let mut energy_nj = Vec::with_capacity(n);
-        let mut duration_s = Vec::with_capacity(n);
-        let mut need_j = Vec::with_capacity(n);
-        let mut component = Vec::with_capacity(n);
-        let mut commit_bits = vec![0u64; n.div_ceil(64)];
-        let mut ondemand = vec![NO_ONDEMAND; n];
+        let mut index: HashMap<ProgramOp, u16, BuildHasherDefault<KindHasher>> = HashMap::default();
+        let mut kinds: Vec<PlannedKind> = Vec::new();
+        let mut op_kind = Vec::with_capacity(n);
         let mut checkpoints: Vec<PlannedCost> = Vec::new();
         let mut checkpoint_words: Vec<u64> = Vec::new();
 
         let mut total = Cost::ZERO;
         let mut meter = EnergyMeter::new();
 
-        for (i, pop) in program.ops().iter().enumerate() {
-            let (planned, comp) = PlannedCost::price(board, &pop.op, clock_hz);
-            cycles.push(planned.cycles);
-            energy_nj.push(planned.energy_nj);
-            duration_s.push(planned.duration_s);
-            need_j.push(planned.need_j);
-            component.push(comp);
-
-            if pop.spec.commits {
-                commit_bits[i >> 6] |= 1 << (i & 63);
-            }
-            if let Some(words) = pop.spec.ondemand_words {
-                let words = words as u64;
-                let slot = checkpoint_words
-                    .iter()
-                    .position(|&w| w == words)
-                    .unwrap_or_else(|| {
-                        let (ck, _) = PlannedCost::price(
-                            board,
-                            &DeviceOp::Checkpoint {
-                                words: integrity.padded_words(words),
-                            },
-                            clock_hz,
-                        );
-                        checkpoints.push(ck);
-                        checkpoint_words.push(words);
-                        checkpoints.len() - 1
-                    });
-                ondemand[i] = slot as u32;
-            }
+        for pop in program.ops() {
+            let k = *index.entry(*pop).or_insert_with(|| {
+                let (cost, component) = PlannedCost::price(board, &pop.op, clock_hz);
+                let ondemand = pop.spec.ondemand_words.map_or(NO_ONDEMAND, |words| {
+                    let words = words as u64;
+                    let slot = checkpoint_words
+                        .iter()
+                        .position(|&w| w == words)
+                        .unwrap_or_else(|| {
+                            let (ck, _) = PlannedCost::price(
+                                board,
+                                &DeviceOp::Checkpoint {
+                                    words: integrity.padded_words(words),
+                                },
+                                clock_hz,
+                            );
+                            checkpoints.push(ck);
+                            checkpoint_words.push(words);
+                            checkpoints.len() - 1
+                        });
+                    slot as u32
+                });
+                let k = u16::try_from(kinds.len())
+                    .expect("a plan holds at most 65,536 distinct (op, checkpoint spec) pairs");
+                kinds.push(PlannedKind {
+                    cost,
+                    component,
+                    commits: pop.spec.commits,
+                    ondemand,
+                    op: *pop,
+                });
+                k
+            });
+            op_kind.push(k);
 
             // Continuous-power fold, in op order from zero — the same
             // accumulation run_continuous and a fresh pricing board do.
-            total.cycles += Cycles::new(planned.cycles);
-            total.energy += Energy::from_nanojoules(planned.energy_nj);
-            meter.record(
-                comp,
-                Cycles::new(planned.cycles),
-                Energy::from_nanojoules(planned.energy_nj),
-            );
+            let kind = &kinds[k as usize];
+            let cycles = Cycles::new(kind.cost.cycles);
+            let energy = Energy::from_nanojoules(kind.cost.energy_nj);
+            total.cycles += cycles;
+            total.energy += energy;
+            meter.record(kind.component, cycles, energy);
         }
 
         // Segment map: for every position, where the run of plain
         // (non-commit, non-ondemand) ops starting there ends.
         let mut plain_end = vec![n as u32; n + 1];
         for i in (0..n).rev() {
-            let special = commit_bits[i >> 6] >> (i & 63) & 1 != 0 || ondemand[i] != NO_ONDEMAND;
+            let kind = &kinds[op_kind[i] as usize];
+            let special = kind.commits || kind.ondemand != NO_ONDEMAND;
             plain_end[i] = if special { i as u32 } else { plain_end[i + 1] };
         }
 
@@ -220,21 +315,18 @@ impl ExecutionPlan {
         );
 
         ExecutionPlan {
-            program,
+            name: program.name().to_owned(),
+            restore_words: program.restore_words(),
             clock_hz,
-            cycles,
-            energy_nj,
-            duration_s,
-            need_j,
-            component,
-            commit_bits,
-            ondemand,
+            kinds,
+            op_kind,
             checkpoints,
             plain_end,
             restore,
             integrity,
             continuous_cost: total,
             continuous_meter: meter,
+            program: ProgramCache::default(),
         }
     }
 
@@ -244,9 +336,22 @@ impl ExecutionPlan {
         self.integrity
     }
 
-    /// The source program the plan was compiled from.
+    /// The source program the plan was compiled from, rebuilt from the
+    /// kind table on first call (the reference path's input; the
+    /// planned executor never needs it).
     pub fn program(&self) -> &Program {
-        &self.program
+        self.program.0.get_or_init(|| {
+            let mut program = Program::new(self.name.clone());
+            program.set_restore_words(self.restore_words);
+            program.extend(self.op_kind.iter().map(|&k| self.kinds[k as usize].op));
+            program
+        })
+    }
+
+    /// FRAM words read back on every restore, before integrity padding.
+    #[inline]
+    pub(crate) fn restore_words(&self) -> u32 {
+        self.restore_words
     }
 
     /// The clock frequency of the board the plan was priced for.
@@ -256,18 +361,47 @@ impl ExecutionPlan {
 
     /// Number of planned ops.
     pub fn len(&self) -> usize {
-        self.cycles.len()
+        self.op_kind.len()
     }
 
     /// `true` for an empty plan.
     pub fn is_empty(&self) -> bool {
-        self.cycles.is_empty()
+        self.op_kind.is_empty()
+    }
+
+    /// Number of distinct (op, checkpoint spec) pairs the plan priced.
+    pub fn kind_count(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// The priced kind table, indexed by [`op_kinds`](Self::op_kinds).
+    #[inline]
+    pub(crate) fn kinds(&self) -> &[PlannedKind] {
+        &self.kinds
+    }
+
+    /// Each op's index into [`kinds`](Self::kinds).
+    #[inline]
+    pub(crate) fn op_kinds(&self) -> &[u16] {
+        &self.op_kind
+    }
+
+    #[inline]
+    fn kind(&self, i: usize) -> &PlannedKind {
+        &self.kinds[self.op_kind[i] as usize]
+    }
+
+    /// The priced cost of op `i` and the meter component it bills.
+    #[inline]
+    pub fn op_cost(&self, i: usize) -> (PlannedCost, Component) {
+        let kind = self.kind(i);
+        (kind.cost, kind.component)
     }
 
     /// `true` if completing op `i` commits progress past it.
     #[inline]
     pub fn commits(&self, i: usize) -> bool {
-        self.commit_bits[i >> 6] >> (i & 63) & 1 != 0
+        self.kind(i).commits
     }
 
     /// The pre-priced on-demand checkpoint allowed before op `i`, if any.
@@ -280,12 +414,7 @@ impl ExecutionPlan {
     /// if an on-demand checkpoint is allowed there.
     #[inline]
     pub fn ondemand_slot(&self, i: usize) -> Option<u32> {
-        let slot = self.ondemand[i];
-        if slot == NO_ONDEMAND {
-            None
-        } else {
-            Some(slot)
-        }
+        self.kind(i).ondemand_slot()
     }
 
     /// End (exclusive) of the run of plain ops starting at `i`: the
@@ -327,7 +456,11 @@ impl ExecutionPlan {
     /// covers at least this much — the feasibility bound outage-heavy
     /// benches check before calling a matrix "outage-dominated".
     pub fn max_burst_need_j(&self) -> f64 {
-        let op_max = self.need_j.iter().copied().fold(0.0f64, f64::max);
+        let op_max = self
+            .kinds
+            .iter()
+            .map(|k| k.cost.need_j)
+            .fold(0.0f64, f64::max);
         self.restore.need_j + op_max
     }
 
@@ -342,6 +475,25 @@ impl ExecutionPlan {
     /// 7(c) breakdown), folded at compile time.
     pub fn continuous_meter(&self) -> &EnergyMeter {
         &self.continuous_meter
+    }
+
+    /// Heap bytes the plan holds: the per-op arrays, the kind and
+    /// checkpoint tables and the name (the rebuilt program excluded).
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        use core::mem::size_of;
+        self.op_kind.capacity() * size_of::<u16>()
+            + self.plain_end.capacity() * size_of::<u32>()
+            + self.kind_table_bytes()
+            + self.name.capacity()
+    }
+
+    /// Heap bytes of the kind and checkpoint tables alone.
+    #[cfg(test)]
+    fn kind_table_bytes(&self) -> usize {
+        use core::mem::size_of;
+        self.kinds.capacity() * size_of::<PlannedKind>()
+            + self.checkpoints.capacity() * size_of::<PlannedCost>()
     }
 }
 
@@ -388,14 +540,15 @@ mod tests {
         assert_eq!(plan.len(), p.len());
         for (i, pop) in p.ops().iter().enumerate() {
             let (cost, comp) = board.cost_with_component(&pop.op);
-            assert_eq!(plan.cycles[i], cost.cycles.raw(), "op {i}");
-            assert_eq!(plan.energy_nj[i], cost.energy.nanojoules(), "op {i}");
-            assert_eq!(plan.component[i], comp, "op {i}");
+            let (planned, planned_comp) = plan.op_cost(i);
+            assert_eq!(planned.cycles, cost.cycles.raw(), "op {i}");
+            assert_eq!(planned.energy_nj, cost.energy.nanojoules(), "op {i}");
+            assert_eq!(planned_comp, comp, "op {i}");
             assert_eq!(
-                plan.duration_s[i],
+                planned.duration_s,
                 cost.cycles.raw() as f64 / board.costs().clock_hz
             );
-            assert_eq!(plan.need_j[i], cost.energy.nanojoules() * 1e-9);
+            assert_eq!(planned.need_j, cost.energy.nanojoules() * 1e-9);
         }
     }
 
@@ -478,9 +631,10 @@ mod tests {
                 plan.ondemand_checkpoint(4).unwrap().energy_nj
                     > none.ondemand_checkpoint(4).unwrap().energy_nj
             );
-            // ...while the per-op compute arrays are untouched.
-            assert_eq!(plan.energy_nj, none.energy_nj);
-            assert_eq!(plan.cycles, none.cycles);
+            // ...while the per-op compute costs are untouched.
+            for i in 0..p.len() {
+                assert_eq!(plan.op_cost(i), none.op_cost(i), "op {i}");
+            }
             let want = board.cost(&DeviceOp::Restore {
                 words: scheme.padded_words(p.restore_words() as u64),
             });
@@ -498,5 +652,40 @@ mod tests {
         assert_eq!(plan.plain_run_end(0), 0);
         assert_eq!(plan.continuous_cost(), Cost::ZERO);
         assert_eq!(plan.coalesced_segments(), 0);
+    }
+
+    #[test]
+    fn ops_sharing_a_kind_are_priced_once() {
+        let p = mixed_program();
+        let plan = ExecutionPlan::compile(p.clone(), &Board::msp430fr5994());
+        // Ops 5 and 6 are the same plain `CpuOps { count: 50 }`; op 4 is
+        // the same op with an on-demand spec, so a kind of its own.
+        assert_eq!(plan.len(), 8);
+        assert_eq!(plan.kind_count(), 7);
+        assert_eq!(plan.program(), &p);
+    }
+
+    #[test]
+    fn plan_heap_stays_within_eight_bytes_per_op() {
+        // About 100k ops over 30 kinds: the shape of a zoo program.
+        let mut p = Program::new("long");
+        for i in 0..100_000u64 {
+            let k = i % 30;
+            let spec = match k {
+                0 => CheckpointSpec::COMMIT,
+                1 => CheckpointSpec::ondemand(16),
+                _ => CheckpointSpec::NONE,
+            };
+            p.push(DeviceOp::CpuOps { count: 10 + k }, spec);
+        }
+        let plan = ExecutionPlan::compile(p, &Board::msp430fr5994());
+        assert_eq!(plan.kind_count(), 30);
+        let bound = 8 * plan.len() + plan.kind_table_bytes();
+        assert!(
+            plan.heap_bytes() <= bound,
+            "{} heap bytes for {} ops, bound {bound}",
+            plan.heap_bytes(),
+            plan.len()
+        );
     }
 }

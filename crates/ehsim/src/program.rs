@@ -59,7 +59,7 @@ impl CheckpointSpec {
 }
 
 /// One op plus its checkpoint annotation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProgramOp {
     /// The device action.
     pub op: DeviceOp,
