@@ -640,3 +640,21 @@ fn quick_grid_digest_matches_the_golden_bytes() {
         .unwrap();
     assert_eq!(digest.to_json(), golden);
 }
+
+#[test]
+fn quick_grid_two_run_digest_matches_the_golden_bytes() {
+    // The one-run grid above starts every run on a fresh board, so it
+    // cannot see how a session's earlier runs shape a later run's
+    // report. Two runs per scenario put a second run on every session
+    // board: its energy, counters and sketches are pinned here.
+    let golden = include_str!("golden/quick_grid_two_run_digest.json");
+    let matrix = quick_digest_matrix().runs(2);
+    assert_eq!(matrix.len(), 480);
+    let digest = FleetRunner::builder()
+        .workers(2)
+        .sink(DigestSink::new())
+        .run(&matrix)
+        .unwrap();
+    assert_eq!(digest.runs, 960);
+    assert_eq!(digest.to_json(), golden);
+}
