@@ -145,8 +145,8 @@ pub enum ConfigError {
     /// factor (see [`ehdl_ehsim::FaultSpec::validate`]).
     InvalidFault(ehdl_ehsim::FaultSpecError),
     /// A recorded [`RunTrace`](ehdl_ehsim::RunTrace) was replayed
-    /// against a plan of a different shape than the one it was recorded
-    /// from.
+    /// against a plan of another shape or pricing than the one it was
+    /// recorded from.
     TraceMismatch(ehdl_ehsim::ReplayError),
 }
 

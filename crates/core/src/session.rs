@@ -168,11 +168,13 @@ impl<'d> DeviceSession<'d> {
     }
 
     /// [`infer_intermittent_with`](Self::infer_intermittent_with),
-    /// additionally recording the run as a [`RunTrace`]. When the supply
-    /// is deterministic (its harvester is a pure function of time), the
-    /// trace replays the run bit-identically — faults included — via
-    /// [`try_infer_intermittent_replay`](Self::try_infer_intermittent_replay),
-    /// the fleet engine's run-deduplication fast path.
+    /// additionally recording the run as a [`RunTrace`]: its report plus
+    /// the plan's identity. A run meters itself from zero, so when the
+    /// supply is deterministic (its harvester is a pure function of
+    /// time) the report is the same on any board, and
+    /// [`try_infer_intermittent_replay`](Self::try_infer_intermittent_replay)
+    /// replays the run bit-identically — faults included — by merging
+    /// the report: the fleet engine's run-deduplication fast path.
     pub fn record_intermittent_with<P: ExecProbe>(
         &mut self,
         executor: &IntermittentExecutor,
@@ -206,14 +208,16 @@ impl<'d> DeviceSession<'d> {
 
     /// Replays a [`RunTrace`] recorded from this session's plan under a
     /// deterministic supply and the same executor configuration: the
-    /// board's meter and clock advance exactly as a live run would, and
-    /// the returned report is bit-identical to one.
+    /// recorded report's meter merges into the board's and the clock
+    /// advances by its cycles, exactly as a live run would leave them,
+    /// and the returned report is bit-identical to one.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError::TraceMismatch`](crate::ConfigError::TraceMismatch)
-    /// if the trace was recorded from a plan whose op or checkpoint
-    /// count differs from this session's; the board is left untouched.
+    /// if the trace was recorded from a plan whose shape (op or
+    /// checkpoint count) or pricing (integrity scheme, clock or costs)
+    /// differs from this session's; the board is left untouched.
     pub fn try_infer_intermittent_replay(
         &mut self,
         executor: &IntermittentExecutor,
@@ -265,7 +269,8 @@ impl<'d> DeviceSession<'d> {
     ///
     /// # Panics
     ///
-    /// Panics if the trace was recorded from a differently shaped plan.
+    /// Panics if the trace was recorded from a differently shaped or
+    /// priced plan.
     pub fn infer_intermittent_replay(
         &mut self,
         executor: &IntermittentExecutor,

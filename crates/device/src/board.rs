@@ -206,6 +206,30 @@ impl Board {
         self.elapsed = Cycles::ZERO;
     }
 
+    /// Takes the meter out, leaving a zeroed one, so a run meters itself
+    /// from zero. Hand the taken meter back with
+    /// [`Board::put_back_meter`] when the run ends.
+    pub fn take_meter(&mut self) -> EnergyMeter {
+        core::mem::take(&mut self.meter)
+    }
+
+    /// Ends a run begun with [`Board::take_meter`]: the board's meter
+    /// becomes `before` merged with what the run metered, and the run's
+    /// own meter is returned.
+    pub fn put_back_meter(&mut self, before: EnergyMeter) -> EnergyMeter {
+        let run = core::mem::replace(&mut self.meter, before);
+        self.meter.merge(&run);
+        run
+    }
+
+    /// Books a finished run without executing it: merges the run's
+    /// meter and advances the clock by its cycles — the state
+    /// [`Board::put_back_meter`] leaves after the same run executed live.
+    pub fn absorb_run(&mut self, meter: &EnergyMeter) {
+        self.meter.merge(meter);
+        self.elapsed += meter.total_cycles();
+    }
+
     /// Prices an op without executing it.
     pub fn cost(&self, op: &DeviceOp) -> Cost {
         self.cost_with_component(op).0
@@ -470,5 +494,37 @@ mod tests {
 
         assert_eq!(executed.meter(), applied.meter());
         assert_eq!(executed.elapsed_cycles(), applied.elapsed_cycles());
+    }
+
+    #[test]
+    fn absorbing_a_run_matches_executing_it() {
+        // A run metered from zero and handed back leaves the same board
+        // as absorbing that run's meter on a board with the same past.
+        let past = DeviceOp::CpuOps { count: 77 };
+        let run = [
+            DeviceOp::Lea(LeaOp::Mac { len: 9 }),
+            DeviceOp::Checkpoint { words: 32 },
+        ];
+        let mut live = Board::msp430fr5994();
+        live.execute(&past);
+        let before = live.take_meter();
+        assert_eq!(*live.meter(), EnergyMeter::new());
+        for op in &run {
+            live.execute(op);
+        }
+        let metered = live.put_back_meter(before.clone());
+        assert_eq!(
+            metered.total_cycles(),
+            run.iter().map(|op| live.cost(op).cycles).sum()
+        );
+
+        let mut absorbed = Board::msp430fr5994();
+        absorbed.execute(&past);
+        absorbed.absorb_run(&metered);
+        assert_eq!(live.meter(), absorbed.meter());
+        assert_eq!(live.elapsed_cycles(), absorbed.elapsed_cycles());
+        let mut merged = before;
+        merged.merge(&metered);
+        assert_eq!(*live.meter(), merged);
     }
 }

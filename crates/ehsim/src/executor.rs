@@ -3,7 +3,7 @@
 use crate::fault::{FaultKind, FaultPlan, FaultState, FaultTally, OpFault};
 use crate::harvester::{HarvestCursor, Harvester};
 use crate::integrity::{self, Integrity, IntegrityState, IntegrityTally, WearCurve};
-use crate::plan::ExecutionPlan;
+use crate::plan::{ExecutionPlan, PlanIdentity};
 use crate::probe::{ExecEvent, ExecPhase, ExecProbe, NullProbe, SpanTimer};
 use crate::program::Program;
 use crate::{Capacitor, PowerSupply};
@@ -130,26 +130,67 @@ impl fmt::Display for ExecutorConfigError {
 
 impl std::error::Error for ExecutorConfigError {}
 
-/// A [`RunTrace`] replayed against a plan of a different shape than the
-/// one it was recorded from; decoding its steps against that plan would
-/// meter the wrong costs. Returned by
+/// A [`RunTrace`] replayed against a plan other than the one it was
+/// recorded from: the recorded report describes a run of that plan, so
+/// merging it would book the wrong run. Returned by
 /// [`IntermittentExecutor::try_replay_trace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayError {
-    /// (op count, on-demand checkpoint count) of the recording plan.
-    pub recorded: (usize, usize),
-    /// (op count, on-demand checkpoint count) of the replaying plan.
-    pub plan: (usize, usize),
+#[non_exhaustive]
+pub enum ReplayError {
+    /// The plans differ in op or on-demand checkpoint count.
+    Shape {
+        /// (op count, on-demand checkpoint count) of the recording plan.
+        recorded: (usize, usize),
+        /// (op count, on-demand checkpoint count) of the replaying plan.
+        plan: (usize, usize),
+    },
+    /// The plans have one shape but are priced differently: another
+    /// integrity scheme, clock, op kind cost, checkpoint or restore
+    /// cost.
+    Pricing {
+        /// Pricing hash of the recording plan.
+        recorded: u64,
+        /// Pricing hash of the replaying plan.
+        plan: u64,
+    },
+}
+
+impl ReplayError {
+    /// Why a trace recorded from a plan of identity `recorded` cannot
+    /// replay against a plan of identity `plan`, if it cannot.
+    fn check(recorded: PlanIdentity, plan: PlanIdentity) -> Result<(), ReplayError> {
+        let shape = |id: PlanIdentity| (id.ops, id.checkpoints);
+        if shape(recorded) != shape(plan) {
+            Err(ReplayError::Shape {
+                recorded: shape(recorded),
+                plan: shape(plan),
+            })
+        } else if recorded.pricing != plan.pricing {
+            Err(ReplayError::Pricing {
+                recorded: recorded.pricing,
+                plan: plan.pricing,
+            })
+        } else {
+            Ok(())
+        }
+    }
 }
 
 impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace was recorded from a differently shaped plan \
-             ({} ops / {} checkpoints, replaying against {} / {})",
-            self.recorded.0, self.recorded.1, self.plan.0, self.plan.1
-        )
+        match self {
+            ReplayError::Shape { recorded, plan } => write!(
+                f,
+                "trace was recorded from a differently shaped plan \
+                 ({} ops / {} checkpoints, replaying against {} / {})",
+                recorded.0, recorded.1, plan.0, plan.1
+            ),
+            ReplayError::Pricing { recorded, plan } => write!(
+                f,
+                "trace was recorded from a differently priced plan \
+                 (pricing {recorded:016x}, replaying against {plan:016x})"
+            ),
+        }
     }
 }
 
@@ -399,8 +440,9 @@ impl IntermittentExecutor {
     /// themselves (or hold a `DeviceSession`, which does) and call
     /// [`run_plan`](Self::run_plan) to amortize the pricing pass.
     ///
-    /// The board's meter keeps accumulating across calls; use
-    /// [`Board::reset_clock`] between runs for isolated measurements.
+    /// The report meters this run alone; the board's meter and clock
+    /// keep accumulating across calls (use [`Board::reset_clock`] to
+    /// zero them).
     pub fn run(&self, program: &Program, board: &mut Board, supply: &mut PowerSupply) -> RunReport {
         let plan = ExecutionPlan::compile(program.clone(), board);
         self.run_plan(&plan, board, supply)
@@ -434,8 +476,13 @@ impl IntermittentExecutor {
     /// The inner loop loads one priced kind per op from the plan's kind
     /// table and touches the capacitor: no cost-table lookups, no
     /// `DeviceOp` dispatch, and runs of non-commit, non-ondemand ops
-    /// execute in a coalesced segment loop with no per-op flag checks. Results are bit-identical to
+    /// execute in a coalesced segment loop with no per-op flag checks.
+    /// Results are bit-identical to
     /// [`run_reference`](Self::run_reference) on the same inputs.
+    ///
+    /// The run meters itself from zero: the report's meter covers this
+    /// run alone, and the board's meter ends as its earlier tallies
+    /// merged with the report's.
     ///
     /// The plan must have been compiled against a board with the same
     /// cost table as `board` (checked against the clock in debug builds).
@@ -444,108 +491,6 @@ impl IntermittentExecutor {
         plan: &ExecutionPlan,
         board: &mut Board,
         supply: &mut PowerSupply,
-        opts: RunOptions<'_, P>,
-    ) -> RunReport {
-        self.run_plan_inner(plan, board, supply, &mut NoTrace, opts)
-    }
-
-    /// [`run_plan_with`](Self::run_plan_with), additionally recording the
-    /// ordered sequence of applied costs as a [`RunTrace`]. The report is
-    /// bit-identical to the unrecorded run's.
-    ///
-    /// Against a *deterministic* supply (any harvester whose output is a
-    /// pure function of time — everything except a re-seeded burst
-    /// source), a run is a pure function of (plan, supply, fault seed):
-    /// every fault effect either applies an op's *nominal* board cost
-    /// through the trace or applies no cost at all, so
-    /// [`try_replay_trace`](Self::try_replay_trace) reproduces the run bit
-    /// for bit at a fraction of the cost. Fleet sweeps use this to
-    /// execute each (plan, environment) trajectory once and replay it
-    /// across every seed, run and worker.
-    pub fn record_plan_with<P: ExecProbe>(
-        &self,
-        plan: &ExecutionPlan,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        opts: RunOptions<'_, P>,
-    ) -> (RunReport, RunTrace) {
-        let mut recorder = TraceRecorder {
-            steps: Vec::with_capacity(plan.len() + plan.len() / 8),
-            op_count: plan.len() as u32,
-        };
-        let report = self.run_plan_inner(plan, board, supply, &mut recorder, opts);
-        let trace = RunTrace {
-            steps: recorder.steps,
-            op_count: plan.len() as u32,
-            checkpoint_count: plan.checkpoints.len() as u32,
-            template: report.clone(),
-        };
-        (report, trace)
-    }
-
-    /// Replays a recorded [`RunTrace`] on `board`: applies the exact
-    /// sequence of per-op meter records the original run performed (so
-    /// the board's meter and clock advance bit-identically) and returns
-    /// the report that run would produce on this board.
-    ///
-    /// Valid only when the run being replaced is deterministic — same
-    /// plan, an identical supply whose harvester is a pure function of
-    /// time, and the same executor configuration as the recording run.
-    /// The capacitor dynamics are not re-simulated; the caller owns the
-    /// supply and must treat it as consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReplayError`] on an op or checkpoint count mismatch
-    /// between the recording plan and `plan` — decoding its steps against
-    /// this plan would silently meter garbage. The trace is rejected
-    /// before any cost is applied, leaving `board` untouched.
-    pub fn try_replay_trace(
-        &self,
-        plan: &ExecutionPlan,
-        trace: &RunTrace,
-        board: &mut Board,
-    ) -> Result<RunReport, ReplayError> {
-        let recorded = (trace.op_count as usize, trace.checkpoint_count as usize);
-        let shape = (plan.len(), plan.checkpoints.len());
-        if recorded != shape {
-            return Err(ReplayError {
-                recorded,
-                plan: shape,
-            });
-        }
-        let n = plan.len() as u32;
-        let meter_before = board.meter().clone();
-        let (kinds, op_kinds) = (plan.kinds(), plan.op_kinds());
-        for &step in &trace.steps {
-            let (component, cost) = if step < n {
-                let kind = &kinds[op_kinds[step as usize] as usize];
-                (kind.component, kind.cost.cost())
-            } else if step == n {
-                (Component::Checkpoint, plan.restore_cost().cost())
-            } else {
-                let slot = (step - n - 1) as usize;
-                (Component::Checkpoint, plan.checkpoints[slot].cost())
-            };
-            board.apply_cost(component, cost);
-        }
-        // The dynamics (outcome, timing, op counts) are cached; the
-        // meter share is re-derived against this board's prior tallies,
-        // exactly as a live run would compute it.
-        let meter = diff_meters(board.meter(), &meter_before);
-        let mut report = trace.template.clone();
-        report.energy = meter.total_energy();
-        report.checkpoint_energy = meter.energy_of(Component::Checkpoint);
-        report.meter = meter;
-        Ok(report)
-    }
-
-    fn run_plan_inner<S: StepSink, P: ExecProbe>(
-        &self,
-        plan: &ExecutionPlan,
-        board: &mut Board,
-        supply: &mut PowerSupply,
-        sink: &mut S,
         opts: RunOptions<'_, P>,
     ) -> RunReport {
         let RunOptions { fault, mut probe } = opts;
@@ -617,7 +562,6 @@ impl IntermittentExecutor {
                         // a torn commit dies after the cost is sunk.
                         capacitor.drain_joules(ck.need_j);
                         board.apply_cost(Component::Checkpoint, ck.cost());
-                        sink.checkpoint(slot);
                         spent_nj += ck.energy_nj;
                         t += ck.duration_s;
                         active_cycles += ck.cycles;
@@ -673,7 +617,6 @@ impl IntermittentExecutor {
                     } else {
                         capacitor.drain_joules(need);
                         board.apply_cost(kind.component, kind.cost.cost());
-                        sink.op(i as u32);
                         if sagged {
                             spent_nj += kind.cost.energy_nj * fault.sag_factor();
                         } else {
@@ -720,7 +663,6 @@ impl IntermittentExecutor {
                                     }
                                     capacitor.drain_joules(need);
                                     board.apply_cost(kind.component, kind.cost.cost());
-                                    sink.op(i as u32);
                                     spent_nj += kind.cost.energy_nj * fault.sag_factor();
                                     t += dt;
                                     active_cycles += kind.cost.cycles;
@@ -740,7 +682,6 @@ impl IntermittentExecutor {
                             }
                             capacitor.drain_joules(kind.cost.need_j);
                             board.apply_cost(kind.component, kind.cost.cost());
-                            sink.op(i as u32);
                             spent_nj += kind.cost.energy_nj;
                             t += dt;
                             active_cycles += kind.cost.cycles;
@@ -771,7 +712,6 @@ impl IntermittentExecutor {
             let span = SpanTimer::start::<P>();
             let restore = plan.restore_cost();
             board.apply_cost(Component::Checkpoint, restore.cost());
-            sink.restore();
             spent_nj += restore.energy_nj;
             capacitor.drain_joules(restore.need_j);
             t += restore.duration_s;
@@ -780,6 +720,62 @@ impl IntermittentExecutor {
         };
 
         rs.finish(outcome, t, active_cycles, executed, board, probe)
+    }
+
+    /// [`run_plan_with`](Self::run_plan_with), additionally keeping the
+    /// run as a [`RunTrace`]: its report plus the identity of `plan`. The
+    /// report is the unrecorded run's, bit for bit.
+    ///
+    /// Every run meters itself from zero, so its report never depends on
+    /// what the board ran before. Against a *deterministic* supply (any
+    /// harvester whose output is a pure function of time — everything
+    /// except a re-seeded burst source), a run is then a pure function
+    /// of (plan, supply, fault seed, executor configuration), and
+    /// [`try_replay_trace`](Self::try_replay_trace) reproduces it in
+    /// O(1). Fleet sweeps use this to execute each (plan, environment)
+    /// trajectory once and replay it across every seed, run and worker.
+    pub fn record_plan_with<P: ExecProbe>(
+        &self,
+        plan: &ExecutionPlan,
+        board: &mut Board,
+        supply: &mut PowerSupply,
+        opts: RunOptions<'_, P>,
+    ) -> (RunReport, RunTrace) {
+        let report = self.run_plan_with(plan, board, supply, opts);
+        let trace = RunTrace {
+            plan: plan.identity(),
+            template: report.clone(),
+        };
+        (report, trace)
+    }
+
+    /// Replays a recorded [`RunTrace`] on `board` in O(1): merges the
+    /// recorded report's meter into the board's, advances the board's
+    /// clock by that meter's cycles and returns the report. The board
+    /// ends exactly as if the run had executed on it live.
+    ///
+    /// Valid only when the run being replaced is deterministic — same
+    /// plan, an identical supply whose harvester is a pure function of
+    /// time, and the same executor configuration as the recording run.
+    /// The capacitor dynamics are not re-simulated; the caller owns the
+    /// supply and must treat it as consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReplayError`] if `plan` is not the recording plan's
+    /// shape (op and checkpoint counts) or pricing (integrity scheme,
+    /// clock, kind, checkpoint and restore costs): the recorded report
+    /// would then book a run this plan never makes. The trace is
+    /// rejected before the board is touched.
+    pub fn try_replay_trace(
+        &self,
+        plan: &ExecutionPlan,
+        trace: &RunTrace,
+        board: &mut Board,
+    ) -> Result<RunReport, ReplayError> {
+        ReplayError::check(trace.plan, plan.identity())?;
+        board.absorb_run(&trace.template.meter);
+        Ok(trace.template.clone())
     }
 
     /// Runs `program` op by op, pricing every op against the board as it
@@ -1048,81 +1044,24 @@ impl IntermittentExecutor {
     }
 }
 
-/// The ordered cost-application sequence of one run (ops, on-demand
-/// checkpoints, restores) plus the report it produced — everything
-/// needed to replay a *deterministic* run bit-identically without
-/// re-simulating the capacitor. Produced by
-/// [`IntermittentExecutor::record_plan_with`], consumed by
+/// One recorded run: the report it produced plus the identity (shape
+/// and pricing) of the plan it ran — everything needed to replay a
+/// *deterministic* run bit-identically without re-simulating it.
+/// Produced by [`IntermittentExecutor::record_plan_with`], consumed by
 /// [`IntermittentExecutor::try_replay_trace`].
-///
-/// Steps are encoded against the plan the trace was recorded from:
-/// `0..len` are plan op indices, `len` is a restore, and `len + 1 + k`
-/// is the plan's `k`-th deduplicated on-demand checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
-    steps: Vec<u32>,
-    /// Shape of the plan the trace was recorded from; replays against a
-    /// differently shaped plan are rejected rather than decoded wrong.
-    op_count: u32,
-    checkpoint_count: u32,
+    /// The recording plan's identity; replays against any other plan
+    /// are rejected rather than booked wrong.
+    plan: PlanIdentity,
     template: RunReport,
 }
 
 impl RunTrace {
-    /// Number of applied costs (executed ops + checkpoints + restores).
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// `true` if the run applied no costs at all.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// The report the recording run produced (its meter share reflects
-    /// the recording board; replays re-derive theirs).
+    /// The report the recording run produced, which every replay
+    /// returns.
     pub fn report(&self) -> &RunReport {
         &self.template
-    }
-}
-
-/// Recording hook threaded through the plan executor's inner loop.
-/// [`NoTrace`] is a zero-sized no-op the optimizer erases, so the
-/// untraced path pays nothing.
-trait StepSink {
-    fn op(&mut self, i: u32);
-    fn checkpoint(&mut self, slot: u32);
-    fn restore(&mut self);
-}
-
-struct NoTrace;
-
-impl StepSink for NoTrace {
-    #[inline(always)]
-    fn op(&mut self, _i: u32) {}
-    #[inline(always)]
-    fn checkpoint(&mut self, _slot: u32) {}
-    #[inline(always)]
-    fn restore(&mut self) {}
-}
-
-struct TraceRecorder {
-    steps: Vec<u32>,
-    op_count: u32,
-}
-
-impl StepSink for TraceRecorder {
-    #[inline]
-    fn op(&mut self, i: u32) {
-        self.steps.push(i);
-    }
-    #[inline]
-    fn checkpoint(&mut self, slot: u32) {
-        self.steps.push(self.op_count + 1 + slot);
-    }
-    #[inline]
-    fn restore(&mut self) {
-        self.steps.push(self.op_count);
     }
 }
 
@@ -1165,7 +1104,9 @@ struct RunState<'a> {
     restores: u64,
     charging_s: f64,
     clock: f64,
-    meter_before: EnergyMeter,
+    /// The board's meter as the run found it. The run meters itself
+    /// from zero on the board and hands this back merged at the end.
+    before: EnergyMeter,
 }
 
 impl<'a> RunState<'a> {
@@ -1175,7 +1116,7 @@ impl<'a> RunState<'a> {
         scheme: Integrity,
         restore_words: u32,
         clock: f64,
-        board: &Board,
+        board: &mut Board,
     ) -> Self {
         let faulting = fault.enabled();
         RunState {
@@ -1203,7 +1144,7 @@ impl<'a> RunState<'a> {
             restores: 0,
             charging_s: 0.0,
             clock,
-            meter_before: board.meter().clone(),
+            before: board.take_meter(),
         }
     }
 
@@ -1422,15 +1363,16 @@ impl<'a> RunState<'a> {
         self.committed = self.prev_committed;
     }
 
-    /// Closes the run: emits its final events, records slot wear, and
-    /// reports this run's share of the board meter.
+    /// Closes the run: emits its final events, records slot wear, puts
+    /// the board's earlier meter back merged with this run's, and
+    /// reports this run's meter.
     fn finish<P: ExecProbe>(
         mut self,
         outcome: RunOutcome,
         t: f64,
         active_cycles: u64,
         executed: u64,
-        board: &Board,
+        board: &mut Board,
         probe: &mut P,
     ) -> RunReport {
         if outcome == RunOutcome::EnergyLimit {
@@ -1440,7 +1382,7 @@ impl<'a> RunState<'a> {
         if self.laddered {
             self.itally.wear_max_commits = self.istate.max_writes();
         }
-        let meter = diff_meters(board.meter(), &self.meter_before);
+        let meter = board.put_back_meter(self.before);
         RunReport {
             outcome,
             outages: self.outages,
@@ -1459,19 +1401,6 @@ impl<'a> RunState<'a> {
             integrity: self.itally,
         }
     }
-}
-
-/// `a - b`, component-wise, assuming `a` extends `b`. Both energy and
-/// cycles subtract saturating, so a caller passing meters from different
-/// boards gets clamped zeros instead of nonsense.
-fn diff_meters(a: &EnergyMeter, b: &EnergyMeter) -> EnergyMeter {
-    let mut out = EnergyMeter::new();
-    for &c in Component::ALL.iter() {
-        let e = a.energy_of(c).saturating_sub(b.energy_of(c));
-        let cy = Cycles::new(a.cycles_of(c).raw().saturating_sub(b.cycles_of(c).raw()));
-        out.record(c, cy, e);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1727,26 +1656,118 @@ mod tests {
 
     #[test]
     fn try_replay_rejects_a_mismatched_plan() {
+        // A trace replays only against the plan it was recorded from:
+        // another shape, or the same shape under another integrity
+        // scheme, clock or cost table, books a run that plan never
+        // makes. Every refusal leaves the board untouched.
+        let mut p = mixed_program(300);
+        p.set_restore_words(64);
         let board = Board::msp430fr5994();
-        let recorded_plan =
-            ExecutionPlan::compile(cpu_heavy_program(50, 1_000, CheckpointSpec::COMMIT), &board);
-        let other_plan =
-            ExecutionPlan::compile(cpu_heavy_program(60, 1_000, CheckpointSpec::COMMIT), &board);
+        let recorded_plan = ExecutionPlan::compile(p.clone(), &board);
         let exec = IntermittentExecutor::default();
         let mut b = Board::msp430fr5994();
-        let mut supply = bench_supply();
-        let (_, trace) =
-            exec.record_plan_with(&recorded_plan, &mut b, &mut supply, RunOptions::default());
+        let (_, trace) = exec.record_plan_with(
+            &recorded_plan,
+            &mut b,
+            &mut weak_supply(),
+            RunOptions::default(),
+        );
+        let refuse = |plan: &ExecutionPlan, b: &mut Board| {
+            let (before, clock) = (b.meter().clone(), b.elapsed_cycles());
+            let err = exec.try_replay_trace(plan, &trace, b).unwrap_err();
+            assert_eq!(*b.meter(), before, "{err}");
+            assert_eq!(b.elapsed_cycles(), clock, "{err}");
+            err
+        };
 
-        let before = b.meter().clone();
-        let err = exec
-            .try_replay_trace(&other_plan, &trace, &mut b)
-            .unwrap_err();
-        assert_eq!(err.recorded.0, recorded_plan.len());
-        assert_eq!(err.plan.0, other_plan.len());
+        let longer = ExecutionPlan::compile(mixed_program(310), &board);
+        let err = refuse(&longer, &mut b);
+        assert_eq!(
+            err,
+            ReplayError::Shape {
+                recorded: (recorded_plan.len(), recorded_plan.checkpoints.len()),
+                plan: (longer.len(), longer.checkpoints.len()),
+            }
+        );
         assert!(err.to_string().contains("differently shaped plan"), "{err}");
-        // Rejected before any cost was applied.
-        assert_eq!(*b.meter(), before);
+
+        let mut slow_clock = board.costs().clone();
+        slow_clock.clock_hz /= 2.0;
+        let mut dear_fram = board.costs().clone();
+        dear_fram.fram_write_nj_per_word *= 1.5;
+        for other in [
+            ExecutionPlan::compile_with_integrity(p.clone(), &board, Integrity::Secded),
+            ExecutionPlan::compile_with_integrity(p.clone(), &board, Integrity::Checksum),
+            ExecutionPlan::compile(p.clone(), &Board::with_costs(slow_clock)),
+            ExecutionPlan::compile(p.clone(), &Board::with_costs(dear_fram)),
+        ] {
+            assert_eq!(other.len(), recorded_plan.len());
+            assert_eq!(other.checkpoints.len(), recorded_plan.checkpoints.len());
+            let err = refuse(&other, &mut b);
+            assert!(matches!(err, ReplayError::Pricing { .. }), "{err}");
+            assert!(err.to_string().contains("differently priced plan"), "{err}");
+        }
+
+        // A recompile of the recording plan is the same plan.
+        let again = ExecutionPlan::compile(p, &board);
+        assert!(exec.try_replay_trace(&again, &trace, &mut b).is_ok());
+    }
+
+    /// Runs `p` once down `path` on `board` under the weak supply.
+    fn history_run(
+        exec: &IntermittentExecutor,
+        p: &Program,
+        plan: &ExecutionPlan,
+        path: Path,
+        fault: &FaultPlan,
+        board: &mut Board,
+    ) -> RunReport {
+        let opts = RunOptions::default().fault(fault);
+        let mut supply = weak_supply();
+        match path {
+            Path::Live => exec.run_plan_with(plan, board, &mut supply, opts),
+            Path::Reference => exec.run_reference(p, Integrity::None, board, &mut supply, opts),
+            Path::RecordThenReplay => {
+                let (_, trace) =
+                    exec.record_plan_with(plan, &mut Board::msp430fr5994(), &mut supply, opts);
+                exec.try_replay_trace(plan, &trace, board)
+                    .expect("trace recorded from this plan")
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_does_not_depend_on_the_boards_history() {
+        // A run on a board that already ran three times reports the same
+        // bits as on a fresh board, on both executor paths and through
+        // record then replay. The board ends holding its earlier meter
+        // merged with the report's, its clock advanced by the report
+        // meter's cycles.
+        let p = mixed_program(800);
+        let plan = ExecutionPlan::compile(p.clone(), &Board::msp430fr5994());
+        let exec = IntermittentExecutor::default();
+        let storm = FaultPlan::compile(&noisy_fault_spec(5));
+        for fault in [&FaultPlan::NONE, &storm] {
+            for path in [Path::Live, Path::RecordThenReplay, Path::Reference] {
+                let fresh = history_run(&exec, &p, &plan, path, fault, &mut Board::msp430fr5994());
+                assert!(fresh.outages > 0, "want outage coverage");
+                let mut board = Board::msp430fr5994();
+                for _ in 0..3 {
+                    history_run(&exec, &p, &plan, path, fault, &mut board);
+                }
+                let (before, clock) = (board.meter().clone(), board.elapsed_cycles());
+                let fourth = history_run(&exec, &p, &plan, path, fault, &mut board);
+                assert_eq!(fourth, fresh, "{path:?} faulted={}", fault.enabled());
+                let mut merged = before;
+                merged.merge(&fourth.meter);
+                assert_eq!(*board.meter(), merged, "{path:?}");
+                assert_eq!(
+                    board.elapsed_cycles(),
+                    clock + fourth.meter.total_cycles(),
+                    "{path:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2168,9 +2189,6 @@ mod tests {
             Path::RecordThenReplay => {
                 let (r, trace) = exec.record_plan_with(plan, &mut board, &mut supply, opts);
                 assert_eq!(&r, trace.report());
-                // Every executed op and checkpoint, and every restore,
-                // left exactly one step.
-                assert_eq!(trace.len() as u64, r.executed_ops + r.restores);
                 let mut replay_board = Board::msp430fr5994();
                 let replayed = exec
                     .try_replay_trace(plan, &trace, &mut replay_board)
@@ -2211,6 +2229,10 @@ mod tests {
                     assert_eq!(*r, base, "{path:?} faulted={}", fault.enabled());
                     assert_eq!(board.meter(), base_board.meter(), "{path:?}");
                     assert_eq!(board.elapsed_cycles(), base_board.elapsed_cycles());
+                    // A fresh board ends holding exactly the run's meter,
+                    // its clock advanced by the meter's cycles.
+                    assert_eq!(*board.meter(), r.meter, "{path:?}");
+                    assert_eq!(board.elapsed_cycles(), r.meter.total_cycles());
                 }
                 assert_probe_stream(&ring, &base, fault.enabled(), path);
             }

@@ -33,7 +33,7 @@ use crate::integrity::Integrity;
 use crate::program::{Program, ProgramOp};
 use ehdl_device::{Board, Component, Cost, Cycles, DeviceOp, Energy, EnergyMeter};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::OnceLock;
 
 /// Sentinel for "no on-demand checkpoint allowed before this op".
@@ -144,6 +144,54 @@ impl Hasher for KindHasher {
     }
 }
 
+/// What a recorded run depends on in the plan it ran: the plan's shape
+/// (op and on-demand checkpoint counts) and a hash of everything that
+/// prices a run of it — the integrity scheme, the clock, each kind's
+/// cost, meter component, commit flag and checkpoint slot, the
+/// checkpoint table and the restore cost. Two plans with equal
+/// identities meter any run alike; the op order is not covered (that is
+/// the program's, and a trace's caller keys traces by plan).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlanIdentity {
+    pub(crate) ops: usize,
+    pub(crate) checkpoints: usize,
+    pub(crate) pricing: u64,
+}
+
+/// The pricing hash of a [`PlanIdentity`]. Each word steps the
+/// multiply-rotate state through a bijection, so plans whose pricing
+/// differs in a single word always hash apart.
+fn pricing_hash(
+    integrity: Integrity,
+    clock_hz: f64,
+    kinds: &[PlannedKind],
+    checkpoints: &[PlannedCost],
+    restore: &PlannedCost,
+) -> u64 {
+    fn cost(h: &mut KindHasher, c: &PlannedCost) {
+        h.write_u64(c.cycles);
+        h.write_u64(c.energy_nj.to_bits());
+        h.write_u64(c.duration_s.to_bits());
+        h.write_u64(c.need_j.to_bits());
+    }
+    let mut h = KindHasher::default();
+    integrity.hash(&mut h);
+    h.write_u64(clock_hz.to_bits());
+    h.write_usize(kinds.len());
+    for kind in kinds {
+        cost(&mut h, &kind.cost);
+        h.write_usize(kind.component.index());
+        h.write_u8(u8::from(kind.commits));
+        h.write_u32(kind.ondemand);
+    }
+    h.write_usize(checkpoints.len());
+    for ck in checkpoints {
+        cost(&mut h, ck);
+    }
+    cost(&mut h, restore);
+    h.finish()
+}
+
 /// [`ExecutionPlan::program`]'s program, rebuilt from the kind table on
 /// first use. A cache, so it takes no part in plan equality.
 #[derive(Debug, Clone, Default)]
@@ -205,6 +253,8 @@ pub struct ExecutionPlan {
     plain_end: Vec<u32>,
     restore: PlannedCost,
     integrity: Integrity,
+    /// [`pricing_hash`] of the fields above, computed at compile time.
+    pricing: u64,
     continuous_cost: Cost,
     continuous_meter: EnergyMeter,
     program: ProgramCache,
@@ -313,6 +363,7 @@ impl ExecutionPlan {
             },
             clock_hz,
         );
+        let pricing = pricing_hash(integrity, clock_hz, &kinds, &checkpoints, &restore);
 
         ExecutionPlan {
             name: program.name().to_owned(),
@@ -324,6 +375,7 @@ impl ExecutionPlan {
             plain_end,
             restore,
             integrity,
+            pricing,
             continuous_cost: total,
             continuous_meter: meter,
             program: ProgramCache::default(),
@@ -334,6 +386,17 @@ impl ExecutionPlan {
     #[inline]
     pub fn integrity(&self) -> Integrity {
         self.integrity
+    }
+
+    /// The plan's shape and pricing hash, which a recorded trace keeps
+    /// to refuse replays against any other plan.
+    #[inline]
+    pub(crate) fn identity(&self) -> PlanIdentity {
+        PlanIdentity {
+            ops: self.len(),
+            checkpoints: self.checkpoints.len(),
+            pricing: self.pricing,
+        }
     }
 
     /// The source program the plan was compiled from, rebuilt from the

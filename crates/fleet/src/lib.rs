@@ -25,7 +25,8 @@
 //! [`StatsDigest`] sketches for p50/p90/p99 — so 10k+ scenario sweeps
 //! run in O(1) memory. [`GroupBySink`] aggregates one digest per axis
 //! value and [`JsonlSink`]/[`CsvSink`] stream raw rows out for offline
-//! analysis.
+//! analysis. [`diff_digests`] (and the `digest_diff` binary over it)
+//! compares two digests and names every field that drifted.
 //!
 //! Aggregation is deterministic by construction: per-scenario folds run
 //! inside one worker in run order, and the coordinating thread merges
@@ -70,6 +71,7 @@
 
 mod checkpoint;
 mod digest;
+mod drift;
 mod metrics;
 mod profile;
 mod report;
@@ -80,6 +82,7 @@ mod tally;
 mod wire;
 
 pub use digest::{QuantileFidelity, StatsDigest};
+pub use drift::{diff_digests, DigestDiffError, DigestSide, FieldDiff};
 pub use ehdl::ehsim::{FaultSpec, FaultTally, Integrity, IntegrityTally, WearCurve};
 pub use ehdl_netsim::{NetworkTopology, SharedField, SloOutcome, TopologyError, WorldSim};
 pub use metrics::{

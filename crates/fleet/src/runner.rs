@@ -278,8 +278,9 @@ struct Lowered {
 /// trajectory live as a [`RunTrace`], under the tuple's once-cell, and
 /// every other seed, run and worker of that tuple waits for that
 /// recording and replays it. Replays are bit-identical to live runs by
-/// construction (the per-op meter records are re-applied in order
-/// against each board's own tallies), which is what keeps the report
+/// construction: a run meters itself from zero, so its report does not
+/// depend on what the board ran before, and a replay merges the
+/// recorded report into the board. That is what keeps the report
 /// worker-count-independent.
 ///
 /// Fault injection rides the same machinery: each
@@ -979,9 +980,10 @@ fn run_scenario<S: MetricsSink, P: RunProbe>(
             // tuple can take. The first run to claim the tuple's slot
             // *is* the recording: it executes live on this session's
             // board, holding only that slot, while every other claimant
-            // waits for it and replays — replays re-apply the same
-            // per-op meter records (fault effects included), so they are
-            // bit-identical to live runs on this session's board.
+            // waits for it and replays. A run meters itself from zero
+            // and a replay merges the recorded report (fault effects
+            // included) into the board, so replays are bit-identical to
+            // live runs on this session's board.
             let mut live = None;
             let Ok((recorded, built)) = job
                 .traces
