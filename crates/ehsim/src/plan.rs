@@ -168,11 +168,10 @@ fn pricing_hash(
     checkpoints: &[PlannedCost],
     restore: &PlannedCost,
 ) -> u64 {
+    // A cost's duration and draw derive from these and the clock.
     fn cost(h: &mut KindHasher, c: &PlannedCost) {
         h.write_u64(c.cycles);
         h.write_u64(c.energy_nj.to_bits());
-        h.write_u64(c.duration_s.to_bits());
-        h.write_u64(c.need_j.to_bits());
     }
     let mut h = KindHasher::default();
     integrity.hash(&mut h);
