@@ -9,7 +9,11 @@
 //! `--quick` is the CI smoke: a 32-scenario matrix across 2 workers,
 //! with a forced mid-shard kill on the first pass and a resume from the
 //! persisted frontier on the second, landing on the in-process digest
-//! bit for bit.
+//! bit for bit. A third pass sweeps the 480-scenario quick grid in
+//! shards of 40, so neighbouring shards replay each other's trace
+//! memos, and must reproduce `tests/golden/quick_grid_digest.json` byte
+//! for byte. Each completed pass must leave no trace memo or `.wip`
+//! file behind.
 //!
 //! The binary is its own worker: the coordinator relaunches it with
 //! `--shard-worker`, which routes straight into
@@ -20,9 +24,14 @@ use ehdl::prelude::*;
 use ehdl::CalibrationConfig;
 use ehdl_bench::{quick_mode, record_bench_entry, section};
 use ehdl_fleet::{
-    DigestSink, FleetDigest, FleetRunner, ScenarioMatrix, ShardCoordinator, Workload,
+    diff_digests, DigestSink, FleetDigest, FleetRunner, ScenarioMatrix, ShardCoordinator, Workload,
 };
+use std::path::Path;
 use std::time::{Duration, Instant};
+
+/// The committed digest of the quick grid, `FleetDigest::to_json`
+/// bytes.
+const QUICK_GRID_GOLDEN: &str = include_str!("../../../../tests/golden/quick_grid_digest.json");
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,6 +45,7 @@ fn main() {
     }
     if quick_mode() {
         kill_and_resume_smoke();
+        quick_grid_golden();
     } else {
         shard_scaling();
     }
@@ -115,6 +125,7 @@ fn kill_and_resume_smoke() {
         resumed.resumed_shards,
         resumed.shards - resumed.resumed_shards
     );
+    assert_swept_clean(&dir);
     let _ = std::fs::remove_dir_all(&dir);
 
     let reference = in_process(&matrix);
@@ -138,6 +149,65 @@ fn kill_and_resume_smoke() {
             ("bit_identical_after_resume", "true".to_string()),
         ],
     );
+}
+
+/// Asserts a completed sweep's checkpoint directory holds no trace memo
+/// and no `.wip` file.
+fn assert_swept_clean(dir: &Path) {
+    let left: Vec<String> = std::fs::read_dir(dir)
+        .expect("checkpoint directory")
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with("trace-") || name.ends_with(".wip"))
+        .collect();
+    assert!(left.is_empty(), "a completed sweep left {left:?}");
+}
+
+/// CI smoke, pass 3: the quick grid (6 strategies × 20 seeds × 4
+/// environments) in shards of 40, two per strategy, so each second
+/// shard replays the memos of the first. The digest must be the
+/// committed golden bytes; on a mismatch the moved fields print and
+/// the process exits non-zero.
+fn quick_grid_golden() {
+    section("fleet_shard --quick: quick grid in shards of 40 vs the golden digest");
+    let matrix = ScenarioMatrix::new()
+        .environments(catalog::all())
+        .strategies(Strategy::ALL.to_vec())
+        .workloads(vec![Workload::Har { samples: 4 }])
+        .seeds((0..20).collect())
+        .executor(ExecutorConfig {
+            stall_outages: 6,
+            ..ExecutorConfig::default()
+        });
+    assert_eq!(matrix.len(), 480);
+    let dir = std::env::temp_dir().join(format!("ehdl-fleet-shard-grid-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let started = Instant::now();
+    let report = coordinator(40, 2, None)
+        .checkpoint_dir(&dir)
+        .run(&matrix)
+        .expect("quick grid sweep runs");
+    let secs = started.elapsed().as_secs_f64();
+    assert!(report.is_complete(), "{report}");
+    assert_swept_clean(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    println!(
+        "pass 3 (quick grid): {secs:.2} s, {} shards, {} retries",
+        report.shards, report.retries
+    );
+    let json = report.digest.to_json();
+    if json != QUICK_GRID_GOLDEN {
+        eprintln!("sharded quick grid digest differs from tests/golden/quick_grid_digest.json");
+        match diff_digests(QUICK_GRID_GOLDEN, &json) {
+            Ok(diffs) => {
+                for diff in &diffs {
+                    eprintln!("  {diff}");
+                }
+            }
+            Err(e) => eprintln!("  {e}"),
+        }
+        std::process::exit(1);
+    }
+    println!("sharded quick grid digest matches the golden bytes\n");
 }
 
 /// The scale datapoint: 100k+ scenarios across subprocess shards,

@@ -1063,6 +1063,135 @@ impl RunTrace {
     pub fn report(&self) -> &RunReport {
         &self.template
     }
+
+    /// Whether [`IntermittentExecutor::try_replay_trace`] would accept
+    /// this trace against `plan`, without touching a board.
+    ///
+    /// # Errors
+    ///
+    /// The [`ReplayError`] the replay would return.
+    pub fn check_plan(&self, plan: &ExecutionPlan) -> Result<(), ReplayError> {
+        ReplayError::check(self.plan, plan.identity())
+    }
+
+    /// The trace as flat words, for persisting it: the plan identity,
+    /// then every report field in declaration order, floats as their
+    /// bits. [`from_words`](Self::from_words) inverts it bit for bit.
+    pub fn to_words(&self) -> Vec<u64> {
+        let r = &self.template;
+        let outcome = match r.outcome {
+            RunOutcome::Completed => 0,
+            RunOutcome::NoProgress => 1,
+            RunOutcome::OutageLimit => 2,
+            RunOutcome::TimeLimit => 3,
+            RunOutcome::EnergyLimit => 4,
+        };
+        let mut words = vec![
+            self.plan.ops as u64,
+            self.plan.checkpoints as u64,
+            self.plan.pricing,
+            outcome,
+            r.outages,
+            r.ondemand_checkpoints,
+            r.restores,
+            r.executed_ops,
+            r.wasted_ops,
+            r.active_cycles.raw(),
+            r.active_seconds.to_bits(),
+            r.charging_seconds.to_bits(),
+            r.wall_seconds.to_bits(),
+            r.energy.nanojoules().to_bits(),
+            r.checkpoint_energy.nanojoules().to_bits(),
+        ];
+        for c in Component::ALL {
+            words.push(r.meter.energy_of(c).nanojoules().to_bits());
+            words.push(r.meter.cycles_of(c).raw());
+        }
+        let f = &r.faults;
+        words.extend([
+            f.spurious_resets,
+            f.torn_commits,
+            f.sag_ops,
+            f.corrupt_restores,
+            f.detected_corruptions,
+            f.silent_corruptions,
+            f.cold_boots,
+        ]);
+        let i = &r.integrity;
+        words.extend([
+            i.flips_injected,
+            i.flips_repaired,
+            i.flips_detected,
+            i.silent_restores,
+            i.wear_max_commits,
+        ]);
+        words.extend(i.ladder);
+        words
+    }
+
+    /// Rebuilds a trace from [`to_words`](Self::to_words)' output.
+    /// `None` unless `words` is exactly such an output: the wrong
+    /// length, an unknown outcome or a word the trace would not write
+    /// back the same way is refused.
+    pub fn from_words(words: &[u64]) -> Option<RunTrace> {
+        let mut w = words.iter().copied();
+        let mut next = || w.next();
+        let plan = PlanIdentity {
+            ops: usize::try_from(next()?).ok()?,
+            checkpoints: usize::try_from(next()?).ok()?,
+            pricing: next()?,
+        };
+        let outcome = match next()? {
+            0 => RunOutcome::Completed,
+            1 => RunOutcome::NoProgress,
+            2 => RunOutcome::OutageLimit,
+            3 => RunOutcome::TimeLimit,
+            4 => RunOutcome::EnergyLimit,
+            _ => return None,
+        };
+        let mut template = RunReport {
+            outcome,
+            outages: next()?,
+            ondemand_checkpoints: next()?,
+            restores: next()?,
+            executed_ops: next()?,
+            wasted_ops: next()?,
+            active_cycles: Cycles::new(next()?),
+            active_seconds: f64::from_bits(next()?),
+            charging_seconds: f64::from_bits(next()?),
+            wall_seconds: f64::from_bits(next()?),
+            energy: Energy::from_nanojoules(f64::from_bits(next()?)),
+            checkpoint_energy: Energy::from_nanojoules(f64::from_bits(next()?)),
+            meter: EnergyMeter::new(),
+            faults: FaultTally::default(),
+            integrity: IntegrityTally::default(),
+        };
+        for c in Component::ALL {
+            let energy = Energy::from_nanojoules(f64::from_bits(next()?));
+            template.meter.record(c, Cycles::new(next()?), energy);
+        }
+        template.faults = FaultTally {
+            spurious_resets: next()?,
+            torn_commits: next()?,
+            sag_ops: next()?,
+            corrupt_restores: next()?,
+            detected_corruptions: next()?,
+            silent_corruptions: next()?,
+            cold_boots: next()?,
+        };
+        template.integrity = IntegrityTally {
+            flips_injected: next()?,
+            flips_repaired: next()?,
+            flips_detected: next()?,
+            silent_restores: next()?,
+            wear_max_commits: next()?,
+            ladder: [next()?, next()?, next()?, next()?],
+        };
+        let trace = RunTrace { plan, template };
+        // A meter rebuilt by `record` normalizes -0.0; refuse any word
+        // that does not survive the round trip, and any trailing word.
+        (trace.to_words() == words).then_some(trace)
+    }
 }
 
 /// The run bookkeeping both executor paths share: the fault decision
@@ -1711,6 +1840,54 @@ mod tests {
         // A recompile of the recording plan is the same plan.
         let again = ExecutionPlan::compile(p, &board);
         assert!(exec.try_replay_trace(&again, &trace, &mut b).is_ok());
+    }
+
+    #[test]
+    fn trace_words_round_trip_bit_for_bit_and_refuse_anything_else() {
+        let p = mixed_program(400);
+        let board = Board::msp430fr5994();
+        let plan = ExecutionPlan::compile_with_integrity(p.clone(), &board, Integrity::Secded);
+        let mut spec = noisy_fault_spec(7);
+        spec.flip_per_commit_bit = 1e-3;
+        let fault = FaultPlan::compile(&spec);
+        let (_, trace) = IntermittentExecutor::default().record_plan_with(
+            &plan,
+            &mut Board::msp430fr5994(),
+            &mut weak_supply(),
+            RunOptions::default().fault(&fault),
+        );
+        assert!(trace.report().faults.injected() > 0);
+        let words = trace.to_words();
+        let back = RunTrace::from_words(&words).unwrap();
+        assert_eq!(back, trace);
+        assert_eq!(back.to_words(), words);
+        assert!(back.check_plan(&plan).is_ok());
+        let unguarded = ExecutionPlan::compile(p, &board);
+        assert!(matches!(
+            back.check_plan(&unguarded),
+            Err(ReplayError::Pricing { .. })
+        ));
+
+        // Short, long, an unknown outcome and a negative-zero meter
+        // energy (which the rebuilt meter cannot hold) are refused.
+        let outcome = 3;
+        let meter_energy = 15;
+        for bad in [
+            words[..words.len() - 1].to_vec(),
+            [words.as_slice(), &[0]].concat(),
+            {
+                let mut w = words.clone();
+                w[outcome] = 5;
+                w
+            },
+            {
+                let mut w = words.clone();
+                w[meter_energy] = (-0.0f64).to_bits();
+                w
+            },
+        ] {
+            assert_eq!(RunTrace::from_words(&bad), None, "{bad:?}");
+        }
     }
 
     /// Runs `p` once down `path` on `board` under the weak supply.

@@ -1,13 +1,15 @@
 //! The shard checkpoint store: a directory holding everything a killed
 //! sweep needs to restart from its last merged prefix.
 //!
-//! Layout (all files written atomically — `.wip`, fsync, rename — and
-//! all but heartbeats sealed by [`SealedWriter`]):
+//! Layout (all files written atomically — `.wip`, fsync, rename; trace
+//! memos skip the fsync — and all but heartbeats sealed by
+//! [`SealedWriter`]):
 //!
 //! ```text
 //! <dir>/job.json            the job header (plan) + the matrix spec workers read
 //! <dir>/partial-000042.ehsp one completed shard's records
 //! <dir>/frontier.ckpt       the merged prefix: cumulative digest + groups
+//! <dir>/trace-<fp>-<key>    one recorded run workers replay (see TraceMemo)
 //! ```
 //!
 //! The frontier advances only after a shard's records merged in matrix
@@ -19,18 +21,24 @@
 //! (matrix + shard size), so a directory can never resume a different
 //! sweep: a mismatched frontier is a typed
 //! [`ShardError::CheckpointMismatch`], a corrupt one is a cold start,
-//! and a corrupt partial is deleted and re-run.
+//! and a corrupt partial is deleted and re-run. Trace memos are a
+//! cache: a corrupt or foreign one is a miss, and the coordinator
+//! deletes them all once the frontier covers every shard.
 //!
 //! [`fingerprint`]: crate::wire::fingerprint
 
 use crate::metrics::{FleetDigest, GroupAxis, GroupedDigest};
 use crate::scenario::ScenarioMatrix;
 use crate::tally::tally;
-use crate::wire::{self, unseal, PartialHeader, SealedWriter, ShardRecord, Wire, WIRE_VERSION};
+use crate::wire::{
+    self, unseal, MemoHeader, PartialHeader, SealedWriter, ShardRecord, Wire, WIRE_VERSION,
+};
+use ehdl::ehsim::{ExecutionPlan, RunTrace};
 use ehdl::ShardError;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The merged prefix of a sharded sweep: everything shards `0..k`
 /// contributed, exactly as an in-process run over the same scenarios
@@ -58,6 +66,20 @@ impl Frontier {
                     groups: Vec::new(),
                 })
                 .collect(),
+        }
+    }
+
+    /// Merges one scenario record, exactly as the in-process
+    /// [`DigestSink`](crate::DigestSink) and
+    /// [`GroupBySink`](crate::GroupBySink)s would.
+    fn merge(&mut self, record: &ShardRecord) {
+        self.digest.merge(&record.digest);
+        for gd in &mut self.grouped {
+            let key = &record.labels[gd.axis as usize];
+            match gd.groups.iter_mut().find(|(k, _)| k == key) {
+                Some((_, digest)) => digest.merge(&record.digest),
+                None => gd.groups.push((key.clone(), record.digest.clone())),
+            }
         }
     }
 
@@ -137,6 +159,12 @@ fn ck(e: std::io::Error, what: &str, path: &Path) -> ShardError {
     }
 }
 
+/// Deletes a truncated or corrupt partial, or a stale one from another
+/// sweep or plan, so its shard re-runs.
+fn discard(path: &Path) -> Result<(), ShardError> {
+    fs::remove_file(path).map_err(|e| ck(e, "could not discard", path))
+}
+
 /// A checkpoint directory. See the [module docs](self) for the layout
 /// and crash-consistency story.
 #[derive(Debug, Clone)]
@@ -188,13 +216,24 @@ impl CheckpointStore {
     /// I/O: unreadable directories or races with concurrent deletes
     /// are ignored.
     pub(crate) fn clear_heartbeats(&self) {
+        self.remove_where(|name| name.starts_with("heartbeat-") && name.ends_with(".json"));
+    }
+
+    /// Deletes every trace memo, and every temp file a memo writer left
+    /// behind. Best-effort like [`clear_heartbeats`](Self::clear_heartbeats):
+    /// a memo left over only costs disk, never a wrong replay.
+    pub(crate) fn clear_memos(&self) {
+        self.remove_where(|name| name.starts_with("trace-"));
+    }
+
+    /// Deletes the directory's files whose names satisfy `doomed`,
+    /// ignoring errors.
+    fn remove_where(&self, doomed: impl Fn(&str) -> bool) {
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return;
         };
         for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with("heartbeat-") && name.ends_with(".json") {
+            if entry.file_name().to_str().is_some_and(&doomed) {
                 let _ = fs::remove_file(entry.path());
             }
         }
@@ -261,25 +300,55 @@ impl CheckpointStore {
         self.write_sealed(&self.job_path(), header, &[matrix_json.to_string()])
     }
 
-    /// Loads and fully verifies one shard partial. `Ok(None)` means
-    /// "not usable — run the shard": the file is missing, or it failed
-    /// verification (truncated, corrupt, wrong range, or from another
-    /// sweep) and was deleted so a retry starts clean.
-    pub(crate) fn load_partial(
+    /// Verifies one shard partial without decoding its records: the
+    /// seal, the header, and one record per scenario of the header's
+    /// range. `Ok(false)` means "not usable — run the shard": the file
+    /// is missing, or it failed verification (truncated, corrupt, wrong
+    /// range, or from another sweep) and was deleted so a retry starts
+    /// clean.
+    pub(crate) fn check_partial(
         &self,
         shard: usize,
         expect: PartialHeader,
-    ) -> Result<Option<Vec<ShardRecord>>, ShardError> {
+    ) -> Result<bool, ShardError> {
+        let path = self.partial_path(shard);
+        let Some(text) = self.read(&path)? else {
+            return Ok(false);
+        };
+        let sound = matches!(
+            unseal::<PartialHeader>(&text),
+            Ok((header, lines)) if header == expect && lines.clone().count() as u64 == expect.len
+        );
+        if !sound {
+            discard(&path)?;
+        }
+        Ok(sound)
+    }
+
+    /// Merges one shard partial into a copy of `frontier`, decoding
+    /// each record once and holding one at a time, and returns the copy
+    /// advanced past the shard. `Ok(None)` means "not usable — run the
+    /// shard", with the file deleted, as for
+    /// [`check_partial`](Self::check_partial); `frontier` is untouched
+    /// either way.
+    pub(crate) fn merge_partial(
+        &self,
+        shard: usize,
+        expect: PartialHeader,
+        frontier: &Frontier,
+    ) -> Result<Option<Frontier>, ShardError> {
         let path = self.partial_path(shard);
         let Some(text) = self.read(&path)? else {
             return Ok(None);
         };
-        match wire::read_partial(&text) {
-            Ok((header, records)) if header == expect => Ok(Some(records)),
+        let mut next = frontier.clone();
+        match wire::fold_partial(&text, |record| next.merge(&record)) {
+            Ok(header) if header == expect => {
+                next.merged_shards += 1;
+                Ok(Some(next))
+            }
             _ => {
-                // Truncated, corrupt, or a stale file from a different
-                // sweep or plan: delete it and let the shard re-run.
-                fs::remove_file(&path).map_err(|e| ck(e, "could not discard", &path))?;
+                discard(&path)?;
                 Ok(None)
             }
         }
@@ -371,6 +440,78 @@ impl CheckpointStore {
     }
 }
 
+/// Memo temp files written by this process so far: with the process id,
+/// names each writer's temp file, so two workers publishing one key
+/// never write into the same file.
+static MEMO_WRITES: AtomicUsize = AtomicUsize::new(0);
+
+/// The disk tier of a shard worker's trace cache: one sealed memo per
+/// deterministic trace key of the sweep, `trace-<fingerprint>-<key>` in
+/// the checkpoint directory, which every worker of the sweep reads. A
+/// trace does not depend on the seed, so a shard replays what another
+/// shard of the same plans recorded instead of recording it again.
+///
+/// Memos are a cache, not state. They are written without an fsync: a
+/// torn, missing, foreign or differently priced memo is a miss, which
+/// costs one live recording and never an error. The coordinator deletes
+/// them once the sweep completes.
+#[derive(Debug, Clone)]
+pub(crate) struct TraceMemo {
+    store: CheckpointStore,
+    fingerprint: u64,
+}
+
+impl TraceMemo {
+    /// The memos of sweep `fingerprint` in `store`'s directory.
+    pub(crate) fn new(store: CheckpointStore, fingerprint: u64) -> Self {
+        TraceMemo { store, fingerprint }
+    }
+
+    fn path(&self, key: usize) -> PathBuf {
+        self.store
+            .dir
+            .join(format!("trace-{}-{key}", wire::hex64(self.fingerprint)))
+    }
+
+    fn header(&self, key: usize) -> MemoHeader {
+        MemoHeader {
+            ehdl_trace_memo: WIRE_VERSION,
+            fingerprint: self.fingerprint,
+            key: key as u64,
+        }
+    }
+
+    /// The memoized trace under `key`, if its memo unseals, names this
+    /// sweep and key, and was recorded from a plan with `plan`'s
+    /// identity. Anything else is a miss.
+    pub(crate) fn load(&self, key: usize, plan: &ExecutionPlan) -> Option<RunTrace> {
+        let bytes = fs::read(self.path(key)).ok()?;
+        let trace = wire::read_memo(&String::from_utf8_lossy(&bytes), self.header(key)).ok()?;
+        trace.check_plan(plan).is_ok().then_some(trace)
+    }
+
+    /// Publishes `trace` as the memo under `key`, replacing any memo
+    /// there: written under a temp name unique to this writer, then
+    /// renamed into place, so readers see a whole memo or none and two
+    /// workers publishing one key only replace each other's identical
+    /// bytes. Best-effort: a memo that fails to land is a later miss.
+    pub(crate) fn publish(&self, key: usize, trace: &RunTrace) {
+        let path = self.path(key);
+        let tmp = path.with_extension(format!(
+            "{}-{}.wip",
+            std::process::id(),
+            MEMO_WRITES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let bytes = wire::memo_bytes(&self.header(key), trace);
+        if fs::write(&tmp, bytes)
+            .and_then(|()| fs::rename(&tmp, &path))
+            .is_err()
+        {
+            let _ = fs::remove_file(&tmp);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,7 +587,11 @@ mod tests {
         };
         let sealed = SealedWriter::new(Vec::new(), &header).unwrap();
         fs::write(store.partial_path(0), sealed.finish().unwrap()).unwrap();
-        assert_eq!(store.load_partial(0, header).unwrap(), Some(Vec::new()));
+        assert!(store.check_partial(0, header).unwrap());
+        let empty = Frontier::empty(&axes);
+        let merged = store.merge_partial(0, header, &empty).unwrap().unwrap();
+        assert_eq!(merged.merged_shards, 1);
+        assert_eq!(merged.digest, empty.digest);
         for path in [store.frontier_path(), store.partial_path(0)] {
             let mut bytes = fs::read(&path).unwrap();
             bytes[10] = 0xff;
@@ -455,7 +600,7 @@ mod tests {
         // A corrupt frontier is a cold start; a corrupt partial is
         // deleted so its shard re-runs.
         assert_eq!(store.load_frontier(0xfeed, &axes).unwrap(), None);
-        assert_eq!(store.load_partial(0, header).unwrap(), None);
+        assert!(!store.check_partial(0, header).unwrap());
         assert!(!store.partial_path(0).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -511,6 +656,81 @@ mod tests {
             let err = read(&bad).unwrap_err();
             assert!(err.contains(why), "{why}: {err}");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_trace_memo_replays_only_into_its_sweep_key_and_pricing() {
+        use crate::wire::tests::sample_trace;
+        use ehdl::ehsim::Integrity;
+        let dir = std::env::temp_dir().join(format!("ehdl-ckpt-memo-test-{}", std::process::id()));
+        let store = CheckpointStore::open(&dir).unwrap();
+        let memo = TraceMemo::new(store.clone(), 0xfeed);
+        let (unguarded, trace) = sample_trace(Integrity::None);
+        let (secded, _) = sample_trace(Integrity::Secded);
+        assert_eq!(memo.load(1, &unguarded), None, "no memo yet");
+        memo.publish(1, &trace);
+        memo.publish(1, &trace);
+        assert_eq!(memo.load(1, &unguarded), Some(trace.clone()));
+        // Same shape, other pricing: the `None` recording must not
+        // replay as a SECDED run, even sealed under the SECDED key.
+        assert_eq!(memo.load(1, &secded), None);
+        let forged = wire::memo_bytes(&memo.header(2), &trace);
+        fs::write(memo.path(2), forged).unwrap();
+        assert_eq!(memo.load(2, &secded), None);
+        // Renamed onto another key, or sealed for another sweep.
+        fs::copy(memo.path(1), memo.path(3)).unwrap();
+        assert_eq!(memo.load(3, &unguarded), None);
+        let foreign = TraceMemo::new(store.clone(), 0xbeef);
+        fs::copy(memo.path(1), foreign.path(1)).unwrap();
+        assert_eq!(foreign.load(1, &unguarded), None);
+        // Torn.
+        let bytes = fs::read(memo.path(1)).unwrap();
+        fs::write(memo.path(1), &bytes[..bytes.len() - 2]).unwrap();
+        assert_eq!(memo.load(1, &unguarded), None);
+
+        // Clearing takes every memo and stray memo temp file, nothing
+        // else.
+        fs::write(memo.path(4).with_extension("1-0.wip"), b"torn").unwrap();
+        store.write_heartbeat(0, "{}").unwrap();
+        store.clear_memos();
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(left, ["heartbeat-000000.json"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_publishers_of_one_key_leave_a_whole_memo() {
+        use crate::wire::tests::sample_trace;
+        use ehdl::ehsim::Integrity;
+        use std::sync::Barrier;
+        let dir = std::env::temp_dir().join(format!("ehdl-ckpt-race-test-{}", std::process::id()));
+        let memo = TraceMemo::new(CheckpointStore::open(&dir).unwrap(), 0xfeed);
+        let (plan, trace) = sample_trace(Integrity::None);
+        let start = Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        memo.publish(7, &trace);
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..200 {
+                    if let Some(read) = memo.load(7, &plan) {
+                        assert_eq!(read, trace);
+                    }
+                }
+            });
+        });
+        assert_eq!(memo.load(7, &plan), Some(trace.clone()));
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "no temp file left");
         fs::remove_dir_all(&dir).unwrap();
     }
 

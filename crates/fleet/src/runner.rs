@@ -1,6 +1,7 @@
 //! The fixed-pool executor that sweeps a [`ScenarioMatrix`] into a
 //! [`MetricsSink`].
 
+use crate::checkpoint::TraceMemo;
 use crate::metrics::{FullReportSink, MetricsSink, RunRecord};
 use crate::profile::{CacheCounters, PhaseProfile};
 use crate::scenario::{Scenario, ScenarioMatrix};
@@ -318,6 +319,8 @@ pub struct FleetRunner<S: MetricsSink = FullReportSink> {
     reference: bool,
     cache_entries: usize,
     range: Range<usize>,
+    /// The trace cache's disk tier; shard workers set it.
+    memo: Option<TraceMemo>,
     sink: S,
 }
 
@@ -332,6 +335,7 @@ impl FleetRunner {
             reference: false,
             cache_entries: DEFAULT_CACHE_ENTRIES,
             range: 0..usize::MAX,
+            memo: None,
             sink: FullReportSink::new(),
         }
     }
@@ -389,6 +393,15 @@ impl<S: MetricsSink> FleetRunner<S> {
         self
     }
 
+    /// Backs the trace cache with memos on disk: before recording a
+    /// deterministic run, the sweep replays the tuple's memo if one is
+    /// valid, and it publishes a memo for every run it records. How
+    /// shard workers share recordings across shards.
+    pub(crate) fn trace_memo(mut self, memo: TraceMemo) -> Self {
+        self.memo = Some(memo);
+        self
+    }
+
     /// Replaces the sink, retyping the runner: [`run`](Self::run) then
     /// returns whatever that sink reports.
     pub fn sink<T: MetricsSink>(self, sink: T) -> FleetRunner<T> {
@@ -397,6 +410,7 @@ impl<S: MetricsSink> FleetRunner<S> {
             reference: self.reference,
             cache_entries: self.cache_entries,
             range: self.range,
+            memo: self.memo,
             sink,
         }
     }
@@ -460,6 +474,7 @@ impl<S: MetricsSink> FleetRunner<S> {
             reference,
             cache_entries,
             range,
+            memo,
             sink,
         } = self;
         let (executors, fault_plans) = preflight(matrix)?;
@@ -489,10 +504,6 @@ impl<S: MetricsSink> FleetRunner<S> {
         let artifacts = SlotCache::new(cache_entries);
         let plans = SlotCache::new(cache_entries);
         let traces = SlotCache::new(cache_entries);
-        // `deployment_key` is dense over (workload, board, strategy,
-        // seed, integrity); dropping the seed leaves the plan key.
-        let integrities = matrix.integrities.len();
-        let seeds = matrix.seeds.len();
         let environments = matrix.environments.len();
         let budgets = matrix.budgets.len();
         let faults = matrix.faults.len();
@@ -512,8 +523,7 @@ impl<S: MetricsSink> FleetRunner<S> {
                          ahead: &[Scenario],
                          mut profile: Option<&mut PhaseProfile>|
          -> Result<S::Partial, Error> {
-            let plan_key = scenario.deployment_key / integrities / seeds * integrities
-                + scenario.integrity_key;
+            let plan_key = matrix.plan_key(scenario.index);
             let lowered = lower(
                 scenario,
                 plan_key,
@@ -535,6 +545,7 @@ impl<S: MetricsSink> FleetRunner<S> {
                 lowered: &lowered,
                 trace_key,
                 traces: &traces,
+                memo: memo.as_ref(),
                 executor: &executors[scenario.budget_key],
                 fault: &fault_plans[scenario.fault_key],
                 runs: matrix.runs,
@@ -911,6 +922,7 @@ struct ScenarioRun<'a> {
     /// The trace-cache key of a deterministic solo scenario.
     trace_key: Option<usize>,
     traces: &'a SlotCache<RunTrace>,
+    memo: Option<&'a TraceMemo>,
     executor: &'a IntermittentExecutor,
     fault: &'a FaultPlan,
     runs: u32,
@@ -983,13 +995,19 @@ fn run_scenario<S: MetricsSink, P: RunProbe>(
             // waits for it and replays. A run meters itself from zero
             // and a replay merges the recorded report (fault effects
             // included) into the board, so replays are bit-identical to
-            // live runs on this session's board.
+            // live runs on this session's board. With a memo tier the
+            // claim replays a valid memo instead of recording, and
+            // publishes what it does record.
             let mut live = None;
             let Ok((recorded, built)) = job
                 .traces
                 .slot(key)
                 .acquire(probe.profile(), |_| {})
                 .claim(|| {
+                    let plan = &job.lowered.plan;
+                    if let Some(trace) = job.memo.and_then(|memo| memo.load(key, plan)) {
+                        return Ok(trace);
+                    }
                     let mut supply = scenario.environment.supply();
                     let span = SpanTimer::start::<P>();
                     let (report, recorded) = session.record_intermittent_with(
@@ -999,6 +1017,9 @@ fn run_scenario<S: MetricsSink, P: RunProbe>(
                     );
                     span.finish(&mut probe, ExecPhase::PlanExec);
                     live = Some(report);
+                    if let Some(memo) = job.memo {
+                        memo.publish(key, &recorded);
+                    }
                     Ok::<_, Infallible>(recorded)
                 });
             if let Some(p) = probe.profile() {

@@ -469,6 +469,29 @@ impl ScenarioMatrix {
         }
         out
     }
+
+    /// The runner's plan-cache key of scenario `index`: its (workload,
+    /// board, strategy, integrity scheme) combination, dense over the
+    /// matrix.
+    pub(crate) fn plan_key(&self, index: usize) -> usize {
+        let ni = self.integrities.len();
+        let block = index / (self.environments.len() * self.budgets.len() * self.faults.len());
+        block / (ni * self.topologies.len() * self.seeds.len()) * ni + block % ni
+    }
+
+    /// The distinct plan keys of the scenarios in `range` (non-empty and
+    /// within the matrix), ascending. One key per run of scenarios that
+    /// differ only in environment, budget and fault, so the cost is
+    /// O(range / those axes).
+    pub(crate) fn plan_keys(&self, range: core::ops::Range<usize>) -> Vec<usize> {
+        let q = self.environments.len() * self.budgets.len() * self.faults.len();
+        let mut keys: Vec<usize> = (range.start / q..=(range.end - 1) / q)
+            .map(|block| self.plan_key(block * q))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
 }
 
 #[cfg(test)]
@@ -668,6 +691,32 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), s.len());
+    }
+
+    #[test]
+    fn plan_keys_drop_the_seed_and_cover_every_scenario_of_a_range() {
+        let m = ScenarioMatrix::new()
+            .environments(vec![catalog::bench_supply(), catalog::office_rf()])
+            .strategies(vec![Strategy::Sonic, Strategy::Flex])
+            .seeds(vec![0, 1, 2])
+            .energy_budgets_nj(vec![None, Some(50_000.0)])
+            .faults(vec![FaultSpec::none(), FaultSpec::none()])
+            .integrities(vec![Integrity::None, Integrity::Secded])
+            .topologies(vec![NetworkTopology::solo(); 2]);
+        let s = m.scenarios();
+        let ni = m.integrities.len();
+        let key = |sc: &Scenario| sc.deployment_key / ni / m.seeds.len() * ni + sc.integrity_key;
+        for sc in &s {
+            assert_eq!(m.plan_key(sc.index), key(sc), "{}", sc.name());
+        }
+        // (strategy, integrity) pairs.
+        assert_eq!(m.plan_keys(0..m.len()), vec![0, 1, 2, 3]);
+        for (start, end) in [(0, 1), (3, 9), (7, 60), (95, 96), (50, m.len())] {
+            let mut want: Vec<usize> = s[start..end].iter().map(key).collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(m.plan_keys(start..end), want, "{start}..{end}");
+        }
     }
 
     #[test]

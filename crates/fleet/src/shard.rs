@@ -13,6 +13,14 @@
 //! [`FleetDigest`], bit for bit, at any shard count and any worker
 //! count, grouped digests included.
 //!
+//! Workers share recorded runs through the checkpoint directory. A
+//! deterministic run does not depend on the seed, so a worker replays
+//! the trace memos earlier shards of the same plans published instead
+//! of recording those runs again. To make that pay, the coordinator
+//! launches the lowest-index pending shard whose plan keys no running
+//! shard shares, or else the lowest-index pending shard, so no lane
+//! idles. Merges stay in matrix order either way.
+//!
 //! After every merged shard the coordinator persists the frontier (the
 //! cumulative digest over shards `0..k`) to the checkpoint directory.
 //! Kill the process at any point and a rerun resumes from the last
@@ -36,7 +44,7 @@
 //! # Ok::<(), ehdl::Error>(())
 //! ```
 
-use crate::checkpoint::{read_job, CheckpointStore, Frontier, JobHeader};
+use crate::checkpoint::{read_job, CheckpointStore, Frontier, JobHeader, TraceMemo};
 use crate::metrics::{FleetDigest, GroupAxis, GroupedDigest, MetricsSink, RunRecord};
 use crate::runner::{preflight, FleetRunner};
 use crate::scenario::{Scenario, ScenarioMatrix};
@@ -48,7 +56,7 @@ use std::io::{BufWriter, ErrorKind, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -421,6 +429,10 @@ impl ShardCoordinator {
             .map(|shard| shard_range(total, self.shard_size, shard))
             .collect();
         let n_shards = plan.len();
+        let plan_keys: Vec<Vec<usize>> = plan
+            .iter()
+            .map(|range| matrix.plan_keys(range.start..range.start + range.len))
+            .collect();
         // A previous coordinator killed mid-sweep leaves orphaned
         // heartbeat files behind; drop them before the progress line
         // starts reading heartbeats, or dead workers would inflate it.
@@ -443,13 +455,10 @@ impl ShardCoordinator {
         for range in &plan {
             if range.shard < frontier.merged_shards {
                 states.push(ShardState::Merged);
-            } else if store
-                .load_partial(
-                    range.shard,
-                    partial_header(*range, fingerprint, matrix.runs),
-                )?
-                .is_some()
-            {
+            } else if store.check_partial(
+                range.shard,
+                partial_header(*range, fingerprint, matrix.runs),
+            )? {
                 // A completed partial from a killed run: reuse it.
                 resumed += 1;
                 states.push(ShardState::Ready);
@@ -464,8 +473,14 @@ impl ShardCoordinator {
         let mut events: Vec<ShardEvent> = Vec::new();
         let mut fatal: Option<Error> = None;
         let mut last_progress = Instant::now();
+        // Every worker's stderr reader signals here when its worker
+        // exits, so a finished shard's lane refills without waiting out
+        // a polling interval.
+        let (exited, wake) = mpsc::channel();
         'sweep: loop {
-            // 1. Reap finished / timed-out workers.
+            // 1. Reap finished / timed-out workers, noting any that
+            //    closed stderr on exit but are not reapable yet.
+            let mut exiting = false;
             for shard in 0..n_shards {
                 let ShardState::Running {
                     child,
@@ -479,19 +494,20 @@ impl ShardCoordinator {
                 let attempt = *attempt;
                 let failure = match child.try_wait() {
                     Ok(Some(status)) if status.success() => {
+                        // Checked here, decoded once when it merges.
                         let header = partial_header(plan[shard], fingerprint, matrix.runs);
-                        match store.load_partial(shard, header) {
+                        match store.check_partial(shard, header) {
                             Err(e) => {
                                 fatal = Some(e.into());
                                 break 'sweep;
                             }
-                            Ok(Some(_)) => {
+                            Ok(true) => {
                                 states[shard] = ShardState::Ready;
                                 continue;
                             }
                             // Exit 0 but no valid partial: protocol
                             // breach; retry like any failure.
-                            Ok(None) => {
+                            Ok(false) => {
                                 "worker exited successfully without a valid partial".to_string()
                             }
                         }
@@ -514,7 +530,10 @@ impl ShardCoordinator {
                             });
                             message
                         }
-                        _ => continue,
+                        _ => {
+                            exiting |= stderr.at_eof();
+                            continue;
+                        }
                     },
                     Err(e) => {
                         let _ = child.kill();
@@ -535,7 +554,7 @@ impl ShardCoordinator {
                     break;
                 }
                 let header = partial_header(plan[shard], fingerprint, matrix.runs);
-                let records = match store.load_partial(shard, header) {
+                frontier = match store.merge_partial(shard, header, &frontier) {
                     Err(e) => {
                         fatal = Some(e.into());
                         break 'sweep;
@@ -548,16 +567,9 @@ impl ShardCoordinator {
                         };
                         continue;
                     }
-                    Ok(Some(records)) => records,
+                    Ok(Some(advanced)) => advanced,
                 };
-                for record in &records {
-                    frontier.digest.merge(&record.digest);
-                    for gd in &mut frontier.grouped {
-                        merge_group(gd, record);
-                    }
-                }
                 states[shard] = ShardState::Merged;
-                frontier.merged_shards += 1;
                 let advanced = store
                     .save_frontier(&frontier, fingerprint)
                     .and_then(|()| store.remove_partial(shard));
@@ -568,31 +580,34 @@ impl ShardCoordinator {
                 }
             }
 
-            // 3. Launch pending shards up to the concurrency cap.
-            let mut live = states
-                .iter()
-                .filter(|s| matches!(s, ShardState::Running { .. }))
-                .count();
-            for (shard, state) in states.iter_mut().enumerate() {
-                if live >= self.concurrency {
+            // 3. Launch pending shards up to the concurrency cap, in the
+            //    key-aware order of `next_launch`.
+            let pass = Instant::now();
+            loop {
+                let running: Vec<usize> = (0..n_shards)
+                    .filter(|&shard| matches!(states[shard], ShardState::Running { .. }))
+                    .collect();
+                if running.len() >= self.concurrency {
                     break;
                 }
-                let ShardState::Pending { attempt, ready_at } = *state else {
-                    continue;
+                let ready: Vec<usize> = (0..n_shards)
+                    .filter(|&shard| {
+                        matches!(states[shard], ShardState::Pending { ready_at, .. } if ready_at <= pass)
+                    })
+                    .collect();
+                let Some(shard) = next_launch(&ready, &running, &plan_keys) else {
+                    break;
                 };
-                if ready_at > Instant::now() {
-                    continue;
-                }
-                match self.spawn(worker, store, shard) {
-                    Ok((child, stderr)) => {
-                        *state = ShardState::Running {
-                            child,
-                            stderr,
-                            started: Instant::now(),
-                            attempt,
-                        };
-                        live += 1;
-                    }
+                let ShardState::Pending { attempt, .. } = states[shard] else {
+                    break;
+                };
+                states[shard] = match self.spawn(worker, store, shard, &exited) {
+                    Ok((child, stderr)) => ShardState::Running {
+                        child,
+                        stderr,
+                        started: Instant::now(),
+                        attempt,
+                    },
                     Err(message) => {
                         events.push(ShardEvent {
                             shard,
@@ -600,9 +615,9 @@ impl ShardCoordinator {
                             kind: ShardEventKind::SpawnFailed,
                             detail: message.clone(),
                         });
-                        *state = self.next_attempt(shard, attempt, &mut events, message);
+                        self.next_attempt(shard, attempt, &mut events, message)
                     }
-                }
+                };
             }
 
             // 4. Progress telemetry (stderr only; never affects the
@@ -619,13 +634,23 @@ impl ShardCoordinator {
             if !active {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(5));
+            // A worker's stderr hits EOF a moment before the worker is
+            // reapable: poll finely until it is.
+            let poll = if exiting {
+                Duration::from_micros(100)
+            } else {
+                Duration::from_millis(5)
+            };
+            let _ = wake.recv_timeout(poll);
         }
         if self.progress {
             self.emit_progress(&plan, &states, &frontier, store, total, now);
         }
         if let Some(e) = fatal {
             return Err(self.abandon(&mut states, e));
+        }
+        if frontier.merged_shards == n_shards {
+            store.clear_memos();
         }
 
         let failed: Vec<FailedShard> = states
@@ -741,6 +766,7 @@ impl ShardCoordinator {
         (exe, prefix): &(PathBuf, Vec<String>),
         store: &CheckpointStore,
         shard: usize,
+        exited: &Sender<()>,
     ) -> Result<(Child, StderrTail), String> {
         let mut child = Command::new(exe)
             .args(prefix)
@@ -753,7 +779,7 @@ impl ShardCoordinator {
             .stderr(Stdio::piped())
             .spawn()
             .map_err(|e| format!("could not spawn {}: {e}", exe.display()))?;
-        let stderr = StderrTail::collect(child.stderr.take());
+        let stderr = StderrTail::collect(child.stderr.take(), exited.clone());
         Ok((child, stderr))
     }
 
@@ -818,14 +844,19 @@ pub fn retry_backoff(base: Duration, shard: usize, attempt: u32) -> Duration {
     exponential.mul_f64(jitter)
 }
 
-/// Replays one scenario record into a grouped digest exactly as the
-/// in-process [`GroupBySink`](crate::GroupBySink) would.
-fn merge_group(gd: &mut GroupedDigest, record: &ShardRecord) {
-    let key = &record.labels[gd.axis as usize];
-    match gd.groups.iter_mut().find(|(k, _)| k == key) {
-        Some((_, digest)) => digest.merge(&record.digest),
-        None => gd.groups.push((key.clone(), record.digest.clone())),
-    }
+/// The pending shard to launch next, from `ready` (ascending): the
+/// lowest-index one whose plan keys are disjoint from every running
+/// shard's, so it records no trace a running worker is recording and can
+/// replay the memos of a finished shard sharing its plans; failing that,
+/// the lowest-index one, so no lane idles. `keys` holds each shard's
+/// plan keys, sorted.
+fn next_launch(ready: &[usize], running: &[usize], keys: &[Vec<usize>]) -> Option<usize> {
+    let shares = |a: usize, b: usize| keys[a].iter().any(|k| keys[b].binary_search(k).is_ok());
+    ready
+        .iter()
+        .copied()
+        .find(|&shard| !running.iter().any(|&other| shares(shard, other)))
+        .or_else(|| ready.first().copied())
 }
 
 /// The most stderr a failure message carries. The *tail* is what
@@ -858,15 +889,14 @@ struct Tail {
 }
 
 impl StderrTail {
-    fn collect(stderr: Option<ChildStderr>) -> Self {
+    /// Starts reading `stderr`; at EOF, when its worker exits, the
+    /// reader signals `exited`.
+    fn collect(stderr: Option<ChildStderr>, exited: Sender<()>) -> Self {
         let tail = Arc::new(Mutex::new(Tail::default()));
         let (at_eof, eof) = mpsc::channel();
         if let Some(mut stderr) = stderr {
             let tail = Arc::clone(&tail);
             std::thread::spawn(move || {
-                // Dropped when the thread ends at EOF: what `read`
-                // waits for.
-                let _at_eof = at_eof;
                 let mut chunk = [0u8; 4096];
                 loop {
                     let n = match stderr.read(&mut chunk) {
@@ -883,9 +913,18 @@ impl StderrTail {
                         tail.dropped = true;
                     }
                 }
+                // Disconnecting `at_eof` is what `read` waits for; do it
+                // before the wake-up, so the woken coordinator sees it.
+                drop(at_eof);
+                let _ = exited.send(());
             });
         }
         StderrTail { tail, eof }
+    }
+
+    /// Whether the worker has closed stderr: it is exiting.
+    fn at_eof(&self) -> bool {
+        matches!(self.eof.try_recv(), Err(TryRecvError::Disconnected))
     }
 
     /// What a reaped worker said, as a `: `-prefixed detail string
@@ -950,7 +989,9 @@ fn partial_header(range: ShardRange, fingerprint: u64, runs: u32) -> PartialHead
 /// matrix reproduces), runs scenarios
 /// `n*shard_size .. (n+1)*shard_size` through an in-process
 /// [`FleetRunner`], and publishes the sealed partial next to the job
-/// atomically (`.wip`, fsync, rename).
+/// atomically (`.wip`, fsync, rename). Its trace cache replays the
+/// sweep's trace memos in that directory, and publishes one for every
+/// run it records.
 ///
 /// Fault injection for tests rides on a `--fault <spec>` argument,
 /// passed through [`ShardCoordinator::worker_command`] prefix args:
@@ -1024,6 +1065,7 @@ pub fn worker_main(args: &[String]) -> Result<(), Error> {
     };
     let (records, writer) = FleetRunner::new(job.threads.max(1))
         .range(range.start..range.start + range.len)
+        .trace_memo(TraceMemo::new(store.clone(), job.fingerprint))
         .sink(sink)
         .run(&matrix)?;
     debug_assert_eq!(records, range.len as u64);
@@ -1155,6 +1197,143 @@ impl MetricsSink for ShardRecordSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Workload;
+    use ehdl::ehsim::{catalog, FaultSpec, Integrity};
+    use ehdl::{CalibrationConfig, Strategy};
+    use std::collections::BTreeSet;
+
+    /// Shard plan keys as the coordinator computes them.
+    fn shard_keys(matrix: &ScenarioMatrix, shard_size: usize) -> Vec<Vec<usize>> {
+        let total = matrix.len();
+        (0..total.div_ceil(shard_size))
+            .map(|shard| {
+                let range = shard_range(total, shard_size, shard);
+                matrix.plan_keys(range.start..range.start + range.len)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dispatch_runs_shards_sharing_plans_apart() {
+        // The storm workload's shape: {SONIC, FLEX} × 2 seeds, one shard
+        // per (strategy, seed), so shards 0 and 1 share SONIC's plans
+        // and shards 2 and 3 share FLEX's.
+        let matrix = ScenarioMatrix::new()
+            .strategies(vec![Strategy::Sonic, Strategy::Flex])
+            .seeds(vec![0, 1])
+            .faults(vec![FaultSpec::none(); 7])
+            .integrities(Integrity::ALL.to_vec());
+        let keys = shard_keys(&matrix, 84);
+        assert_eq!(keys, [[0, 1, 2], [0, 1, 2], [3, 4, 5], [3, 4, 5]]);
+        // At concurrency 2: shard 0, then FLEX's seed 0 beside it. The
+        // FLEX shard finishes first, so its seed-1 twin follows, then
+        // SONIC's once shard 0 is done: 0, 2, 3, 1.
+        assert_eq!(next_launch(&[0, 1, 2, 3], &[], &keys), Some(0));
+        assert_eq!(next_launch(&[1, 2, 3], &[0], &keys), Some(2));
+        assert_eq!(next_launch(&[1, 3], &[0], &keys), Some(3));
+        assert_eq!(next_launch(&[1], &[3], &keys), Some(1));
+        // With every pending shard sharing a running shard's plans, the
+        // lane still fills, lowest index first.
+        assert_eq!(next_launch(&[1, 3], &[0, 2], &keys), Some(1));
+        assert_eq!(next_launch(&[], &[0], &keys), None);
+
+        // No shared plans: plain index order.
+        let one_plan_each = ScenarioMatrix::new()
+            .strategies(vec![Strategy::Sonic, Strategy::Flex])
+            .integrities(Integrity::ALL.to_vec());
+        let keys = shard_keys(&one_plan_each, 4);
+        assert_eq!(keys.len(), 6);
+        let mut running = vec![0];
+        let mut order = vec![0];
+        let mut pending: Vec<usize> = (1..6).collect();
+        while let Some(shard) = next_launch(&pending, &running, &keys) {
+            order.push(shard);
+            pending.retain(|&s| s != shard);
+            running = vec![shard];
+        }
+        assert_eq!(order, [0, 1, 2, 3, 4, 5]);
+    }
+
+    /// The memo files in `dir`, each with its inode: a memo published
+    /// again is a new file.
+    #[cfg(unix)]
+    fn memo_files(dir: &Path) -> BTreeSet<(String, u64)> {
+        use std::os::unix::fs::MetadataExt;
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap())
+            .map(|entry| {
+                let name = entry.file_name().into_string().unwrap();
+                (name, entry.metadata().unwrap().ino())
+            })
+            .filter(|(name, _)| name.starts_with("trace-"))
+            .collect()
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_shard_replays_the_memos_of_an_earlier_shard_of_its_plans() {
+        // Two shards of one strategy, one per seed: shard 1 runs exactly
+        // shard 0's deterministic tuples.
+        let matrix = ScenarioMatrix::new()
+            .environments(vec![catalog::bench_supply(), catalog::office_rf()])
+            .workloads(vec![Workload::Har { samples: 4 }])
+            .seeds(vec![0, 1])
+            .energy_budgets_nj(vec![None, Some(2_000_000.0)])
+            .calibration(CalibrationConfig {
+                samples: 4,
+                percentile: 0.9,
+            });
+        let json = wire::matrix_json(&matrix).unwrap();
+        let job = JobHeader {
+            ehdl_shard_job: wire::WIRE_VERSION,
+            fingerprint: wire::fingerprint(&json, 4),
+            shard_size: 4,
+            threads: 1,
+        };
+        let run = |dir: &Path, shard: usize| {
+            let store = CheckpointStore::open(dir).unwrap();
+            store.write_job(&job, &json).unwrap();
+            let job_path = store.job_path().to_str().unwrap().to_string();
+            worker_main(&[
+                "--job".into(),
+                job_path,
+                "--shard".into(),
+                shard.to_string(),
+            ])
+            .unwrap();
+            fs::read(store.partial_path(shard)).unwrap()
+        };
+        let tmp = std::env::temp_dir().join(format!("ehdl-memo-dedup-{}", std::process::id()));
+        let (shared, alone) = (tmp.join("shared"), tmp.join("alone"));
+
+        run(&shared, 0);
+        let tuples: BTreeSet<_> = matrix
+            .scenarios_range(0..4)
+            .iter()
+            .filter(|s| !s.environment.is_stochastic())
+            .map(|s| {
+                (
+                    matrix.plan_key(s.index),
+                    s.environment_key,
+                    s.budget_key,
+                    s.fault_key,
+                )
+            })
+            .collect();
+        let memos = memo_files(&shared);
+        assert_eq!(memos.len(), tuples.len(), "{memos:?}");
+        assert_eq!(memos.len(), 2);
+
+        let replayed = run(&shared, 1);
+        assert_eq!(memo_files(&shared), memos, "shard 1 recorded nothing");
+        assert_eq!(
+            replayed,
+            run(&alone, 1),
+            "a replayed shard writes the recorded bytes"
+        );
+        fs::remove_dir_all(&tmp).unwrap();
+    }
 
     #[test]
     fn retry_backoff_is_a_pure_function_of_its_inputs() {

@@ -5,8 +5,10 @@
 //! *bit for bit*, so floats never round-trip through decimal: every
 //! `f64` travels as the 16-hex-digit image of [`f64::to_bits`] (and
 //! `f32` as 8 digits). Integers are decimal; [`crate::StatsDigest`]
-//! bins are sparse `[bin, count]` pairs. Every file the shard store
-//! persists — partials, the merge frontier, the job file — is *sealed*
+//! bins are sparse `[bin, count]` pairs; a trace memo carries its run
+//! as the integer words of [`RunTrace::to_words`]. Every file the shard
+//! store persists — partials, the merge frontier, the job file, trace
+//! memos — is *sealed*
 //! ([`SealedWriter`], [`unseal`]): one versioned header line, body
 //! lines, and a footer carrying the body line count plus an FNV-1a 64
 //! checksum of every preceding byte, so a truncated or corrupted file
@@ -22,7 +24,8 @@ use crate::profile::PhaseProfile;
 use crate::scenario::{ScenarioMatrix, Workload};
 use crate::tally::tally;
 use ehdl::ehsim::{
-    Capacitor, Environment, ExecPhase, ExecutorConfig, FaultSpec, Harvester, Integrity, WearCurve,
+    Capacitor, Environment, ExecPhase, ExecutorConfig, FaultSpec, Harvester, Integrity, RunTrace,
+    WearCurve,
 };
 use ehdl::{BoardSpec, CalibrationConfig, ShardError, Strategy};
 use ehdl_netsim::NetworkTopology;
@@ -686,7 +689,8 @@ impl ShardRecord {
 /// footer `{"records":N,"checksum":"<fnv64>"}`, where N counts the body
 /// lines and the FNV-1a 64 covers every byte before the footer — so any
 /// truncation, mid-line or whole-line, fails [`unseal`]. Shard
-/// partials, the merge frontier and the job file are all sealed.
+/// partials, the merge frontier, the job file and trace memos are all
+/// sealed.
 #[derive(Debug)]
 pub(crate) struct SealedWriter<W: Write> {
     writer: W,
@@ -788,21 +792,76 @@ tally! {
 }
 
 /// Parses and verifies a complete shard partial: the seal, then one
-/// record per scenario of the header's range, in index order. Returns
-/// the header and the records in matrix order.
-pub(crate) fn read_partial(text: &str) -> Result<(PartialHeader, Vec<ShardRecord>), String> {
+/// record per scenario of the header's range, in index order, each
+/// handed to `each` as it decodes, so no more than one is held. Returns
+/// the header; on an error `each` may have seen a prefix of the records.
+pub(crate) fn fold_partial(
+    text: &str,
+    mut each: impl FnMut(ShardRecord),
+) -> Result<PartialHeader, String> {
     let (header, lines) = unseal::<PartialHeader>(text)?;
-    let records: Vec<ShardRecord> = lines
-        .map(ShardRecord::from_line)
-        .collect::<Result<_, _>>()?;
-    let range = (0..header.len).map(|i| header.start.checked_add(i));
-    if !records.iter().map(|r| Some(r.index)).eq(range) {
-        return Err(format!(
+    let uncovered = || {
+        format!(
             "records do not cover scenarios {}+{} in order",
             header.start, header.len
-        ));
+        )
+    };
+    let mut covered = 0;
+    for line in lines {
+        let record = ShardRecord::from_line(line)?;
+        if covered == header.len || header.start.checked_add(covered) != Some(record.index) {
+            return Err(uncovered());
+        }
+        each(record);
+        covered += 1;
     }
-    Ok((header, records))
+    if covered != header.len {
+        return Err(uncovered());
+    }
+    Ok(header)
+}
+
+/// The header of a trace memo: the sweep and the trace key a recorded
+/// run was memoized for, so a memo never replays into another sweep or
+/// another (plan, environment, budget, fault) tuple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemoHeader {
+    /// The wire version, [`WIRE_VERSION`] when written.
+    pub ehdl_trace_memo: u64,
+    pub fingerprint: u64,
+    pub key: u64,
+}
+
+tally! {
+    wire MemoHeader { ehdl_trace_memo, fingerprint, key, }
+}
+
+/// Seals one recorded trace as a memo: `header`, then the trace's
+/// [`RunTrace::to_words`] on one body line.
+pub(crate) fn memo_bytes(header: &MemoHeader, trace: &RunTrace) -> Vec<u8> {
+    let mut line = String::new();
+    trace.to_words().encode(&mut line);
+    let seal = || {
+        let mut writer = SealedWriter::new(Vec::new(), header)?;
+        writer.line(&line)?;
+        writer.finish()
+    };
+    seal().expect("writing to a Vec cannot fail")
+}
+
+/// Decodes a memo that [`memo_bytes`] sealed for exactly `expect`.
+/// Anything else — a broken seal, another version, sweep or key, or a
+/// body that is not one trace — is an error.
+pub(crate) fn read_memo(text: &str, expect: MemoHeader) -> Result<RunTrace, String> {
+    let (header, lines) = unseal::<MemoHeader>(text)?;
+    if header != expect {
+        return Err(format!("memo is for {header:?}, not {expect:?}"));
+    }
+    let &[line] = lines.collect::<Vec<_>>().as_slice() else {
+        return Err("memo wants exactly one trace line".to_string());
+    };
+    let words = Vec::<u64>::decode(&Json::parse(line)?)?;
+    RunTrace::from_words(&words).ok_or_else(|| "memo words are not a trace".to_string())
 }
 
 // ------------------------------------------------------- matrix specs
@@ -1101,7 +1160,7 @@ impl Wire for Harvester {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::metrics::{DigestSink, MetricsSink, RunRecord};
     use crate::profile::CacheCounters;
@@ -1510,6 +1569,13 @@ mod tests {
         (header, text)
     }
 
+    /// A partial's header and its records in matrix order.
+    fn read_partial(text: &str) -> Result<(PartialHeader, Vec<ShardRecord>), String> {
+        let mut records = Vec::new();
+        let header = fold_partial(text, |record| records.push(record))?;
+        Ok((header, records))
+    }
+
     #[test]
     fn partials_verify_and_reject_corruption() {
         let (header, text) = sample_partial();
@@ -1534,6 +1600,21 @@ mod tests {
         let miscounted = text.replacen("\"records\":2", "\"records\":3", 1);
         assert_eq!(miscounted[..footer_start], text[..footer_start]);
         assert!(read_partial(&miscounted).unwrap_err().contains("records"));
+        // Sealed, but the records are out of order, one is missing, or
+        // one is past the range.
+        let lines: Vec<&str> = text.lines().collect();
+        let past = lines[2].replacen("\"scenario\":43", "\"scenario\":44", 1);
+        assert_ne!(past, lines[2]);
+        for body in [
+            [lines[0], lines[2], lines[1]].as_slice(),
+            &lines[..2],
+            &[lines[0], lines[1], lines[2], &past],
+        ] {
+            let resealed = reseal(&format!("{}\nfooter\n", body.join("\n")));
+            assert!(read_partial(&resealed)
+                .unwrap_err()
+                .contains("do not cover"));
+        }
     }
 
     /// A header line written verbatim, so tests can re-seal mutated
@@ -1562,6 +1643,86 @@ mod tests {
             writer.line(line).unwrap();
         }
         String::from_utf8(writer.finish().unwrap()).unwrap()
+    }
+
+    /// A recording of a small checkpointed program under a weak supply
+    /// and payload bit flips, priced for `integrity`.
+    pub(crate) fn sample_trace(integrity: Integrity) -> (ehdl::ehsim::ExecutionPlan, RunTrace) {
+        use ehdl::device::{Board, DeviceOp};
+        use ehdl::ehsim::{
+            CheckpointSpec, ExecutionPlan, FaultPlan, IntermittentExecutor, PowerSupply, Program,
+            RunOptions,
+        };
+        let mut program = Program::new("memo");
+        for k in 0..300 {
+            let spec = match k % 5 {
+                0 => CheckpointSpec::COMMIT,
+                1 => CheckpointSpec::ondemand(32),
+                _ => CheckpointSpec::NONE,
+            };
+            program.push(DeviceOp::CpuOps { count: 8_000 }, spec);
+        }
+        let mut board = Board::msp430fr5994();
+        let plan = ExecutionPlan::compile_with_integrity(program, &board, integrity);
+        let fault = FaultPlan::compile(&FaultSpec {
+            seed: 5,
+            reset_per_op: 0.002,
+            flip_per_commit_bit: 1e-3,
+            ..FaultSpec::none()
+        });
+        let mut supply = PowerSupply::new(
+            Harvester::square(0.004, 0.05, 0.5),
+            Capacitor::paper_100uf(),
+        );
+        let (_, trace) = IntermittentExecutor::default().record_plan_with(
+            &plan,
+            &mut board,
+            &mut supply,
+            RunOptions::default().fault(&fault),
+        );
+        (plan, trace)
+    }
+
+    #[test]
+    fn trace_memos_decode_to_the_original_or_are_refused() {
+        let traces = [
+            sample_trace(Integrity::None).1,
+            sample_trace(Integrity::Secded).1,
+        ];
+        let report = traces[1].report();
+        assert!(report.outages > 0 && report.integrity.flips_injected > 0);
+        let header = |key| MemoHeader {
+            ehdl_trace_memo: WIRE_VERSION,
+            fingerprint: 0xfeed,
+            key,
+        };
+        let valid: Vec<String> = (0..2)
+            .map(|key| String::from_utf8(memo_bytes(&header(key), &traces[key as usize])).unwrap())
+            .collect();
+        for (key, trace) in (0..).zip(&traces) {
+            assert_eq!(
+                read_memo(&valid[key as usize], header(key)).as_ref(),
+                Ok(trace)
+            );
+            assert!(read_memo(&valid[key as usize], header(key + 1)).is_err());
+        }
+        // Under its own seal a mutant decodes to the memo's trace or is
+        // refused; re-sealed, whatever decodes is a canonical trace.
+        survive_mutations(0x3e30, 3_000, &valid, |text| {
+            let mut ok = 0;
+            for (key, trace) in (0..).zip(&traces) {
+                if let Ok(decoded) = read_memo(text, header(key)) {
+                    assert_eq!(&decoded, trace);
+                    ok += 1;
+                }
+                if let Ok(decoded) = read_memo(&reseal(text), header(key)) {
+                    let words = decoded.to_words();
+                    assert_eq!(RunTrace::from_words(&words), Some(decoded));
+                    ok += 1;
+                }
+            }
+            ok
+        });
     }
 
     #[test]

@@ -168,9 +168,11 @@ fn permanently_failing_shard_degrades_instead_of_aborting_then_resume_completes(
     assert!(failed.attempt >= 2, "retried before giving up: {failed:?}");
     let text = degraded.to_string();
     assert!(text.contains("FAILED shard 1"), "{text}");
-    // Shards 2 and 3 completed; their partials await the resume.
+    // Shards 2 and 3 completed; their partials await the resume, and
+    // so do the trace memos the workers published.
     assert!(dir.join("partial-000002.ehsp").is_file());
     assert!(dir.join("partial-000003.ehsp").is_file());
+    assert!(!memos(&dir).is_empty());
 
     // Sabotage one surviving partial: chop it mid-record. The resume
     // must detect the truncation and re-run that shard, not merge it.
@@ -190,7 +192,84 @@ fn permanently_failing_shard_degrades_instead_of_aborting_then_resume_completes(
         "frontier + surviving partial should be reused: {resumed}"
     );
     assert_matches_in_process(&resumed, &matrix);
+    // A complete sweep leaves no memo behind.
+    assert_eq!(memos(&dir), Vec::<String>::new());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The trace memo files in a checkpoint directory, sorted.
+fn memos(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("trace-"))
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn corrupt_foreign_and_mispriced_trace_memos_are_misses() {
+    use ehdl::ehsim::Integrity;
+    // HAR on FLEX, unguarded and SECDED, two deterministic supplies,
+    // one shard per seed. The trace keys are integrity × environment:
+    // 0 and 1 unguarded, 2 and 3 SECDED.
+    let matrix = ScenarioMatrix::new()
+        .environments(vec![catalog::bench_supply(), catalog::solar_day()])
+        .seeds(vec![0, 1])
+        .integrities(vec![Integrity::None, Integrity::Secded])
+        .calibration(CalibrationConfig {
+            samples: 4,
+            percentile: 0.9,
+        });
+    // Real memos: a sweep that never completes keeps them. A sweep at
+    // another shard size is another sweep, with memos of its own.
+    let harvest = |shard_size: usize, tag: &str| {
+        let dir = tmp_dir(tag);
+        let report = coordinator(shard_size, Some("kill:1"))
+            .retries(0)
+            .checkpoint_dir(&dir)
+            .run(&matrix)
+            .unwrap();
+        assert!(!report.is_complete());
+        // The killed worker may leave a memo it was still writing.
+        let mut names = memos(&dir);
+        names.retain(|name| !name.ends_with(".wip"));
+        assert_eq!(names.len(), 4, "{names:?}");
+        (dir, names)
+    };
+    let (ours, names) = harvest(4, "memo-ours");
+    let (theirs, foreign) = harvest(2, "memo-theirs");
+    let read = |dir: &PathBuf, name: &String| std::fs::read(dir.join(name)).unwrap();
+
+    let salted = tmp_dir("memo-salted");
+    std::fs::create_dir_all(&salted).unwrap();
+    let mut torn = read(&ours, &names[0]);
+    torn.truncate(torn.len() / 2);
+    let mut flipped = read(&ours, &names[1]);
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x10;
+    for (name, bytes) in [
+        (&names[0], torn),
+        (&names[1], flipped),
+        // The unguarded recording under the SECDED key.
+        (&names[2], read(&ours, &names[0])),
+        // Another sweep's memo for the same tuple.
+        (&names[3], read(&theirs, &foreign[3])),
+    ] {
+        std::fs::write(salted.join(name), bytes).unwrap();
+    }
+    let report = coordinator(4, None)
+        .checkpoint_dir(&salted)
+        .run(&matrix)
+        .unwrap();
+    assert_matches_in_process(&report, &matrix);
+    assert_eq!(report.retries, 0);
+    assert_eq!(report.events, vec![]);
+    assert_eq!(memos(&salted), Vec::<String>::new());
+    for dir in [ours, theirs, salted] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 #[test]
