@@ -10,11 +10,12 @@
 //! worker (the session types are `Send`/`Sync` by contract).
 //!
 //! [`FleetRunner`] is the one sweep entry point. Its setters choose
-//! the worker count, the reference executor, the cache bound, a
-//! scenario [`range`](FleetRunner::range) (the whole matrix unless
-//! set; shard workers sweep theirs this way) and the
-//! [`sink`](FleetRunner::sink); [`run`](FleetRunner::run) or
-//! [`run_profiled`](FleetRunner::run_profiled) then executes.
+//! the worker count, the reference executor, a scenario
+//! [`range`](FleetRunner::range) (the whole matrix unless set; shard
+//! workers sweep theirs this way) and the [`sink`](FleetRunner::sink);
+//! [`run`](FleetRunner::run) or
+//! [`run_profiled`](FleetRunner::run_profiled) then executes. Its
+//! caches need no setter: they are sized from the matrix range.
 //!
 //! Reporting is a streaming telemetry pipeline: the runner emits one
 //! [`RunRecord`] per (scenario, run) and folds it into a pluggable

@@ -3,7 +3,7 @@
 //! sink folding, the set-up phases — deployment builds, plan compiles
 //! and waits on a cache slot another worker is filling — and networked
 //! worlds' gateway resolves) and how well the runner's caches work
-//! (plan, trace, deployment hit/miss/size counters).
+//! (plan, trace, deployment hit/miss counters).
 //!
 //! A [`PhaseProfile`] is an [`ExecProbe`] with
 //! [`TIMED`](ExecProbe::TIMED) `= true`: handed to a probed executor
@@ -22,13 +22,12 @@
 //! Profiles are a **side channel**: wall-clock timings are
 //! machine-dependent, so they never enter a [`FleetDigest`]
 //! (crate::FleetDigest) or any other sink — those stay bit-identical
-//! with profiling on or off. What *is* deterministic: every span/lookup
-//! **count** at one worker and, while no cache evicts, every cache
-//! counter and every span count but `slot_wait`'s at any worker count —
-//! each deployment and plan is built, and each trace recorded, exactly
-//! once, by the first scenario that claims it. Of the set-up spans,
-//! `deploy_build` and `plan_compile` count one build per key and
-//! residency when every build succeeds (a deployment built ahead of
+//! with profiling on or off. What *is* deterministic: every cache
+//! counter and every span **count** but `slot_wait`'s, at any worker
+//! count — each deployment and plan is built, and each trace recorded,
+//! exactly once, by the first scenario that claims it. Of the set-up
+//! spans, `deploy_build` and `plan_compile` count one build per key
+//! when every build succeeds (a deployment built ahead of
 //! need is still its key's one build), `world_resolve` counts one span
 //! per networked scenario, and `slot_wait` spans exist only when
 //! workers contend: on a deployment or plan another worker is building,
@@ -40,20 +39,13 @@ use core::fmt;
 use ehdl::ehsim::{ExecEvent, ExecPhase, ExecProbe};
 
 tally! {
-    /// Hit/miss/size counters for one runner cache.
+    /// Hit/miss counters for one runner cache.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct CacheCounters {
         /// Lookups served by an existing entry.
         pub hits: u64 => sum,
         /// Lookups that had to build the entry.
         pub misses: u64 => sum,
-        /// Entries resident at the end of the sweep.
-        pub entries: u64 => sum,
-        /// Entries evicted to stay under the cache's capacity bound — a
-        /// nonzero count means later lookups rebuilt evicted state, so a
-        /// larger [`cache_entries`](crate::FleetRunner::cache_entries) cap
-        /// would trade memory for fewer rebuilds.
-        pub evictions: u64 => sum,
     }
 }
 
@@ -256,13 +248,11 @@ impl fmt::Display for PhaseProfile {
         ] {
             writeln!(
                 f,
-                "  {:<18} cache: {} hits / {} misses ({:.1}% hit), {} entries, {} evictions",
+                "  {:<18} cache: {} hits / {} misses ({:.1}% hit)",
                 name,
                 c.hits,
                 c.misses,
-                c.hit_rate() * 100.0,
-                c.entries,
-                c.evictions
+                c.hit_rate() * 100.0
             )?;
         }
         Ok(())
@@ -365,12 +355,7 @@ mod tests {
 
     #[test]
     fn cache_counters_summarize() {
-        let c = CacheCounters {
-            hits: 3,
-            misses: 1,
-            entries: 1,
-            evictions: 0,
-        };
+        let c = CacheCounters { hits: 3, misses: 1 };
         assert_eq!(c.lookups(), 4);
         assert_eq!(c.hit_rate(), 0.75);
         assert_eq!(CacheCounters::default().hit_rate(), 0.0);
@@ -391,14 +376,10 @@ mod tests {
         p.caches.plan = CacheCounters {
             hits: 10,
             misses: 2,
-            entries: 2,
-            evictions: 0,
         };
         p.caches.deployment = CacheCounters {
             hits: 90,
             misses: 6,
-            entries: 6,
-            evictions: 3,
         };
         let json = p.to_json();
         let back = PhaseProfile::from_json(&json).unwrap();
@@ -450,20 +431,14 @@ mod tests {
         p.caches.plan = CacheCounters {
             hits: 10,
             misses: 2,
-            entries: 2,
-            evictions: 0,
         };
         p.caches.trace = CacheCounters {
             hits: 40,
             misses: 4,
-            entries: 3,
-            evictions: 1,
         };
         p.caches.deployment = CacheCounters {
             hits: 90,
             misses: 6,
-            entries: 6,
-            evictions: 3,
         };
         let golden = concat!(
             r#"{"phases":{"#,
@@ -476,9 +451,9 @@ mod tests {
             r#""plan_compile":{"count":1,"sum":"3fec000000000000","min":"3fec000000000000","max":"3fec000000000000","bins":[[514,1]]},"#,
             r#""slot_wait":{"count":1,"sum":"3ff0000000000000","min":"3ff0000000000000","max":"3ff0000000000000","bins":[[518,1]]},"#,
             r#""world_resolve":{"count":1,"sum":"3ff2000000000000","min":"3ff2000000000000","max":"3ff2000000000000","bins":[[521,1]]}},"#,
-            r#""caches":{"plan":{"hits":10,"misses":2,"entries":2,"evictions":0},"#,
-            r#""trace":{"hits":40,"misses":4,"entries":3,"evictions":1},"#,
-            r#""deployment":{"hits":90,"misses":6,"entries":6,"evictions":3}}}"#,
+            r#""caches":{"plan":{"hits":10,"misses":2},"#,
+            r#""trace":{"hits":40,"misses":4},"#,
+            r#""deployment":{"hits":90,"misses":6}}}"#,
         );
         assert_eq!(p.to_json(), golden);
         assert_eq!(PhaseProfile::from_json(golden).unwrap(), p);

@@ -3,7 +3,7 @@
 
 use crate::checkpoint::TraceMemo;
 use crate::metrics::{FullReportSink, MetricsSink, RunRecord};
-use crate::profile::{CacheCounters, PhaseProfile};
+use crate::profile::PhaseProfile;
 use crate::scenario::{Scenario, ScenarioMatrix};
 use ehdl::deployment::quantized_accuracy;
 use ehdl::ehsim::{
@@ -21,90 +21,27 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
-/// The default [`cache_entries`](FleetRunner::cache_entries) bound for
-/// the deployment, plan and trace caches — generous enough that every sweep
-/// in the repo (and any reasonably shaped matrix) runs eviction-free,
-/// while still capping residency on adversarially wide axes.
-const DEFAULT_CACHE_ENTRIES: usize = 1024;
-
-/// A tiny deterministic LRU for the runner's bounded caches: keys are
-/// the dense cache indices scenario expansion derives, values are
-/// `Arc`s handed out while the lock is released. Lookups are O(len),
-/// which is fine at the capacities involved (default 1024), and the
-/// back-of-vec recency order makes eviction a pure function of the
-/// lookup sequence.
-struct Lru<V> {
-    cap: usize,
-    entries: Vec<(usize, V)>,
-    evictions: u64,
-}
-
-impl<V: Clone> Lru<V> {
-    fn new(cap: usize) -> Self {
-        Lru {
-            cap: cap.max(1),
-            entries: Vec::new(),
-            evictions: 0,
-        }
-    }
-
-    /// The value under `key`, refreshed to most-recently-used.
-    fn get(&mut self, key: usize) -> Option<V> {
-        let pos = self.entries.iter().position(|(k, _)| *k == key)?;
-        let entry = self.entries.remove(pos);
-        let value = entry.1.clone();
-        self.entries.push(entry);
-        Some(value)
-    }
-
-    /// The value under `key` without refreshing its recency, or
-    /// `make()` inserted there if the cache has room. `None` when the
-    /// key is absent and inserting it would evict.
-    fn peek_or_insert_with_room(&mut self, key: usize, make: impl FnOnce() -> V) -> Option<V> {
-        if let Some((_, value)) = self.entries.iter().find(|(k, _)| *k == key) {
-            return Some(value.clone());
-        }
-        if self.entries.len() >= self.cap {
-            return None;
-        }
-        let value = make();
-        self.entries.push((key, value.clone()));
-        Some(value)
-    }
-
-    /// The value under `key`, refreshed to most-recently-used, or
-    /// `make()` inserted there, evicting the least-recently-used entry
-    /// when over capacity. Returns the resident value.
-    fn get_or_insert_with(&mut self, key: usize, make: impl FnOnce() -> V) -> V {
-        if let Some(existing) = self.get(key) {
-            return existing;
-        }
-        let value = make();
-        self.entries.push((key, value.clone()));
-        if self.entries.len() > self.cap {
-            self.entries.remove(0);
-            self.evictions += 1;
-        }
-        value
-    }
-}
-
-/// A per-key once-cell: the first worker to find the slot empty builds
-/// its value holding only this slot's lock. Workers needing other keys
-/// never wait on the build; workers needing this key wait for it
-/// instead of building it again — or, for deployments, first build a
-/// later scenario's value ahead of time with [`try_fill`](Self::try_fill).
-/// For traces the build is the recording run itself, so every other
-/// claimant of the tuple waits for that one recording and replays it.
+/// A per-key once-cell that counts the claims its key has left. The
+/// first worker to find the slot empty builds its value holding only
+/// this slot's lock. Workers needing other keys never wait on the build;
+/// workers needing this key wait for it instead of building it again —
+/// or, for deployments, first build a later scenario's value ahead of
+/// time with [`try_fill`](Self::try_fill). For traces the build is the
+/// recording run itself, so every other claimant of the tuple waits for
+/// that one recording and replays it.
 ///
 /// The contract that keeps cache counters worker-count-invariant:
 /// each value is **claimed** by the scenarios that need it, and exactly
-/// one claim per built value reports `built == true` — the claim that
-/// built it, or, for a value built ahead, the first claim after the
-/// fill. Misses therefore count distinct keys (per residency) whoever
-/// did the building. A failed build, claimed or ahead, leaves the slot
-/// empty, so the next scenario needing the key rebuilds it and reports
-/// its own error.
+/// one claim per key reports `built == true` — the claim that built it,
+/// or, for a value built ahead, the first claim after the fill. Misses
+/// therefore count distinct keys whoever did the building. A failed
+/// build, claimed or ahead, leaves the slot empty, so the next scenario
+/// needing the key rebuilds it and reports its own error.
+///
+/// A slot starts with the number of claims the sweep will make on its
+/// key (see [`Caches::count`]). The claim that spends the last one takes
+/// the value out, so the value is freed when its last scenario is done
+/// with it, and a spent slot is never filled again.
 struct Slot<V>(Mutex<SlotState<V>>);
 
 /// A [`Slot`]'s contents, read and filled under the slot's lock.
@@ -113,18 +50,20 @@ struct SlotState<V> {
     /// The value was built ahead and nobody has claimed it yet: the
     /// first claim counts as the miss.
     unclaimed: bool,
-}
-
-impl<V> Default for Slot<V> {
-    fn default() -> Self {
-        Slot(Mutex::new(SlotState {
-            value: None,
-            unclaimed: false,
-        }))
-    }
+    /// Claims still to come on this key.
+    claims: u64,
 }
 
 impl<V> Slot<V> {
+    /// An empty slot awaiting `claims` claims.
+    fn new(claims: u64) -> Self {
+        Slot(Mutex::new(SlotState {
+            value: None,
+            unclaimed: false,
+            claims,
+        }))
+    }
+
     /// Locks the slot, blocking while another worker builds into it. A
     /// build that panicked never filled the slot, so a poisoned slot is
     /// an empty one.
@@ -157,14 +96,14 @@ impl<V> Slot<V> {
     }
 
     /// Builds ahead: fills the slot with `init()` only if nobody holds
-    /// it and it is empty, leaving the value unclaimed. `init` returning
-    /// `None` (a failed build) leaves the slot empty. Returns whether
-    /// `init` ran.
+    /// it, it is empty and claims on it remain, leaving the value
+    /// unclaimed. `init` returning `None` (a failed build) leaves the
+    /// slot empty. Returns whether `init` ran.
     fn try_fill(&self, init: impl FnOnce() -> Option<V>) -> bool {
         let Some(mut state) = self.try_lock() else {
             return false;
         };
-        if state.value.is_some() {
+        if state.value.is_some() || state.claims == 0 {
             return false;
         }
         if let Some(value) = init() {
@@ -178,44 +117,118 @@ impl<V> Slot<V> {
 impl<V> SlotState<V> {
     /// Claims the slot's value, built by `init` if the slot is still
     /// empty, and whether this claim counts as the build (see [`Slot`]).
+    /// The claim that spends the key's count takes the value out.
     fn claim<E>(&mut self, init: impl FnOnce() -> Result<V, E>) -> Result<(Arc<V>, bool), E> {
-        if let Some(value) = self.value.as_ref() {
-            return Ok((Arc::clone(value), std::mem::take(&mut self.unclaimed)));
+        // An uncounted claim would find its value released; in release
+        // builds it rebuilds it, deterministically and as a miss.
+        debug_assert!(self.claims > 0, "a claim the sweep did not count");
+        let (value, built) = match self.value.take() {
+            Some(value) => (value, std::mem::take(&mut self.unclaimed)),
+            None => (Arc::new(init()?), true),
+        };
+        self.claims = self.claims.saturating_sub(1);
+        if self.claims > 0 {
+            self.value = Some(Arc::clone(&value));
         }
-        let value = Arc::new(init()?);
-        self.value = Some(Arc::clone(&value));
-        Ok((value, true))
+        Ok((value, built))
     }
 }
 
-/// One of the runner's bounded caches: per-key [`Slot`]s in an
-/// [`Lru`], keyed by a dense index derived from the scenario. The lock
-/// guards only the slot table; each value builds under its own slot, so
-/// a worker hitting a built key never waits on another key's build. An
-/// evicted value is rebuilt deterministically on its next miss, so the
-/// bound trades wall-clock for memory without touching any report.
-struct SlotCache<V>(Mutex<Lru<Arc<Slot<V>>>>);
+/// One of the runner's caches: a [`Slot`] per key the sweep will claim,
+/// keyed by a dense index derived from the scenario. The table is fixed
+/// before any worker starts, so finding a slot takes no lock, and each
+/// value builds under its own slot, so a worker hitting a built key
+/// never waits on another key's build.
+struct SlotTable<V>(BTreeMap<usize, Slot<V>>);
 
-impl<V> SlotCache<V> {
-    fn new(entries: usize) -> Self {
-        SlotCache(Mutex::new(Lru::new(entries)))
+impl<V> SlotTable<V> {
+    /// Adds `claims` claims on `key`.
+    fn count(&mut self, key: usize, claims: u64) {
+        let slot = self.0.entry(key).or_insert_with(|| Slot::new(0));
+        let state = slot.0.get_mut().unwrap_or_else(PoisonError::into_inner);
+        state.claims += claims;
     }
 
-    fn lru(&self) -> MutexGuard<'_, Lru<Arc<Slot<V>>>> {
-        self.0.lock().expect("slot cache lock")
+    /// The slot under `key`, which [`Caches::count`] counted.
+    fn slot(&self, key: usize) -> &Slot<V> {
+        &self.0[&key]
     }
+}
 
-    /// The slot under `key`, refreshed to most-recently-used, or a new
-    /// empty one (evicting the least-recently-used when full).
-    fn slot(&self, key: usize) -> Arc<Slot<V>> {
-        self.lru().get_or_insert_with(key, Arc::default)
+/// The cache keys one scenario claims. The pre-pass that sizes the
+/// caches and the claim sites both derive them here, so the claim
+/// counts cannot drift from the claims.
+#[derive(Clone, Copy)]
+struct ClaimKeys {
+    /// The (workload, board, seed) artifact.
+    artifact: usize,
+    /// The (workload, board, strategy, integrity scheme) plan.
+    plan: usize,
+    /// The (plan, environment, budget, fault) trace of a deterministic
+    /// solo scenario on the planned path, claimed once per run. `None`
+    /// for stochastic environments, networked worlds and the reference
+    /// executor, which record nothing.
+    trace: Option<usize>,
+}
+
+impl ClaimKeys {
+    fn of(matrix: &ScenarioMatrix, scenario: &Scenario, reference: bool) -> Self {
+        let plan = matrix.plan_key(scenario.index);
+        let traced =
+            !reference && scenario.topology.is_solo() && !scenario.environment.is_stochastic();
+        let trace = traced.then(|| {
+            ((plan * matrix.environments.len() + scenario.environment_key) * matrix.budgets.len()
+                + scenario.budget_key)
+                * matrix.faults.len()
+                + scenario.fault_key
+        });
+        ClaimKeys {
+            artifact: scenario.artifact_key,
+            plan,
+            trace,
+        }
     }
+}
 
-    /// Records the cache's residency and evictions in `counters`.
-    fn count_into(&self, counters: &mut CacheCounters) {
-        let lru = self.lru();
-        counters.entries = lru.entries.len() as u64;
-        counters.evictions = lru.evictions;
+/// The runner's three caches for one sweep, each value built at most
+/// once under its own slot (see `lower` and `run_scenario`), so every
+/// key misses exactly once at any worker count:
+/// - one calibrated artifact per (workload, board, seed) — the built
+///   deployment and its priced accuracy — shared by every strategy and
+///   integrity scheme, since neither is read until a plan is lowered;
+/// - one execution plan per (workload, board, strategy, integrity
+///   scheme), shared across seeds too: the op stream and its costs
+///   depend on the model architecture, the cost table and the scheme's
+///   checkpoint padding, not on the calibration data;
+/// - one recorded trace per (plan, environment, budget, fault) tuple,
+///   populated by deterministic environments only. Budget and fault
+///   schedule are part of the key because both change the trajectory a
+///   recording captures.
+struct Caches {
+    artifacts: SlotTable<Calibrated>,
+    plans: SlotTable<ExecutionPlan>,
+    traces: SlotTable<RunTrace>,
+}
+
+impl Caches {
+    /// Counts every claim `scenarios` will make, before any is made: one
+    /// artifact and one plan per scenario, and one trace per run of a
+    /// traced scenario. Residency is then bounded by the range itself.
+    fn count(matrix: &ScenarioMatrix, scenarios: &[Scenario], reference: bool) -> Self {
+        let mut caches = Caches {
+            artifacts: SlotTable(BTreeMap::new()),
+            plans: SlotTable(BTreeMap::new()),
+            traces: SlotTable(BTreeMap::new()),
+        };
+        for scenario in scenarios {
+            let keys = ClaimKeys::of(matrix, scenario, reference);
+            caches.artifacts.count(keys.artifact, 1);
+            caches.plans.count(keys.plan, 1);
+            if let Some(trace) = keys.trace {
+                caches.traces.count(trace, u64::from(matrix.runs));
+            }
+        }
+        caches
     }
 }
 
@@ -262,12 +275,12 @@ struct Lowered {
 /// and scheme-derived, never data- or environment-derived — and shares
 /// it (via `Arc`) across every environment, seed and worker, so a
 /// 10k-scenario sweep prices each distinct program exactly once.
-/// Deployments, plans and recorded traces live in **bounded LRU
-/// caches** ([`cache_entries`](Self::cache_entries) deep, default
-/// 1024): entries are built lazily by the first worker that needs them,
-/// outside the cache lock under a per-key once-cell, and an evicted
-/// entry is rebuilt deterministically on its next miss, so the cap
-/// trades wall-clock for memory without changing a single report bit.
+/// Deployments, plans and recorded traces live in caches **sized by the
+/// matrix**: before any worker starts, the runner counts how many times
+/// each key will be claimed. Entries are built lazily by the first
+/// worker that needs them, under a per-key once-cell, and freed when
+/// their last claim is done, so nothing is ever evicted or rebuilt and
+/// memory is bounded by the keys live in the sweep's range.
 /// A worker that would wait on another worker's deployment build
 /// builds a later scenario's deployment ahead instead, so the builds of
 /// neighbouring keys overlap rather than queue.
@@ -294,11 +307,10 @@ struct Lowered {
 ///
 /// One value holds everything a sweep reads besides the matrix: the
 /// worker count, the [`reference_executor`](Self::reference_executor)
-/// flag, the [`cache_entries`](Self::cache_entries) bound, the scenario
-/// [`range`](Self::range) (the whole matrix by default) and the
-/// [`sink`](Self::sink) the runs fold into ([`FullReportSink`] by
-/// default). [`run`](Self::run) and [`run_profiled`](Self::run_profiled)
-/// consume it:
+/// flag, the scenario [`range`](Self::range) (the whole matrix by
+/// default) and the [`sink`](Self::sink) the runs fold into
+/// ([`FullReportSink`] by default). [`run`](Self::run) and
+/// [`run_profiled`](Self::run_profiled) consume it:
 ///
 /// ```no_run
 /// use ehdl_fleet::{DigestSink, FleetRunner, ScenarioMatrix};
@@ -317,7 +329,6 @@ struct Lowered {
 pub struct FleetRunner<S: MetricsSink = FullReportSink> {
     workers: usize,
     reference: bool,
-    cache_entries: usize,
     range: Range<usize>,
     /// The trace cache's disk tier; shard workers set it.
     memo: Option<TraceMemo>,
@@ -333,7 +344,6 @@ impl FleetRunner {
         FleetRunner {
             workers: workers.max(1),
             reference: false,
-            cache_entries: DEFAULT_CACHE_ENTRIES,
             range: 0..usize::MAX,
             memo: None,
             sink: FullReportSink::new(),
@@ -360,17 +370,6 @@ impl<S: MetricsSink> FleetRunner<S> {
     /// whole matrix. Slow by design; not for production sweeps.
     pub fn reference_executor(mut self, reference: bool) -> Self {
         self.reference = reference;
-        self
-    }
-
-    /// Bounds the runner's deployment, plan and trace caches to at most
-    /// `entries` resident entries each (clamped to ≥ 1; default 1024).
-    /// Evicted entries are rebuilt deterministically on the next miss,
-    /// so a tighter cap trades wall-clock for memory without changing
-    /// any report bit. Evictions are counted in the profiled sweep's
-    /// [`CacheCounters`](crate::CacheCounters).
-    pub fn cache_entries(mut self, entries: usize) -> Self {
-        self.cache_entries = entries.max(1);
         self
     }
 
@@ -408,7 +407,6 @@ impl<S: MetricsSink> FleetRunner<S> {
         FleetRunner {
             workers: self.workers,
             reference: self.reference,
-            cache_entries: self.cache_entries,
             range: self.range,
             memo: self.memo,
             sink,
@@ -445,10 +443,10 @@ impl<S: MetricsSink> FleetRunner<S> {
     ///
     /// The profile is a side channel: the sink report stays
     /// **bit-identical** to the unprofiled sweep at any worker count.
-    /// While no cache evicts, every cache counter and every span
-    /// *count* but `slot_wait`'s is the same at any worker count: each
-    /// key is built, or its trace recorded, exactly once. Timings are
-    /// wall-clock and therefore never deterministic.
+    /// Every cache counter and every span *count* but `slot_wait`'s is
+    /// the same at any worker count: each key is built, or its trace
+    /// recorded, exactly once. Timings are wall-clock and therefore
+    /// never deterministic.
     ///
     /// # Errors
     ///
@@ -472,7 +470,6 @@ impl<S: MetricsSink> FleetRunner<S> {
         let FleetRunner {
             workers,
             reference,
-            cache_entries,
             range,
             memo,
             sink,
@@ -484,29 +481,7 @@ impl<S: MetricsSink> FleetRunner<S> {
             return sink.finish().map(|report| (report, profile));
         }
 
-        // Three caches, each `cache_entries` deep, each value built at
-        // most once per residency under its own slot (see `lower` and
-        // `run_scenario`), so every key misses exactly once (until
-        // evicted) at any worker count:
-        // - one calibrated artifact per (workload, board, seed) — the
-        //   built deployment and its priced accuracy — shared by every
-        //   strategy and integrity scheme, since neither is read until
-        //   a plan is lowered;
-        // - one execution plan per (workload, board, strategy,
-        //   integrity scheme), shared across seeds too: the op stream
-        //   and its costs depend on the model architecture, the cost
-        //   table and the scheme's checkpoint padding, not on the
-        //   calibration data;
-        // - one recorded trace per (plan, environment, budget, fault)
-        //   tuple, populated by deterministic environments only. Budget
-        //   and fault schedule are part of the key because both change
-        //   the trajectory a recording captures.
-        let artifacts = SlotCache::new(cache_entries);
-        let plans = SlotCache::new(cache_entries);
-        let traces = SlotCache::new(cache_entries);
-        let environments = matrix.environments.len();
-        let budgets = matrix.budgets.len();
-        let faults = matrix.faults.len();
+        let caches = Caches::count(matrix, &scenarios, reference);
 
         // The sink is shared: workers briefly lock it to `open` each
         // scenario's accumulator as they claim it (so at most one
@@ -523,28 +498,21 @@ impl<S: MetricsSink> FleetRunner<S> {
                          ahead: &[Scenario],
                          mut profile: Option<&mut PhaseProfile>|
          -> Result<S::Partial, Error> {
-            let plan_key = matrix.plan_key(scenario.index);
+            let keys = ClaimKeys::of(matrix, scenario, reference);
             let lowered = lower(
                 scenario,
-                plan_key,
+                keys,
                 ahead,
                 matrix.calibration,
-                &artifacts,
-                &plans,
+                &caches,
                 profile.as_deref_mut(),
             )?;
-            let trace_key = (!reference && !scenario.environment.is_stochastic()).then(|| {
-                ((plan_key * environments + scenario.environment_key) * budgets
-                    + scenario.budget_key)
-                    * faults
-                    + scenario.fault_key
-            });
             let mut partial = lock_sink(&sink).open(scenario, lowered.artifact.accuracy);
             let job = ScenarioRun {
                 scenario,
                 lowered: &lowered,
-                trace_key,
-                traces: &traces,
+                trace_key: keys.trace,
+                traces: &caches.traces,
                 memo: memo.as_ref(),
                 executor: &executors[scenario.budget_key],
                 fault: &fault_plans[scenario.fault_key],
@@ -700,11 +668,6 @@ impl<S: MetricsSink> FleetRunner<S> {
             for (_, worker) in &collected {
                 p.merge(worker);
             }
-            // Residency and eviction counts live in the shared caches,
-            // not in any worker's local profile.
-            artifacts.count_into(&mut p.caches.deployment);
-            plans.count_into(&mut p.caches.plan);
-            traces.count_into(&mut p.caches.trace);
         }
         sink.into_inner()
             .unwrap_or_else(PoisonError::into_inner)
@@ -774,33 +737,33 @@ pub(crate) fn preflight(
 
 /// Finds or builds what one scenario runs on: its (workload, board,
 /// seed) artifact, then its (workload, board, strategy, integrity) plan
-/// under `plan_key` — each built at most once per residency, under its
-/// own [`Slot`] with the cache locks released.
+/// — each built at most once, under its own [`Slot`].
 ///
 /// A worker whose artifact slot is busy — another worker is building
 /// it — builds ahead instead of idling: [`build_ahead`] fills the first
 /// empty, idle artifact slot among `ahead` (the scenarios after this
 /// one within the runner's backpressure window), and only then does the
-/// worker block on its own slot. Build-ahead never evicts and discards
-/// a failed build, and the first claim of a built-ahead artifact counts
-/// as its miss (see [`Slot`]), so every counter and report is what a
-/// one-worker sweep produces. Plans are never built ahead.
+/// worker block on its own slot. Build-ahead skips spent slots and
+/// discards a failed build, and the first claim of a built-ahead
+/// artifact counts as its miss (see [`Slot`]), so every counter and
+/// report is what a one-worker sweep produces. Plans are never built
+/// ahead.
 ///
 /// Counts one deployment and one plan lookup and, when profiled, times
 /// every deployment build, plan compile and wait on a busy slot.
 fn lower(
     scenario: &Scenario,
-    plan_key: usize,
+    keys: ClaimKeys,
     ahead: &[Scenario],
     calibration: CalibrationConfig,
-    artifacts: &SlotCache<Calibrated>,
-    plans: &SlotCache<ExecutionPlan>,
+    caches: &Caches,
     mut profile: Option<&mut PhaseProfile>,
 ) -> Result<Lowered, Error> {
-    let (artifact, built) = artifacts
-        .slot(scenario.artifact_key)
+    let (artifact, built) = caches
+        .artifacts
+        .slot(keys.artifact)
         .acquire(profile.as_deref_mut(), |mut profile| {
-            build_ahead(ahead, artifacts, |next| {
+            build_ahead(ahead, &caches.artifacts, |next| {
                 timed(profile.as_deref_mut(), ExecPhase::DeployBuild, || {
                     calibrate(next, calibration)
                 })
@@ -811,8 +774,9 @@ fn lower(
                 calibrate(scenario, calibration)
             })
         })?;
-    let Ok((plan, compiled)) = plans
-        .slot(plan_key)
+    let Ok((plan, compiled)) = caches
+        .plans
+        .slot(keys.plan)
         .acquire(profile.as_deref_mut(), |_| {})
         .claim(|| {
             Ok::<_, Infallible>(timed(
@@ -834,15 +798,13 @@ fn lower(
 
 /// Builds ahead for a worker about to wait on another worker's build:
 /// fills the artifact slot of the first scenario in `ahead` whose slot
-/// is empty and idle, then returns whether it tried a build. It never
-/// evicts — a key not yet resident is inserted only while the cache has
-/// room, and resident keys are looked up without refreshing their
-/// recency — and it discards a failed or panicking build, leaving the
-/// slot empty so the scenario that owns the key rebuilds it and reports
-/// its own error.
+/// is empty, idle and not yet spent (see [`Slot::try_fill`]), then
+/// returns whether it tried a build. It discards a failed or panicking
+/// build, leaving the slot empty so the scenario that owns the key
+/// rebuilds it and reports its own error.
 fn build_ahead<V, E>(
     ahead: &[Scenario],
-    cache: &SlotCache<V>,
+    table: &SlotTable<V>,
     mut build: impl FnMut(&Scenario) -> Result<V, E>,
 ) -> bool {
     let mut last = None;
@@ -851,12 +813,7 @@ fn build_ahead<V, E>(
         if last.replace(next.artifact_key) == Some(next.artifact_key) {
             continue;
         }
-        let slot = cache
-            .lru()
-            .peek_or_insert_with_room(next.artifact_key, Arc::default);
-        let Some(slot) = slot else {
-            continue;
-        };
+        let slot = table.slot(next.artifact_key);
         if slot.try_fill(|| catch_unwind(AssertUnwindSafe(|| build(next))).ok()?.ok()) {
             return true;
         }
@@ -880,8 +837,7 @@ fn timed<T>(profile: Option<&mut PhaseProfile>, phase: ExecPhase, f: impl FnOnce
 /// prices the quantized accuracy. A pure function of (workload, board,
 /// seed) and the matrix's calibration — never of the strategy or the
 /// integrity scheme — which is what lets one artifact serve every
-/// scenario of its key and lets the bounded cache rebuild an evicted
-/// one without changing any report.
+/// scenario of its key.
 fn calibrate(scenario: &Scenario, calibration: CalibrationConfig) -> Result<Calibrated, Error> {
     let data = scenario.workload.dataset(scenario.seed);
     let mut model = scenario.workload.model();
@@ -921,7 +877,7 @@ struct ScenarioRun<'a> {
     lowered: &'a Lowered,
     /// The trace-cache key of a deterministic solo scenario.
     trace_key: Option<usize>,
-    traces: &'a SlotCache<RunTrace>,
+    traces: &'a SlotTable<RunTrace>,
     memo: Option<&'a TraceMemo>,
     executor: &'a IntermittentExecutor,
     fault: &'a FaultPlan,
@@ -1147,6 +1103,7 @@ mod tests {
     use super::*;
     use crate::metrics::{CsvSink, DigestSink, GroupAxis, GroupBySink, JsonlSink};
     use crate::scenario::Workload;
+    use crate::NetworkTopology;
     use ehdl::ehsim::{catalog, ExecutorConfig};
     use ehdl::Strategy;
 
@@ -1364,17 +1321,14 @@ mod tests {
 
         // Deployments: one per (workload, board, seed) = 2, shared by
         // both strategies, looked up once per scenario (8).
-        assert_eq!(profile.caches.deployment.entries, 2);
         assert_eq!(profile.caches.deployment.misses, 2);
         assert_eq!(profile.caches.deployment.hits, 6);
-        // Plans: one per strategy, shared across seeds = 2 entries,
-        // looked up once per scenario (8).
-        assert_eq!(profile.caches.plan.entries, 2);
+        // Plans: one per strategy, shared across seeds = 2 keys, looked
+        // up once per scenario (8).
         assert_eq!(profile.caches.plan.misses, 2);
         assert_eq!(profile.caches.plan.hits, 6);
         // Traces: only the deterministic env records — 2 (plan, env)
         // pairs over 2 seeds × 2 runs = 8 lookups.
-        assert_eq!(profile.caches.trace.entries, 2);
         assert_eq!(profile.caches.trace.misses, 2);
         assert_eq!(profile.caches.trace.hits, 6);
 
@@ -1412,6 +1366,54 @@ mod tests {
         // The profile survives its wire format bit-identically.
         let back = PhaseProfile::from_json(&profile.to_json()).unwrap();
         assert_eq!(back, profile);
+
+        // Every lookup is a claim the pre-pass counted, and every
+        // distinct key misses once — also for networked worlds, which
+        // claim deployments and plans but no trace, and for the
+        // reference executor, which claims no trace at all.
+        let world = matrix.clone().topologies(vec![
+            NetworkTopology::solo(),
+            NetworkTopology::line(2, 1.0, 0.5),
+        ]);
+        for (matrix, reference) in [(&matrix, false), (&world, false), (&matrix, true)] {
+            let expected = claim_totals(matrix, reference);
+            assert!(expected[1].0 > 0 && (expected[2].0 == 0) == reference);
+            for workers in [1, 2, 4, 8] {
+                let (_, profile) = FleetRunner::builder()
+                    .workers(workers)
+                    .reference_executor(reference)
+                    .sink(DigestSink::new())
+                    .run_profiled(matrix)
+                    .unwrap();
+                let caches = profile.caches;
+                let counted = [caches.deployment, caches.plan, caches.trace]
+                    .map(|cache| (cache.lookups(), cache.misses));
+                assert_eq!(
+                    counted,
+                    expected,
+                    "{workers} workers, reference {reference}, {} topologies",
+                    matrix.topologies.len()
+                );
+            }
+        }
+    }
+
+    /// Per cache (deployment, plan, trace): the claims a sweep of
+    /// `matrix` counts before it starts, and the distinct keys claimed.
+    fn claim_totals(matrix: &ScenarioMatrix, reference: bool) -> [(u64, u64); 3] {
+        fn totals<V>(table: &SlotTable<V>) -> (u64, u64) {
+            let claims = table.0.values().map(|slot| slot.lock().claims);
+            (
+                claims.clone().sum(),
+                claims.filter(|&n| n > 0).count() as u64,
+            )
+        }
+        let caches = Caches::count(matrix, &matrix.scenarios(), reference);
+        [
+            totals(&caches.artifacts),
+            totals(&caches.plans),
+            totals(&caches.traces),
+        ]
     }
 
     #[test]
@@ -1458,7 +1460,7 @@ mod tests {
 
     #[test]
     fn a_built_ahead_value_counts_as_built_for_its_first_claimant_only() {
-        let slot = Slot::<u32>::default();
+        let slot = Slot::<u32>::new(3);
         assert!(slot.try_fill(|| Some(7)));
         // A filled slot is never built again, ahead or claimed.
         assert!(!slot.try_fill(|| panic!("a filled slot never rebuilds")));
@@ -1471,7 +1473,7 @@ mod tests {
         assert_eq!(claim(&slot), Ok((7, false)));
         assert_eq!(claim(&slot), Ok((7, false)));
         // A value built by its own claim counts on that claim only.
-        let own = Slot::<u32>::default();
+        let own = Slot::<u32>::new(2);
         let built = own.lock().claim(|| Ok::<_, ()>(3)).map(|(v, b)| (*v, b));
         assert_eq!(built, Ok((3, true)));
         assert_eq!(claim(&own), Ok((3, false)));
@@ -1479,17 +1481,19 @@ mod tests {
 
     #[test]
     fn a_failed_build_ahead_leaves_the_slot_empty() {
-        let slot = Slot::<u32>::default();
+        let slot = Slot::<u32>::new(1);
         assert!(slot.try_fill(|| None), "the build was tried");
         assert!(slot.lock().value.is_none());
-        // The owning scenario rebuilds and reports its own error…
+        // The owning scenario rebuilds and reports its own error, which
+        // spends no claim…
         let err = slot.lock().claim(|| Err::<u32, &str>("owner's error"));
         assert_eq!(err.unwrap_err(), "owner's error");
+        assert_eq!(slot.lock().claims, 1);
         // …or, when its build succeeds, counts the miss.
         let (v, built) = slot.lock().claim(|| Ok::<_, &str>(5)).unwrap();
         assert_eq!((*v, built), (5, true));
         // A slot another worker holds is skipped, never waited on.
-        let busy = Slot::<u32>::default();
+        let busy = Slot::<u32>::new(1);
         let held = busy.lock();
         assert!(!busy.try_fill(|| Some(1)));
         assert!(busy.try_lock().is_none());
@@ -1497,64 +1501,114 @@ mod tests {
         assert!(busy.lock().value.is_none());
     }
 
+    #[test]
+    fn a_value_is_freed_when_its_last_claim_returns() {
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        let slot = Slot::new(3);
+        let claim = || {
+            slot.lock()
+                .claim(|| Ok::<_, ()>(Counted(Arc::clone(&drops))))
+                .unwrap()
+        };
+        let (first, built) = claim();
+        assert!(built);
+        drop(first);
+        let (second, built) = claim();
+        assert!(!built);
+        drop(second);
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            0,
+            "one claim is still to come"
+        );
+        let (last, built) = claim();
+        assert!(!built, "the last claim reuses the value");
+        assert!(slot.lock().value.is_none(), "the last claim took it out");
+        assert_eq!(slot.lock().claims, 0);
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            0,
+            "its claimant still holds it"
+        );
+        drop(last);
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            1,
+            "freed with its last claimant"
+        );
+        // A released key is never refilled ahead of need.
+        assert!(!slot.try_fill(|| panic!("a spent slot never refills")));
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
     /// Three scenarios with artifact keys 0, 1 and 2.
-    fn three_keys() -> Vec<Scenario> {
-        let scenarios = ScenarioMatrix::new()
+    fn three_keys() -> (ScenarioMatrix, Vec<Scenario>) {
+        let matrix = ScenarioMatrix::new()
             .environments(vec![catalog::bench_supply()])
-            .seeds(vec![0, 1, 2])
-            .scenarios();
+            .seeds(vec![0, 1, 2]);
+        let scenarios = matrix.scenarios();
         let keys: Vec<usize> = scenarios.iter().map(|s| s.artifact_key).collect();
         assert_eq!(keys, [0, 1, 2]);
-        scenarios
+        (matrix, scenarios)
+    }
+
+    /// The artifact table a sweep of `scenarios` starts with: one claim
+    /// on each of the three keys, on a `usize` stand-in value.
+    fn artifact_table(matrix: &ScenarioMatrix, scenarios: &[Scenario]) -> SlotTable<usize> {
+        let mut table = SlotTable(BTreeMap::new());
+        for scenario in scenarios {
+            table.count(ClaimKeys::of(matrix, scenario, false).artifact, 1);
+        }
+        table
     }
 
     #[test]
-    fn build_ahead_into_a_full_cache_does_nothing() {
-        let scenarios = three_keys();
-        let cache = SlotCache::<usize>::new(1);
-        let own = cache.slot(0);
-        let _building = own.lock();
-        let built = build_ahead(&scenarios, &cache, |s| Ok::<_, ()>(s.artifact_key));
-        assert!(!built);
-        let lru = cache.lru();
-        assert_eq!((lru.entries.len(), lru.evictions), (1, 0));
-        drop(lru);
-
-        // With room, it fills the first idle, empty key and stops there;
-        // the busy key 0 is skipped.
-        let cache = SlotCache::<usize>::new(2);
-        let own = cache.slot(0);
-        let _building = own.lock();
-        let built = build_ahead(&scenarios, &cache, |s| Ok::<_, ()>(s.artifact_key));
-        assert!(built);
-        let mut lru = cache.lru();
-        assert_eq!((lru.entries.len(), lru.evictions), (2, 0));
-        let ahead = lru.get(1).expect("key 1 built ahead");
-        assert_eq!(ahead.lock().value.as_deref(), Some(&1));
-        assert!(lru.get(2).is_none(), "one build per wait");
-        drop(lru);
-        // The cache is now full: key 2 is never inserted.
-        assert!(!build_ahead(&scenarios, &cache, |s| Ok::<_, ()>(
-            s.artifact_key
-        )));
-        assert_eq!(cache.lru().evictions, 0);
+    fn build_ahead_skips_busy_filled_and_spent_slots() {
+        let (matrix, scenarios) = three_keys();
+        let build = |s: &Scenario| Ok::<_, ()>(s.artifact_key);
+        let table = artifact_table(&matrix, &scenarios);
+        // Key 0 is busy (another worker is building it) and key 1 is
+        // spent (its one claim is done): build-ahead passes both and
+        // fills key 2, the first idle, empty slot with claims left.
+        let spent = table.slot(1).lock().claim(|| build(&scenarios[1]));
+        assert_eq!(spent.map(|(v, built)| (*v, built)), Ok((1, true)));
+        let _building = table.slot(0).lock();
+        assert!(build_ahead(&scenarios, &table, build));
+        assert!(table.slot(1).lock().value.is_none(), "spent: not refilled");
+        assert_eq!(table.slot(2).lock().value.as_deref(), Some(&2));
+        // Key 2 is now filled, so nothing is left to build ahead.
+        assert!(!build_ahead(&scenarios, &table, |_| -> Result<usize, ()> {
+            panic!("no slot is open for a build ahead")
+        }));
+        // One build per wait: with every slot open, only key 0 fills.
+        let table = artifact_table(&matrix, &scenarios);
+        assert!(build_ahead(&scenarios, &table, build));
+        assert_eq!(table.slot(0).lock().value.as_deref(), Some(&0));
+        assert!(table.slot(1).lock().value.is_none(), "one build per wait");
     }
 
     #[test]
     fn a_panicking_build_ahead_is_discarded() {
-        let scenarios = three_keys();
-        let cache = SlotCache::<usize>::new(4);
-        let tried = build_ahead(&scenarios[1..], &cache, |_| -> Result<usize, ()> {
+        let (matrix, scenarios) = three_keys();
+        let table = artifact_table(&matrix, &scenarios);
+        let tried = build_ahead(&scenarios[1..], &table, |_| -> Result<usize, ()> {
             panic!("injected build failure")
         });
         assert!(tried);
-        let slot = cache.lru().get(1).expect("slot inserted");
+        let slot = table.slot(1);
         assert!(slot.lock().value.is_none(), "the panic left the slot empty");
         // A failing build is discarded the same way.
-        assert!(build_ahead(&scenarios[1..], &cache, |_| Err::<usize, ()>(
+        assert!(build_ahead(&scenarios[1..], &table, |_| Err::<usize, ()>(
             ()
         )));
         assert!(slot.lock().value.is_none());
+        assert_eq!(slot.lock().claims, 1, "a discarded build spends no claim");
     }
 
     /// A sink whose `fold` panics on the scenario with the given index.

@@ -544,43 +544,7 @@ impl ShardCoordinator {
                 states[shard] = self.next_attempt(shard, attempt, &mut events, failure);
             }
 
-            // 2. Merge the ready prefix, persisting the frontier as it
-            //    advances. A failed shard blocks the frontier (later
-            //    partials stay on disk for a post-fix resume), but
-            //    execution of later shards continues regardless.
-            while frontier.merged_shards < n_shards {
-                let shard = frontier.merged_shards;
-                if !matches!(states[shard], ShardState::Ready) {
-                    break;
-                }
-                let header = partial_header(plan[shard], fingerprint, matrix.runs);
-                frontier = match store.merge_partial(shard, header, &frontier) {
-                    Err(e) => {
-                        fatal = Some(e.into());
-                        break 'sweep;
-                    }
-                    // Vanished or corrupted since validation: re-run it.
-                    Ok(None) => {
-                        states[shard] = ShardState::Pending {
-                            attempt: 0,
-                            ready_at: Instant::now(),
-                        };
-                        continue;
-                    }
-                    Ok(Some(advanced)) => advanced,
-                };
-                states[shard] = ShardState::Merged;
-                let advanced = store
-                    .save_frontier(&frontier, fingerprint)
-                    .and_then(|()| store.remove_partial(shard));
-                store.remove_heartbeat(shard);
-                if let Err(e) = advanced {
-                    fatal = Some(e.into());
-                    break 'sweep;
-                }
-            }
-
-            // 3. Launch pending shards up to the concurrency cap, in the
+            // 2. Launch pending shards up to the concurrency cap, in the
             //    key-aware order of `next_launch`.
             let pass = Instant::now();
             loop {
@@ -618,6 +582,45 @@ impl ShardCoordinator {
                         self.next_attempt(shard, attempt, &mut events, message)
                     }
                 };
+            }
+
+            // 3. Merge the ready prefix, persisting the frontier as it
+            //    advances. It runs after the launches, so a lane that a
+            //    finished shard freed refills before that shard's
+            //    partial is decoded and the frontier fsynced. A failed
+            //    shard blocks the frontier (later partials stay on disk
+            //    for a post-fix resume), but execution of later shards
+            //    continues regardless.
+            while frontier.merged_shards < n_shards {
+                let shard = frontier.merged_shards;
+                if !matches!(states[shard], ShardState::Ready) {
+                    break;
+                }
+                let header = partial_header(plan[shard], fingerprint, matrix.runs);
+                frontier = match store.merge_partial(shard, header, &frontier) {
+                    Err(e) => {
+                        fatal = Some(e.into());
+                        break 'sweep;
+                    }
+                    // Vanished or corrupted since validation: re-run it.
+                    Ok(None) => {
+                        states[shard] = ShardState::Pending {
+                            attempt: 0,
+                            ready_at: Instant::now(),
+                        };
+                        continue;
+                    }
+                    Ok(Some(advanced)) => advanced,
+                };
+                states[shard] = ShardState::Merged;
+                let advanced = store
+                    .save_frontier(&frontier, fingerprint)
+                    .and_then(|()| store.remove_partial(shard));
+                store.remove_heartbeat(shard);
+                if let Err(e) = advanced {
+                    fatal = Some(e.into());
+                    break 'sweep;
+                }
             }
 
             // 4. Progress telemetry (stderr only; never affects the
@@ -727,7 +730,8 @@ impl ShardCoordinator {
     }
 
     /// Books one failed attempt: schedules a backed-off retry, or
-    /// marks the shard permanently failed once retries are exhausted.
+    /// marks the shard permanently failed once retries are exhausted or
+    /// when the retry's instant is past what [`Instant`] can hold.
     /// Either way the failure lands in the event log, and a permanent
     /// failure keeps its message for [`ShardReport::failed`].
     fn next_attempt(
@@ -738,25 +742,38 @@ impl ShardCoordinator {
         message: String,
     ) -> ShardState {
         let failures = attempt + 1;
-        if failures > self.retries {
-            eprintln!("ehdl-fleet: shard {shard} failed permanently: {message}");
-            events.push(ShardEvent {
-                shard,
-                attempt: failures,
-                kind: ShardEventKind::Failed,
-                detail: message.clone(),
-            });
-            ShardState::Failed { error: message }
-        } else {
-            events.push(ShardEvent {
-                shard,
-                attempt: failures,
-                kind: ShardEventKind::Retry,
-                detail: message,
-            });
-            ShardState::Pending {
-                attempt: failures,
-                ready_at: Instant::now() + retry_backoff(self.backoff, shard, failures),
+        let backoff = retry_backoff(self.backoff, shard, failures);
+        match Instant::now().checked_add(backoff) {
+            Some(ready_at) if failures <= self.retries => {
+                events.push(ShardEvent {
+                    shard,
+                    attempt: failures,
+                    kind: ShardEventKind::Retry,
+                    detail: message,
+                });
+                ShardState::Pending {
+                    attempt: failures,
+                    ready_at,
+                }
+            }
+            // Out of retries, or a retry the clock cannot schedule.
+            ready_at => {
+                let message = match ready_at {
+                    None if failures <= self.retries => {
+                        format!(
+                            "{message}; retry backoff {backoff:?} is past what the clock can hold"
+                        )
+                    }
+                    _ => message,
+                };
+                eprintln!("ehdl-fleet: shard {shard} failed permanently: {message}");
+                events.push(ShardEvent {
+                    shard,
+                    attempt: failures,
+                    kind: ShardEventKind::Failed,
+                    detail: message.clone(),
+                });
+                ShardState::Failed { error: message }
             }
         }
     }
@@ -830,9 +847,11 @@ fn heartbeat_done(store: &CheckpointStore, shard: usize) -> u64 {
 /// A pure function — the same inputs always produce the same delay, so
 /// a sweep's retry timing replays exactly, while distinct shards
 /// failing at the same instant still spread out instead of thundering
-/// back in lockstep.
+/// back in lockstep. A delay past [`Duration::MAX`] saturates there.
 pub fn retry_backoff(base: Duration, shard: usize, attempt: u32) -> Duration {
-    let exponential = base * 2u32.saturating_pow(attempt.saturating_sub(1));
+    let exponential = base
+        .checked_mul(2u32.saturating_pow(attempt.saturating_sub(1)))
+        .unwrap_or(Duration::MAX);
     let mut z = (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -841,7 +860,7 @@ pub fn retry_backoff(base: Duration, shard: usize, attempt: u32) -> Duration {
     z ^= z >> 31;
     // 53 uniform bits → [0, 1), halved and offset into [0.5, 1.0).
     let jitter = 0.5 + (z >> 11) as f64 / 9_007_199_254_740_992.0 / 2.0;
-    exponential.mul_f64(jitter)
+    Duration::try_from_secs_f64(exponential.as_secs_f64() * jitter).unwrap_or(Duration::MAX)
 }
 
 /// The pending shard to launch next, from `ready` (ascending): the
@@ -1359,6 +1378,15 @@ mod tests {
                 assert!(d >= slot / 2, "attempt {attempt} shard {shard}: {d:?}");
                 assert!(d < slot, "attempt {attempt} shard {shard}: {d:?}");
             }
+        }
+        // A slot past `Duration::MAX` saturates there instead of
+        // panicking on the overflow.
+        for (shard, attempt) in [(0usize, 1u32), (3, 40)] {
+            let d = retry_backoff(Duration::MAX, shard, attempt);
+            assert!(
+                d >= Duration::MAX / 2,
+                "attempt {attempt} shard {shard}: {d:?}"
+            );
         }
     }
 

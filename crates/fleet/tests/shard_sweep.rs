@@ -424,6 +424,20 @@ fn an_unspawnable_worker_degrades_every_shard() {
     assert_eq!(report.merged_shards, 0);
     assert_eq!(report.failed.len(), 2);
     assert_eq!(report.digest, FleetDigest::new());
+    // A retry whose backoff the clock cannot hold fails the shard
+    // instead of panicking the coordinator.
+    let report = ShardCoordinator::new(8)
+        .worker_command("/nonexistent/fleet_shard_worker", Vec::new())
+        .retries(1)
+        .backoff(Duration::MAX)
+        .run(&matrix)
+        .unwrap();
+    assert_eq!(report.merged_shards, 0);
+    assert_eq!(report.failed.len(), 2);
+    for failed in &report.failed {
+        assert!(failed.error.contains("retry backoff"), "{}", failed.error);
+    }
+    assert_eq!(report.digest, FleetDigest::new());
 }
 
 /// Two directory-less sweeps of one matrix at one shard size, running at

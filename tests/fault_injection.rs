@@ -278,39 +278,50 @@ fn default_fault_axis_leaves_sweeps_unchanged() {
     assert!(!implicit_digest.to_string().contains("resilience:"));
 }
 
-/// Cache pressure cannot move results: squeezing the runner's
-/// deployment and trace caches down to one entry forces evictions and
-/// deterministic rebuilds, and the digest stays bit-identical to an
-/// uncapped sweep at every worker count. Both strategies share one
-/// deployment per seed, so two seeds give the cache two keys to evict
-/// between.
+/// The runner sizes its caches from the matrix: each key's value is
+/// built once, on its first claim, and freed after its last, so nothing
+/// is evicted or rebuilt. Over deterministic and burst environments,
+/// clean and stormy, the digest is bit-identical at every worker count
+/// and every cache misses exactly once per distinct key: two seeds'
+/// deployments, two strategies' plans, and one trace per (plan,
+/// deterministic environment, fault schedule).
 #[test]
-fn lru_evictions_leave_the_digest_bit_identical() {
+fn claim_counted_caches_build_each_key_once_and_leave_the_digest_bit_identical() {
+    let environments = catalog::all();
+    let kinds = environments.len() as u64;
+    let deterministic = environments.iter().filter(|e| !e.is_stochastic()).count() as u64;
+    assert!(deterministic > 0 && deterministic < kinds);
     let matrix = ScenarioMatrix::new()
-        .environments(catalog::all())
+        .environments(environments)
         .strategies(vec![Strategy::Sonic, Strategy::Flex])
         .workloads(vec![Workload::Har { samples: 6 }])
         .seeds(vec![0, 1])
+        .faults(vec![FaultSpec::none(), storm(3)])
+        .runs(2)
         .executor(quick_executor());
-    let uncapped = FleetRunner::builder()
+    let reference = FleetRunner::builder()
         .workers(2)
         .sink(DigestSink::new())
         .run(&matrix)
         .unwrap();
-    for workers in [1, 4] {
-        let (capped, profile) = FleetRunner::builder()
+    for workers in [1, 2, 4] {
+        let (digest, profile) = FleetRunner::builder()
             .workers(workers)
-            .cache_entries(1)
             .sink(DigestSink::new())
             .run_profiled(&matrix)
             .unwrap();
-        assert_eq!(uncapped, capped, "{workers} workers");
-        assert!(
-            profile.caches.deployment.evictions > 0,
-            "{workers} workers: cap 1 never evicted ({:?})",
-            profile.caches.deployment
+        assert_eq!(digest, reference, "{workers} workers");
+        let caches = profile.caches;
+        let misses = [caches.deployment, caches.plan, caches.trace].map(|c| c.misses);
+        assert_eq!(misses, [2, 2, 2 * deterministic * 2], "{workers} workers");
+        assert_eq!(caches.deployment.lookups(), matrix.len() as u64);
+        assert_eq!(caches.plan.lookups(), matrix.len() as u64);
+        // Two runs of each deterministic scenario claim its trace.
+        assert_eq!(
+            caches.trace.lookups(),
+            matrix.len() as u64 / kinds * deterministic * 2,
+            "{workers} workers"
         );
-        assert_eq!(profile.caches.deployment.entries, 1, "{workers} workers");
     }
 }
 
